@@ -9,7 +9,9 @@ The decision pipeline:
   2. syntactic fast paths (psi a conjunct of phi, reflexive weak-ordering
      instances) and a linear-arithmetic fast path over the expansion of the
      ordering symbols;
-  3. a bounded search for counterexamples over small value assignments;
+  3. a bounded search for counterexamples over small value assignments,
+     evaluating phi and psi compiled once per query (every hit is
+     re-verified with `theory.interpret` before it is reported);
   4. an external SMT solver over SMT-LIB 2 (QF_LIA), if configured.
 
 Stages 1-3 need no external tooling; stage 4 only ever strengthens the
@@ -20,13 +22,15 @@ returned, anything else is Unknown).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
 import shlex
 import subprocess
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import theory
 from .core import (
@@ -319,6 +323,61 @@ def _goal_holds(goal: Term, premises: _Premises) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Compiled constraints
+
+Compiled = Callable[[tuple], SemValue]
+
+_COMPILED_BINARY = {
+    ADD: lambda x, y, b: lambda env: x(env) + y(env),
+    SUB: lambda x, y, b: lambda env: x(env) - y(env),
+    MUL: lambda x, y, b: lambda env: x(env) * y(env),
+    LE: lambda x, y, b: lambda env: x(env) <= y(env),
+    LT: lambda x, y, b: lambda env: x(env) < y(env),
+    GE: lambda x, y, b: lambda env: x(env) >= y(env),
+    GT: lambda x, y, b: lambda env: x(env) > y(env),
+    EQ: lambda x, y, b: lambda env: x(env) == y(env),
+    NE: lambda x, y, b: lambda env: x(env) != y(env),
+    AND: lambda x, y, b: lambda env: x(env) and y(env),
+    OR: lambda x, y, b: lambda env: x(env) or y(env),
+    SUP_INT: lambda x, y, b: lambda env: (v := x(env)) > b and v > y(env),
+    SUPEQ_INT: lambda x, y, b: lambda env: (
+        (v := x(env)) == (w := y(env)) or (v > b and v > w)),
+    SUP_BOOL: lambda x, y, b: lambda env: x(env) and not y(env),
+    SUPEQ_BOOL: lambda x, y, b: lambda env: x(env) or not y(env),
+}
+
+
+def compile_constraint(term: Term, variables: Sequence[Variable],
+                       bound: int) -> Compiled:
+    """Compile a theory term of base sort into a closure over an
+    environment tuple whose i-th entry is the value of `variables[i]`.
+
+    The closure computes what `interpret` computes on the term instantiated
+    by that assignment (the ordering symbols relative to `bound`), without
+    building the instance. Operators are resolved here, once; `interpret`
+    stays the reference semantics.
+    """
+    return _compile(term, {v: i for i, v in enumerate(variables)}, bound)
+
+
+def _compile(term: Term, index: dict[Variable, int], bound: int) -> Compiled:
+    if isinstance(term, Variable):
+        return itemgetter(index[term])
+    if isinstance(term, FunctionSymbol):
+        value = theory.semantic_value(term)
+        return lambda env: value
+    head, args = term.spine()
+    compiled = [_compile(a, index, bound) for a in args]
+    if head is NOT and len(args) == 1:
+        x, = compiled
+        return lambda env: not x(env)
+    make = _COMPILED_BINARY.get(head) if len(args) == 2 else None
+    if make is None:
+        raise SolverError(f"cannot compile constraint term: {term!r}")
+    return make(*compiled, bound)
+
+
+# ---------------------------------------------------------------------------
 # SMT-LIB translation
 
 _SMT_OPS = {ADD: "+", SUB: "-", MUL: "*", LE: "<=", LT: "<", GE: ">=",
@@ -499,29 +558,28 @@ class Solver:
             return False
         return True
 
-    def _assignments(self, varset: frozenset):
-        variables = sorted(varset, key=lambda v: v.name)
-        pools = []
+    def _assignments(self, variables: list[Variable]) -> Iterable[tuple]:
+        """Value tuples for `variables`: all of them in product order when
+        there are at most `search_limit`, else that many seeded draws."""
         ints = tuple(dict.fromkeys(
             _SEARCH_INTS + (self.bound, self.bound + 1, self.bound - 1)))
-        for v in variables:
-            pools.append((False, True) if v.type == BOOL_T else ints)
-        total = 1
-        for p in pools:
-            total *= len(p)
-        if total <= self.search_limit:
-            for combo in itertools.product(*pools):
-                yield dict(zip(variables, combo))
-            return
+        pools = [(False, True) if v.type == BOOL_T else ints for v in variables]
+        if math.prod(len(p) for p in pools) <= self.search_limit:
+            return itertools.product(*pools)
         rng = random.Random(0)
-        for _ in range(self.search_limit):
-            yield {v: rng.choice(pool) for v, pool in zip(variables, pools)}
+        return (tuple(rng.choice(pool) for pool in pools)
+                for _ in range(self.search_limit))
 
     def _search_counterexample(self, phi: Term, psi: Term, varset: frozenset
                                ) -> Optional[dict[Variable, SemValue]]:
-        for assignment in self._assignments(varset):
-            if self._is_counterexample(phi, psi, assignment):
-                return assignment
+        variables = sorted(varset, key=lambda v: v.name)
+        holds = compile_constraint(phi, variables, self.bound)
+        goal = compile_constraint(psi, variables, self.bound)
+        for values in self._assignments(variables):
+            if holds(values) is True and goal(values) is False:
+                assignment = dict(zip(variables, values))
+                if self._is_counterexample(phi, psi, assignment):
+                    return assignment
         return None
 
     def _is_counterexample(self, phi: Term, psi: Term,

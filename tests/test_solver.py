@@ -6,9 +6,14 @@ from pathlib import Path
 
 import pytest
 
+from lcstrs import solver as solver_module
 from lcstrs import theory
-from lcstrs.core import BOOL_T, INT_T, Substitution, Variable
-from lcstrs.solver import Solver, SolverError, eval_ground_constraint, to_smtlib
+from lcstrs.core import (
+    App, BOOL_T, FunctionSymbol, INT_T, Substitution, Variable,
+)
+from lcstrs.solver import (
+    Solver, SolverError, compile_constraint, eval_ground_constraint, to_smtlib,
+)
 from lcstrs.syntax import parse_term
 from lcstrs.theory import int_value, interpret, value_symbol
 
@@ -136,6 +141,91 @@ class TestSoundnessSampling:
                     v: value_symbol(rng.randint(-50, 50)) for v in variables})
                 if interpret(sigma.apply(phi)) is True:
                     assert interpret(sigma.apply(psi)) is True
+
+
+INT_VARS = tuple(Variable(name, INT_T) for name in ("x", "y", "z"))
+BOOL_VARS = tuple(Variable(name, BOOL_T) for name in ("p", "q"))
+ALL_OPERATORS = {
+    theory.ADD, theory.SUB, theory.MUL, theory.LE, theory.LT, theory.GE,
+    theory.GT, theory.EQ, theory.NE, theory.AND, theory.OR, theory.NOT,
+    theory.SUP_INT, theory.SUPEQ_INT, theory.SUP_BOOL, theory.SUPEQ_BOOL,
+}
+
+
+def _with_variables(rng, term):
+    """The term with about half of its value leaves replaced by variables
+    of the same sort."""
+    if isinstance(term, FunctionSymbol):
+        if term.is_value and rng.random() < 0.5:
+            return rng.choice(INT_VARS if term.type == INT_T else BOOL_VARS)
+        return term
+    return App(_with_variables(rng, term.head), _with_variables(rng, term.arg))
+
+
+def _heads(term, out):
+    if isinstance(term, App):
+        head, args = term.spine()
+        out.add(head)
+        for a in args:
+            _heads(a, out)
+    return out
+
+
+class TestCompiledConstraints:
+    def test_agrees_with_interpret(self):
+        from helpers import gen_theory_term
+        rng = random.Random(79)
+        variables = INT_VARS + BOOL_VARS
+        seen = set()
+        for i in range(2400):
+            term = _with_variables(
+                rng, gen_theory_term(rng, budget=rng.randint(5, 25)))
+            _heads(term, seen)
+            bound = (-2, 0, 3)[i % 3]
+            compiled = compile_constraint(term, variables, bound)
+            for _ in range(2):
+                env = tuple(rng.randint(-12, 12) for _ in INT_VARS) + \
+                    tuple(rng.random() < 0.5 for _ in BOOL_VARS)
+                sigma = Substitution({
+                    v: value_symbol(val) for v, val in zip(variables, env)})
+                expected = interpret(sigma.apply(term), bound)
+                got = compiled(env)
+                # type too: True == 1 in Python
+                assert (type(got), got) == (type(expected), expected), term
+        assert seen >= ALL_OPERATORS
+
+    def test_refutations_rest_on_the_interpreter(self, P, monkeypatch):
+        # a compiler that claims a counterexample for every assignment
+        def lying(term, variables, bound):
+            holds = term is phi
+            return lambda env: holds
+
+        monkeypatch.setattr(solver_module, "compile_constraint", lying)
+        # valid, nonlinear: only the search (stage 3) is left to decide it
+        phi = P("a * b > c /\\ d > 0")
+        psi = P("a * b + d > c")
+        assert Solver().entails(phi, psi).is_unknown
+        phi, psi = P("x >= 3"), P("x > 5")
+        verdict = Solver().entails(phi, psi)
+        assert repr(verdict) == "No(x=3)"
+        sigma = Substitution({
+            v: value_symbol(val) for v, val in verdict.counterexample.items()})
+        assert interpret(sigma.apply(phi)) is True
+        assert interpret(sigma.apply(psi)) is False
+
+    @pytest.mark.parametrize("phi, psi, bound, expected", [
+        # exhaustive enumeration, in itertools.product order
+        ("x >= 3", "x > 5", 0, "No(x=3)"),
+        ("x >= 3", "x !> 5", 3, "No(x=3)"),
+        ("(p \\/ x > 2) /\\ y < 2", "p !> (x > y)", 0,
+         "No(p=False, x=3, y=0)"),
+        # 13^5 assignments exceed search_limit: seeded random draws
+        ("a + b + c + d + e > 150", "a > 50 \\/ b > 50", 0,
+         "No(a=2, b=2, c=100, d=-1, e=100)"),
+    ])
+    def test_first_counterexample_is_pinned(self, P, phi, psi, bound,
+                                            expected):
+        assert repr(Solver(bound=bound).entails(P(phi), P(psi))) == expected
 
 
 class TestSmtTranslation:

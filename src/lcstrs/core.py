@@ -34,12 +34,34 @@ class RuleError(LcstrsError):
 
 # ---------------------------------------------------------------------------
 # Sorts and types
+#
+# Sorts, types and terms are frozen dataclasses with the generated `__eq__`.
+# Each class defines its own `__hash__` that returns the generated value,
+# the hash of the tuple of its fields, but computes it only once per node:
+# the generated one recurses over the whole tree on every call, and terms
+# are hashed as memo and cache keys all through proof search. The value is
+# the same as the generated one, so sets and dicts of terms iterate in the
+# same order. It is not computed at construction because most terms built
+# while rewriting are never hashed.
+
+
+def _store_hash(node, fields: tuple) -> int:
+    h = hash(fields)
+    object.__setattr__(node, "_hash", h)
+    return h
 
 
 @dataclass(frozen=True)
 class Sort:
     name: str
     is_theory: bool = False
+
+    _hash = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        return h if h is not None else _store_hash(
+            self, (self.name, self.is_theory))
 
     def __str__(self) -> str:
         return self.name
@@ -53,6 +75,7 @@ class Type:
     """A simple type: either a base sort or an arrow between types."""
 
     is_theory_type: bool
+    _hash = None
 
     @property
     def arity(self) -> int:
@@ -73,6 +96,10 @@ class Type:
 class BaseType(Type):
     sort: Sort
 
+    def __hash__(self) -> int:
+        h = self._hash
+        return h if h is not None else _store_hash(self, (self.sort,))
+
     @property
     def is_theory_type(self) -> bool:
         return self.sort.is_theory
@@ -85,6 +112,11 @@ class BaseType(Type):
 class ArrowType(Type):
     arg: Type
     result: Type
+
+    def __hash__(self) -> int:
+        h = self._hash
+        return h if h is not None else _store_hash(
+            self, (self.arg, self.result))
 
     @property
     def is_theory_type(self) -> bool:
@@ -126,6 +158,7 @@ class Term:
     free_vars: frozenset
     size: int
     is_theory_term: bool
+    _hash = None
 
     @property
     def is_ground(self) -> bool:
@@ -194,6 +227,11 @@ class FunctionSymbol(Term):
         object.__setattr__(self, "size", 1)
         object.__setattr__(self, "is_theory_term", self.is_theory)
 
+    def __hash__(self) -> int:
+        h = self._hash
+        return h if h is not None else _store_hash(
+            self, (self.name, self.type, self.is_theory))
+
     @property
     def is_value(self) -> bool:
         return self.is_theory and isinstance(self.type, BaseType)
@@ -211,6 +249,10 @@ class Variable(Term):
         object.__setattr__(self, "free_vars", frozenset((self,)))
         object.__setattr__(self, "size", 1)
         object.__setattr__(self, "is_theory_term", True)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        return h if h is not None else _store_hash(self, (self.name, self.type))
 
     def __repr__(self) -> str:
         return self.name
@@ -235,6 +277,10 @@ class App(Term):
         object.__setattr__(
             self, "is_theory_term",
             self.head.is_theory_term and self.arg.is_theory_term)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        return h if h is not None else _store_hash(self, (self.head, self.arg))
 
     def __repr__(self) -> str:
         return f"({self.head!r} {self.arg!r})"

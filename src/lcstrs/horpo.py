@@ -274,7 +274,7 @@ class Horpo:
         self._depth = 0
         self.prec_misses: set[tuple[FunctionSymbol, FunctionSymbol]] = set()
         self.unknowns: list[str] = []
-        self.deepest_failure: Optional[tuple[int, str]] = None
+        self._deepest: Optional[tuple[int, str, Term, Term]] = None
 
     # -- public relations --------------------------------------------------
 
@@ -367,10 +367,18 @@ class Horpo:
         return result
 
     def _note_failure(self, rel: str, s: Term, t: Term) -> None:
-        if self.deepest_failure is None or self._depth + 1 > self.deepest_failure[0]:
-            self.deepest_failure = (
-                self._depth + 1,
-                f"{rel}: {print_term(s)} vs {print_term(t)}")
+        depth = self._depth + 1
+        if self._deepest is None or depth > self._deepest[0]:
+            self._deepest = (depth, rel, s, t)
+
+    @property
+    def deepest_failure(self) -> Optional[tuple[int, str]]:
+        """The deepest failed comparison as (depth, "rel: s vs t"), printed
+        only when read: most attempts fail, few reports are shown."""
+        if self._deepest is None:
+            return None
+        depth, rel, s, t = self._deepest
+        return depth, f"{rel}: {print_term(s)} vs {print_term(t)}"
 
     def _geq_safe(self, s: Term, t: Term, phi: Term,
                   cvars: frozenset) -> Optional[Judgment]:

@@ -162,7 +162,8 @@ def find_witness(system: System, config: Optional[ProverConfig] = None
     defined = system.defined_symbols()
     solvers: dict[int, Solver] = {}
     budget = _Budget(cfg, solvers)
-    best_failure: Optional[tuple[int, FailureReport]] = None
+    # rules oriented, and the engine that failed on the next rule
+    best_failure: Optional[tuple[int, Optional[Horpo]]] = None
     gave_up = False
 
     for bound in cfg.bounds:
@@ -173,26 +174,35 @@ def find_witness(system: System, config: Optional[ProverConfig] = None
             outcome = _search_precedence(system, status, bound, solver, budget)
             if isinstance(outcome, Witness):
                 return outcome
-            oriented, report, interrupted = outcome
+            oriented, engine, interrupted = outcome
             gave_up = gave_up or interrupted
             if best_failure is None or oriented > best_failure[0]:
-                best_failure = (oriented, report)
+                best_failure = (oriented, engine)
             if interrupted:
                 break
         if gave_up:
             break
 
-    failures = best_failure[1].failures if best_failure else ()
-    had_unknowns = best_failure[1].gave_up if best_failure else False
+    failures: tuple[RuleFailure, ...] = ()
+    had_unknowns = False
+    if best_failure is not None and best_failure[1] is not None:
+        # rendered once, for the report that is shown
+        index, engine = best_failure
+        deepest = engine.deepest_failure
+        failures = (RuleFailure(index + 1, print_rule(system.rules[index]),
+                                deepest[1] if deepest else None,
+                                tuple(engine.unknowns)),)
+        had_unknowns = bool(engine.unknowns)
     return FailureReport(failures, budget.attempts, gave_up or had_unknowns)
 
 
 def _search_precedence(system: System, status: dict, bound: int,
                        solver: Solver, budget: _Budget):
     """Depth-first growth of the precedence edge set for one status/bound
-    choice. Returns a Witness or (rules-oriented, FailureReport, gave_up)."""
+    choice. Returns a Witness or (rules-oriented, the engine that failed on
+    the next rule or None if no rule was tried, gave_up)."""
     visited: set[frozenset] = set()
-    best: Optional[tuple[int, FailureReport]] = None
+    best: Optional[tuple[int, Optional[Horpo]]] = None
     interrupted = False
 
     def attempt(edges: frozenset):
@@ -204,15 +214,8 @@ def _search_precedence(system: System, status: dict, bound: int,
             engine = Horpo(params, solver)
             judgment = engine.orient_rule(rule)
             if judgment is None:
-                failure = RuleFailure(
-                    index + 1, print_rule(rule),
-                    engine.deepest_failure[1] if engine.deepest_failure else None,
-                    tuple(engine.unknowns))
-                report = FailureReport(
-                    (failure,), budget.attempts,
-                    gave_up=bool(engine.unknowns))
                 if best is None or index > best[0]:
-                    best = (index, report)
+                    best = (index, engine)
                 return index, engine.prec_misses
             derivations.append(judgment)
         return Witness(params, tuple(derivations)), None
@@ -245,7 +248,7 @@ def _search_precedence(system: System, status: dict, bound: int,
         # no rules at all: the empty witness orients everything
         if not system.rules:
             return Witness(HorpoParams((), status, bound), ())
-        best = (0, FailureReport((), budget.attempts, interrupted))
+        best = (0, None)
     return best[0], best[1], interrupted
 
 
@@ -320,8 +323,9 @@ def check_witness(witness: Witness, system: System,
         note = None
         if judgment is None:
             note = f"rule {index + 1} not oriented: {print_rule(rule)}"
-            if engine.deepest_failure:
-                note += f" (deepest failure: {engine.deepest_failure[1]})"
+            deepest = engine.deepest_failure
+            if deepest:
+                note += f" (deepest failure: {deepest[1]})"
         return judgment, note
 
     if jobs > 1:

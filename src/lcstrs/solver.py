@@ -496,7 +496,7 @@ class Solver:
         if not (phi.free_vars | psi.free_vars) <= varset:
             raise SolverError(
                 "entailment variables must cover both constraints' free variables")
-        key = self._cache_key(phi, psi, varset)
+        key = (phi, psi, varset, self.bound)
         with self._lock:
             cached = self._cache.get(key)
         if cached is not None:
@@ -610,11 +610,6 @@ class Solver:
                 return No(assignment)
             return Unknown("SMT model did not verify")
         return Unknown(f"SMT solver answered {status or 'nothing'}")
-
-    def _cache_key(self, phi: Term, psi: Term, varset: frozenset) -> tuple:
-        from .syntax import print_term
-        names = tuple(sorted((v.name, str(v.type)) for v in varset))
-        return (print_term(phi), print_term(psi), names, self.bound)
 
 
 def _value_subst(assignment: dict[Variable, SemValue]):

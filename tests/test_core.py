@@ -1,5 +1,6 @@
 """Term algebra: typechecking, free variables, substitution, rule validity."""
 
+import dataclasses
 import random
 
 import pytest
@@ -9,11 +10,11 @@ from helpers import (
     recursive_is_theory_term,
 )
 from lcstrs.core import (
-    App, ArrowType, BaseType, BOOL_T, INT_T, PreApp, PreLeaf, RuleError,
-    Substitution, TypingError, Variable, apply_subst, arrow, free_vars,
-    typecheck, validate_rule,
+    App, ArrowType, BaseType, BOOL_T, FunctionSymbol, INT_T, PreApp, PreLeaf,
+    RuleError, Sort, Substitution, TypingError, Variable, apply_subst, arrow,
+    free_vars, typecheck, validate_rule,
 )
-from lcstrs import theory
+from lcstrs import core, theory
 from lcstrs.syntax import parse_term
 from lcstrs.theory import int_value
 
@@ -47,6 +48,69 @@ class TestTypes:
         assert arrow(INT_T, BOOL_T) == ArrowType(INT_T, BOOL_T)
         assert arrow(INT_T, INT_T, INT_T) == ArrowType(INT_T, ArrowType(INT_T, INT_T))
         assert arrow(INT_T, BOOL_T) != arrow(BOOL_T, INT_T)
+
+
+def one_of_each() -> list:
+    """A fresh, never hashed instance of each sort, type and term class."""
+    sort = Sort("List")
+    f = FunctionSymbol("f", arrow(INT_T, BaseType(sort)))
+    x = Variable("x", INT_T)
+    return [sort, BaseType(sort), ArrowType(INT_T, BOOL_T), f, x, App(f, x)]
+
+
+class TestHashContract:
+    """Hashes are computed once per node and equal the dataclass hash of
+    the field tuple, so sets and dicts of terms iterate in a fixed order."""
+
+    def test_hash_is_the_hash_of_the_field_tuple(self):
+        for node in one_of_each():
+            fields = tuple(getattr(node, f.name)
+                           for f in dataclasses.fields(node))
+            assert hash(node) == hash(fields), type(node).__name__
+            assert hash(node) == hash(fields)  # the cached value too
+
+    def test_each_class_defines_its_own_hash(self):
+        # a @dataclass that generates the hash also puts it in the class's
+        # own __dict__, but compiles it from a string, not from core.py
+        for node in one_of_each():
+            own = type(node).__dict__.get("__hash__")
+            assert own is not None, type(node).__name__
+            assert own.__code__.co_filename == core.__file__, type(node).__name__
+
+    def test_first_hash_is_stored_on_the_node(self):
+        for node in one_of_each():
+            value = hash(node)
+            assert node.__dict__["_hash"] == value, type(node).__name__
+
+    def test_not_hashed_at_construction(self):
+        # a variable is hashed when it builds its own free-variable set
+        for node in one_of_each():
+            if not isinstance(node, Variable):
+                assert "_hash" not in node.__dict__, type(node).__name__
+
+    def test_equal_terms_built_apart_hash_equal(self):
+        first, second = one_of_each(), one_of_each()
+        for a, b in zip(first, second):
+            assert a is not b
+            assert a == b and hash(a) == hash(b)
+
+    def test_second_hash_does_not_visit_children(self, monkeypatch):
+        succ = FunctionSymbol("succ", arrow(INT_T, INT_T))
+        term = Variable("x", INT_T)
+        for _ in range(200):
+            term = App(succ, term)
+        visited = []
+        original = App.__hash__
+
+        def counting_hash(node):
+            visited.append(node)
+            return original(node)
+
+        monkeypatch.setattr(App, "__hash__", counting_hash)
+        first = hash(term)
+        assert len(visited) == 200
+        assert hash(term) == first
+        assert len(visited) == 201
 
 
 class TestTypecheck:

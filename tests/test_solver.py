@@ -120,6 +120,18 @@ class TestFastPaths:
         assert first.is_yes and second.is_yes and fresh.is_yes
         assert solver.queries == 1  # second call served from cache
 
+    def test_cache_key_is_terms_and_variable_set(self, P):
+        solver = Solver()
+        phi, psi = P("n > 0"), P("n !> (n - 1)")
+        n, m = P.ctx["n"], Variable("m", INT_T)
+        assert solver.entails(phi, psi).is_yes
+        # equal terms built apart hit the cache
+        assert solver.entails(P("n > 0"), P("n !> (n - 1)"), {n}).is_yes
+        assert solver.queries == 1
+        # a larger variable set is a different query
+        assert solver.entails(phi, psi, {n, m}).is_yes
+        assert solver.queries == 2
+
 
 class TestSoundnessSampling:
     def test_yes_verdicts_never_falsified(self, P):

@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import LcstrsError
 from .prover import ProverConfig, Witness, check_witness, find_witness
@@ -73,11 +73,13 @@ def _parse_inputs(text: str) -> list:
     return values
 
 
-def _emit(payload: dict, fmt: str, text: str) -> None:
+def _emit(fmt: str, payload: Callable[[], dict], text: Callable[[], str]
+          ) -> None:
+    """Print the JSON payload or the text, building only the one asked for."""
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
-        print(text)
+        print(text())
 
 
 def _fail(message: str, fmt: str, command: str, file: str) -> int:
@@ -90,21 +92,27 @@ def _fail(message: str, fmt: str, command: str, file: str) -> int:
 
 def cmd_check(args) -> int:
     system = parse_system(_read(args.file))
-    lines = [f"fun {s.name} : {s.type}" for s in system.declarations]
-    lines += [f"rule {print_rule(r)}" for r in system.rules]
-    lines.append(f"ok: {len(system.declarations)} symbols, "
-                 f"{len(system.rules)} rules")
-    payload = {
-        "command": "check", "file": args.file, "ok": True,
-        "symbols": [{"name": s.name, "type": str(s.type)}
-                    for s in system.declarations],
-        "rules": [{"index": i + 1,
-                   "lhs": print_term(r.lhs),
-                   "rhs": print_term(r.rhs),
-                   "constraint": print_term(r.constraint)}
-                  for i, r in enumerate(system.rules)],
-    }
-    _emit(payload, args.format, "\n".join(lines))
+
+    def text() -> str:
+        lines = [f"fun {s.name} : {s.type}" for s in system.declarations]
+        lines += [f"rule {print_rule(r)}" for r in system.rules]
+        lines.append(f"ok: {len(system.declarations)} symbols, "
+                     f"{len(system.rules)} rules")
+        return "\n".join(lines)
+
+    def payload() -> dict:
+        return {
+            "command": "check", "file": args.file, "ok": True,
+            "symbols": [{"name": s.name, "type": str(s.type)}
+                        for s in system.declarations],
+            "rules": [{"index": i + 1,
+                       "lhs": print_term(r.lhs),
+                       "rhs": print_term(r.rhs),
+                       "constraint": print_term(r.constraint)}
+                      for i, r in enumerate(system.rules)],
+        }
+
+    _emit(args.format, payload, text)
     return 0
 
 
@@ -114,25 +122,31 @@ def cmd_run(args) -> int:
     inputs = InputSource(_parse_inputs(args.inputs))
     result = normalize(term, system, strategy=args.strategy, fuel=args.fuel,
                        inputs=inputs)
-    lines = [f"start: {print_term(term)}"]
-    for i, step in enumerate(result.steps):
-        lines.append(f"step {i + 1}: {step.kind} at {list(step.position)} -> "
-                     f"{print_term(step.result)}")
-    if result.exhausted:
-        lines.append(f"fuel exhausted after {result.total_steps} steps")
-    else:
-        lines.append(f"normal form after {result.total_steps} steps: "
-                     f"{print_term(result.term)}")
-    payload = {
-        "command": "run", "file": args.file, "ok": not result.exhausted,
-        "start": print_term(term), "strategy": args.strategy,
-        "fuel": args.fuel, "result": print_term(result.term),
-        "normal_form": not result.exhausted,
-        "total_steps": result.total_steps,
-        "steps": [{"position": list(s.position), "kind": s.kind,
-                   "term": print_term(s.result)} for s in result.steps],
-    }
-    _emit(payload, args.format, "\n".join(lines))
+
+    def text() -> str:
+        lines = [f"start: {print_term(term)}"]
+        for i, step in enumerate(result.steps):
+            lines.append(f"step {i + 1}: {step.kind} at "
+                         f"{list(step.position)} -> {print_term(step.result)}")
+        if result.exhausted:
+            lines.append(f"fuel exhausted after {result.total_steps} steps")
+        else:
+            lines.append(f"normal form after {result.total_steps} steps: "
+                         f"{print_term(result.term)}")
+        return "\n".join(lines)
+
+    def payload() -> dict:
+        return {
+            "command": "run", "file": args.file, "ok": not result.exhausted,
+            "start": print_term(term), "strategy": args.strategy,
+            "fuel": args.fuel, "result": print_term(result.term),
+            "normal_form": not result.exhausted,
+            "total_steps": result.total_steps,
+            "steps": [{"position": list(s.position), "kind": s.kind,
+                       "term": print_term(s.result)} for s in result.steps],
+        }
+
+    _emit(args.format, payload, text)
     return 2 if result.exhausted else 0
 
 
@@ -149,20 +163,22 @@ def cmd_prove(args) -> int:
     if isinstance(result, Witness):
         verification = check_witness(result, system, jobs=max(1, args.jobs))
         if not verification.ok:
-            payload = {"command": "prove", "file": args.file, "ok": False,
-                       "report": {"message": "witness failed verification",
-                                  "diagnostics": list(verification.diagnostics)}}
-            _emit(payload, args.format,
-                  "witness failed verification:\n" +
-                  "\n".join(verification.diagnostics))
+            _emit(args.format,
+                  lambda: {"command": "prove", "file": args.file, "ok": False,
+                           "report": {"message": "witness failed verification",
+                                      "diagnostics": list(verification.diagnostics)}},
+                  lambda: "witness failed verification:\n" +
+                          "\n".join(verification.diagnostics))
             return 2
-        payload = {"command": "prove", "file": args.file, "ok": True,
-                   "witness": result.to_dict()}
-        _emit(payload, args.format, "TERMINATING\n" + result.to_text())
+        _emit(args.format,
+              lambda: {"command": "prove", "file": args.file, "ok": True,
+                       "witness": result.to_dict()},
+              lambda: "TERMINATING\n" + result.to_text())
         return 0
-    payload = {"command": "prove", "file": args.file, "ok": False,
-               "report": result.to_dict()}
-    _emit(payload, args.format, "UNKNOWN\n" + result.to_text())
+    _emit(args.format,
+          lambda: {"command": "prove", "file": args.file, "ok": False,
+                   "report": result.to_dict()},
+          lambda: "UNKNOWN\n" + result.to_text())
     return 2
 
 

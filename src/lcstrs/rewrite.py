@@ -9,7 +9,7 @@ constraint-only variables) are instantiated from a pluggable input source.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .core import (
     App, BaseType, BOOL, INT, LcstrsError, Rule, Substitution, Term, Variable,
@@ -110,7 +110,7 @@ class RewriteStep:
     def replay(self, source: Term, system: System) -> bool:
         """Re-derive the step from its source term and compare results."""
         for step in step_at(source, self.position, system,
-                            inputs=_ReplayInputs(self, source)):
+                            inputs=_ReplayInputs(self)):
             if step.rule_index == self.rule_index and step.result == self.result:
                 return True
         return False
@@ -119,13 +119,51 @@ class RewriteStep:
 class _ReplayInputs:
     """Input source that reproduces a recorded step's fresh-variable values."""
 
-    def __init__(self, step: RewriteStep, source: Term):
+    def __init__(self, step: RewriteStep):
         self._subst = step.subst
 
     def value_for(self, var: Variable) -> Term:
         if self._subst is None:
             raise LcstrsError("calculation steps take no inputs")
         return self._subst.get(var)
+
+
+# A contraction found by `_probe`: the rule index (None for a calculation),
+# the substitution (None for a calculation) and the contractum.
+Contraction = tuple[Optional[int], Optional[Substitution], Term]
+
+
+def _probe(redex: Term, system: System, bound: int,
+           inputs: InputSource) -> tuple[list[Contraction], bool]:
+    """Every step at the root of `redex`: rule steps in file order, then
+    the calculation step if one applies; and whether an input was drawn.
+
+    Every rule that matches draws values for its fresh variables, even
+    after an earlier rule applied and even if its constraint then fails,
+    so a probe that drew can answer differently next time.
+    """
+    head, nargs = redex, 0
+    while isinstance(head, App):
+        head, nargs = head.head, nargs + 1
+    found: list[Contraction] = []
+    drew = False
+    for index, rule in system.rules_for(head, nargs):
+        if rule.lhs.type != redex.type:
+            continue
+        base = match(rule.lhs, redex)
+        if base is None:
+            continue
+        unbound = sorted(
+            (v for v in rule.fresh_vars if v not in base),
+            key=lambda v: v.name)
+        drew = drew or bool(unbound)
+        subst = base.extended({v: inputs.value_for(v) for v in unbound})
+        if respects(subst, rule, bound):
+            found.append((index, subst, subst.apply(rule.rhs)))
+    calculated = try_calculate(redex, bound)
+    if calculated is not None:
+        found.append((None, None, calculated))
+    return found, drew
 
 
 def step_at(term: Term, position: Position, system: System,
@@ -135,51 +173,63 @@ def step_at(term: Term, position: Position, system: System,
     redex = term.subterm_at(position)
     if inputs is None:
         inputs = InputSource()
-    bound = system.bound
-    steps: list[RewriteStep] = []
-    for index, rule in enumerate(system.rules):
-        if rule.lhs.type != redex.type:
-            continue
-        base = match(rule.lhs, redex)
-        if base is None:
-            continue
-        unbound = sorted(
-            (v for v in rule.fresh_vars if v not in base),
-            key=lambda v: v.name)
-        subst = base.extended({v: inputs.value_for(v) for v in unbound})
-        if not respects(subst, rule, bound):
-            continue
-        result = term.replace_at(position, subst.apply(rule.rhs))
-        steps.append(RewriteStep(position, index, subst, result))
-    calculated = try_calculate(redex, bound)
-    if calculated is not None:
-        steps.append(
-            RewriteStep(position, None, None, term.replace_at(position, calculated)))
-    return steps
+    found, _ = _probe(redex, system, system.bound, inputs)
+    return [RewriteStep(position, index, subst,
+                        term.replace_at(position, contractum))
+            for index, subst, contractum in found]
 
 
-def innermost_positions(term: Term) -> Iterator[Position]:
-    """Positions in leftmost-innermost order (head subtree, argument
-    subtree, then the node itself)."""
-    def rec(t: Term, prefix: Position) -> Iterator[Position]:
-        if isinstance(t, App):
-            yield from rec(t.head, prefix + (0,))
-            yield from rec(t.arg, prefix + (1,))
-        yield prefix
-    return rec(term, ())
+# The context of a subterm during the walk: None at the root, else
+# (context of the parent, 0 for the head or 1 for the argument, parent).
+Context = Optional[tuple["Context", int, App]]
 
 
-def outermost_positions(term: Term) -> Iterator[Position]:
-    """Positions in leftmost-outermost order (node, then head, then arg)."""
-    def rec(t: Term, prefix: Position) -> Iterator[Position]:
-        yield prefix
-        if isinstance(t, App):
-            yield from rec(t.head, prefix + (0,))
-            yield from rec(t.arg, prefix + (1,))
-    return rec(term, ())
+def _find_redex(term: Term, system: System, bound: int, inputs: InputSource,
+                normal: set[Term], innermost: bool
+                ) -> Optional[tuple[Context, list[Contraction]]]:
+    """The first position of `term` that admits a step, in leftmost-
+    innermost (head subtree, argument subtree, node) or leftmost-outermost
+    (node, head subtree, argument subtree) order, with its steps.
+
+    Subterms in `normal` are skipped. A subterm joins `normal` once its
+    whole subtree was probed without finding a step and without drawing
+    an input, so skipping it changes neither the answer nor the draws.
+    """
+    draws = 0
+    # (subterm, context, None on entry or the draw count when it was entered)
+    stack: list[tuple[Term, Context, Optional[int]]] = [(term, None, None)]
+    while stack:
+        t, ctx, entered = stack.pop()
+        leaving = entered is not None
+        if not leaving:
+            # a node never hashed is scanned rather than looked up: hashing
+            # it would recurse through a subtree that may be deep
+            if t._hash is not None and t in normal:
+                continue
+            stack.append((t, ctx, draws))
+            if isinstance(t, App):
+                stack.append((t.arg, (ctx, 1, t), None))
+                stack.append((t.head, (ctx, 0, t), None))
+        # innermost probes a node on leaving it, outermost on entering it
+        if leaving == innermost:
+            found, drew = _probe(t, system, bound, inputs)
+            if found:
+                return ctx, found
+            draws += drew
+        if leaving and draws == entered:
+            normal.add(t)
+    return None
 
 
-_STRATEGIES = {"innermost": innermost_positions, "outermost": outermost_positions}
+def _plug(ctx: Context, term: Term) -> tuple[Position, Term]:
+    """The position of a context's hole and the context filled with `term`."""
+    path = []
+    while ctx is not None:
+        ctx, side, parent = ctx
+        path.append(side)
+        term = App(term, parent.arg) if side == 0 else App(parent.head, term)
+    path.reverse()
+    return tuple(path), term
 
 
 @dataclass
@@ -196,36 +246,36 @@ def normalize(term: Term, system: System, strategy: str = "innermost",
     """Apply steps until no position admits one, or fuel runs out.
 
     The strategy fixes the search order for redexes only; both strategies
-    explore every position. The trace keeps at most `trace_cap` steps.
+    explore every position. Each step takes the first step `step_at` lists
+    at the first position that has one. Every search starts at the root,
+    carries each subterm down with its context, and skips subterms already
+    found normal in this call. The trace keeps at most `trace_cap` steps.
     """
-    if strategy not in _STRATEGIES:
+    if strategy not in ("innermost", "outermost"):
         raise LcstrsError(f"unknown strategy {strategy!r}")
     if fuel < 0:
         raise LcstrsError("fuel must be non-negative")
-    positions = _STRATEGIES[strategy]
     if inputs is None:
         inputs = InputSource()
+    innermost = strategy == "innermost"
+    bound = system.bound
+    normal: set[Term] = set()
     result = NormalizationResult(term)
     current = term
-    while result.total_steps < fuel:
-        step = None
-        for pos in positions(current):
-            found = step_at(current, pos, system, inputs)
-            if found:
-                step = found[0]
-                break
-        if step is None:
-            result.term = current
-            return result
-        if len(result.steps) < trace_cap:
-            result.steps.append(step)
-        current = step.result
-        result.total_steps += 1
-    result.term = current
-    for pos in positions(current):
-        if step_at(current, pos, system, inputs):
+    while True:
+        found = _find_redex(current, system, bound, inputs, normal, innermost)
+        if found is None:
+            break
+        if result.total_steps == fuel:
             result.exhausted = True
             break
+        ctx, steps = found
+        index, subst, contractum = steps[0]
+        position, current = _plug(ctx, contractum)
+        if len(result.steps) < trace_cap:
+            result.steps.append(RewriteStep(position, index, subst, current))
+        result.total_steps += 1
+    result.term = current
     return result
 
 

@@ -20,6 +20,7 @@ inferred during typechecking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from . import theory
@@ -299,6 +300,36 @@ class System:
         except ValueError:
             raise LcstrsError(
                 f"option bound must be an integer, got {raw!r}") from None
+
+    def rules_for(self, head: Term, nargs: int) -> tuple[tuple[int, Rule], ...]:
+        """(file index, rule) for every rule whose left side can match a
+        term with this head leaf and number of arguments, in file order.
+
+        A left side `f l1 .. ln` with a symbol head matches only terms
+        `f s1 .. sn`; one with a variable head and k arguments may match
+        any term with at least k arguments.
+        """
+        by_head, variable_headed = self._rule_index
+        found = by_head.get((head, nargs), ())
+        if variable_headed:
+            found = tuple(sorted(
+                found + tuple((i, rule) for i, k, rule in variable_headed
+                              if k <= nargs),
+                key=lambda pair: pair[0]))
+        return found
+
+    @cached_property
+    def _rule_index(self) -> tuple[dict, tuple]:
+        by_head: dict[tuple[FunctionSymbol, int], tuple[tuple[int, Rule], ...]] = {}
+        variable_headed = []
+        for i, rule in enumerate(self.rules):
+            head, args = rule.lhs.spine()
+            if isinstance(head, FunctionSymbol):
+                key = (head, len(args))
+                by_head[key] = by_head.get(key, ()) + ((i, rule),)
+            else:
+                variable_headed.append((i, len(args), rule))
+        return by_head, tuple(variable_headed)
 
     def defined_symbols(self) -> tuple[FunctionSymbol, ...]:
         seen: dict[FunctionSymbol, None] = {}

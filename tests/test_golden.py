@@ -1,4 +1,4 @@
-"""Golden `prove --format json` outputs.
+"""Golden `prove --format json` outputs and `run` traces.
 
 The stdout and exit code of `lcstrs prove <file> --format json` on the
 shipped systems, a List map/fold/range system and one status-blowup system
@@ -72,3 +72,48 @@ def test_prove_json_is_golden(name, tmp_path, monkeypatch, capsys):
     code, out = prove_json(name, text, tmp_path, monkeypatch, capsys)
     assert code == expected_code
     assert out == (GOLDEN / f"prove_{name}.json").read_text()
+
+
+# Golden `run` traces, text and json: name -> (system, term, extra
+# arguments, exit code recorded with the output). They were recorded
+# before `normalize` became an incremental walk, and pin every step's
+# position, kind and term, the step count and the normal form.
+RUN_CASES = {
+    "fact_6": ("fact", "fact 6 exit", [], 0),
+    "iter_12": ("iter", "iter 12 ([+] 3) 5", [], 0),
+    "loop_fuel_9": ("loop", "f 7", ["--fuel", "9"], 2),
+    "fact_init_inputs_3": ("fact", "init", ["--inputs", "3"], 0),
+}
+LIST_TERMS = {
+    "fold_map_range": "fold [+] 1 (map ([*] 2) (range 1 4))",
+    "map_range": "map ([+] 3) (range 2 5)",
+    "fold_range": "fold [*] 2 (range 1 4)",
+}
+for _strategy in ("innermost", "outermost"):
+    for _name, _term in LIST_TERMS.items():
+        RUN_CASES[f"list_{_name}_{_strategy}"] = (
+            "list", _term, ["--strategy", _strategy], 0)
+
+
+def run_output(case: str, fmt: str, directory: Path, monkeypatch,
+               capsys) -> tuple[int, str, str]:
+    """Run `run NAME.lcstrs --term ... --format FMT` from inside
+    `directory`, so the file path in the payload does not depend on where
+    tests run."""
+    name, term, extra, _ = RUN_CASES[case]
+    (directory / f"{name}.lcstrs").write_text(CASES[name][0])
+    monkeypatch.chdir(directory)
+    code = main(["run", f"{name}.lcstrs", "--term", term, "--format", fmt]
+                + extra)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("fmt", ["json", "txt"])
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+def test_run_trace_is_golden(case, fmt, tmp_path, monkeypatch, capsys):
+    code, out, err = run_output(case, "text" if fmt == "txt" else "json",
+                                tmp_path, monkeypatch, capsys)
+    assert code == RUN_CASES[case][3]
+    assert err == ""
+    assert out == (GOLDEN / f"run_{case}.{fmt}").read_text()

@@ -180,6 +180,67 @@ class TestNormalize:
         assert result.total_steps == 50
         assert len(result.steps) == 5
 
+    @pytest.mark.parametrize("strategy", ["innermost", "outermost"])
+    def test_input_draw_order(self, strategy):
+        # `g 5` matches both rules, each drawing a fresh value, and stays
+        # put until a draw satisfies a constraint: every scan for a redex
+        # probes it again and draws two more values. Recorded before the
+        # normalizer skipped subterms known to be normal.
+        from lcstrs.syntax import parse_system
+        system = parse_system(
+            "fun g : Int -> Int\n"
+            "fun pair : Int -> Int -> Int\n"
+            "rule g x -> x + y [y > x]\n"
+            "rule g x -> x - z [z > 10]\n")
+        inputs = InputSource([1, 2, 3, 4, 7, 20, 99])
+        result = normalize(parse_term("pair (g 5) (1 + 2 + 3)", system),
+                           system, strategy=strategy, inputs=inputs)
+        trace = [(s.position, s.kind, print_term(s.result),
+                  s.subst and sorted((v.name, print_term(t))
+                                     for v, t in s.subst.items()))
+                 for s in result.steps]
+        assert trace == [
+            ((1, 0, 1), "calc", "pair (g 5) (3 + 3)", None),
+            ((1,), "calc", "pair (g 5) 6", None),
+            ((0, 1), "rule#1", "pair (5 + 7) 6", [("x", "5"), ("y", "7")]),
+            ((0, 1), "calc", "pair 12 6", None),
+        ]
+        assert print_term(result.term) == "pair 12 6"
+        # y = 1, z = 2, y = 3, z = 4, y = 7, z = 20 were drawn, in order
+        assert inputs.value_for(Variable("w", INT_T)) == int_value(99)
+
+    def test_variable_headed_rule_keeps_file_order(self):
+        # `x a` has a variable head, so it may match any term with at
+        # least one argument; the rule index must still list it between
+        # the two `c y` rules for the same redex. The parser cannot infer
+        # the type of `x`, so the rule is built directly.
+        from lcstrs.core import Rule
+        from lcstrs.syntax import System, parse_system
+        base = parse_system(
+            "fun a : Int\n"
+            "fun c : Int -> Int\n"
+            "fun d : Int -> Int -> Int\n"
+            "rule c y -> 1 [true]\n"
+            "rule c y -> 2 [true]\n")
+        a, = base.signature.lookup("a")
+        x = Variable("x", arrow(INT_T, INT_T))
+        variable_headed = Rule(x.apply(a), int_value(0), theory.TRUE)
+        system = System(base.signature,
+                        (base.rules[0], variable_headed, base.rules[1]), {},
+                        base.declarations)
+        c, = system.signature.lookup("c")
+        d, = system.signature.lookup("d")
+        assert [i for i, _ in system.rules_for(c, 1)] == [0, 1, 2]
+        assert [i for i, _ in system.rules_for(d, 2)] == [1]
+        assert [i for i, _ in system.rules_for(d, 0)] == []
+        t = parse_term("d (c a) a", system)
+        assert [s.kind for s in step_at(t, (0, 1), system)] == [
+            "rule#1", "rule#2", "rule#3"]
+        result = normalize(t, system)
+        assert [(s.position, s.kind) for s in result.steps] == [
+            ((0, 1), "rule#1"), ((), "rule#2")]
+        assert print_term(result.term) == "0"
+
     def test_outermost_strategy(self, fact_system, terms):
         result = normalize(terms("fact 1 exit"), fact_system,
                            strategy="outermost")

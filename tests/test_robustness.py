@@ -1,6 +1,7 @@
 """Cross-cutting robustness checks beyond the per-module suites."""
 
 import json
+import math
 import random
 
 import pytest
@@ -96,6 +97,45 @@ class TestRewriteAgreement:
         assert len(steps) == 1  # a = 4, b = 1 satisfies a > b
         assert print_term(steps[0].result) == "4 + 1"
         assert step_at(t, (), system, inputs=InputSource([1, 4])) == []
+
+
+class TestNormalizerScale:
+    @staticmethod
+    def probes_per_step(monkeypatch, fact_system, n: int) -> float:
+        """Calls to `match` and `try_calculate` per step of `fact n exit`."""
+        import lcstrs.rewrite as rewrite
+        calls = [0]
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[0] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            patch.setattr(rewrite, "match", counted(rewrite.match))
+            patch.setattr(rewrite, "try_calculate",
+                          counted(rewrite.try_calculate))
+            result = normalize(parse_term(f"fact {n} exit", fact_system),
+                               fact_system)
+        assert result.total_steps == 4 * n + 1
+        return calls[0] / result.total_steps
+
+    def test_work_per_step_is_flat_in_term_size(self, monkeypatch,
+                                                fact_system):
+        small = self.probes_per_step(monkeypatch, fact_system, 20)
+        large = self.probes_per_step(monkeypatch, fact_system, 80)
+        assert large <= 1.5 * small
+
+    def test_deep_continuation_normalizes(self, fact_system):
+        # the continuation nests 3000 deep before it unwinds
+        result = normalize(parse_term("fact 1500 exit", fact_system),
+                           fact_system)
+        assert not result.exhausted
+        assert result.total_steps == 6001
+        exit_symbol, = fact_system.signature.lookup("exit")
+        assert result.term == exit_symbol.apply(
+            int_value(math.factorial(1500)))
 
 
 class TestWitnessDocument:

@@ -8,6 +8,7 @@ exhausted / no witness found).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -21,7 +22,10 @@ from .syntax import parse_system, parse_term, print_rule, print_term
 SMT_ENV_VAR = "LCSTRS_SMT_CMD"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it unchanged, and
+    every default in it is a constant."""
     parser = argparse.ArgumentParser(
         prog="lcstrs",
         description="Constrained higher-order rewriting: execution and "
@@ -50,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated bounds to try for the integer "
                               "ordering (default: the file's `option bound`, "
                               "else 0)")
-    p_prove.add_argument("--smt-cmd", default=os.environ.get(SMT_ENV_VAR),
+    p_prove.add_argument("--smt-cmd", default=None,
                          help="external SMT solver command line "
                               f"(default ${SMT_ENV_VAR})")
     p_prove.add_argument("--timeout", type=float, default=60.0,
@@ -157,8 +161,10 @@ def cmd_prove(args) -> int:
     else:
         bounds = tuple(int(b) for b in args.bounds.split(",")
                        if b.strip() != "") or (system.bound,)
+    smt_command = (os.environ.get(SMT_ENV_VAR) if args.smt_cmd is None
+                   else args.smt_cmd)
     config = ProverConfig(bounds=bounds, timeout=args.timeout,
-                          smt_command=args.smt_cmd)
+                          smt_command=smt_command)
     result = find_witness(system, config)
     if isinstance(result, Witness):
         verification = check_witness(result, system, jobs=max(1, args.jobs))

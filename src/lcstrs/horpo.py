@@ -257,8 +257,10 @@ class Horpo:
     """One proof context: parameters, a solver, and memoized judgments.
 
     Also records, per orientation attempt, which precedence queries failed
-    (useful to drive a parameter search), which entailment checks came back
-    Unknown, and the deepest point where a derivation attempt failed.
+    (useful to drive a parameter search), whose statuses were read (a
+    search need not retry statuses that went unread), which entailment
+    checks came back Unknown, and the deepest point where a derivation
+    attempt failed.
     """
 
     def __init__(self, params: HorpoParams, solver: Optional[Solver] = None):
@@ -273,6 +275,7 @@ class Horpo:
         self._memo: dict = {}
         self._depth = 0
         self.prec_misses: set[tuple[FunctionSymbol, FunctionSymbol]] = set()
+        self.status_reads: set[FunctionSymbol] = set()
         self.unknowns: list[str] = []
         self._deepest: Optional[tuple[int, str, Term, Term]] = None
 
@@ -505,6 +508,7 @@ class Horpo:
         # (4)/(5) same head: compare argument lists by the head's status
         if isinstance(t_head, FunctionSymbol) and t_head == s_head and t_args:
             status = self.params.status_of(s_head)
+            self.status_reads.add(s_head)
             ext = None
             if isinstance(status, Lex):
                 ext = self.lex_ext(s_args, t_args, phi, cvars)

@@ -8,6 +8,14 @@ empty; each such edge is hypothesized in turn, rejecting cycles, and the
 attempt is retried. Precedence growth never invalidates an orientation
 that already succeeded, so the first fully-oriented assignment wins.
 
+The assignments are walked in product order, symbol by symbol, with
+pruning. A precedence search depends on the statuses only through the
+ones it reads, so an assignment that agrees with a failed one on every
+status that search read would fail the same way: the walk skips every
+such assignment, whole subtrees at a time, and credits the attempts the
+failed search made to each. The first witness found, and the attempt
+count of a failure report, are those of the unpruned product.
+
 A found witness is self-certifying: `check_witness` replays every rule
 from scratch with fresh caches.
 """
@@ -15,10 +23,10 @@ from scratch with fresh caches.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional, Sequence, Union
 
 from .core import FunctionSymbol, Rule
@@ -97,7 +105,8 @@ class FailureReport:
     the finite search space is exhausted or the prover gave up (budget or
     Unknown entailments)."""
     failures: tuple[RuleFailure, ...]
-    searched: int                   # orientation attempts made
+    searched: int                   # orientation attempts covered: made,
+                                    # or skipped as repeats of a failed search
     gave_up: bool                   # budget exhausted or Unknowns encountered
     message: str = ""
 
@@ -155,11 +164,48 @@ def _status_options(symbol: FunctionSymbol) -> list[Status]:
     return [LEX] + [Mul(k) for k in range(arity, 1, -1)]
 
 
+def _status_walk(options: list[list[Status]], refuted: dict,
+                 budget: _Budget):
+    """Yield the tuples of `product(*options)` in order, minus every tuple
+    that agrees with a refuted one at each position that one's search read.
+
+    `refuted` maps the sorted read positions of a failed search to {the
+    statuses at those positions: the attempts it made}; the caller adds to
+    it as tuples fail. A skipped tuple would repeat such a search step for
+    step, so its attempts are credited to the budget. Yields None when the
+    budget has run out where a search was skipped.
+    """
+    prefix: list[Status] = []
+
+    def walk(depth: int):
+        for positions, failed in refuted.items():
+            if positions and positions[-1] >= depth:
+                continue
+            attempts = failed.get(tuple(prefix[i] for i in positions))
+            if attempts is not None:
+                if budget.exceeded():
+                    yield None              # the caller stops here
+                budget.attempts += attempts * math.prod(
+                    len(column) for column in options[depth:])
+                return
+        if depth == len(options):
+            yield tuple(prefix)
+            return
+        for option in options[depth]:
+            prefix.append(option)
+            yield from walk(depth + 1)
+            prefix.pop()
+
+    return walk(0)
+
+
 def find_witness(system: System, config: Optional[ProverConfig] = None
                  ) -> ProveResult:
     """Search bounds, statuses and precedences for a verified witness."""
     cfg = config or ProverConfig()
     defined = system.defined_symbols()
+    position = {f: i for i, f in enumerate(defined)}
+    options = [_status_options(f) for f in defined]
     solvers: dict[int, Solver] = {}
     budget = _Budget(cfg, solvers)
     # rules oriented, and the engine that failed on the next rule
@@ -169,17 +215,26 @@ def find_witness(system: System, config: Optional[ProverConfig] = None
     for bound in cfg.bounds:
         solver = solvers.setdefault(
             bound, Solver(smt_command=cfg.smt_command, bound=bound))
-        for combo in product(*(_status_options(f) for f in defined)):
+        refuted: dict = {}
+        for combo in _status_walk(options, refuted, budget):
+            if combo is None:
+                gave_up = True
+                break
             status = dict(zip(defined, combo))
+            made = budget.attempts
             outcome = _search_precedence(system, status, bound, solver, budget)
             if isinstance(outcome, Witness):
                 return outcome
-            oriented, engine, interrupted = outcome
+            oriented, engine, interrupted, reads = outcome
             gave_up = gave_up or interrupted
             if best_failure is None or oriented > best_failure[0]:
                 best_failure = (oriented, engine)
             if interrupted:
                 break
+            # statuses of symbols without rules are lex in every tuple
+            read = tuple(sorted(position[f] for f in reads if f in position))
+            refuted.setdefault(read, {})[tuple(combo[i] for i in read)] = (
+                budget.attempts - made)
         if gave_up:
             break
 
@@ -200,8 +255,10 @@ def _search_precedence(system: System, status: dict, bound: int,
                        solver: Solver, budget: _Budget):
     """Depth-first growth of the precedence edge set for one status/bound
     choice. Returns a Witness or (rules-oriented, the engine that failed on
-    the next rule or None if no rule was tried, gave_up)."""
+    the next rule or None if no rule was tried, gave_up, the symbols whose
+    status any engine of any attempt read)."""
     visited: set[frozenset] = set()
+    reads: set[FunctionSymbol] = set()
     best: Optional[tuple[int, Optional[Horpo]]] = None
     interrupted = False
 
@@ -213,6 +270,7 @@ def _search_precedence(system: System, status: dict, bound: int,
         for index, rule in enumerate(system.rules):
             engine = Horpo(params, solver)
             judgment = engine.orient_rule(rule)
+            reads.update(engine.status_reads)
             if judgment is None:
                 if best is None or index > best[0]:
                     best = (index, engine)
@@ -249,7 +307,7 @@ def _search_precedence(system: System, status: dict, bound: int,
         if not system.rules:
             return Witness(HorpoParams((), status, bound), ())
         best = (0, None)
-    return best[0], best[1], interrupted
+    return best[0], best[1], interrupted, reads
 
 
 def _creates_cycle(edges: frozenset, f: FunctionSymbol,

@@ -283,11 +283,14 @@ def calc_normal_form(term: Term, bound: int = 0) -> Term:
     """The unique normal form under calculation steps alone.
 
     One bottom-up pass suffices: calculation redexes take value arguments,
-    so reducing subterms first leaves at most a root step.
+    so reducing subterms first leaves at most a root step. A node that
+    nothing changes is returned itself, keeping its cached hash.
     """
     if isinstance(term, App):
-        reduced = App(calc_normal_form(term.head, bound),
-                      calc_normal_form(term.arg, bound))
+        head = calc_normal_form(term.head, bound)
+        arg = calc_normal_form(term.arg, bound)
+        reduced = (term if head is term.head and arg is term.arg
+                   else App(head, arg))
         calculated = try_calculate(reduced, bound)
         return calculated if calculated is not None else reduced
     return term
@@ -302,4 +305,6 @@ def joinable_calc(s: Term, t: Term, bound: int = 0) -> bool:
     if s.type != t.type:
         raise LcstrsError(
             f"joinable_calc: types {s.type} and {t.type} differ")
+    if s == t:
+        return True
     return calc_normal_form(s, bound) == calc_normal_form(t, bound)

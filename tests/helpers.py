@@ -249,3 +249,35 @@ def _gen_constraint(rng, variables):
     v = rng.choice(int_vars)
     op = rng.choice((LE, LT, GE, GT))
     return op.apply(v, int_value(rng.randint(-3, 3)))
+
+
+# ---------------------------------------------------------------------------
+# Systems shared by the prover suites
+
+LIST_SYSTEM = """\
+(* user sort List with higher-order map and fold *)
+fun nil : List
+fun cons : Int -> List -> List
+fun map : (Int -> Int) -> List -> List
+fun fold : (Int -> Int -> Int) -> Int -> List -> Int
+fun range : Int -> Int -> List
+rule map f nil -> nil [true]
+rule map f (cons x xs) -> cons (f x) (map f xs) [true]
+rule fold f a nil -> a [true]
+rule fold f a (cons x xs) -> fold f (f a x) xs [true]
+rule range i n -> nil [i > n]
+rule range i n -> cons i (range (i + 1) n) [i <= n]
+"""
+
+
+def blowup_system(k: int) -> str:
+    """The status-blowup family: one swap rule that only mul(2) orients,
+    then a chain of k arity-3 symbols. The swap rule comes first, so an
+    unpruned status product tries every status of the chain while g is
+    still lex: 3^k precedence searches before the witness."""
+    lines = ["fun g : Int -> Int -> Int"]
+    lines += [f"fun h{i} : Int -> Int -> Int -> Int" for i in range(1, k + 1)]
+    lines.append("rule g x y -> g y (x - 1) [x > 0]")
+    lines += [f"rule h{i} x y z -> h{i + 1} x y z [true]" for i in range(1, k)]
+    lines.append(f"rule h{k} x y z -> g x y [true]")
+    return "\n".join(lines) + "\n"

@@ -6,7 +6,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from lcstrs import cli
 from lcstrs.cli import main
+from lcstrs.prover import FailureReport
 
 REPO = Path(__file__).resolve().parent.parent
 SYSTEMS = REPO / "systems"
@@ -164,6 +166,25 @@ class TestProve:
         code, out, _ = run_cli(capsys, "prove", str(path))
         assert code == 0
         assert "TERMINATING" in out
+
+    def test_smt_command_environment_is_read_per_call(self, capsys,
+                                                       monkeypatch):
+        # the parser outlives a call, so the variable must be read when
+        # `prove` runs, not when the parser is built
+        seen = []
+
+        def capture(system, config):
+            seen.append(config.smt_command)
+            return FailureReport((), 0, False)
+
+        monkeypatch.setattr(cli, "find_witness", capture)
+        monkeypatch.delenv(cli.SMT_ENV_VAR, raising=False)
+        path = str(SYSTEMS / "loop.lcstrs")
+        run_cli(capsys, "prove", path)
+        monkeypatch.setenv(cli.SMT_ENV_VAR, "solver-from-env")
+        run_cli(capsys, "prove", path)
+        run_cli(capsys, "prove", path, "--smt-cmd", "solver-from-flag")
+        assert seen == [None, "solver-from-env", "solver-from-flag"]
 
 
 class TestFlags:

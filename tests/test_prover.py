@@ -1,13 +1,51 @@
 """Witness search, witness checking, and failure reporting."""
 
+import itertools
 import json
 from pathlib import Path
 
+import pytest
+
+from helpers import LIST_SYSTEM, blowup_system
+from lcstrs import prover
 from lcstrs.horpo import LEX, HorpoParams, Mul
 from lcstrs.prover import (
-    FailureReport, ProverConfig, Witness, check_witness, find_witness,
+    FailureReport, ProverConfig, RuleFailure, Witness, check_witness,
+    find_witness,
 )
-from lcstrs.syntax import parse_system
+from lcstrs.solver import Solver
+from lcstrs.syntax import parse_system, print_rule
+
+SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
+
+LOOP = "fun f : Int -> Int\nrule f x -> f x [true]\n"
+PLANTED = ("fun g : Int -> Int\nfun h : Int -> Int\n"
+           "rule g x -> h x [true]\nrule h x -> x + 0 [true]\n")
+# swapping arguments defeats the left-to-right comparison but not the
+# multiset one
+SWAP = ("fun pair : Int -> Int -> Int\nfun a : Int\n"
+        "rule pair x y -> pair y (x - 1) [x > 0 /\\ y > x]\n")
+# orienting the first rule spends entailment queries; the second rule then
+# wishes for g > h
+QUERY_CAP = ("fun g : Int -> Int\nfun h : Int -> Int\n"
+             "rule g x -> g (x - 1) [x > 0]\n"
+             "rule g x -> h x [x <= 0]\n")
+# x !> y needs bound -3 here: descent stays above -2 but not above 0
+DOWN = "fun down : Int -> Int\nrule down x -> down (x - 1) [x > -2]\n"
+# Every search reads the statuses of a and c, first and third in `defined`
+# order, and none reads b's. Rule 1 holds under lex only; rule 3 never
+# holds. The searches for a = lex fail after two attempts, so the walk must
+# skip the tuples (lex, mul(3), lex), (lex, mul(2), lex) and so on: a
+# non-contiguous set in product order. The searches for a = mul(2) fail in
+# one attempt, so crediting them two would change the count.
+NONADJACENT = """\
+fun a : Int -> Int -> Int
+fun b : Int -> Int -> Int -> Int
+fun c : Int -> Int -> Int
+rule a x y -> a (x - 1) x [x > 0]
+rule b x y z -> c x y [true]
+rule c x y -> c y x [true]
+"""
 
 
 def symbols(system, *names):
@@ -39,7 +77,7 @@ class TestFindWitness:
         assert check_witness(witness, system).ok
 
     def test_loop_fails_with_report(self):
-        system = parse_system("fun f : Int -> Int\nrule f x -> f x [true]\n")
+        system = parse_system(LOOP)
         report = find_witness(system)
         assert isinstance(report, FailureReport)
         assert not report.gave_up  # the space is exhausted, nothing undecided
@@ -49,9 +87,7 @@ class TestFindWitness:
 
     def test_planted_witness_is_found(self):
         # if checking accepts some assignment in the space, search succeeds
-        system = parse_system(
-            "fun g : Int -> Int\nfun h : Int -> Int\n"
-            "rule g x -> h x [true]\nrule h x -> x + 0 [true]\n")
+        system = parse_system(PLANTED)
         g, h = symbols(system, "g", "h")
         planted = Witness(HorpoParams([(g, h)], {}, 0), ())
         replayed = check_witness(planted, system)
@@ -61,11 +97,7 @@ class TestFindWitness:
         assert found.params.prec_gt(g, h)
 
     def test_multiset_status_found_when_lex_fails(self):
-        # swapping arguments defeats the left-to-right comparison but not
-        # the multiset one
-        system = parse_system(
-            "fun pair : Int -> Int -> Int\nfun a : Int\n"
-            "rule pair x y -> pair y (x - 1) [x > 0 /\\ y > x]\n")
+        system = parse_system(SWAP)
         report_or_witness = find_witness(system)
         assert isinstance(report_or_witness, Witness)
         (pair,) = symbols(system, "pair")
@@ -77,9 +109,7 @@ class TestFindWitness:
         assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
     def test_higher_order_iteration_example(self):
-        source = (Path(__file__).resolve().parent.parent / "systems"
-                  / "iter.lcstrs").read_text()
-        system = parse_system(source)
+        system = parse_system((SYSTEMS / "iter.lcstrs").read_text())
         witness = find_witness(system)
         assert isinstance(witness, Witness)
         assert witness.params.edges == frozenset()  # subterm cases suffice
@@ -93,22 +123,15 @@ class TestFindWitness:
         assert "gave up" in report.message
 
     def test_query_cap_gives_up_cleanly(self):
-        # orienting the first rule spends entailment queries; the second
-        # rule then wishes for g > h, and a zero budget stops the retry
-        system = parse_system(
-            "fun g : Int -> Int\nfun h : Int -> Int\n"
-            "rule g x -> g (x - 1) [x > 0]\n"
-            "rule g x -> h x [x <= 0]\n")
+        # a zero budget stops the retry with g > h
+        system = parse_system(QUERY_CAP)
         assert isinstance(find_witness(system), Witness)
         report = find_witness(system, ProverConfig(max_queries=0))
         assert isinstance(report, FailureReport)
         assert report.gave_up
 
     def test_bound_list_is_searched(self):
-        # x !> y needs bound -3 here: descent stays above -2 but not above 0
-        system = parse_system(
-            "fun down : Int -> Int\n"
-            "rule down x -> down (x - 1) [x > -2]\n")
+        system = parse_system(DOWN)
         assert isinstance(find_witness(system), FailureReport)
         witness = find_witness(system, ProverConfig(bounds=(0, -3)))
         assert isinstance(witness, Witness)
@@ -167,8 +190,77 @@ class TestWitnessOutput:
         assert "rule 4" in text
 
     def test_failure_report_json(self):
-        system = parse_system("fun f : Int -> Int\nrule f x -> f x [true]\n")
+        system = parse_system(LOOP)
         report = find_witness(system)
         data = report.to_dict()
         assert data["gave_up"] is False
         assert data["rules"][0]["index"] == 1
+
+
+def exhaustive_find_witness(system, config):
+    """Reference for `find_witness`: `_search_precedence` on every tuple of
+    the status product, in order, with no skipping."""
+    defined = system.defined_symbols()
+    solvers = {}
+    budget = prover._Budget(config, solvers)
+    best = None
+    gave_up = False
+    for bound in config.bounds:
+        solver = solvers.setdefault(
+            bound, Solver(smt_command=config.smt_command, bound=bound))
+        for combo in itertools.product(
+                *(prover._status_options(f) for f in defined)):
+            outcome = prover._search_precedence(
+                system, dict(zip(defined, combo)), bound, solver, budget)
+            if isinstance(outcome, Witness):
+                return outcome
+            oriented, engine, interrupted, _ = outcome
+            gave_up = gave_up or interrupted
+            if best is None or oriented > best[0]:
+                best = (oriented, engine)
+            if interrupted:
+                break
+        if gave_up:
+            break
+    failures = ()
+    if best is not None and best[1] is not None:
+        index, engine = best
+        deepest = engine.deepest_failure
+        failures = (RuleFailure(index + 1, print_rule(system.rules[index]),
+                                deepest[1] if deepest else None,
+                                tuple(engine.unknowns)),)
+        gave_up = gave_up or bool(engine.unknowns)
+    return FailureReport(failures, budget.attempts, gave_up)
+
+
+DIFFERENTIAL_CASES = {
+    **{f"blowup_k{k}": (blowup_system(k), ProverConfig()) for k in range(2, 6)},
+    "list": (LIST_SYSTEM, ProverConfig()),
+    **{f"systems_{path.stem}": (path.read_text(), ProverConfig())
+       for path in sorted(SYSTEMS.glob("*.lcstrs"))},
+    "fact_bounds_0_1": ((SYSTEMS / "fact.lcstrs").read_text(),
+                        ProverConfig(bounds=(0, 1))),
+    "loop": (LOOP, ProverConfig()),
+    "planted": (PLANTED, ProverConfig()),
+    "swap": (SWAP, ProverConfig()),
+    "query_cap": (QUERY_CAP, ProverConfig()),
+    "query_cap_0": (QUERY_CAP, ProverConfig(max_queries=0)),
+    "down": (DOWN, ProverConfig()),
+    "down_bounds_0_-3": (DOWN, ProverConfig(bounds=(0, -3))),
+    "empty_rules": ("fun a : Int\n", ProverConfig()),
+    "nonadjacent": (NONADJACENT, ProverConfig()),
+    "nonadjacent_bounds_0_1": (NONADJACENT, ProverConfig(bounds=(0, 1))),
+    # the query budget runs out where the walk skips a tuple
+    "nonadjacent_max_queries_3": (NONADJACENT, ProverConfig(max_queries=3)),
+}
+
+
+class TestPrunedStatusWalk:
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
+    def test_agrees_with_exhaustive_product(self, name):
+        text, config = DIFFERENTIAL_CASES[name]
+        system = parse_system(text)
+        expected = exhaustive_find_witness(system, config)
+        got = find_witness(system, config)
+        assert type(got) is type(expected)
+        assert got.to_dict() == expected.to_dict()

@@ -286,6 +286,16 @@ class TestCalcNormalForm:
     def test_nested_arithmetic(self, terms):
         assert calc_normal_form(terms("(1 + 2) + (3 + 4)")) == int_value(10)
 
+    def test_unchanged_nodes_are_kept(self, terms):
+        # a subtree with nothing to calculate comes back as the same node,
+        # with its cached hash; only the path to a calculation is rebuilt
+        t = terms("fact (n + 1) (comp exit ([*] (2 * 3)))")
+        reduced = calc_normal_form(t)
+        assert calc_normal_form(reduced) is reduced
+        assert reduced.head is t.head                # fact (n + 1)
+        assert reduced.arg is not t.arg
+        assert reduced.arg.head is t.arg.head        # comp exit
+
     def test_size_strictly_decreases(self):
         rng = random.Random(53)
         for _ in range(500):

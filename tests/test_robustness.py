@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import gen_ground_term, gen_theory_term
+from helpers import blowup_system, gen_ground_term, gen_theory_term
 from lcstrs.core import INT_T, BOOL_T, LcstrsError, Variable, arrow
 from lcstrs.prover import Witness, check_witness, find_witness, params_from_dict
 from lcstrs.rewrite import InputSource, calc_normal_form, match, normalize, step_at
@@ -136,6 +136,40 @@ class TestNormalizerScale:
         exit_symbol, = fact_system.signature.lookup("exit")
         assert result.term == exit_symbol.apply(
             int_value(math.factorial(1500)))
+
+
+class TestStatusSearchScale:
+    @staticmethod
+    def search_counts(monkeypatch, k: int) -> dict:
+        """Precedence searches and rule orientations of `find_witness` on
+        the k-symbol status-blowup system. A third search fails the test
+        at once; the unpruned product makes 3^k + 1 of them."""
+        import lcstrs.prover as prover
+        from lcstrs.horpo import Horpo
+        counts = {"searches": 0, "orientations": 0}
+        search, orient = prover._search_precedence, Horpo.orient_rule
+
+        def counted_search(*args):
+            counts["searches"] += 1
+            assert counts["searches"] <= 2, f"k={k}: a third search"
+            return search(*args)
+
+        def counted_orient(self, rule):
+            counts["orientations"] += 1
+            return orient(self, rule)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(prover, "_search_precedence", counted_search)
+            patch.setattr(Horpo, "orient_rule", counted_orient)
+            result = find_witness(parse_system(blowup_system(k)))
+        assert isinstance(result, Witness)
+        return counts
+
+    def test_blowup_search_is_polynomial(self, monkeypatch):
+        counts = {k: self.search_counts(monkeypatch, k) for k in (4, 8, 12)}
+        for k in (8, 12):
+            assert (counts[k]["orientations"]
+                    <= (k / 4) ** 2 * counts[4]["orientations"])
 
 
 class TestWitnessDocument:

@@ -10,13 +10,9 @@ recursive path ordering that emits machine-checkable witnesses.
 from .core import (
     App, ArrowType, BaseType, BOOL, BOOL_T, FunctionSymbol, INT, INT_T,
     LcstrsError, Rule, RuleError, Signature, Sort, Substitution, Term, Type,
-    TypingError, Variable, apply_subst, arrow, free_vars, typecheck,
-    validate_rule,
+    TypingError, Variable, arrow, typecheck,
 )
-from .horpo import (
-    LEX, Horpo, HorpoParams, Judgment, Lex, Mul, geq, gt, lex_ext, mul_ext,
-    orient_rule, replay_judgment, rpo,
-)
+from .horpo import LEX, Horpo, HorpoParams, Judgment, Lex, Mul
 from .prover import (
     CheckResult, FailureReport, ProverConfig, Witness, check_witness,
     find_witness,
@@ -26,12 +22,10 @@ from .rewrite import (
     joinable_calc, match, normalize, respects, step_at,
 )
 from .solver import (
-    No, Solver, Unknown, Verdict, YES, Yes, entails, eval_ground_constraint,
-    to_smtlib,
+    No, Solver, Unknown, Verdict, YES, Yes, eval_ground_constraint, to_smtlib,
 )
 from .syntax import (
-    ParseError, System, SystemFile, parse_system, parse_term, print_rule,
-    print_term,
+    ParseError, System, parse_system, parse_term, print_rule, print_term,
 )
 from .theory import (
     SemValue, TheoryError, base_signature, bool_value, int_value, interpret,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from typing import Callable, Optional, Sequence
@@ -60,8 +61,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prove.add_argument("--timeout", type=float, default=60.0,
                          help="wall-clock budget in seconds")
     p_prove.add_argument("--jobs", type=int, default=1,
-                         help="parallel rule checks during verification")
+                         help="accepted and ignored: witness verification "
+                              "is serial")
     return parser
+
+
+def _integer(piece: str, option: str) -> int:
+    try:
+        return int(piece)
+    except ValueError:
+        raise LcstrsError(
+            f"{option}: {piece.strip()!r} is not an integer") from None
 
 
 def _parse_inputs(text: str) -> list:
@@ -73,7 +83,7 @@ def _parse_inputs(text: str) -> list:
         if piece in ("true", "false"):
             values.append(piece == "true")
         else:
-            values.append(int(piece))
+            values.append(_integer(piece, "--inputs"))
     return values
 
 
@@ -159,15 +169,17 @@ def cmd_prove(args) -> int:
     if args.bounds is None:
         bounds = (system.bound,)
     else:
-        bounds = tuple(int(b) for b in args.bounds.split(",")
+        bounds = tuple(_integer(b, "--bounds") for b in args.bounds.split(",")
                        if b.strip() != "") or (system.bound,)
+    if math.isnan(args.timeout):
+        raise LcstrsError("--timeout expects a number of seconds, got nan")
     smt_command = (os.environ.get(SMT_ENV_VAR) if args.smt_cmd is None
                    else args.smt_cmd)
     config = ProverConfig(bounds=bounds, timeout=args.timeout,
                           smt_command=smt_command)
     result = find_witness(system, config)
     if isinstance(result, Witness):
-        verification = check_witness(result, system, jobs=max(1, args.jobs))
+        verification = check_witness(result, system)
         if not verification.ok:
             _emit(args.format,
                   lambda: {"command": "prove", "file": args.file, "ok": False,

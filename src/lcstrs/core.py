@@ -286,11 +286,6 @@ class App(Term):
         return f"({self.head!r} {self.arg!r})"
 
 
-def free_vars(term: Term) -> frozenset:
-    """The set of variables occurring in a term."""
-    return term.free_vars
-
-
 # ---------------------------------------------------------------------------
 # Substitutions
 
@@ -332,10 +327,6 @@ class Substitution:
     def items(self):
         return self._map.items()
 
-    @property
-    def domain(self) -> frozenset:
-        return frozenset(self._map)
-
     def apply(self, term: Term) -> Term:
         if isinstance(term, Variable):
             return self._map.get(term, term)
@@ -355,10 +346,6 @@ class Substitution:
         inner = ", ".join(f"{v.name} := {t!r}" for v, t in sorted(
             self._map.items(), key=lambda it: it[0].name))
         return "{" + inner + "}"
-
-
-def apply_subst(term: Term, subst: Substitution) -> Term:
-    return subst.apply(term)
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +390,6 @@ class Signature:
     def symbols(self) -> Iterator[FunctionSymbol]:
         for group in self._by_name.values():
             yield from group
-
-    def copy(self) -> "Signature":
-        sig = Signature(literal=self._literal)
-        sig._by_name = dict(self._by_name)
-        return sig
 
 
 @dataclass(frozen=True)
@@ -550,8 +532,3 @@ class Rule:
 
     def __repr__(self) -> str:
         return f"{self.lhs!r} -> {self.rhs!r} [{self.constraint!r}]"
-
-
-def validate_rule(lhs: Term, rhs: Term, constraint: Term) -> Rule:
-    """Build a rule, raising RuleError naming the violated condition."""
-    return Rule(lhs, rhs, constraint)

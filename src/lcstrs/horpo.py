@@ -104,10 +104,6 @@ class HorpoParams:
     def status_of(self, f: FunctionSymbol) -> Status:
         return self.status.get(f, LEX)
 
-    def closure_pairs(self) -> frozenset:
-        return frozenset((f, g) for f, above in self._closure.items()
-                         for g in above)
-
     def hasse_pairs(self) -> tuple[tuple[FunctionSymbol, FunctionSymbol], ...]:
         """Direct edges minus those implied by transitivity, for display."""
         closure = self._closure
@@ -532,55 +528,3 @@ class Horpo:
         if t.is_value or (isinstance(t, Variable) and t in cvars):
             return Judgment("rpo", "rpo:base", s, t, phi, cvars)
         return None
-
-
-# ---------------------------------------------------------------------------
-# Module-level entry points matching the one-shot call shape
-
-
-def geq(s: Term, t: Term, phi: Term, params: HorpoParams,
-        solver: Optional[Solver] = None) -> Optional[Judgment]:
-    return Horpo(params, solver).geq(s, t, phi)
-
-
-def gt(s: Term, t: Term, phi: Term, params: HorpoParams,
-       solver: Optional[Solver] = None) -> Optional[Judgment]:
-    return Horpo(params, solver).gt(s, t, phi)
-
-
-def rpo(s: Term, t: Term, phi: Term, params: HorpoParams,
-        solver: Optional[Solver] = None) -> Optional[Judgment]:
-    return Horpo(params, solver).rpo(s, t, phi)
-
-
-def lex_ext(ss: Sequence[Term], ts: Sequence[Term], phi: Term,
-            params: HorpoParams,
-            solver: Optional[Solver] = None) -> Optional[Judgment]:
-    return Horpo(params, solver).lex_ext(ss, ts, phi)
-
-
-def mul_ext(ss: Sequence[Term], ts: Sequence[Term], phi: Term,
-            params: HorpoParams,
-            solver: Optional[Solver] = None) -> Optional[Judgment]:
-    return Horpo(params, solver).mul_ext(ss, ts, phi)
-
-
-def orient_rule(rule: Rule, params: HorpoParams,
-                solver: Optional[Solver] = None) -> Optional[Judgment]:
-    return Horpo(params, solver).orient_rule(rule)
-
-
-def replay_judgment(judgment: Judgment, params: HorpoParams,
-                    solver: Optional[Solver] = None) -> bool:
-    """Re-derive every node of a judgment tree from scratch."""
-    engine = Horpo(params, solver)
-    relations = {"geq": engine.geq, "gt": engine.gt, "rpo": engine.rpo,
-                 "lex": engine.lex_ext, "mul": engine.mul_ext}
-
-    def node_ok(j: Judgment) -> bool:
-        got = relations[j.relation](j.lhs, j.rhs, j.constraint, j.cvars)
-        if got is None:
-            return False
-        return all(node_ok(c) for c in j.children)
-
-    return node_ok(judgment)

@@ -25,11 +25,10 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .core import FunctionSymbol, Rule
+from .core import FunctionSymbol
 from .horpo import LEX, Horpo, HorpoParams, Judgment, Mul, Status
 from .solver import Solver
 from .syntax import System, print_rule, print_term
@@ -41,7 +40,6 @@ class ProverConfig:
     timeout: float = 60.0                 # wall-clock budget, seconds
     max_queries: Optional[int] = None     # entailment-query budget
     smt_command: Optional[str] = None
-    jobs: int = 1
 
 
 @dataclass
@@ -363,8 +361,7 @@ class CheckResult:
 
 
 def check_witness(witness: Witness, system: System,
-                  solver: Optional[Solver] = None, jobs: int = 1
-                  ) -> CheckResult:
+                  solver: Optional[Solver] = None) -> CheckResult:
     """Re-validate the witness parameters and re-orient every rule with
     fresh caches, independently of whatever search produced the witness."""
     params = HorpoParams(witness.params.edges, witness.params.status,
@@ -373,26 +370,14 @@ def check_witness(witness: Witness, system: System,
         solver = Solver(bound=params.bound)
     diagnostics: list[str] = []
     derivations: list[Optional[Judgment]] = []
-
-    def orient(indexed: tuple[int, Rule]):
-        index, rule = indexed
+    for index, rule in enumerate(system.rules):
         engine = Horpo(params, solver)
         judgment = engine.orient_rule(rule)
-        note = None
+        derivations.append(judgment)
         if judgment is None:
             note = f"rule {index + 1} not oriented: {print_rule(rule)}"
             deepest = engine.deepest_failure
             if deepest:
                 note += f" (deepest failure: {deepest[1]})"
-        return judgment, note
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(orient, enumerate(system.rules)))
-    else:
-        results = [orient(pair) for pair in enumerate(system.rules)]
-    for judgment, note in results:
-        derivations.append(judgment)
-        if note:
             diagnostics.append(note)
     return CheckResult(not diagnostics, tuple(diagnostics), tuple(derivations))

@@ -615,10 +615,3 @@ class Solver:
 def _value_subst(assignment: dict[Variable, SemValue]):
     from .core import Substitution
     return Substitution({v: value_symbol(val) for v, val in assignment.items()})
-
-
-def entails(phi: Term, psi: Term,
-            variables: Optional[Iterable[Variable]] = None,
-            solver: Optional[Solver] = None) -> Verdict:
-    """One-shot entailment check with a default solver configuration."""
-    return (solver or Solver()).entails(phi, psi, variables)

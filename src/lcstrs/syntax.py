@@ -19,7 +19,7 @@ inferred during typechecking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -275,21 +275,12 @@ class _Parser:
 
 
 @dataclass
-class SystemFile:
-    """The purely syntactic content of a system file."""
-    declarations: list[tuple[str, Type]] = field(default_factory=list)
-    rules: list[tuple[str, str, str]] = field(default_factory=list)
-    options: dict[str, str] = field(default_factory=dict)
-
-
-@dataclass
 class System:
     """A validated rewrite system: signature, rules, and options."""
     signature: Signature
     rules: tuple[Rule, ...]
     options: dict[str, str]
     declarations: tuple[FunctionSymbol, ...]
-    file: Optional[SystemFile] = None
 
     @property
     def bound(self) -> int:
@@ -346,9 +337,10 @@ _RESERVED = {"fun", "rule", "option", "Int", "Bool"}
 def parse_system(text: str) -> System:
     """Parse and validate a whole system file."""
     stripped = _strip_comments(text)
-    sfile = SystemFile()
+    declarations: list[tuple[str, Type]] = []
+    options: dict[str, str] = {}
     sorts = {"Int": INT, "Bool": BOOL}
-    rule_lines: list[tuple[int, list[Token], list[Token], list[Token], str]] = []
+    rule_lines: list[tuple[int, list[Token], list[Token], list[Token]]] = []
 
     for lineno, line in enumerate(stripped.split("\n"), start=1):
         tokens = tokenize(line, first_line=lineno)
@@ -368,16 +360,14 @@ def parse_system(text: str) -> System:
                 t = parser.next()
                 raise ParseError(f"unexpected token {t.text!r} after type",
                                  t.line, t.col)
-            sfile.declarations.append((name, ty))
+            declarations.append((name, ty))
         elif head.text == "rule":
             lhs_toks, rhs_toks, con_toks = _split_rule_tokens(tokens[1:], lineno)
-            sfile.rules.append((_token_text(lhs_toks), _token_text(rhs_toks),
-                                _token_text(con_toks)))
-            rule_lines.append((lineno, lhs_toks, rhs_toks, con_toks, line))
+            rule_lines.append((lineno, lhs_toks, rhs_toks, con_toks))
         elif head.text == "option":
             if len(tokens) < 3 or tokens[1].kind != "ident":
                 raise ParseError("expected 'option KEY VALUE'", lineno, head.col)
-            sfile.options[tokens[1].text] = line[tokens[2].col - 1:].strip()
+            options[tokens[1].text] = line[tokens[2].col - 1:].strip()
         else:
             raise ParseError(
                 f"expected 'fun', 'rule' or 'option', found {head.text!r}",
@@ -385,13 +375,13 @@ def parse_system(text: str) -> System:
 
     signature = theory.base_signature()
     declared: list[FunctionSymbol] = []
-    for name, ty in sfile.declarations:
+    for name, ty in declarations:
         symbol = FunctionSymbol(name, ty)
         signature.add(symbol)
         declared.append(symbol)
 
     rules = []
-    for lineno, lhs_toks, rhs_toks, con_toks, _line in rule_lines:
+    for lineno, lhs_toks, rhs_toks, con_toks in rule_lines:
         ctx: dict[str, Variable] = {}
         lhs = typecheck(_parse_pre(lhs_toks, lineno), signature, ctx)
         rhs = typecheck(_parse_pre(rhs_toks, lineno), signature, ctx,
@@ -401,8 +391,7 @@ def parse_system(text: str) -> System:
         rules.append(Rule(lhs, rhs, constraint))
 
     return System(signature=signature, rules=tuple(rules),
-                  options=dict(sfile.options), declarations=tuple(declared),
-                  file=sfile)
+                  options=options, declarations=tuple(declared))
 
 
 def _split_rule_tokens(tokens: list[Token], lineno: int
@@ -430,10 +419,6 @@ def _split_rule_tokens(tokens: list[Token], lineno: int
     if not lhs or not rhs or not constraint:
         raise ParseError("expected 'rule LHS -> RHS [CONSTRAINT]'", lineno, 1)
     return lhs, rhs, constraint
-
-
-def _token_text(tokens: list[Token]) -> str:
-    return " ".join(t.text for t in tokens)
 
 
 def _parse_pre(tokens: list[Token], lineno: int) -> PreTerm:
@@ -498,10 +483,6 @@ def _leaf(term: Term, level: int) -> str:
 
 def _wrap(s: str, lvl: int, required: int) -> str:
     return f"({s})" if lvl < required else s
-
-
-def print_type(ty: Type) -> str:
-    return str(ty)
 
 
 def print_rule(rule: Rule) -> str:

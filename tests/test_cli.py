@@ -145,9 +145,15 @@ class TestProve:
         assert payload["report"]["rules"][0]["index"] == 1
 
     def test_jobs_flag(self, capsys):
-        code, _, _ = run_cli(capsys, "prove", str(SYSTEMS / "fact.lcstrs"),
-                             "--jobs", "4")
-        assert code == 0
+        # accepted and ignored: verification is serial
+        for name, code in (("fact", 0), ("loop", 2)):
+            path = str(SYSTEMS / f"{name}.lcstrs")
+            for fmt in ("text", "json"):
+                plain = run_cli(capsys, "prove", path, "--format", fmt)
+                jobs = run_cli(capsys, "prove", path, "--format", fmt,
+                               "--jobs", "4")
+                assert plain[0] == code
+                assert jobs[:2] == plain[:2]
 
     def test_bounds_flag(self, capsys, tmp_path):
         path = tmp_path / "down.lcstrs"
@@ -185,6 +191,36 @@ class TestProve:
         run_cli(capsys, "prove", path)
         run_cli(capsys, "prove", path, "--smt-cmd", "solver-from-flag")
         assert seen == [None, "solver-from-env", "solver-from-flag"]
+
+
+class TestMalformedOptionValues:
+    @pytest.mark.parametrize("argv, message", [
+        (["prove", "fact", "--bounds", "x"], "--bounds: 'x' is not an integer"),
+        (["prove", "fact", "--bounds", "0, 1.5"],
+         "--bounds: '1.5' is not an integer"),
+        (["run", "fact", "--term", "init", "--inputs", "abc"],
+         "--inputs: 'abc' is not an integer"),
+        (["prove", "fact", "--timeout", "nan"],
+         "--timeout expects a number of seconds, got nan"),
+    ], ids=["bounds-word", "bounds-fraction", "inputs-word", "timeout-nan"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_clean_input_error(self, capsys, argv, message, fmt):
+        command, name, *rest = argv
+        argv = [command, str(SYSTEMS / f"{name}.lcstrs"), *rest]
+        if fmt == "json":
+            code, payload, err = run_json(capsys, *argv)
+            assert payload["ok"] is False and payload["error"] == message
+        else:
+            code, out, err = run_cli(capsys, *argv)
+            assert out == ""
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("timeout, code", [("inf", 0), ("0", 2)])
+    def test_timeout_extremes_still_work(self, capsys, timeout, code):
+        assert run_cli(capsys, "prove", str(SYSTEMS / "fact.lcstrs"),
+                       "--timeout", timeout)[0] == code
 
 
 class TestFlags:

@@ -11,8 +11,8 @@ from helpers import (
 )
 from lcstrs.core import (
     App, ArrowType, BaseType, BOOL_T, FunctionSymbol, INT_T, PreApp, PreLeaf,
-    RuleError, Sort, Substitution, TypingError, Variable, apply_subst, arrow,
-    free_vars, typecheck, validate_rule,
+    Rule, RuleError, Sort, Substitution, TypingError, Variable, arrow,
+    typecheck,
 )
 from lcstrs import core, theory
 from lcstrs.syntax import parse_term
@@ -151,16 +151,16 @@ class TestTypecheck:
 
 class TestFreeVars:
     def test_symbol_has_none(self, terms):
-        assert free_vars(terms("init")) == frozenset()
+        assert terms("init").free_vars == frozenset()
 
     def test_vars_of_application(self, terms):
         t = terms("fact n k")
-        assert {v.name for v in free_vars(t)} == {"n", "k"}
+        assert {v.name for v in t.free_vars} == {"n", "k"}
 
     def test_union_equation(self, terms):
         t = terms("fact (n - 1) (comp k ([*] n))")
-        assert {v.name for v in free_vars(t)} == {"n", "k"}
-        assert free_vars(t) == recursive_free_vars(t)
+        assert {v.name for v in t.free_vars} == {"n", "k"}
+        assert t.free_vars == recursive_free_vars(t)
 
 
 class TestSubstitution:
@@ -168,18 +168,18 @@ class TestSubstitution:
         t = terms("fact n k")
         sigma = Substitution({terms.var("n"): int_value(1),
                               terms.var("k"): terms("exit")})
-        assert apply_subst(t, sigma) == terms("fact 1 exit")
+        assert sigma.apply(t) == terms("fact 1 exit")
 
     def test_symbols_are_fixed(self, terms):
         t = terms("init")
         sigma = Substitution({Variable("x", INT_T): int_value(7)})
-        assert apply_subst(t, sigma) == t
+        assert sigma.apply(t) == t
 
     def test_variable_head(self, terms):
         terms("fact n k")  # seeds k : Int -> Int
         t = terms("k 1")
         sigma = Substitution({terms.var("k"): terms("exit")})
-        assert apply_subst(t, sigma) == terms("exit 1")
+        assert sigma.apply(t) == terms("exit 1")
 
     def test_type_preservation_rejected(self):
         with pytest.raises(TypingError):
@@ -187,7 +187,7 @@ class TestSubstitution:
 
     def test_unbound_variables_are_fixed_points(self, terms):
         t = terms("fact n k")
-        assert apply_subst(t, Substitution()) == t
+        assert Substitution().apply(t) == t
 
     def test_type_preservation_random(self, fact_system):
         rng = random.Random(11)
@@ -200,7 +200,7 @@ class TestSubstitution:
                 x: gen_ground_term(rng, sig, INT_T, 3),
                 k: gen_ground_term(rng, sig, arrow(INT_T, INT_T), 3),
             })
-            out = apply_subst(body, sigma)
+            out = sigma.apply(body)
             assert out.type == body.type
 
     def test_fvar_subst_law(self, fact_system):
@@ -215,8 +215,8 @@ class TestSubstitution:
             image_n = theory.ADD.apply(m, gen_ground_term(rng, sig, INT_T, 3))
             sigma = Substitution({n: image_n})
             expect = frozenset().union(
-                *(free_vars(sigma.get(v)) for v in free_vars(t)))
-            assert free_vars(apply_subst(t, sigma)) == expect
+                *(sigma.get(v).free_vars for v in t.free_vars))
+            assert sigma.apply(t).free_vars == expect
 
 
 class TestTheoryTermFlag:
@@ -247,26 +247,25 @@ class TestTheoryTermFlag:
 class TestValidateRule:
     def test_fact_rules_accepted(self, fact_system):
         for rule in fact_system.rules:
-            assert validate_rule(rule.lhs, rule.rhs, rule.constraint) == rule
+            assert Rule(rule.lhs, rule.rhs, rule.constraint) == rule
 
     def test_fresh_theory_variable_on_right_accepted(self, terms):
-        rule = validate_rule(terms("init"), terms("fact n exit"), terms("true"))
+        rule = Rule(terms("init"), terms("fact n exit"), terms("true"))
         assert {v.name for v in rule.fresh_vars} == {"n"}
 
     def test_theory_lhs_rejected(self, terms):
         with pytest.raises(RuleError) as err:
-            validate_rule(terms("1 + x", expected=INT_T), terms("x"),
-                          terms("true"))
+            Rule(terms("1 + x", expected=INT_T), terms("x"), terms("true"))
         assert err.value.condition == 2
 
     def test_type_mismatch_rejected(self, terms):
         with pytest.raises(RuleError) as err:
-            validate_rule(terms("exit"), terms("init"), terms("true"))
+            Rule(terms("exit"), terms("init"), terms("true"))
         assert err.value.condition == 1
 
     def test_non_boolean_constraint_rejected(self, terms):
         with pytest.raises(RuleError) as err:
-            validate_rule(terms("fact n k"), terms("k 1"), terms("n + 1"))
+            Rule(terms("fact n k"), terms("k 1"), terms("n + 1"))
         assert err.value.condition == 3
 
     def test_non_theory_constraint_rejected(self, fact_system):
@@ -275,7 +274,7 @@ class TestValidateRule:
         rhs = parse_term("k 1", fact_system, box_ctx)
         bad = parse_term("exit n > 0", fact_system, box_ctx)
         with pytest.raises(RuleError) as err:
-            validate_rule(lhs, rhs, bad)
+            Rule(lhs, rhs, bad)
         assert err.value.condition == 3
 
     def test_higher_order_constraint_variable_rejected(self, fact_system):
@@ -286,7 +285,7 @@ class TestValidateRule:
         phi = theory.SUPEQ_INT.apply(App(k, int_value(0)), int_value(0))
         assert phi.free_vars == frozenset((k,))
         with pytest.raises(RuleError) as err:
-            validate_rule(lhs, rhs, phi)
+            Rule(lhs, rhs, phi)
         assert err.value.condition == 3
 
     def test_fresh_higher_order_variable_rejected(self, fact_system):
@@ -295,5 +294,5 @@ class TestValidateRule:
         rhs = parse_term("fact n j", fact_system, {"n": ctx["n"],
                                                    "j": Variable("j", arrow(INT_T, INT_T))})
         with pytest.raises(RuleError) as err:
-            validate_rule(lhs, rhs, parse_term("true", fact_system))
+            Rule(lhs, rhs, parse_term("true", fact_system))
         assert err.value.condition == 4

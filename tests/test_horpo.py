@@ -9,8 +9,7 @@ from helpers import dershowitz_manna_gt, multisets_up_to
 from lcstrs import theory
 from lcstrs.core import BOOL_T, INT_T, LcstrsError, Rule, Variable, arrow
 from lcstrs.horpo import (
-    LEX, Horpo, HorpoParams, Mul, multiset_extension_search, orient_rule,
-    replay_judgment,
+    LEX, Horpo, HorpoParams, Mul, multiset_extension_search,
 )
 from lcstrs.syntax import parse_term, print_term
 from lcstrs.theory import int_value
@@ -282,16 +281,23 @@ class TestOrientRule:
         rule = Rule(t, t, T("true"))
         assert Horpo(witness_params).orient_rule(rule) is None
 
-    def test_module_level_wrappers(self, fact_system, witness_params):
-        rule = fact_system.rules[2]
-        assert orient_rule(rule, witness_params) is not None
-
 
 class TestJudgments:
     def test_replay(self, fact_system, witness_params):
+        # every node of a derivation re-derives, by the same case, in a
+        # fresh engine asked the relation the node names
         for rule in fact_system.rules:
-            j = Horpo(witness_params).orient_rule(rule)
-            assert replay_judgment(j, witness_params)
+            engine = Horpo(witness_params)
+            relations = {"geq": engine.geq, "gt": engine.gt,
+                         "rpo": engine.rpo, "lex": engine.lex_ext,
+                         "mul": engine.mul_ext}
+            stack = [Horpo(witness_params).orient_rule(rule)]
+            while stack:
+                j = stack.pop()
+                got = relations[j.relation](j.lhs, j.rhs, j.constraint,
+                                            j.cvars)
+                assert got is not None and got.case == j.case, j.to_text()
+                stack.extend(j.children)
 
     def test_same_type_discipline(self, fact_system, witness_params):
         def walk(j):

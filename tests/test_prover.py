@@ -163,12 +163,6 @@ class TestCheckWitness:
         assert not result.ok
         assert any("rule 1" in d for d in result.diagnostics)
 
-    def test_parallel_checking_agrees(self, fact_system):
-        witness = find_witness(fact_system)
-        serial = check_witness(witness, fact_system, jobs=1)
-        parallel = check_witness(witness, fact_system, jobs=4)
-        assert serial.ok and parallel.ok
-
 
 class TestWitnessOutput:
     def test_json_shape(self, fact_system):

@@ -68,12 +68,6 @@ option bound 2
         cons = system.signature.lookup("cons")[0]
         assert not cons.type.is_theory_type
 
-    def test_file_record_round_trip(self, fact_source, fact_system):
-        assert len(fact_system.file.declarations) == 4
-        assert len(fact_system.file.rules) == 4
-        lhs_text, rhs_text, phi_text = fact_system.file.rules[3]
-        assert "fact" in lhs_text and "comp" in rhs_text and ">" in phi_text
-
 
 class TestParseTerm:
     def test_rule_rhs(self, terms):

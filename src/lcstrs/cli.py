@@ -137,27 +137,31 @@ def cmd_run(args) -> int:
     result = normalize(term, system, strategy=args.strategy, fuel=args.fuel,
                        inputs=inputs)
 
+    memo: dict = {}  # one for the call: steps share most subterms
+
     def text() -> str:
-        lines = [f"start: {print_term(term)}"]
+        lines = [f"start: {print_term(term, memo)}"]
         for i, step in enumerate(result.steps):
             lines.append(f"step {i + 1}: {step.kind} at "
-                         f"{list(step.position)} -> {print_term(step.result)}")
+                         f"{list(step.position)} -> "
+                         f"{print_term(step.result, memo)}")
         if result.exhausted:
             lines.append(f"fuel exhausted after {result.total_steps} steps")
         else:
             lines.append(f"normal form after {result.total_steps} steps: "
-                         f"{print_term(result.term)}")
+                         f"{print_term(result.term, memo)}")
         return "\n".join(lines)
 
     def payload() -> dict:
         return {
             "command": "run", "file": args.file, "ok": not result.exhausted,
-            "start": print_term(term), "strategy": args.strategy,
-            "fuel": args.fuel, "result": print_term(result.term),
+            "start": print_term(term, memo), "strategy": args.strategy,
+            "fuel": args.fuel, "result": print_term(result.term, memo),
             "normal_form": not result.exhausted,
             "total_steps": result.total_steps,
             "steps": [{"position": list(s.position), "kind": s.kind,
-                       "term": print_term(s.result)} for s in result.steps],
+                       "term": print_term(s.result, memo)}
+                      for s in result.steps],
         }
 
     _emit(args.format, payload, text)

@@ -9,7 +9,9 @@ ill-typed applications, so any `Term` in circulation is well typed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import (
+    Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union,
+)
 
 
 class LcstrsError(Exception):
@@ -264,19 +266,20 @@ class App(Term):
     arg: Term
 
     def __post_init__(self):
-        ht = self.head.type
+        head, arg = self.head, self.arg
+        ht = head.type
         if not isinstance(ht, ArrowType):
             raise TypingError(
                 f"cannot apply a term of base type {ht} to an argument")
-        if ht.arg != self.arg.type:
+        if ht.arg is not arg.type and ht.arg != arg.type:
             raise TypingError(
-                f"argument has type {self.arg.type}, expected {ht.arg}")
-        object.__setattr__(self, "type", ht.result)
-        object.__setattr__(self, "free_vars", self.head.free_vars | self.arg.free_vars)
-        object.__setattr__(self, "size", self.head.size + self.arg.size + 1)
-        object.__setattr__(
-            self, "is_theory_term",
-            self.head.is_theory_term and self.arg.is_theory_term)
+                f"argument has type {arg.type}, expected {ht.arg}")
+        # the derived fields, written past the frozen `__setattr__`
+        fields = self.__dict__
+        fields["type"] = ht.result
+        fields["free_vars"] = head.free_vars | arg.free_vars
+        fields["size"] = head.size + arg.size + 1
+        fields["is_theory_term"] = head.is_theory_term and arg.is_theory_term
 
     def __hash__(self) -> int:
         h = self._hash
@@ -358,13 +361,16 @@ class Signature:
     """Maps names to declared function symbols.
 
     A resolver hook turns literal spellings (integer tokens) into value
-    symbols on demand. Only built-in symbols may be overloaded.
+    symbols on demand; each spelling is resolved once and remembered, so
+    the cache grows only with the literals looked up. Only built-in
+    symbols may be overloaded.
     """
 
     def __init__(self, symbols: Iterable[FunctionSymbol] = (),
                  literal: Optional[LiteralResolver] = None):
         self._by_name: dict[str, tuple[FunctionSymbol, ...]] = {}
         self._literal = literal
+        self._literals: dict[str, tuple[FunctionSymbol]] = {}
         for s in symbols:
             self.add(s)
 
@@ -375,13 +381,14 @@ class Signature:
         self._by_name[symbol.name] = (have or ()) + (symbol,)
 
     def lookup(self, name: str) -> tuple[FunctionSymbol, ...]:
-        found = self._by_name.get(name)
+        found = self._by_name.get(name) or self._literals.get(name)
         if found:
             return found
         if self._literal is not None:
             lit = self._literal(name)
             if lit is not None:
-                return (lit,)
+                found = self._literals[name] = (lit,)
+                return found
         return ()
 
     def __contains__(self, name: str) -> bool:
@@ -392,15 +399,13 @@ class Signature:
             yield from group
 
 
-@dataclass(frozen=True)
-class PreLeaf:
+class PreLeaf(NamedTuple):
     """An unresolved name in a pre-term, with its source position."""
     name: str
     pos: Optional[tuple[int, int]] = None
 
 
-@dataclass(frozen=True)
-class PreApp:
+class PreApp(NamedTuple):
     head: Union["PreApp", PreLeaf]
     arg: Union["PreApp", PreLeaf]
     pos: Optional[tuple[int, int]] = None
@@ -409,77 +414,134 @@ class PreApp:
 PreTerm = Union[PreLeaf, PreApp]
 
 
-def _pre_spine(pre: PreTerm) -> tuple[PreLeaf, list[PreTerm]]:
-    args: list[PreTerm] = []
-    while isinstance(pre, PreApp):
-        args.append(pre.arg)
-        pre = pre.head
-    assert isinstance(pre, PreLeaf)
-    args.reverse()
-    return pre, args
-
-
 def typecheck(pre: PreTerm, signature: Signature,
               context: Optional[dict[str, Variable]] = None,
               expected: Optional[Type] = None) -> Term:
-    """Resolve and type a pre-term bottom-up.
+    """Resolve and type a pre-term, arguments left to right.
 
     Names found in the signature become symbols; everything else is a
     variable. Variable types come from `context` or are inferred from the
     position in which the variable first appears; conflicting uses are
     errors. `context` is updated in place with inferred variables.
+
+    An overloaded name tries its symbols in signature order on its whole
+    application; the first that types it wins, and if none does, the
+    error of the first is raised. The walk keeps explicit stacks of open
+    applications and open overload choices, so nesting depth is not
+    bounded by Python's recursion limit.
     """
     ctx = {} if context is None else context
-    return _check(pre, signature, ctx, expected)
-
-
-def _check(pre: PreTerm, sig: Signature, ctx: dict[str, Variable],
-           expected: Optional[Type]) -> Term:
-    leaf, args = _pre_spine(pre)
-    candidates = sig.lookup(leaf.name)
-    if len(candidates) > 1:
-        first_error = None
-        for cand in candidates:
-            scratch = dict(ctx)
-            try:
-                t = _check_spine(cand, args, sig, scratch, expected, leaf.pos)
-            except TypingError as e:
-                if first_error is None:
-                    first_error = e
-                continue
+    lookup = signature.lookup
+    # open applications: [head applied so far, arguments left (last
+    # first), expected type, position of the head]
+    frames: list[list] = []
+    choices: list[_Choice] = []
+    while True:
+        try:
+            while True:
+                if pre is not None:     # resolve the head of `pre`
+                    args = []
+                    while type(pre) is PreApp:
+                        args.append(pre.arg)
+                        pre = pre.head
+                    pos = pre.pos
+                    symbols = lookup(pre.name)
+                    if len(symbols) > 1:
+                        choices.append(_Choice(len(frames), symbols, args,
+                                               expected, pos, ctx))
+                    head = (symbols[0] if symbols else
+                            _variable(pre, bool(args), expected, ctx))
+                    pre = None
+                if args:                # type the first argument next
+                    ty = head.type
+                    if type(ty) is not ArrowType:
+                        raise TypingError(f"cannot apply a term of base type "
+                                          f"{ty} to an argument", pos)
+                    frames.append([head, args, expected, pos])
+                    pre, expected = args.pop(), ty.arg
+                    continue
+                # `head` is typed: close it and the applications it ends
+                t = head
+                while True:
+                    ty = t.type
+                    if (expected is not None and ty is not expected
+                            and ty != expected):
+                        raise TypingError(
+                            f"term has type {ty}, expected {expected}", pos)
+                    if choices and choices[-1].depth == len(frames):
+                        choices.pop()   # typed with the symbol it tried
+                    if not frames:
+                        return t
+                    frame = frames[-1]
+                    t = App(frame[0], t)
+                    if frame[1]:
+                        break
+                    frames.pop()
+                    expected, pos = frame[2], frame[3]
+                ty = t.type
+                if type(ty) is not ArrowType:
+                    raise TypingError(f"cannot apply a term of base type "
+                                      f"{ty} to an argument", frame[3])
+                frame[0] = t
+                pre, expected = frame[1].pop(), ty.arg
+        except TypingError as e:
+            error = e
+        # go back to the innermost open choice with a symbol left
+        while True:
+            if not choices:
+                raise error
+            choice = choices[-1]
             ctx.clear()
-            ctx.update(scratch)
-            return t
-        raise first_error
-    if candidates:
-        return _check_spine(candidates[0], args, sig, ctx, expected, leaf.pos)
-    # a variable
+            ctx.update(choice.ctx)
+            if choice.first_error is None:
+                choice.first_error = error
+            choice.tried += 1
+            if choice.tried < len(choice.symbols):
+                break
+            choices.pop()
+            error = choice.first_error
+        del frames[choice.depth:]
+        head, args = choice.symbols[choice.tried], choice.args[:]
+        expected, pos, pre = choice.expected, choice.pos, None
+
+
+class _Choice:
+    """An overloaded name whose application is being typed with one of
+    its symbols, and what trying the next one starts from."""
+
+    __slots__ = ("depth", "symbols", "tried", "args", "expected", "pos",
+                 "ctx", "first_error")
+
+    def __init__(self, depth: int, symbols: tuple[FunctionSymbol, ...],
+                 args: list[PreTerm], expected: Optional[Type],
+                 pos: Optional[tuple[int, int]], ctx: dict[str, Variable]):
+        self.depth = depth          # open applications outside it
+        self.symbols = symbols
+        self.tried = 0
+        self.args = args[:]         # last first
+        self.expected = expected
+        self.pos = pos
+        self.ctx = dict(ctx)
+        self.first_error: Optional[TypingError] = None
+
+
+def _variable(leaf: PreLeaf, applied: bool, expected: Optional[Type],
+              ctx: dict[str, Variable]) -> Variable:
+    """The variable a name outside the signature denotes, typed from the
+    context or, on first sight, from the expected type."""
     var = ctx.get(leaf.name)
     if var is None:
-        if args or expected is None:
+        if applied or expected is None:
             raise TypingError(
                 f"cannot infer the type of variable '{leaf.name}'", leaf.pos)
         var = Variable(leaf.name, expected)
         ctx[leaf.name] = var
-    elif not args and expected is not None and var.type != expected:
+    elif (not applied and expected is not None and var.type is not expected
+          and var.type != expected):
         raise TypingError(
-            f"variable '{leaf.name}' has type {var.type} but is used at {expected}",
-            leaf.pos)
-    return _check_spine(var, args, sig, ctx, expected, leaf.pos)
-
-
-def _check_spine(head: Term, args: list[PreTerm], sig: Signature,
-                 ctx: dict[str, Variable], expected: Optional[Type],
-                 pos: Optional[tuple[int, int]]) -> Term:
-    t = head
-    for a in args:
-        if not isinstance(t.type, ArrowType):
-            raise TypingError(
-                f"cannot apply a term of base type {t.type} to an argument", pos)
-        t = App(t, _check(a, sig, ctx, t.type.arg))
-    if expected is not None and t.type != expected:
-        raise TypingError(f"term has type {t.type}, expected {expected}", pos)
-    return t
+            f"variable '{leaf.name}' has type {var.type} but is used at "
+            f"{expected}", leaf.pos)
+    return var
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,14 @@ inferred during typechecking.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import theory
 from .core import (
-    ArrowType, BaseType, BOOL, FunctionSymbol, INT, LcstrsError, PreApp,
+    App, ArrowType, BaseType, FunctionSymbol, LcstrsError, PreApp,
     PreLeaf, PreTerm, Rule, Signature, Sort, Term, Type, Variable, typecheck,
 )
 
@@ -39,15 +40,23 @@ class ParseError(LcstrsError):
 
 # ---------------------------------------------------------------------------
 # Lexer
+#
+# One regex with a named group per token kind. In a str pattern `\s` is
+# exactly `str.isspace` (an ASCII class would miss \x1c-\x1f), `\w` is
+# `str.isalnum` plus `_`, and `\d` is `str.isdecimal`. An integer is a run
+# of `str.isdigit` characters and an identifier starts with a
+# `str.isalpha` character or `_`. Outside ASCII those differ from `\d` and
+# `[^\W\d]` on a few hundred numeric characters (`²`, `½`, `Ⅷ`), so a text
+# that has any gets a pattern naming the ones it has.
 
-_OPERATORS = ("!>=", "!>", "!=", "<=", ">=", "->", "/\\", "\\/",
-              "<", ">", "=", "+", "-", "*")
-_PUNCT = "()[]:"
+
+# builds a NamedTuple (a token or a pre-term) from a tuple of its fields,
+# without the Python-level `__new__` its class defines
+_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident | int | op | arrow | punct | end
+class Token(NamedTuple):
+    kind: str  # ident | int | op | arrow | punct
     text: str
     line: int
     col: int
@@ -57,103 +66,101 @@ class Token:
         return (self.line, self.col)
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
+_TOKEN_PATTERN = r"""
+    (?P<int>[\d{digits}]+)
+  | (?P<ident>{not_alpha}[^\W\d][\w']*)
+  | (?P<arrow>->)
+  | (?P<op>!>=|!>|!=|<=|>=|/\\|\\/|[<>=+\-*])
+  | (?P<punct>[()\[\]:])
+  | (?P<bad>\S)
+"""
 
 
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c in "_'"
+def _token_regex(numeric: str) -> re.Pattern:
+    """The token pattern for texts whose non-decimal numeric characters
+    (digits like `²` and non-digits like `½`) are those of `numeric`."""
+    digits = "".join(re.escape(c) for c in numeric if c.isdigit())
+    not_alpha = f"(?![{re.escape(numeric)}])" if numeric else ""
+    return re.compile(_TOKEN_PATTERN.format(digits=digits, not_alpha=not_alpha),
+                      re.VERBOSE)
 
 
-def _prev_is_operand(tokens: list[Token]) -> bool:
-    if not tokens:
-        return False
-    t = tokens[-1]
-    return t.kind in ("ident", "int") or t.text in (")", "]")
+_TOKENS = _token_regex("")
+
+
+def _token_finder(text: str):
+    if text.isascii():
+        return _TOKENS.finditer
+    numeric = "".join(sorted(c for c in set(text) if c.isalnum()
+                             and not c.isalpha() and not c.isdecimal()))
+    return _token_regex(numeric).finditer if numeric else _TOKENS.finditer
 
 
 def tokenize(text: str, first_line: int = 1) -> list[Token]:
+    """The tokens of `text`, its lines numbered from `first_line`."""
+    finditer = _token_finder(text)
     tokens: list[Token] = []
-    line, col = first_line, 1
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line, col = line + 1, 1
-            i += 1
-            continue
-        if c.isspace():
-            i, col = i + 1, col + 1
-            continue
-        start_col = col
-        if c.isdigit() or (c == "-" and i + 1 < len(text) and text[i + 1].isdigit()
-                           and not _prev_is_operand(tokens)):
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if _is_ident_start(c):
-            j = i + 1
-            while j < len(text) and _is_ident_char(text[j]):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in _PUNCT:
-            tokens.append(Token("punct", c, line, start_col))
-            i, col = i + 1, col + 1
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                kind = "arrow" if op == "->" else "op"
-                tokens.append(Token(kind, op, line, start_col))
-                i += len(op)
-                col += len(op)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, start_col)
+    append = tokens.append
+    for line, chunk in enumerate(text.split("\n"), first_line):
+        for m in finditer(chunk):
+            kind = m.lastgroup
+            start = m.start()
+            if kind == "int" and start and chunk[start - 1] == "-" and (
+                    len(tokens) < 2 or not _is_operand(tokens[-2])):
+                # `-` right before digits, not after an operand: a literal
+                tokens[-1] = Token("int", "-" + m.group(), line, start)
+            elif kind == "bad":
+                raise ParseError(f"unexpected character {m.group()!r}",
+                                 line, start + 1)
+            else:
+                append(_new(Token, (kind, m.group(), line, start + 1)))
     return tokens
 
 
+def _is_operand(t: Token) -> bool:
+    return t.kind == "ident" or t.kind == "int" or t.text in (")", "]")
+
+
+_COMMENT_MARK = re.compile(r"\(\*|\*\)")
+
+
 def _strip_comments(text: str) -> str:
-    """Replace (* ... *) comments (nestable) by whitespace, keeping newlines."""
+    """Replace (* ... *) comments (nestable) by spaces, keeping newlines."""
+    if "(*" not in text:
+        return text
     out = []
     depth = 0
-    open_line = 0
-    i = 0
-    line = 1
-    while i < len(text):
-        if text.startswith("(*", i):
+    kept = 0        # text[:kept] is done
+    for m in _COMMENT_MARK.finditer(text):
+        if m.group() == "(*":
             if depth == 0:
-                open_line = line
+                out.append(text[kept:m.start()])
+                kept = m.start()
             depth += 1
-            out.append("  ")
-            i += 2
-        elif depth and text.startswith("*)", i):
+        elif depth:
             depth -= 1
-            out.append("  ")
-            i += 2
-        else:
-            c = text[i]
-            if c == "\n":
-                line += 1
-                out.append("\n")
-            else:
-                out.append(c if depth == 0 else " ")
-            i += 1
+            if depth == 0:
+                out.append("\n".join(" " * len(part) for part in
+                                      text[kept:m.end()].split("\n")))
+                kept = m.end()
     if depth:
-        raise ParseError("unterminated comment", open_line, 1)
+        raise ParseError("unterminated comment",
+                         text.count("\n", 0, kept) + 1, 1)
+    out.append(text[kept:])
     return "".join(out)
 
 
 # ---------------------------------------------------------------------------
 # Term and type parsing
+#
+# Both parsers keep explicit stacks. Terms use precedence climbing over the
+# levels of `theory.INFIX_LEVELS`, with juxtaposition as level `_L_APP`; an
+# open parenthesis is a level-0 entry on the operator stack, so nesting
+# depth is not bounded by Python's recursion limit.
 
-_CMP_OPS = ("<=", "<", ">=", ">", "=", "!=", "!>", "!>=")
+_L_OR, _L_AND, _L_CMP, _L_ADD, _L_MUL, _L_APP, _L_ATOM = 1, 2, 3, 4, 5, 6, 7
+_NON_ASSOC_LEVELS = (_L_CMP,)
+_LEVEL = theory.INFIX_LEVELS
 
 
 class _Parser:
@@ -162,21 +169,19 @@ class _Parser:
         self.i = 0
         self.end_line = end_line or (tokens[-1].line if tokens else 1)
 
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
     def next(self) -> Token:
-        t = self.peek()
-        if t is None:
+        """The next token, consumed; the end of input is an error."""
+        i = self.i
+        if i >= len(self.tokens):
             raise ParseError("unexpected end of input", self.end_line, 9999)
-        self.i += 1
-        return t
+        self.i = i + 1
+        return self.tokens[i]
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str) -> None:
         t = self.next()
         if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
-        return t
+            raise ParseError(f"expected {text!r}, found {t.text!r}",
+                             t.line, t.col)
 
     def at_end(self) -> bool:
         return self.i >= len(self.tokens)
@@ -184,90 +189,108 @@ class _Parser:
     # terms ----------------------------------------------------------------
 
     def parse_term(self) -> PreTerm:
-        return self._parse_infix(1)
-
-    def _parse_infix(self, level: int) -> PreTerm:
-        if level == 1:   # \/ left associative
-            return self._binary_chain(("\\/",), 2)
-        if level == 2:   # /\ left associative
-            return self._binary_chain(("/\\",), 3)
-        if level == 3:   # comparisons, non-associative
-            left = self._parse_infix(4)
-            t = self.peek()
-            if t is not None and t.kind == "op" and t.text in _CMP_OPS:
-                self.next()
-                right = self._parse_infix(4)
-                return PreApp(PreApp(PreLeaf(t.text, t.pos), left, t.pos),
-                              right, t.pos)
-            return left
-        if level == 4:   # + - left associative
-            return self._binary_chain(("+", "-"), 5)
-        if level == 5:   # * left associative
-            return self._binary_chain(("*",), 6)
-        return self._parse_app()
-
-    def _binary_chain(self, ops: tuple[str, ...], next_level: int) -> PreTerm:
-        left = self._parse_infix(next_level)
+        """One term; stops before the first token that cannot continue it,
+        which includes a second comparison operator at the same level."""
+        tokens = self.tokens
+        n = len(tokens)
+        operands: list[PreTerm] = []    # left operands of `operators`
+        # (level, infix operator token); an open parenthesis is level 0
+        # and a pending application `_L_APP`, both without a token
+        operators: list[tuple] = []
         while True:
-            t = self.peek()
-            if t is None or t.kind != "op" or t.text not in ops:
-                return left
-            self.next()
-            right = self._parse_infix(next_level)
-            left = PreApp(PreApp(PreLeaf(t.text, t.pos), left, t.pos), right, t.pos)
-
-    def _starts_atom(self, t: Optional[Token]) -> bool:
-        return t is not None and (
-            t.kind in ("ident", "int") or t.text in ("(", "["))
-
-    def _parse_app(self) -> PreTerm:
-        t = self._parse_atom()
-        while self._starts_atom(self.peek()):
-            arg = self._parse_atom()
-            t = PreApp(t, arg, t.pos if isinstance(t, (PreLeaf, PreApp)) else None)
-        return t
-
-    def _parse_atom(self) -> PreTerm:
-        t = self.next()
-        if t.kind in ("ident", "int"):
-            return PreLeaf(t.text, t.pos)
-        if t.text == "(":
-            inner = self.parse_term()
-            self.expect(")")
-            return inner
-        if t.text == "[":
-            op = self.next()
-            if op.kind != "op":
-                raise ParseError(
-                    f"expected an infix operator inside brackets, found {op.text!r}",
-                    op.line, op.col)
-            self.expect("]")
-            return PreLeaf(op.text, op.pos)
-        raise ParseError(f"unexpected token {t.text!r}", t.line, t.col)
+            # an operand
+            t = self.next()
+            kind = t.kind
+            if kind == "ident" or kind == "int":
+                operand = _new(PreLeaf, (t.text, (t.line, t.col)))
+            elif t.text == "(":
+                operators.append((0, None))
+                continue
+            elif t.text == "[":
+                op = self.next()
+                if op.kind != "op":
+                    raise ParseError(
+                        "expected an infix operator inside brackets, "
+                        f"found {op.text!r}", op.line, op.col)
+                self.expect("]")
+                operand = _new(PreLeaf, (op.text, (op.line, op.col)))
+            else:
+                raise ParseError(f"unexpected token {t.text!r}", t.line, t.col)
+            # what follows an operand
+            while True:
+                if operators and operators[-1][0] == _L_APP:
+                    operators.pop()
+                    head = operands.pop()
+                    operand = _new(PreApp, (head, operand, head.pos))
+                i = self.i
+                if i < n:
+                    t = tokens[i]
+                    kind = t.kind
+                    if kind == "op":
+                        level = _LEVEL[t.text]
+                        while operators and operators[-1][0] > level:
+                            operand = _infix(operators.pop()[1],
+                                             operands.pop(), operand)
+                        top = operators[-1][0] if operators else 0
+                        if top < level or level not in _NON_ASSOC_LEVELS:
+                            if top == level:
+                                operand = _infix(operators.pop()[1],
+                                                 operands.pop(), operand)
+                            operands.append(operand)
+                            operators.append((level, t))
+                            self.i = i + 1
+                            break
+                    elif (kind == "ident" or kind == "int"
+                          or t.text == "(" or t.text == "["):
+                        operands.append(operand)
+                        operators.append((_L_APP, None))
+                        break
+                # the term, or the innermost parenthesised group, ends here
+                while operators and operators[-1][0]:
+                    operand = _infix(operators.pop()[1], operands.pop(),
+                                     operand)
+                if not operators:
+                    return operand
+                operators.pop()
+                self.expect(")")
 
     # types ----------------------------------------------------------------
 
-    def parse_type(self, sorts: dict[str, Sort]) -> Type:
-        left = self._parse_type_atom(sorts)
-        t = self.peek()
-        if t is not None and t.kind == "arrow":
-            self.next()
-            return ArrowType(left, self.parse_type(sorts))
-        return left
+    def parse_type(self, base_types: dict[str, BaseType]) -> Type:
+        """A type; `->` associates to the right. One chain of arrow
+        operands per open parenthesis. A new sort name gets a sort and
+        a base type in `base_types`."""
+        chains: list[list[Type]] = [[]]
+        while True:
+            t = self.next()
+            if t.text == "(":
+                chains.append([])
+                continue
+            if t.kind != "ident":
+                raise ParseError(f"expected a type, found {t.text!r}",
+                                 t.line, t.col)
+            ty = base_types.get(t.text)
+            if ty is None:
+                ty = base_types[t.text] = BaseType(Sort(t.text))
+            while True:
+                chains[-1].append(ty)
+                i = self.i
+                if i < len(self.tokens) and self.tokens[i].kind == "arrow":
+                    self.i = i + 1
+                    break
+                chain = chains.pop()
+                ty = chain.pop()
+                while chain:
+                    ty = ArrowType(chain.pop(), ty)
+                if not chains:
+                    return ty
+                self.expect(")")
 
-    def _parse_type_atom(self, sorts: dict[str, Sort]) -> Type:
-        t = self.next()
-        if t.text == "(":
-            inner = self.parse_type(sorts)
-            self.expect(")")
-            return inner
-        if t.kind == "ident":
-            sort = sorts.get(t.text)
-            if sort is None:
-                sort = Sort(t.text)
-                sorts[t.text] = sort
-            return BaseType(sort)
-        raise ParseError(f"expected a type, found {t.text!r}", t.line, t.col)
+
+def _infix(op: Token, left: PreTerm, right: PreTerm) -> PreApp:
+    pos = (op.line, op.col)
+    return _new(PreApp, (_new(PreApp, (_new(PreLeaf, (op.text, pos)), left,
+                                        pos)), right, pos))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +362,7 @@ def parse_system(text: str) -> System:
     stripped = _strip_comments(text)
     declarations: list[tuple[str, Type]] = []
     options: dict[str, str] = {}
-    sorts = {"Int": INT, "Bool": BOOL}
+    base_types = {"Int": theory.INT_T, "Bool": theory.BOOL_T}
     rule_lines: list[tuple[int, list[Token], list[Token], list[Token]]] = []
 
     for lineno, line in enumerate(stripped.split("\n"), start=1):
@@ -355,7 +378,7 @@ def parse_system(text: str) -> System:
                 raise ParseError(f"'{name}' is a reserved name", lineno,
                                  tokens[1].col)
             parser = _Parser(tokens[3:], end_line=lineno)
-            ty = parser.parse_type(sorts)
+            ty = parser.parse_type(base_types)
             if not parser.at_end():
                 t = parser.next()
                 raise ParseError(f"unexpected token {t.text!r} after type",
@@ -445,44 +468,100 @@ def parse_term(text: str, system_or_signature,
 # ---------------------------------------------------------------------------
 # Printing
 
-_L_OR, _L_AND, _L_CMP, _L_ADD, _L_MUL, _L_APP, _L_ATOM = 1, 2, 3, 4, 5, 6, 7
-_NON_ASSOC_LEVELS = (_L_CMP,)
+
+def print_term(term: Term, memo: Optional[dict] = None) -> str:
+    """Render a term with minimal parentheses; reparsing yields the term.
+
+    `memo` maps `id(node)` to `(node, text, start, end, level)` for each
+    application node rendered with it: its unparenthesised text is
+    `text[start:end]`, a slice of the text of the term it was printed in,
+    and it needs parentheses in every position that requires a level above
+    `level`. The node is kept so that its id is not reused. Printing the
+    terms of one trace with one memo renders each shared subterm once; a
+    node's entry costs the same whatever its size.
+    """
+    if type(term) is not App:
+        return _leaf(term, 0)
+    if memo is not None:
+        done = memo.get(id(term))
+        if done is not None:
+            _, text, start, end, _ = done
+            return text[start:end]
+    return _render(term, memo)
 
 
-def print_term(term: Term) -> str:
-    """Render a term with minimal parentheses; reparsing yields the term."""
-    return _print(term, 0)
+def _render(term: App, memo: Optional[dict]) -> str:
+    """The text of `term`, written left to right from an explicit stack of
+    pieces; each application node rendered is entered in `memo`."""
+    out: list[str] = []
+    size = 0                    # characters in `out`
+    spans: list[list] = []      # [node, start, end, level] per node rendered
+    stack: list = [(term, 0)]   # text, (application, required level), span
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            size += len(item)
+        elif type(item) is tuple:
+            node, required = item
+            if memo is not None and id(node) in memo:
+                _, text, start, end, level = memo[id(node)]
+                piece = text[start:end]
+                if level < required:
+                    piece = f"({piece})"
+                out.append(piece)
+                size += len(piece)
+                continue
+            level, parts = _layout(node)
+            if level < required:
+                out.append("(")
+                size += 1
+                stack.append(")")
+            if memo is not None:
+                span = [node, size, 0, level]
+                spans.append(span)
+                stack.append(span)
+            stack += parts
+        else:                       # the end of a span
+            item[2] = size
+    text = "".join(out)
+    for node, start, end, level in spans:
+        memo[id(node)] = (node, text, start, end, level)
+    return text
 
 
-def _print(term: Term, level: int) -> str:
-    head, args = term.spine()
-    if isinstance(head, FunctionSymbol) and head.name in theory.INFIX_LEVELS:
-        if len(args) == 2:
-            lvl = theory.INFIX_LEVELS[head.name]
-            left_lvl = lvl + 1 if lvl in _NON_ASSOC_LEVELS else lvl
-            s = (f"{_print(args[0], left_lvl)} {head.name} "
-                 f"{_print(args[1], lvl + 1)}")
-            return _wrap(s, lvl, level)
-        bracket = f"[{head.name}]"
-        if not args:
-            return bracket
-        s = " ".join([bracket] + [_print(a, _L_ATOM) for a in args])
-        return _wrap(s, _L_APP, level)
-    if not args:
-        return _leaf(head, level)
-    s = " ".join([_leaf(head, _L_APP)] + [_print(a, _L_ATOM) for a in args])
-    return _wrap(s, _L_APP, level)
+def _layout(node: App) -> tuple[int, list]:
+    """The level of an application node and its pieces, last first: texts
+    and (application argument, required level) pairs."""
+    args = []
+    head = node
+    while type(head) is App:
+        args.append(head.arg)   # last first
+        head = head.head
+    name = head.name
+    if len(args) == 2 and isinstance(head, FunctionSymbol) and name in _LEVEL:
+        lvl = _LEVEL[name]
+        left = lvl + 1 if lvl in _NON_ASSOC_LEVELS else lvl
+        return lvl, [_piece(args[0], lvl + 1), f" {name} ",
+                     _piece(args[1], left)]
+    parts: list = []
+    for a in args:
+        parts += (_piece(a, _L_ATOM), " ")
+    parts.append(_leaf(head, _L_APP))
+    return _L_APP, parts
 
 
-def _leaf(term: Term, level: int) -> str:
+def _piece(term: Term, required: int):
+    return (term, required) if type(term) is App else _leaf(term, required)
+
+
+def _leaf(term: Term, required: int) -> str:
     name = term.name  # FunctionSymbol or Variable
-    if name.startswith("-") and level >= _L_ADD:
+    if isinstance(term, FunctionSymbol) and name in _LEVEL:
+        return f"[{name}]"
+    if name.startswith("-") and required >= _L_ADD:
         return f"({name})"  # negative literal in operand position
     return name
-
-
-def _wrap(s: str, lvl: int, required: int) -> str:
-    return f"({s})" if lvl < required else s
 
 
 def print_rule(rule: Rule) -> str:

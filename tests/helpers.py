@@ -281,3 +281,99 @@ def blowup_system(k: int) -> str:
     lines += [f"rule h{i} x y z -> h{i + 1} x y z [true]" for i in range(1, k)]
     lines.append(f"rule h{k} x y z -> g x y [true]")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Reference lexer: the character-by-character scanner and comment stripper
+# the regex lexer replaced, kept as the oracle of the differential tests.
+
+_REFERENCE_OPERATORS = ("!>=", "!>", "!=", "<=", ">=", "->", "/\\", "\\/",
+                        "<", ">", "=", "+", "-", "*")
+
+
+def reference_tokenize(text: str, first_line: int = 1) -> list[tuple]:
+    """(kind, text, line, col) of every token, or the scanner's ParseError."""
+    from lcstrs.syntax import ParseError
+
+    tokens: list[tuple] = []
+
+    def prev_is_operand() -> bool:
+        return bool(tokens) and (tokens[-1][0] in ("ident", "int")
+                                 or tokens[-1][1] in (")", "]"))
+
+    line, col = first_line, 1
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c == "\n":
+            line, col = line + 1, 1
+            i += 1
+            continue
+        if c.isspace():
+            i, col = i + 1, col + 1
+            continue
+        start_col = col
+        if c.isdigit() or (c == "-" and i + 1 < len(text)
+                           and text[i + 1].isdigit() and not prev_is_operand()):
+            j = i + 1
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("int", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i + 1
+            while j < len(text) and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            tokens.append(("ident", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c in "()[]:":
+            tokens.append(("punct", c, line, start_col))
+            i, col = i + 1, col + 1
+            continue
+        for op in _REFERENCE_OPERATORS:
+            if text.startswith(op, i):
+                tokens.append(("arrow" if op == "->" else "op", op, line,
+                               start_col))
+                i += len(op)
+                col += len(op)
+                break
+        else:
+            raise ParseError(f"unexpected character {c!r}", line, start_col)
+    return tokens
+
+
+def reference_strip_comments(text: str) -> str:
+    """Replace (* ... *) comments (nestable) by spaces, keeping newlines."""
+    from lcstrs.syntax import ParseError
+
+    out = []
+    depth = 0
+    open_line = 0
+    i = 0
+    line = 1
+    while i < len(text):
+        if text.startswith("(*", i):
+            if depth == 0:
+                open_line = line
+            depth += 1
+            out.append("  ")
+            i += 2
+        elif depth and text.startswith("*)", i):
+            depth -= 1
+            out.append("  ")
+            i += 2
+        else:
+            c = text[i]
+            if c == "\n":
+                line += 1
+                out.append("\n")
+            else:
+                out.append(c if depth == 0 else " ")
+            i += 1
+    if depth:
+        raise ParseError("unterminated comment", open_line, 1)
+    return "".join(out)

@@ -1,0 +1,363 @@
+"""The front end: lexing, comment stripping, parse and type errors, deep
+inputs, and the cost of printing a trace.
+
+The character rules of the lexer, the error messages of the corpus below
+and the CLI output for it were recorded with the character-by-character
+scanner and the recursive-descent parser and typechecker, before those
+were replaced by a regex lexer and explicit-stack parsing, typechecking
+and printing. They pin the replacement to the old behaviour.
+"""
+
+import contextlib
+import json
+import math
+import random
+from pathlib import Path
+
+import jsonschema
+import pytest
+
+from helpers import reference_strip_comments, reference_tokenize
+from lcstrs import syntax, theory
+from lcstrs.cli import main
+from lcstrs.core import FunctionSymbol, INT_T, LcstrsError, TypingError
+from lcstrs.syntax import (
+    ParseError, _strip_comments, parse_system, parse_term, print_term,
+    tokenize,
+)
+
+TESTS = Path(__file__).resolve().parent
+SYSTEMS = TESTS.parent / "systems"
+GOLDEN = TESTS / "golden"
+SCHEMA = json.loads((TESTS.parent / "src" / "lcstrs" / "schemas"
+                     / "cli_output.schema.json").read_text())
+
+
+def lexed(text: str):
+    """The tokens of `text` as plain tuples, or the ParseError message."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except ParseError as e:
+        return str(e)
+
+
+def reference_lexed(text: str):
+    try:
+        return reference_tokenize(text)
+    except ParseError as e:
+        return str(e)
+
+
+class TestLexerPins:
+    # recorded with the character scanner
+    PINS = {
+        "xé": [("ident", "xé", 1, 1)],
+        "λx": [("ident", "λx", 1, 1)],
+        "²": [("int", "²", 1, 1)],
+        "٣": [("int", "٣", 1, 1)],
+        "a\x1cb": [("ident", "a", 1, 1), ("ident", "b", 1, 3)],
+        "x\xa0y": [("ident", "x", 1, 1), ("ident", "y", 1, 3)],
+        "a\x1fb\x1e\x1dc": [("ident", "a", 1, 1), ("ident", "b", 1, 3),
+                            ("ident", "c", 1, 6)],
+        "a b": [("ident", "a", 1, 1), ("ident", "b", 1, 3)],
+        "x²": [("ident", "x²", 1, 1)],
+        "2²3": [("int", "2²3", 1, 1)],
+        "-²": [("int", "-²", 1, 1)],
+        "x½": [("ident", "x½", 1, 1)],
+        "½": "1:1: unexpected character '½'",
+        "Ⅷ": "1:1: unexpected character 'Ⅷ'",
+        "x'y'": [("ident", "x'y'", 1, 1)],
+        "_'": [("ident", "_'", 1, 1)],
+        "n-1": [("ident", "n", 1, 1), ("op", "-", 1, 2), ("int", "1", 1, 3)],
+        "n -1": [("ident", "n", 1, 1), ("op", "-", 1, 3), ("int", "1", 1, 4)],
+        "(-1)": [("punct", "(", 1, 1), ("int", "-1", 1, 2),
+                 ("punct", ")", 1, 4)],
+        "--5": [("op", "-", 1, 1), ("int", "-5", 1, 2)],
+        "!>=-1": [("op", "!>=", 1, 1), ("int", "-1", 1, 4)],
+    }
+
+    @pytest.mark.parametrize("text", sorted(PINS))
+    def test_pinned_tokens(self, text):
+        assert lexed(text) == self.PINS[text]
+
+    def test_token_fields(self):
+        t = tokenize("\n  fact")[0]
+        assert (t.kind, t.text, t.line, t.col, t.pos) == (
+            "ident", "fact", 2, 3, (2, 3))
+
+
+# pieces of the random lexer inputs: every token class, `-` next to
+# digits, comment brackets, unusual letters and digits, control and
+# Unicode whitespace, and characters no token starts with
+_ALPHABET = (
+    "a", "x1", "fact", "_", "'", "é", "λ", "²", "٣", "½", "Ⅷ", "0", "7", "42",
+    "-", "-1", "--", "!>=", "!>", "!=", "<=", ">=", "->", "/\\", "\\/", "<",
+    ">", "=", "+", "*", "(", ")", "[", "]", ":", "(*", "*)", " ", "  ", "\t",
+    "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+    "\xa0", " ", "\x00", "\x07", "$", "?", "!", "/", "\\",
+)
+
+
+def random_lexer_inputs(count: int, seed: int) -> list[str]:
+    rng = random.Random(seed)
+    return ["".join(rng.choice(_ALPHABET) for _ in range(rng.randint(1, 16)))
+            for _ in range(count)]
+
+
+class TestLexerDifferential:
+    def test_every_line_of_the_shipped_systems(self):
+        for path in sorted(SYSTEMS.glob("*.lcstrs")):
+            for lineno, line in enumerate(path.read_text().split("\n"), 1):
+                assert lexed(line) == reference_lexed(line), (path, lineno)
+
+    def test_random_strings(self):
+        for text in random_lexer_inputs(2000, seed=7):
+            assert lexed(text) == reference_lexed(text), repr(text)
+
+    def test_first_line_offset(self):
+        for text in random_lexer_inputs(200, seed=8):
+            try:
+                got = [tuple(t) for t in tokenize(text, first_line=5)]
+            except ParseError as e:
+                got = str(e)
+            try:
+                want = reference_tokenize(text, first_line=5)
+            except ParseError as e:
+                want = str(e)
+            assert got == want, repr(text)
+
+    def test_comment_stripping(self):
+        for text in random_lexer_inputs(2000, seed=9):
+            try:
+                got = _strip_comments(text)
+            except ParseError as e:
+                got = str(e)
+            try:
+                want = reference_strip_comments(text)
+            except ParseError as e:
+                want = str(e)
+            assert got == want, repr(text)
+
+
+# ---------------------------------------------------------------------------
+# Golden error corpus: `check --format json` and `parse_term` messages
+
+_DECLS = "fun f1 : Int -> Int\nfun f2 : Int -> Int\nrule f1 x -> f2 x [x > 0]\n"
+
+CHECK_ERRORS = {
+    "unterminated_comment":
+        "fun a : Int\n\n(* opened on line 3\n(* nested *)\nfun b : Int\n",
+    "unexpected_character": "fun f : Int -> Int\nrule f x -> x $ 1 [true]\n",
+    "unclosed_paren": "fun f : Int -> Int\nrule f x -> (x + 1 [true]\n",
+    "bracket_variable": "fun f : Int -> Int\nrule f x -> [x] 1 [true]\n",
+    "comparison_chain": "fun f : Int -> Int\nrule f x -> x [0 < x < 9]\n",
+    "stray_paren": "fun f : Int -> Int\nrule f x -> x + 1) [true]\n",
+    "no_constraint": "fun f : Int -> Int\nrule f x -> f x\n",
+    "no_arrow": "fun f : Int -> Int\nrule f x [true]\n",
+    "empty_side": "fun f : Int -> Int\nrule -> f 1 [true]\n",
+    "bad_fun_line": "fun a Int\n",
+    "token_after_type": "fun a : Int Int\n",
+    "unclosed_type": "fun a : (Int -> Int\n",
+    "reserved_name": "fun rule : Int\n",
+    "bad_keyword": "fun a : Int\nwat\n",
+    "typing_error": "fun f : Int -> Int\nrule f x -> f [true]\n",
+    "overload_first_error": "fun f : Int -> Int\nrule f x -> x [x !> true]\n",
+    "invalid_0": _DECLS + "rule f1 x -> undeclared x [true]\n",
+    "invalid_1": _DECLS + "rule x + 1 -> x [true]\n",
+    "invalid_2": _DECLS + "rule f1 x -> x\n",
+    "invalid_3": _DECLS + "fun f2 : Int\n",
+}
+
+TERM_ERRORS = {
+    "unclosed_paren": "(x + 1",
+    "bracket_variable": "[x]",
+    "comparison_chain": "a < b < c",
+    "stray_paren": "1 + 2 )",
+    "empty": "",
+    "blank": "  \n \t",
+    "multiline": "fact\n  (1 +\n  )",
+    "unexpected_character": "fact 1 ?",
+    "bracket_arrow": "[->] 1",
+    "bracket_unclosed": "[+ 1",
+    "nested_unclosed": "((1 + 2)",
+    "lone_minus": "-",
+    "comment_in_term": "(* c *) 1",
+    "typing_error": "fact exit 1",
+    "overload_first_error": "true !> 1",
+    "untyped_variable": "y 1",
+}
+
+
+def check_outputs(directory: Path, monkeypatch, capsys) -> dict:
+    """stdout, stderr and exit code of `check NAME.lcstrs --format json`
+    for every file of the corpus, run from inside `directory`."""
+    monkeypatch.chdir(directory)
+    out = {}
+    for name, text in CHECK_ERRORS.items():
+        (directory / f"{name}.lcstrs").write_text(text)
+        code = main(["check", f"{name}.lcstrs", "--format", "json"])
+        captured = capsys.readouterr()
+        out[name] = {"exit": code, "stdout": captured.out,
+                     "stderr": captured.err}
+    return out
+
+
+def term_errors(system) -> dict:
+    out = {}
+    for name, text in TERM_ERRORS.items():
+        with pytest.raises(LcstrsError) as err:
+            parse_term(text, system)
+        out[name] = {"error": type(err.value).__name__,
+                     "message": str(err.value)}
+    return out
+
+
+class TestErrorCorpus:
+    def test_check_json_is_golden(self, tmp_path, monkeypatch, capsys):
+        golden = json.loads((GOLDEN / "check_errors.json").read_text())
+        assert check_outputs(tmp_path, monkeypatch, capsys) == golden
+
+    def test_parse_term_messages_are_golden(self, fact_system):
+        golden = json.loads((GOLDEN / "parse_term_errors.json").read_text())
+        assert term_errors(fact_system) == golden
+
+
+# ---------------------------------------------------------------------------
+# Deep inputs: nothing recurses per nesting level any more
+
+
+def check_json(path: Path, capsys) -> dict:
+    code = main(["check", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    payload = json.loads(captured.out)
+    jsonschema.validate(payload, SCHEMA)
+    return payload
+
+
+def reprinted(text: str, system) -> str:
+    """Parse and print a term again. Strings are compared, not terms: the
+    generated `__eq__` of a term recurses."""
+    return print_term(parse_term(text, system))
+
+
+class TestDeepInputs:
+    @pytest.mark.parametrize("shape", ["sum", "parens"])
+    def test_deep_rule_checks(self, shape, tmp_path, capsys):
+        if shape == "sum":  # 5000 operands
+            rhs = "x" + "".join(f" + {i % 9 + 1}" for i in range(4999))
+        else:               # 3000 nested parentheses
+            rhs = "(" * 3000 + "x" + "".join(
+                f" {'+*'[i % 2]} {i % 9 + 1})" for i in range(3000))
+        text = f"fun deep : Int -> Int\nrule deep x -> {rhs} [x > 0]\n"
+        path = tmp_path / "deep.lcstrs"
+        path.write_text(text)
+        rule, = check_json(path, capsys)["rules"]
+        system = parse_system(text)
+        ctx = {}
+        assert print_term(parse_term(rule["lhs"], system, ctx)) == rule["lhs"]
+        assert print_term(parse_term(rule["rhs"], system, ctx)) == rule["rhs"]
+        if shape == "sum":
+            assert rule["rhs"] == rhs
+        else:
+            assert rule["rhs"].count("(") == 1500  # every sum under a product
+
+    def test_deep_term_errors_are_clean(self, fact_system):
+        with pytest.raises(ParseError) as err:
+            parse_term("(" * 4000 + "1" + ")" * 3999, fact_system)
+        assert str(err.value) == "1:9999: unexpected end of input"
+        with pytest.raises(ParseError) as err:
+            parse_term("1" + " < 1" * 3000, fact_system)
+        assert str(err.value) == "1:7: unexpected token '<'"
+
+    def test_deep_overloads_backtrack(self, fact_system):
+        # each `!>` tries the Int symbol first, which fails on its first
+        # argument, then the Bool one, which checks the nested right side
+        depth = 2000
+        text = "true" + " !> (true" * depth + " !> true" + ")" * depth
+        assert reprinted(text, fact_system).count("!>") == depth + 1
+        # on Int operands both fail at every level, and the first error
+        # reported is the Int attempt's at the innermost operator
+        text = "1" + " !> (1" * depth + " !> 1" + ")" * depth
+        with pytest.raises(TypingError) as err:
+            parse_term(text, fact_system)
+        col = len("1" + " !> (1" * depth) + 2
+        assert str(err.value) == f"1:{col}: term has type Bool, expected Int"
+
+    def test_run_fact_1500_json(self, tmp_path):
+        # 85 MB of JSON, written to a file rather than captured
+        out = tmp_path / "out.json"
+        with open(out, "w") as handle, contextlib.redirect_stdout(handle):
+            code = main(["run", str(SYSTEMS / "fact.lcstrs"), "--term",
+                         "fact 1500 exit", "--format", "json"])
+        assert code == 0
+        with open(out) as handle:
+            payload = json.load(handle)
+        assert payload["result"] == f"exit {math.factorial(1500)}"
+        assert payload["total_steps"] == 6001
+        assert len(payload["steps"]) == 6001
+
+
+# ---------------------------------------------------------------------------
+# Printer work per step does not grow with the term
+
+
+class TestPrinterScale:
+    @staticmethod
+    def rendered_per_step(monkeypatch, capsys, n: int) -> float:
+        calls = [0]
+        layout = syntax._layout
+
+        def counted(*args):
+            calls[0] += 1
+            return layout(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(syntax, "_layout", counted)
+            code = main(["run", str(SYSTEMS / "fact.lcstrs"), "--term",
+                         f"fact {n} exit", "--format", "json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["total_steps"] == 4 * n + 1
+        return calls[0] / payload["total_steps"]
+
+    def test_nodes_rendered_per_step_are_flat(self, monkeypatch, capsys):
+        small = self.rendered_per_step(monkeypatch, capsys, 20)
+        large = self.rendered_per_step(monkeypatch, capsys, 80)
+        assert large <= 1.5 * small
+
+    def test_shared_memo_prints_like_fresh_calls(self, fact_system):
+        memo = {}
+        for n in (3, 0, -2, 12):
+            term = parse_term(f"fact ({n}) (comp exit ([*] ({n})))", fact_system)
+            assert print_term(term, memo) == print_term(term)
+
+
+# ---------------------------------------------------------------------------
+# Integer literals
+
+
+class TestLiteralCache:
+    def test_spelling_resolves_once(self):
+        signature = theory.base_signature()
+        first = signature.lookup("007")
+        assert first == (theory.int_value(7),)
+        assert first[0].name == "7"
+        assert signature.lookup("007") is first
+        assert signature.lookup("-3") == (theory.int_value(-3),)
+        assert signature.lookup("x7") == ()
+
+    def test_literals_stay_out_of_the_declared_symbols(self):
+        signature = theory.base_signature()
+        before = list(signature.symbols())
+        signature.lookup("12")
+        assert list(signature.symbols()) == before
+        # a declared name still comes before a remembered spelling
+        twelve = FunctionSymbol("12", INT_T)
+        signature.add(twelve)
+        assert signature.lookup("12") == (twelve,)
+
+    def test_leading_zeros_in_a_term(self, fact_system):
+        assert parse_term("007", fact_system) is theory.int_value(7)
+        assert print_term(parse_term("fact 007 exit", fact_system)) == (
+            "fact 7 exit")

@@ -1,8 +1,8 @@
 """Command-line front end: check, run, and prove.
 
 Exit codes: 0 success (file valid / normal form reached / witness found),
-1 input error (parse, typing, rule validity), 2 inconclusive (fuel
-exhausted / no witness found).
+1 input error (parse, typing, rule validity, too deep nesting), 2
+inconclusive (fuel exhausted / no witness found).
 """
 
 from __future__ import annotations
@@ -223,6 +223,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return handlers[args.command](args)
     except LcstrsError as e:
         return _fail(str(e), args.format, args.command, args.file)
+    except RecursionError:
+        # some library walks still recurse once per nesting level
+        return _fail("input nests too deeply", args.format, args.command,
+                     args.file)
 
 
 if __name__ == "__main__":

@@ -587,6 +587,13 @@ class Rule:
                        f"non-theory type {v.type}")
 
     @property
+    def logical_vars(self) -> frozenset:
+        """The constraint's variables and those fresh on the right: the
+        variables a respecting substitution must send to values."""
+        return self.constraint.free_vars | (
+            self.rhs.free_vars - self.lhs.free_vars)
+
+    @property
     def fresh_vars(self) -> frozenset:
         """Variables a respecting substitution must send to values and that
         matching against the left side cannot bind."""

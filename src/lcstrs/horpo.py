@@ -340,9 +340,7 @@ class Horpo:
         """Strictly compare the rule's sides under its constraint, with the
         constraint's variable set extended by the fresh right-hand side
         variables (they are value-instantiated by respecting substitutions)."""
-        cvars = rule.constraint.free_vars | (
-            rule.rhs.free_vars - rule.lhs.free_vars)
-        return self.gt(rule.lhs, rule.rhs, rule.constraint, cvars)
+        return self.gt(rule.lhs, rule.rhs, rule.constraint, rule.logical_vars)
 
     # -- plumbing ------------------------------------------------------
 

@@ -38,7 +38,6 @@ from .syntax import System, print_rule, print_term
 class ProverConfig:
     bounds: Sequence[int] = (0,)
     timeout: float = 60.0                 # wall-clock budget, seconds
-    max_queries: Optional[int] = None     # entailment-query budget
     smt_command: Optional[str] = None
 
 
@@ -141,20 +140,14 @@ ProveResult = Union[Witness, FailureReport]
 
 
 class _Budget:
-    def __init__(self, config: ProverConfig, solver_of_bound):
-        self.deadline = time.monotonic() + config.timeout
-        self.max_queries = config.max_queries
-        self._solvers = solver_of_bound
+    """The deadline of one search, and the orientation attempts covered."""
+
+    def __init__(self, timeout: float):
+        self.deadline = time.monotonic() + timeout
         self.attempts = 0
 
     def exceeded(self) -> bool:
-        if time.monotonic() > self.deadline:
-            return True
-        if self.max_queries is not None:
-            total = sum(s.queries for s in self._solvers.values())
-            if total > self.max_queries:
-                return True
-        return False
+        return time.monotonic() > self.deadline
 
 
 def _status_options(symbol: FunctionSymbol) -> list[Status]:
@@ -171,7 +164,8 @@ def _status_walk(options: list[list[Status]], refuted: dict,
     statuses at those positions: the attempts it made}; the caller adds to
     it as tuples fail. A skipped tuple would repeat such a search step for
     step, so its attempts are credited to the budget. Yields None when the
-    budget has run out where a search was skipped.
+    deadline has passed where a search was skipped: a run of skips can be
+    as long as the product, so it too must stop at the deadline.
     """
     prefix: list[Status] = []
 
@@ -204,8 +198,9 @@ def find_witness(system: System, config: Optional[ProverConfig] = None
     defined = system.defined_symbols()
     position = {f: i for i, f in enumerate(defined)}
     options = [_status_options(f) for f in defined]
+    budget = _Budget(cfg.timeout)
+    # one solver per distinct bound, so a repeated bound reuses its verdicts
     solvers: dict[int, Solver] = {}
-    budget = _Budget(cfg, solvers)
     # rules oriented, and the engine that failed on the next rule
     best_failure: Optional[tuple[int, Optional[Horpo]]] = None
     gave_up = False
@@ -272,7 +267,7 @@ def _search_precedence(system: System, status: dict, bound: int,
             if judgment is None:
                 if best is None or index > best[0]:
                     best = (index, engine)
-                return index, engine.prec_misses
+                return params, engine.prec_misses
             derivations.append(judgment)
         return Witness(params, tuple(derivations)), None
 
@@ -288,7 +283,10 @@ def _search_precedence(system: System, status: dict, bound: int,
         if isinstance(result, Witness):
             return result
         for f, g in sorted(misses, key=lambda e: (e[0].name, e[1].name)):
-            if _creates_cycle(edges, f, g):
+            # a miss relates two distinct non-theory symbols, so this
+            # holds exactly when f is reachable from g: f > g would close
+            # a cycle
+            if result.prec_gt(g, f):
                 continue
             found = dfs(edges | {(f, g)})
             if found is not None:
@@ -306,27 +304,6 @@ def _search_precedence(system: System, status: dict, bound: int,
             return Witness(HorpoParams((), status, bound), ())
         best = (0, None)
     return best[0], best[1], interrupted, reads
-
-
-def _creates_cycle(edges: frozenset, f: FunctionSymbol,
-                   g: FunctionSymbol) -> bool:
-    """Would adding f > g close a cycle? True iff f is reachable from g."""
-    if f == g:
-        return True
-    adjacency: dict = {}
-    for a, b in edges:
-        adjacency.setdefault(a, []).append(b)
-    stack = [g]
-    seen = set()
-    while stack:
-        x = stack.pop()
-        if x == f:
-            return True
-        if x in seen:
-            continue
-        seen.add(x)
-        stack.extend(adjacency.get(x, ()))
-    return False
 
 
 def params_from_dict(data: dict, signature) -> HorpoParams:

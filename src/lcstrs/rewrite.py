@@ -18,6 +18,7 @@ from .syntax import System
 from .theory import bool_value, int_value, interpret, try_calculate
 
 Position = tuple[int, ...]
+TRACE_CAP = 10000   # steps `normalize` keeps in its trace
 
 
 def match(pattern: Term, subject: Term) -> Optional[Substitution]:
@@ -57,7 +58,7 @@ def respects(subst: Substitution, rule: Rule, bound: int = 0) -> bool:
     """Whether a substitution respects a rule: constraint variables and
     fresh right-hand side variables go to values, and the instantiated
     constraint is ground and evaluates to true."""
-    for v in rule.constraint.free_vars | (rule.rhs.free_vars - rule.lhs.free_vars):
+    for v in rule.logical_vars:
         if not subst.get(v).is_value:
             return False
     phi = subst.apply(rule.constraint)
@@ -241,15 +242,15 @@ class NormalizationResult:
 
 
 def normalize(term: Term, system: System, strategy: str = "innermost",
-              fuel: int = 10000, inputs: Optional[InputSource] = None,
-              trace_cap: int = 10000) -> NormalizationResult:
+              fuel: int = 10000, inputs: Optional[InputSource] = None
+              ) -> NormalizationResult:
     """Apply steps until no position admits one, or fuel runs out.
 
     The strategy fixes the search order for redexes only; both strategies
     explore every position. Each step takes the first step `step_at` lists
     at the first position that has one. Every search starts at the root,
     carries each subterm down with its context, and skips subterms already
-    found normal in this call. The trace keeps at most `trace_cap` steps.
+    found normal in this call. The trace keeps at most `TRACE_CAP` steps.
     """
     if strategy not in ("innermost", "outermost"):
         raise LcstrsError(f"unknown strategy {strategy!r}")
@@ -272,7 +273,7 @@ def normalize(term: Term, system: System, strategy: str = "innermost",
         ctx, steps = found
         index, subst, contractum = steps[0]
         position, current = _plug(ctx, contractum)
-        if len(result.steps) < trace_cap:
+        if len(result.steps) < TRACE_CAP:
             result.steps.append(RewriteStep(position, index, subst, current))
         result.total_steps += 1
     result.term = current

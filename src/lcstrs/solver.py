@@ -449,6 +449,8 @@ def _parse_model(text: str, variables: dict[str, Variable]
 
 
 _SEARCH_INTS = (0, 1, -1, 2, -2, 3, -3, 5, -5, 7, 10, -10, 100)
+SEARCH_LIMIT = 4096     # value tuples tried per counterexample search
+SMT_TIMEOUT = 2.0       # seconds per call of the external solver
 
 
 @dataclass
@@ -468,12 +470,9 @@ class Solver:
     search run; inconclusive queries come back Unknown.
     """
 
-    def __init__(self, smt_command: Optional[str] = None, timeout: float = 2.0,
-                 bound: int = 0, search_limit: int = 4096):
+    def __init__(self, smt_command: Optional[str] = None, bound: int = 0):
         self.smt_command = smt_command
-        self.timeout = timeout
         self.bound = bound
-        self.search_limit = search_limit
         self.log: list[QueryRecord] = []
         self.queries = 0
         self._cache: dict[tuple, Verdict] = {}
@@ -560,15 +559,15 @@ class Solver:
 
     def _assignments(self, variables: list[Variable]) -> Iterable[tuple]:
         """Value tuples for `variables`: all of them in product order when
-        there are at most `search_limit`, else that many seeded draws."""
+        there are at most `SEARCH_LIMIT`, else that many seeded draws."""
         ints = tuple(dict.fromkeys(
             _SEARCH_INTS + (self.bound, self.bound + 1, self.bound - 1)))
         pools = [(False, True) if v.type == BOOL_T else ints for v in variables]
-        if math.prod(len(p) for p in pools) <= self.search_limit:
+        if math.prod(len(p) for p in pools) <= SEARCH_LIMIT:
             return itertools.product(*pools)
         rng = random.Random(0)
         return (tuple(rng.choice(pool) for pool in pools)
-                for _ in range(self.search_limit))
+                for _ in range(SEARCH_LIMIT))
 
     def _search_counterexample(self, phi: Term, psi: Term, varset: frozenset
                                ) -> Optional[dict[Variable, SemValue]]:
@@ -593,7 +592,7 @@ class Solver:
         try:
             proc = subprocess.run(
                 shlex.split(self.smt_command), input=script.encode(),
-                capture_output=True, timeout=self.timeout)
+                capture_output=True, timeout=SMT_TIMEOUT)
         except (OSError, subprocess.TimeoutExpired, ValueError) as e:
             return Unknown(f"SMT solver failed: {e.__class__.__name__}")
         output = proc.stdout.decode(errors="replace")

@@ -223,6 +223,33 @@ class TestMalformedOptionValues:
                        "--timeout", timeout)[0] == code
 
 
+@pytest.fixture(scope="module")
+def deep_file(tmp_path_factory):
+    # checks fine, but rewriting and proving still recurse per operand
+    path = tmp_path_factory.mktemp("deep") / "deep.lcstrs"
+    path.write_text("fun deep : Int -> Int\nrule deep x -> x"
+                    + " + 1" * 4999 + " [x > 0]\n")
+    return str(path)
+
+
+class TestDeepInputs:
+    @pytest.mark.parametrize("argv", [["run", "--term", "deep 1"], ["prove"]],
+                             ids=["run", "prove"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_clean_exit(self, capsys, deep_file, argv, fmt):
+        command, *rest = argv
+        argv = [command, deep_file, *rest]
+        if fmt == "json":
+            code, payload, err = run_json(capsys, *argv)
+            assert payload == {"command": command, "file": deep_file,
+                               "ok": False, "error": "input nests too deeply"}
+        else:
+            code, out, err = run_cli(capsys, *argv)
+            assert out == ""
+        assert code == 1
+        assert err == "error: input nests too deeply\n"
+
+
 class TestFlags:
     def test_unknown_flag_is_an_error(self, capsys):
         code = main(["check", str(SYSTEMS / "fact.lcstrs"), "--wat"])

@@ -253,6 +253,14 @@ class TestValidateRule:
         rule = Rule(terms("init"), terms("fact n exit"), terms("true"))
         assert {v.name for v in rule.fresh_vars} == {"n"}
 
+    def test_logical_vars_of_fact(self, fact_system):
+        # Var(constraint) plus the variables fresh on the right; unlike
+        # fresh_vars, it keeps constraint variables the left side binds
+        assert [sorted(v.name for v in rule.logical_vars)
+                for rule in fact_system.rules] == [["n"], [], ["n"], ["n"]]
+        assert [sorted(v.name for v in rule.fresh_vars)
+                for rule in fact_system.rules] == [["n"], [], [], []]
+
     def test_theory_lhs_rejected(self, terms):
         with pytest.raises(RuleError) as err:
             Rule(terms("1 + x", expected=INT_T), terms("x"), terms("true"))

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -25,8 +26,7 @@ PLANTED = ("fun g : Int -> Int\nfun h : Int -> Int\n"
 # multiset one
 SWAP = ("fun pair : Int -> Int -> Int\nfun a : Int\n"
         "rule pair x y -> pair y (x - 1) [x > 0 /\\ y > x]\n")
-# orienting the first rule spends entailment queries; the second rule then
-# wishes for g > h
+# the first rule orients at once; the second rule then wishes for g > h
 QUERY_CAP = ("fun g : Int -> Int\nfun h : Int -> Int\n"
              "rule g x -> g (x - 1) [x > 0]\n"
              "rule g x -> h x [x <= 0]\n")
@@ -46,10 +46,29 @@ rule a x y -> a (x - 1) x [x > 0]
 rule b x y z -> c x y [true]
 rule c x y -> c y x [true]
 """
+# h's rule holds under no status; the other rules orient without reading
+# any status, and h is the last of the ten defined symbols
+WIDE = ("".join(f"fun f{i} : Int -> Int -> Int\n" for i in range(9))
+        + "fun h : Int -> Int -> Int\n"
+        + "".join(f"rule f{i} x y -> x [true]\n" for i in range(9))
+        + "rule h x y -> h (x + 1) y [true]\n")
 
 
 def symbols(system, *names):
     return tuple(system.signature.lookup(n)[0] for n in names)
+
+
+class Clock:
+    """Stands in for `time.monotonic`: reads 0 for its first
+    `expires_after` reads, then past every deadline."""
+
+    def __init__(self, expires_after=math.inf):
+        self.expires_after = expires_after
+        self.reads = 0
+
+    def __call__(self) -> float:
+        self.reads += 1
+        return 0.0 if self.reads <= self.expires_after else math.inf
 
 
 class TestFindWitness:
@@ -122,13 +141,50 @@ class TestFindWitness:
         assert report.gave_up
         assert "gave up" in report.message
 
-    def test_query_cap_gives_up_cleanly(self):
-        # a zero budget stops the retry with g > h
+    def test_query_cap_gives_up_cleanly(self, monkeypatch):
+        # the deadline passes after the first attempt and stops the retry
+        # with g > h; the clock is read when the budget starts and at each
+        # precedence node
         system = parse_system(QUERY_CAP)
         assert isinstance(find_witness(system), Witness)
-        report = find_witness(system, ProverConfig(max_queries=0))
+        clock = Clock(expires_after=2)
+        monkeypatch.setattr(prover.time, "monotonic", clock)
+        report = find_witness(system)
         assert isinstance(report, FailureReport)
         assert report.gave_up
+        assert report.searched == 1 and clock.reads == 3
+        assert [f.index for f in report.failures] == [2]
+
+    def test_deadline_stops_a_long_run_of_skips(self, monkeypatch):
+        # WIDE's two searches read only h's status, the last position, so
+        # every other tuple is skipped at a leaf: a run of skips as long as
+        # the product. A deadline passing during that run stops the walk.
+        system = parse_system(WIDE)
+        expected = find_witness(system)
+        assert isinstance(expected, FailureReport) and not expected.gave_up
+        assert expected.searched == 2 ** 10
+        clock = Clock()
+        searched = []
+        search = prover._search_precedence
+
+        def recording(*args):
+            outcome = search(*args)
+            searched.append(clock.reads)
+            return outcome
+
+        monkeypatch.setattr(prover.time, "monotonic", clock)
+        monkeypatch.setattr(prover, "_search_precedence", recording)
+        assert find_witness(system).to_dict() == expected.to_dict()
+        assert len(searched) == 2
+        # one clock read per skip
+        assert clock.reads == searched[-1] + 2 ** 10 - 2
+        clock = Clock(expires_after=searched[-1] + 5)
+        monkeypatch.setattr(prover.time, "monotonic", clock)
+        report = find_witness(system)
+        assert isinstance(report, FailureReport) and report.gave_up
+        assert clock.reads == searched[-1] + 6
+        assert report.searched == 2 + 5
+        assert report.failures == expected.failures
 
     def test_bound_list_is_searched(self):
         system = parse_system(DOWN)
@@ -195,13 +251,11 @@ def exhaustive_find_witness(system, config):
     """Reference for `find_witness`: `_search_precedence` on every tuple of
     the status product, in order, with no skipping."""
     defined = system.defined_symbols()
-    solvers = {}
-    budget = prover._Budget(config, solvers)
+    budget = prover._Budget(config.timeout)
     best = None
     gave_up = False
     for bound in config.bounds:
-        solver = solvers.setdefault(
-            bound, Solver(smt_command=config.smt_command, bound=bound))
+        solver = Solver(smt_command=config.smt_command, bound=bound)
         for combo in itertools.product(
                 *(prover._status_options(f) for f in defined)):
             outcome = prover._search_precedence(
@@ -238,14 +292,11 @@ DIFFERENTIAL_CASES = {
     "planted": (PLANTED, ProverConfig()),
     "swap": (SWAP, ProverConfig()),
     "query_cap": (QUERY_CAP, ProverConfig()),
-    "query_cap_0": (QUERY_CAP, ProverConfig(max_queries=0)),
     "down": (DOWN, ProverConfig()),
     "down_bounds_0_-3": (DOWN, ProverConfig(bounds=(0, -3))),
     "empty_rules": ("fun a : Int\n", ProverConfig()),
     "nonadjacent": (NONADJACENT, ProverConfig()),
     "nonadjacent_bounds_0_1": (NONADJACENT, ProverConfig(bounds=(0, 1))),
-    # the query budget runs out where the walk skips a tuple
-    "nonadjacent_max_queries_3": (NONADJACENT, ProverConfig(max_queries=3)),
 }
 
 

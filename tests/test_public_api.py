@@ -10,7 +10,7 @@ import types
 import pytest
 
 import lcstrs
-from lcstrs import core, horpo, prover, solver, syntax
+from lcstrs import core, horpo, prover, rewrite, solver, syntax
 
 PUBLIC = [
     "App", "ArrowType", "BOOL", "BOOL_T", "BaseType", "CheckResult",
@@ -31,7 +31,7 @@ PUBLIC = [
 REMOVED = [
     "free_vars", "apply_subst", "validate_rule", "geq", "gt", "rpo",
     "lex_ext", "mul_ext", "orient_rule", "replay_judgment", "entails",
-    "print_type", "SystemFile", "ThreadPoolExecutor",
+    "print_type", "SystemFile", "ThreadPoolExecutor", "_creates_cycle",
 ]
 
 # attributes that nothing read
@@ -39,6 +39,15 @@ REMOVED_ATTRIBUTES = [
     (core.Signature, "copy"), (core.Substitution, "domain"),
     (horpo.HorpoParams, "closure_pairs"), (syntax.System, "file"),
     (prover.ProverConfig, "jobs"),
+]
+
+# keywords that nothing set, or only tests; the last three limits are
+# module constants now
+REMOVED_PARAMETERS = [
+    (syntax.System, "file"), (prover.ProverConfig, "jobs"),
+    (prover.ProverConfig, "max_queries"), (prover.check_witness, "jobs"),
+    (solver.Solver, "search_limit"), (solver.Solver, "timeout"),
+    (rewrite.normalize, "trace_cap"),
 ]
 
 
@@ -58,6 +67,7 @@ def test_removed_names_stay_removed(module):
 def test_removed_attributes_stay_removed():
     assert [f"{owner.__name__}.{name}" for owner, name in REMOVED_ATTRIBUTES
             if hasattr(owner, name)] == []
-    assert "file" not in inspect.signature(syntax.System).parameters
-    assert "jobs" not in inspect.signature(prover.ProverConfig).parameters
-    assert "jobs" not in inspect.signature(prover.check_witness).parameters
+    assert [f"{owner.__name__}({name}=)" for owner, name in REMOVED_PARAMETERS
+            if name in inspect.signature(owner).parameters] == []
+    assert [name for name in ("search_limit", "timeout")
+            if hasattr(solver.Solver(), name)] == []

@@ -8,7 +8,7 @@ from helpers import (
     calc_redexes, gen_ground_term, gen_system, gen_theory_term, joinable_bfs,
     random_calc_normalize,
 )
-from lcstrs import theory
+from lcstrs import rewrite, theory
 from lcstrs.core import (
     BOOL_T, INT_T, LcstrsError, Substitution, Variable, arrow,
 )
@@ -172,11 +172,11 @@ class TestNormalize:
         assert result.total_steps == 10
         assert len(result.steps) == 10
 
-    def test_trace_cap_bounds_memory(self):
+    def test_trace_cap_bounds_memory(self, monkeypatch):
         from lcstrs.syntax import parse_system
         system = parse_system("fun f : Int -> Int\nrule f x -> f x [true]\n")
-        result = normalize(parse_term("f 0", system), system, fuel=50,
-                           trace_cap=5)
+        monkeypatch.setattr(rewrite, "TRACE_CAP", 5)
+        result = normalize(parse_term("f 0", system), system, fuel=50)
         assert result.total_steps == 50
         assert len(result.steps) == 5
 

@@ -231,7 +231,7 @@ class TestCompiledConstraints:
         ("x >= 3", "x !> 5", 3, "No(x=3)"),
         ("(p \\/ x > 2) /\\ y < 2", "p !> (x > y)", 0,
          "No(p=False, x=3, y=0)"),
-        # 13^5 assignments exceed search_limit: seeded random draws
+        # 13^5 assignments exceed SEARCH_LIMIT: seeded random draws
         ("a + b + c + d + e > 150", "a > 50 \\/ b > 50", 0,
          "No(a=2, b=2, c=100, d=-1, e=100)"),
     ])
@@ -285,9 +285,10 @@ class TestExternalSolver:
         psi = P("n * n >= 0")
         assert solver.entails(phi, psi, variables=psi.free_vars).is_yes
 
-    def test_sat_model_means_verified_no(self, P):
+    def test_sat_model_means_verified_no(self, P, monkeypatch):
         # falsifiable nonlinear query: the linear fast path cannot decide it
-        solver = Solver(smt_command=fake_smt("eval"), search_limit=0)
+        monkeypatch.setattr(solver_module, "SEARCH_LIMIT", 0)
+        solver = Solver(smt_command=fake_smt("eval"))
         phi = P("true")
         psi = P("n * n > n")
         verdict = solver.entails(phi, psi, variables=psi.free_vars)
@@ -305,8 +306,9 @@ class TestExternalSolver:
         psi = P("n * n >= 0")
         assert solver.entails(P("true"), psi, variables=psi.free_vars).is_unknown
 
-    def test_timeout_maps_to_unknown(self, P):
-        solver = Solver(smt_command=fake_smt("hang"), timeout=0.5)
+    def test_timeout_maps_to_unknown(self, P, monkeypatch):
+        monkeypatch.setattr(solver_module, "SMT_TIMEOUT", 0.5)
+        solver = Solver(smt_command=fake_smt("hang"))
         psi = P("n * n >= 0")
         assert solver.entails(P("true"), psi, variables=psi.free_vars).is_unknown
 
@@ -329,11 +331,13 @@ class TestExternalSolver:
             b = with_smt.entails(phi, psi)
             assert (a.is_yes, a.is_no) == (b.is_yes, b.is_no)
 
-    def test_nonlinear_sat_via_eval_backend_on_mixed_sorts(self, fact_system):
+    def test_nonlinear_sat_via_eval_backend_on_mixed_sorts(self, fact_system,
+                                                           monkeypatch):
         ctx = {"a": Variable("a", BOOL_T), "n": Variable("n", INT_T)}
         phi = parse_term("a \\/ n > 35", fact_system, ctx)
         psi = parse_term("a /\\ n * n > 0", fact_system, ctx)
-        solver = Solver(smt_command=fake_smt("eval"), search_limit=0)
+        monkeypatch.setattr(solver_module, "SEARCH_LIMIT", 0)
+        solver = Solver(smt_command=fake_smt("eval"))
         verdict = solver.entails(phi, psi, variables=ctx.values())
         assert verdict.is_no
 

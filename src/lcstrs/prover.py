@@ -16,13 +16,16 @@ such assignment, whole subtrees at a time, and credits the attempts the
 failed search made to each. The first witness found, and the attempt
 count of a failure report, are those of the unpruned product.
 
+The state of the whole search lives in one `_Budget`: the deadline and
+whether it has passed, the attempts covered, and the furthest failure,
+which the report names. Each distinct bound is searched once.
+
 A found witness is self-certifying: `check_witness` replays every rule
 from scratch with fresh caches.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -67,9 +70,6 @@ class Witness:
                 for i, j in enumerate(self.derivations)
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def to_text(self) -> str:
         lines = ["termination witness"]
@@ -140,14 +140,21 @@ ProveResult = Union[Witness, FailureReport]
 
 
 class _Budget:
-    """The deadline of one search, and the orientation attempts covered."""
+    """The state of one search: its deadline, whether that has passed, the
+    orientation attempts covered, and the furthest failure."""
 
     def __init__(self, timeout: float):
         self.deadline = time.monotonic() + timeout
+        self.expired = False
         self.attempts = 0
+        # (index of the first rule not oriented, the engine that failed on
+        # it) of the first attempt that oriented the most rules
+        self.failure: Optional[tuple[int, Horpo]] = None
 
     def exceeded(self) -> bool:
-        return time.monotonic() > self.deadline
+        if not self.expired:
+            self.expired = time.monotonic() > self.deadline
+        return self.expired
 
 
 def _status_options(symbol: FunctionSymbol) -> list[Status]:
@@ -163,9 +170,9 @@ def _status_walk(options: list[list[Status]], refuted: dict,
     `refuted` maps the sorted read positions of a failed search to {the
     statuses at those positions: the attempts it made}; the caller adds to
     it as tuples fail. A skipped tuple would repeat such a search step for
-    step, so its attempts are credited to the budget. Yields None when the
-    deadline has passed where a search was skipped: a run of skips can be
-    as long as the product, so it too must stop at the deadline.
+    step, so its attempts are credited to the budget. The walk stops when
+    the deadline has passed where a search was skipped: a run of skips can
+    be as long as the product, so it too must stop at the deadline.
     """
     prefix: list[Status] = []
 
@@ -175,10 +182,9 @@ def _status_walk(options: list[list[Status]], refuted: dict,
                 continue
             attempts = failed.get(tuple(prefix[i] for i in positions))
             if attempts is not None:
-                if budget.exceeded():
-                    yield None              # the caller stops here
-                budget.attempts += attempts * math.prod(
-                    len(column) for column in options[depth:])
+                if not budget.exceeded():
+                    budget.attempts += attempts * math.prod(
+                        len(column) for column in options[depth:])
                 return
         if depth == len(options):
             yield tuple(prefix)
@@ -187,6 +193,8 @@ def _status_walk(options: list[list[Status]], refuted: dict,
             prefix.append(option)
             yield from walk(depth + 1)
             prefix.pop()
+            if budget.expired:
+                return
 
     return walk(0)
 
@@ -195,68 +203,59 @@ def find_witness(system: System, config: Optional[ProverConfig] = None
                  ) -> ProveResult:
     """Search bounds, statuses and precedences for a verified witness."""
     cfg = config or ProverConfig()
+    if cfg.bounds and not system.rules:
+        # the empty witness orients every rule
+        return Witness(HorpoParams((), {}, cfg.bounds[0]), ())
     defined = system.defined_symbols()
     position = {f: i for i, f in enumerate(defined)}
     options = [_status_options(f) for f in defined]
     budget = _Budget(cfg.timeout)
-    # one solver per distinct bound, so a repeated bound reuses its verdicts
-    solvers: dict[int, Solver] = {}
-    # rules oriented, and the engine that failed on the next rule
-    best_failure: Optional[tuple[int, Optional[Horpo]]] = None
-    gave_up = False
 
-    for bound in cfg.bounds:
-        solver = solvers.setdefault(
-            bound, Solver(smt_command=cfg.smt_command, bound=bound))
+    for bound in dict.fromkeys(cfg.bounds):     # each distinct bound once
+        solver = Solver(smt_command=cfg.smt_command, bound=bound)
         refuted: dict = {}
         for combo in _status_walk(options, refuted, budget):
-            if combo is None:
-                gave_up = True
-                break
-            status = dict(zip(defined, combo))
             made = budget.attempts
-            outcome = _search_precedence(system, status, bound, solver, budget)
+            outcome = _search_precedence(system, dict(zip(defined, combo)),
+                                         bound, solver, budget)
             if isinstance(outcome, Witness):
                 return outcome
-            oriented, engine, interrupted, reads = outcome
-            gave_up = gave_up or interrupted
-            if best_failure is None or oriented > best_failure[0]:
-                best_failure = (oriented, engine)
-            if interrupted:
+            if budget.expired:
                 break
             # statuses of symbols without rules are lex in every tuple
-            read = tuple(sorted(position[f] for f in reads if f in position))
+            read = tuple(sorted(position[f] for f in outcome if f in position))
             refuted.setdefault(read, {})[tuple(combo[i] for i in read)] = (
                 budget.attempts - made)
-        if gave_up:
+        if budget.expired:
             break
 
     failures: tuple[RuleFailure, ...] = ()
-    had_unknowns = False
-    if best_failure is not None and best_failure[1] is not None:
+    gave_up = budget.expired
+    if budget.failure is not None:
         # rendered once, for the report that is shown
-        index, engine = best_failure
+        index, engine = budget.failure
         deepest = engine.deepest_failure
         failures = (RuleFailure(index + 1, print_rule(system.rules[index]),
                                 deepest[1] if deepest else None,
                                 tuple(engine.unknowns)),)
-        had_unknowns = bool(engine.unknowns)
-    return FailureReport(failures, budget.attempts, gave_up or had_unknowns)
+        gave_up = gave_up or bool(engine.unknowns)
+    return FailureReport(failures, budget.attempts, gave_up)
 
 
 def _search_precedence(system: System, status: dict, bound: int,
-                       solver: Solver, budget: _Budget):
+                       solver: Solver, budget: _Budget
+                       ) -> Union[Witness, set[FunctionSymbol]]:
     """Depth-first growth of the precedence edge set for one status/bound
-    choice. Returns a Witness or (rules-oriented, the engine that failed on
-    the next rule or None if no rule was tried, gave_up, the symbols whose
-    status any engine of any attempt read)."""
+    choice. Each failed attempt is offered to `budget.failure`. Returns a
+    Witness, or else the symbols whose status any engine of any attempt
+    read."""
     visited: set[frozenset] = set()
     reads: set[FunctionSymbol] = set()
-    best: Optional[tuple[int, Optional[Horpo]]] = None
-    interrupted = False
 
-    def attempt(edges: frozenset):
-        nonlocal best
+    def dfs(edges: frozenset) -> Optional[Witness]:
+        if edges in visited or budget.exceeded():
+            return None
+        visited.add(edges)
         budget.attempts += 1
         params = HorpoParams(edges, status, bound)
         derivations = []
@@ -265,45 +264,25 @@ def _search_precedence(system: System, status: dict, bound: int,
             judgment = engine.orient_rule(rule)
             reads.update(engine.status_reads)
             if judgment is None:
-                if best is None or index > best[0]:
-                    best = (index, engine)
-                return params, engine.prec_misses
+                break
             derivations.append(judgment)
-        return Witness(params, tuple(derivations)), None
-
-    def dfs(edges: frozenset):
-        nonlocal interrupted
-        if edges in visited:
-            return None
-        visited.add(edges)
-        if budget.exceeded():
-            interrupted = True
-            return None
-        result, misses = attempt(edges)
-        if isinstance(result, Witness):
-            return result
-        for f, g in sorted(misses, key=lambda e: (e[0].name, e[1].name)):
+        else:
+            return Witness(params, tuple(derivations))
+        if budget.failure is None or index > budget.failure[0]:
+            budget.failure = (index, engine)
+        for f, g in sorted(engine.prec_misses,
+                           key=lambda e: (e[0].name, e[1].name)):
             # a miss relates two distinct non-theory symbols, so this
             # holds exactly when f is reachable from g: f > g would close
             # a cycle
-            if result.prec_gt(g, f):
+            if params.prec_gt(g, f):
                 continue
             found = dfs(edges | {(f, g)})
-            if found is not None:
+            if found is not None or budget.expired:
                 return found
-            if interrupted:
-                return None
         return None
 
-    witness = dfs(frozenset())
-    if witness is not None:
-        return witness
-    if best is None:
-        # no rules at all: the empty witness orients everything
-        if not system.rules:
-            return Witness(HorpoParams((), status, bound), ())
-        best = (0, None)
-    return best[0], best[1], interrupted, reads
+    return dfs(frozenset()) or reads
 
 
 def params_from_dict(data: dict, signature) -> HorpoParams:
@@ -332,9 +311,6 @@ class CheckResult:
     ok: bool
     diagnostics: tuple[str, ...] = ()
     derivations: tuple[Optional[Judgment], ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def check_witness(witness: Witness, system: System,

@@ -304,16 +304,7 @@ class System:
     rules: tuple[Rule, ...]
     options: dict[str, str]
     declarations: tuple[FunctionSymbol, ...]
-
-    @property
-    def bound(self) -> int:
-        """Lower bound used to interpret the integer ordering symbol."""
-        raw = self.options.get("bound", "0")
-        try:
-            return int(raw)
-        except ValueError:
-            raise LcstrsError(
-                f"option bound must be an integer, got {raw!r}") from None
+    bound: int = 0      # lower bound of the integer ordering symbol
 
     def rules_for(self, head: Term, nargs: int) -> tuple[tuple[int, Rule], ...]:
         """(file index, rule) for every rule whose left side can match a
@@ -362,6 +353,7 @@ def parse_system(text: str) -> System:
     stripped = _strip_comments(text)
     declarations: list[tuple[str, Type]] = []
     options: dict[str, str] = {}
+    bound = 0
     base_types = {"Int": theory.INT_T, "Bool": theory.BOOL_T}
     rule_lines: list[tuple[int, list[Token], list[Token], list[Token]]] = []
 
@@ -390,7 +382,14 @@ def parse_system(text: str) -> System:
         elif head.text == "option":
             if len(tokens) < 3 or tokens[1].kind != "ident":
                 raise ParseError("expected 'option KEY VALUE'", lineno, head.col)
-            options[tokens[1].text] = line[tokens[2].col - 1:].strip()
+            value = options[tokens[1].text] = line[tokens[2].col - 1:].strip()
+            if tokens[1].text == "bound":
+                try:
+                    bound = int(value)
+                except ValueError:
+                    raise ParseError(
+                        f"option bound must be an integer, got {value!r}",
+                        lineno, tokens[2].col) from None
         else:
             raise ParseError(
                 f"expected 'fun', 'rule' or 'option', found {head.text!r}",
@@ -414,7 +413,7 @@ def parse_system(text: str) -> System:
         rules.append(Rule(lhs, rhs, constraint))
 
     return System(signature=signature, rules=tuple(rules),
-                  options=options, declarations=tuple(declared))
+                  options=options, declarations=tuple(declared), bound=bound)
 
 
 def _split_rule_tokens(tokens: list[Token], lineno: int

@@ -173,6 +173,19 @@ class TestProve:
         assert code == 0
         assert "TERMINATING" in out
 
+    @pytest.mark.parametrize("repeated, distinct, attempts",
+                             [("0,0,0", "0", 1), ("0,1,0", "0,1", 2)])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_repeated_bound_is_searched_once(self, capsys, fmt, repeated,
+                                             distinct, attempts):
+        path = str(SYSTEMS / "loop.lcstrs")
+        got = run_cli(capsys, "prove", path, "--format", fmt,
+                      "--bounds", repeated)
+        assert got == run_cli(capsys, "prove", path, "--format", fmt,
+                              "--bounds", distinct)
+        assert got[0] == 2
+        assert f"({attempts} orientation attempts)" in got[1]
+
     def test_smt_command_environment_is_read_per_call(self, capsys,
                                                        monkeypatch):
         # the parser outlives a call, so the variable must be read when
@@ -216,6 +229,29 @@ class TestMalformedOptionValues:
         assert code == 1
         assert err == f"error: {message}\n"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check"], ["run", "--term", "f 1"], ["prove"],
+        ["prove", "--bounds", "0"],
+    ], ids=["check", "run", "prove", "prove-bounds"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_bad_bound_option_is_a_parse_error(self, capsys, tmp_path, argv,
+                                               fmt):
+        path = tmp_path / "bound.lcstrs"
+        path.write_text("fun f : Int -> Int\noption bound x\n"
+                        "rule f x -> x [true]\n")
+        command, *rest = argv
+        argv = [command, str(path), *rest]
+        message = "2:14: option bound must be an integer, got 'x'"
+        if fmt == "json":
+            code, payload, err = run_json(capsys, *argv)
+            assert payload == {"command": command, "file": str(path),
+                               "ok": False, "error": message}
+        else:
+            code, out, err = run_cli(capsys, *argv)
+            assert out == ""
+        assert code == 1
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("timeout, code", [("inf", 0), ("0", 2)])
     def test_timeout_extremes_still_work(self, capsys, timeout, code):

@@ -7,6 +7,8 @@ reports. A change to the core that alters the iteration order of a set or
 dict of terms shows up here. The k=3 output was recorded before the term
 core's hashing was reworked; the k=5 output and the text-mode outputs were
 recorded before the status product was pruned, and pin its attempt counts.
+The `--bounds 0,1,-1` outputs were recorded before the search state moved
+into one object, and pin the attempts summed over several bounds.
 """
 
 from pathlib import Path
@@ -32,15 +34,17 @@ CASES = {
 }
 # the cases whose text-mode `prove` output is pinned as well
 PROVE_TEXT_CASES = ("fact", "loop", "list", "blowup_k3")
+# the cases whose `prove --bounds 0,1,-1 --format json` output is pinned
+PROVE_BOUNDS_CASES = ("loop", "list")
 
 
 def prove_output(name: str, fmt: str, directory: Path, monkeypatch,
-                 capsys) -> tuple[int, str, str]:
+                 capsys, extra: tuple[str, ...] = ()) -> tuple[int, str, str]:
     """Run `prove NAME.lcstrs --format FMT` from inside `directory`, so
     the file path in the payload does not depend on where tests run."""
     (directory / f"{name}.lcstrs").write_text(CASES[name][0])
     monkeypatch.chdir(directory)
-    code = main(["prove", f"{name}.lcstrs", "--format", fmt])
+    code = main(["prove", f"{name}.lcstrs", "--format", fmt, *extra])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -58,6 +62,15 @@ def test_prove_text_is_golden(name, tmp_path, monkeypatch, capsys):
     assert code == CASES[name][1]
     assert err == ""
     assert out == (GOLDEN / f"prove_{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name", PROVE_BOUNDS_CASES)
+def test_prove_bounds_json_is_golden(name, tmp_path, monkeypatch, capsys):
+    code, out, err = prove_output(name, "json", tmp_path, monkeypatch, capsys,
+                                  ("--bounds", "0,1,-1"))
+    assert code == CASES[name][1]
+    assert err == ""
+    assert out == (GOLDEN / f"prove_{name}_bounds_0_1_-1.json").read_text()
 
 
 # Golden `run` traces, text and json: name -> (system, term, extra

@@ -186,6 +186,13 @@ class TestFindWitness:
         assert report.searched == 2 + 5
         assert report.failures == expected.failures
 
+    def test_expired_budget_stays_expired(self, monkeypatch):
+        clock = Clock(expires_after=1)
+        monkeypatch.setattr(prover.time, "monotonic", clock)
+        budget = prover._Budget(60.0)
+        assert budget.exceeded() and budget.expired
+        assert budget.exceeded() and clock.reads == 2
+
     def test_bound_list_is_searched(self):
         system = parse_system(DOWN)
         assert isinstance(find_witness(system), FailureReport)
@@ -230,7 +237,7 @@ class TestWitnessOutput:
         assert data["status"]["fact"] == "lex"
         assert len(data["rules"]) == 4
         assert data["rules"][3]["derivation"]["relation"] == "gt"
-        json.loads(witness.to_json())  # serializable
+        json.loads(json.dumps(witness.to_dict()))  # serializable
 
     def test_text_output(self, fact_system):
         witness = find_witness(fact_system)
@@ -249,12 +256,11 @@ class TestWitnessOutput:
 
 def exhaustive_find_witness(system, config):
     """Reference for `find_witness`: `_search_precedence` on every tuple of
-    the status product, in order, with no skipping."""
+    the status product, in order, with no skipping, for each distinct
+    bound."""
     defined = system.defined_symbols()
     budget = prover._Budget(config.timeout)
-    best = None
-    gave_up = False
-    for bound in config.bounds:
+    for bound in dict.fromkeys(config.bounds):
         solver = Solver(smt_command=config.smt_command, bound=bound)
         for combo in itertools.product(
                 *(prover._status_options(f) for f in defined)):
@@ -262,17 +268,14 @@ def exhaustive_find_witness(system, config):
                 system, dict(zip(defined, combo)), bound, solver, budget)
             if isinstance(outcome, Witness):
                 return outcome
-            oriented, engine, interrupted, _ = outcome
-            gave_up = gave_up or interrupted
-            if best is None or oriented > best[0]:
-                best = (oriented, engine)
-            if interrupted:
+            if budget.expired:
                 break
-        if gave_up:
+        if budget.expired:
             break
     failures = ()
-    if best is not None and best[1] is not None:
-        index, engine = best
+    gave_up = budget.expired
+    if budget.failure is not None:
+        index, engine = budget.failure
         deepest = engine.deepest_failure
         failures = (RuleFailure(index + 1, print_rule(system.rules[index]),
                                 deepest[1] if deepest else None,
@@ -297,6 +300,9 @@ DIFFERENTIAL_CASES = {
     "empty_rules": ("fun a : Int\n", ProverConfig()),
     "nonadjacent": (NONADJACENT, ProverConfig()),
     "nonadjacent_bounds_0_1": (NONADJACENT, ProverConfig(bounds=(0, 1))),
+    "nonadjacent_bounds_0_1_0": (NONADJACENT, ProverConfig(bounds=(0, 1, 0))),
+    "loop_no_bounds": (LOOP, ProverConfig(bounds=())),
+    "empty_rules_no_bounds": ("fun a : Int\n", ProverConfig(bounds=())),
 }
 
 

@@ -38,7 +38,8 @@ REMOVED = [
 REMOVED_ATTRIBUTES = [
     (core.Signature, "copy"), (core.Substitution, "domain"),
     (horpo.HorpoParams, "closure_pairs"), (syntax.System, "file"),
-    (prover.ProverConfig, "jobs"),
+    (prover.ProverConfig, "jobs"), (prover.Witness, "to_json"),
+    (prover.CheckResult, "__bool__"),
 ]
 
 # keywords that nothing set, or only tests; the last three limits are

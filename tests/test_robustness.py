@@ -175,7 +175,7 @@ class TestStatusSearchScale:
 class TestWitnessDocument:
     def test_json_reconstructs_checkable_parameters(self, fact_system):
         witness = find_witness(fact_system)
-        data = json.loads(witness.to_json())
+        data = json.loads(json.dumps(witness.to_dict()))
         rebuilt = params_from_dict(data, fact_system.signature)
         assert check_witness(Witness(rebuilt, ()), fact_system).ok
         assert rebuilt.edges == witness.params.edges
@@ -183,7 +183,7 @@ class TestWitnessDocument:
 
     def test_tampered_document_fails_check(self, fact_system):
         witness = find_witness(fact_system)
-        data = json.loads(witness.to_json())
+        data = json.loads(json.dumps(witness.to_dict()))
         data["precedence"] = [p for p in data["precedence"]
                               if p != ["init", "exit"]]
         rebuilt = params_from_dict(data, fact_system.signature)
@@ -191,7 +191,7 @@ class TestWitnessDocument:
 
     def test_unknown_symbol_rejected(self, fact_system):
         witness = find_witness(fact_system)
-        data = json.loads(witness.to_json())
+        data = json.loads(json.dumps(witness.to_dict()))
         data["precedence"].append(["ghost", "fact"])
         with pytest.raises(ValueError):
             params_from_dict(data, fact_system.signature)

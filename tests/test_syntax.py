@@ -63,6 +63,16 @@ option bound 2
             parse_system("fun a : Int\nwat\n")
         assert err.value.line == 2
 
+    def test_bound_option(self):
+        assert parse_system("fun a : Int\n").bound == 0
+        assert parse_system("option bound -3\n").bound == -3
+        # converted by int(), as before the option was checked on parse
+        assert parse_system("option bound  1_000 \n").bound == 1000
+        with pytest.raises(ParseError) as err:
+            parse_system("fun a : Int\noption bound two\n")
+        assert (err.value.line, err.value.col) == (2, 14)
+        assert "option bound must be an integer, got 'two'" in str(err.value)
+
     def test_user_sorts_are_not_theory(self):
         system = parse_system("fun cons : Elem -> List -> List\nfun nil : List\n")
         cons = system.signature.lookup("cons")[0]

@@ -593,11 +593,5 @@ class Rule:
         return self.constraint.free_vars | (
             self.rhs.free_vars - self.lhs.free_vars)
 
-    @property
-    def fresh_vars(self) -> frozenset:
-        """Variables a respecting substitution must send to values and that
-        matching against the left side cannot bind."""
-        return (self.constraint.free_vars | self.rhs.free_vars) - self.lhs.free_vars
-
     def __repr__(self) -> str:
         return f"{self.lhs!r} -> {self.rhs!r} [{self.constraint!r}]"

@@ -312,27 +312,21 @@ class Horpo:
                 cvars: Optional[frozenset] = None) -> Optional[Judgment]:
         """Generalized multiset comparison of two argument lists."""
         cvars = self._cvars(phi, cvars)
-        m, n = len(ss), len(ts)
-        gt_memo: dict[tuple[int, int], Optional[Judgment]] = {}
-        geq_memo: dict[tuple[int, int], Optional[Judgment]] = {}
+        # a repeated comparison is a hit in the memo of `_run`
+        def gt(i: int, j: int) -> Optional[Judgment]:
+            return self._gt_safe(ss[i], ts[j], phi, cvars)
 
-        def gt_ok(i: int, j: int) -> bool:
-            if (i, j) not in gt_memo:
-                gt_memo[(i, j)] = self._gt_safe(ss[i], ts[j], phi, cvars)
-            return gt_memo[(i, j)] is not None
+        def geq(i: int, j: int) -> Optional[Judgment]:
+            return self._geq_safe(ss[i], ts[j], phi, cvars)
 
-        def geq_ok(i: int, j: int) -> bool:
-            if (i, j) not in geq_memo:
-                geq_memo[(i, j)] = self._geq_safe(ss[i], ts[j], phi, cvars)
-            return geq_memo[(i, j)] is not None
-
-        found = multiset_extension_search(m, n, gt_ok, geq_ok)
+        found = multiset_extension_search(
+            len(ss), len(ts), lambda i, j: gt(i, j) is not None,
+            lambda i, j: geq(i, j) is not None)
         if found is None:
             return None
         pi, strict = found
-        children = tuple(
-            gt_memo[(pi[j], j)] if pi[j] in strict else geq_memo[(pi[j], j)]
-            for j in range(n))
+        children = tuple(gt(pi[j], j) if pi[j] in strict else geq(pi[j], j)
+                         for j in range(len(ts)))
         return Judgment("mul", "mul:cover", tuple(ss), tuple(ts), phi, cvars,
                         children=children, data=(pi, strict))
 
@@ -486,16 +480,10 @@ class Horpo:
         # (3) smaller head symbol by precedence
         if isinstance(t_head, FunctionSymbol):
             if self.params.prec_gt(s_head, t_head):
-                children = []
-                for ti in t_args:
-                    j = self._run("rpo", s, ti, phi, cvars, self._rpo)
-                    if j is None:
-                        children = None
-                        break
-                    children.append(j)
+                children = self._below(s, t_args, phi, cvars)
                 if children is not None:
                     return Judgment("rpo", "rpo:precedence", s, t, phi, cvars,
-                                    children=tuple(children))
+                                    children=children)
             elif (s_head != t_head and not s_head.is_theory
                   and not t_head.is_theory):
                 self.prec_misses.add((s_head, t_head))
@@ -512,17 +500,23 @@ class Horpo:
                                    t_args[:status.k], phi, cvars)
                 case = "rpo:mul"
             if ext is not None:
-                children = [ext]
-                for ti in t_args:
-                    j = self._run("rpo", s, ti, phi, cvars, self._rpo)
-                    if j is None:
-                        children = None
-                        break
-                    children.append(j)
+                children = self._below(s, t_args, phi, cvars)
                 if children is not None:
                     return Judgment("rpo", case, s, t, phi, cvars,
-                                    children=tuple(children))
+                                    children=(ext,) + children)
         # (6) values and constrained variables are minimal
         if t.is_value or (isinstance(t, Variable) and t in cvars):
             return Judgment("rpo", "rpo:base", s, t, phi, cvars)
         return None
+
+    def _below(self, s: Term, t_args: Sequence[Term], phi: Term,
+               cvars: frozenset) -> Optional[tuple[Judgment, ...]]:
+        """The descent of s onto each of t_args, in order, or None at the
+        first that fails."""
+        children = []
+        for ti in t_args:
+            j = self._run("rpo", s, ti, phi, cvars, self._rpo)
+            if j is None:
+                return None
+            children.append(j)
+        return tuple(children)

@@ -105,13 +105,12 @@ class FailureReport:
     searched: int                   # orientation attempts covered: made,
                                     # or skipped as repeats of a failed search
     gave_up: bool                   # budget exhausted or Unknowns encountered
-    message: str = ""
 
-    def __post_init__(self):
-        if not self.message:
-            kind = ("gave up before exhausting the search space" if self.gave_up
-                    else "no witness exists in the search space")
-            self.message = f"{kind} ({self.searched} orientation attempts)"
+    @property
+    def message(self) -> str:
+        kind = ("gave up before exhausting the search space" if self.gave_up
+                else "no witness exists in the search space")
+        return f"{kind} ({self.searched} orientation attempts)"
 
     def to_dict(self) -> dict:
         return {
@@ -310,7 +309,6 @@ def params_from_dict(data: dict, signature) -> HorpoParams:
 class CheckResult:
     ok: bool
     diagnostics: tuple[str, ...] = ()
-    derivations: tuple[Optional[Judgment], ...] = ()
 
 
 def check_witness(witness: Witness, system: System,
@@ -322,15 +320,12 @@ def check_witness(witness: Witness, system: System,
     if solver is None:
         solver = Solver(bound=params.bound)
     diagnostics: list[str] = []
-    derivations: list[Optional[Judgment]] = []
     for index, rule in enumerate(system.rules):
         engine = Horpo(params, solver)
-        judgment = engine.orient_rule(rule)
-        derivations.append(judgment)
-        if judgment is None:
+        if engine.orient_rule(rule) is None:
             note = f"rule {index + 1} not oriented: {print_rule(rule)}"
             deepest = engine.deepest_failure
             if deepest:
                 note += f" (deepest failure: {deepest[1]})"
             diagnostics.append(note)
-    return CheckResult(not diagnostics, tuple(diagnostics), tuple(derivations))
+    return CheckResult(not diagnostics, tuple(diagnostics))

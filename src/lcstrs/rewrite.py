@@ -154,9 +154,8 @@ def _probe(redex: Term, system: System, bound: int,
         base = match(rule.lhs, redex)
         if base is None:
             continue
-        unbound = sorted(
-            (v for v in rule.fresh_vars if v not in base),
-            key=lambda v: v.name)
+        unbound = sorted((v for v in rule.logical_vars if v not in base),
+                         key=lambda v: v.name)
         drew = drew or bool(unbound)
         subst = base.extended({v: inputs.value_for(v) for v in unbound})
         if respects(subst, rule, bound):

@@ -30,7 +30,7 @@ import subprocess
 import threading
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, ValuesView
 
 from . import theory
 from .core import (
@@ -455,6 +455,7 @@ SMT_TIMEOUT = 2.0       # seconds per call of the external solver
 
 @dataclass
 class QueryRecord:
+    """One distinct query and its verdict: the solver's cache entry."""
     phi: Term
     psi: Term
     variables: frozenset
@@ -473,10 +474,19 @@ class Solver:
     def __init__(self, smt_command: Optional[str] = None, bound: int = 0):
         self.smt_command = smt_command
         self.bound = bound
-        self.log: list[QueryRecord] = []
-        self.queries = 0
-        self._cache: dict[tuple, Verdict] = {}
+        self._cache: dict[tuple, QueryRecord] = {}
         self._lock = threading.Lock()
+
+    @property
+    def log(self) -> ValuesView[QueryRecord]:
+        """One record per distinct query, in the order first asked: a live,
+        read-only view of the cache."""
+        return self._cache.values()
+
+    @property
+    def queries(self) -> int:
+        """The number of distinct queries decided."""
+        return len(self._cache)
 
     # -- public entry points -------------------------------------------
 
@@ -497,16 +507,13 @@ class Solver:
                 "entailment variables must cover both constraints' free variables")
         key = (phi, psi, varset, self.bound)
         with self._lock:
-            cached = self._cache.get(key)
-        if cached is not None:
-            self.log.append(QueryRecord(phi, psi, varset, cached))
-            return cached
-        verdict = self._decide(phi, psi, varset)
-        with self._lock:
-            self._cache[key] = verdict
-            self.queries += 1
-        self.log.append(QueryRecord(phi, psi, varset, verdict))
-        return verdict
+            record = self._cache.get(key)
+        if record is None:
+            record = QueryRecord(phi, psi, varset,
+                                 self._decide(phi, psi, varset))
+            with self._lock:
+                record = self._cache.setdefault(key, record)
+        return record.verdict
 
     def smt_script(self, phi: Term, psi: Term,
                    variables: Optional[Iterable[Variable]] = None) -> str:

@@ -4,7 +4,7 @@ The file format is line oriented:
 
     fun NAME : TYPE               symbol declaration
     rule LHS -> RHS [CONSTRAINT]  rewrite rule (constraint brackets mandatory)
-    option KEY VALUE              tool option, e.g. `option bound 0`
+    option bound N                the only option: the ordering's lower bound
     (* ... *)                     comment, nestable, may span lines
 
 Terms use juxtaposition for application (left associative), parentheses for
@@ -299,10 +299,9 @@ def _infix(op: Token, left: PreTerm, right: PreTerm) -> PreApp:
 
 @dataclass
 class System:
-    """A validated rewrite system: signature, rules, and options."""
+    """A validated rewrite system: signature, rules, and the bound."""
     signature: Signature
     rules: tuple[Rule, ...]
-    options: dict[str, str]
     declarations: tuple[FunctionSymbol, ...]
     bound: int = 0      # lower bound of the integer ordering symbol
 
@@ -352,7 +351,6 @@ def parse_system(text: str) -> System:
     """Parse and validate a whole system file."""
     stripped = _strip_comments(text)
     declarations: list[tuple[str, Type]] = []
-    options: dict[str, str] = {}
     bound = 0
     base_types = {"Int": theory.INT_T, "Bool": theory.BOOL_T}
     rule_lines: list[tuple[int, list[Token], list[Token], list[Token]]] = []
@@ -382,14 +380,16 @@ def parse_system(text: str) -> System:
         elif head.text == "option":
             if len(tokens) < 3 or tokens[1].kind != "ident":
                 raise ParseError("expected 'option KEY VALUE'", lineno, head.col)
-            value = options[tokens[1].text] = line[tokens[2].col - 1:].strip()
-            if tokens[1].text == "bound":
-                try:
-                    bound = int(value)
-                except ValueError:
-                    raise ParseError(
-                        f"option bound must be an integer, got {value!r}",
-                        lineno, tokens[2].col) from None
+            if tokens[1].text != "bound":
+                raise ParseError(f"unknown option {tokens[1].text!r}",
+                                 lineno, tokens[1].col)
+            value = line[tokens[2].col - 1:].strip()
+            try:
+                bound = int(value)
+            except ValueError:
+                raise ParseError(
+                    f"option bound must be an integer, got {value!r}",
+                    lineno, tokens[2].col) from None
         else:
             raise ParseError(
                 f"expected 'fun', 'rule' or 'option', found {head.text!r}",
@@ -413,7 +413,7 @@ def parse_system(text: str) -> System:
         rules.append(Rule(lhs, rhs, constraint))
 
     return System(signature=signature, rules=tuple(rules),
-                  options=options, declarations=tuple(declared), bound=bound)
+                  declarations=tuple(declared), bound=bound)
 
 
 def _split_rule_tokens(tokens: list[Token], lineno: int

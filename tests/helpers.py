@@ -225,7 +225,7 @@ def gen_system(rng: random.Random, n_symbols: int = 3, n_rules: int = 4):
         rhs = _gen_rhs(rng, signature, lhs.type, variables, depth=3)
         constraint = _gen_constraint(rng, variables)
         rules.append(Rule(lhs, rhs, constraint))
-    return System(signature=signature, rules=tuple(rules), options={},
+    return System(signature=signature, rules=tuple(rules),
                   declarations=tuple(defined))
 
 
@@ -280,6 +280,19 @@ def blowup_system(k: int) -> str:
     lines.append("rule g x y -> g y (x - 1) [x > 0]")
     lines += [f"rule h{i} x y z -> h{i + 1} x y z [true]" for i in range(1, k)]
     lines.append(f"rule h{k} x y z -> g x y [true]")
+    return "\n".join(lines) + "\n"
+
+
+def all_read_system(k: int) -> str:
+    """The all-read family: k arity-3 symbols, each with a rule that every
+    status orients and every search reads the status of, then a loop no
+    search orients. The status walk makes 3^k precedence searches, which
+    ask the same two entailments."""
+    lines = [f"fun h{i} : Int -> Int -> Int -> Int" for i in range(1, k + 1)]
+    lines.append("fun f : Int -> Int")
+    lines += [f"rule h{i} x y z -> h{i} (x - 1) y z [x > 0]"
+              for i in range(1, k + 1)]
+    lines.append("rule f x -> f x [true]")
     return "\n".join(lines) + "\n"
 
 

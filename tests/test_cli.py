@@ -253,6 +253,29 @@ class TestMalformedOptionValues:
         assert code == 1
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["check"], ["run", "--term", "f 1"], ["prove"],
+    ], ids=["check", "run", "prove"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_unknown_option_is_a_parse_error(self, capsys, tmp_path, argv,
+                                             fmt):
+        # a misspelled `bound` must not leave the prover at bound 0
+        path = tmp_path / "typo.lcstrs"
+        path.write_text("fun f : Int -> Int\noption boud -3\n"
+                        "rule f x -> x [true]\n")
+        command, *rest = argv
+        argv = [command, str(path), *rest]
+        message = "2:8: unknown option 'boud'"
+        if fmt == "json":
+            code, payload, err = run_json(capsys, *argv)
+            assert payload == {"command": command, "file": str(path),
+                               "ok": False, "error": message}
+        else:
+            code, out, err = run_cli(capsys, *argv)
+            assert out == ""
+        assert code == 1
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("timeout, code", [("inf", 0), ("0", 2)])
     def test_timeout_extremes_still_work(self, capsys, timeout, code):
         assert run_cli(capsys, "prove", str(SYSTEMS / "fact.lcstrs"),

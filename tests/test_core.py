@@ -251,14 +251,14 @@ class TestValidateRule:
 
     def test_fresh_theory_variable_on_right_accepted(self, terms):
         rule = Rule(terms("init"), terms("fact n exit"), terms("true"))
-        assert {v.name for v in rule.fresh_vars} == {"n"}
+        assert {v.name for v in rule.logical_vars} == {"n"}
 
     def test_logical_vars_of_fact(self, fact_system):
-        # Var(constraint) plus the variables fresh on the right; unlike
-        # fresh_vars, it keeps constraint variables the left side binds
+        # Var(constraint) plus the variables fresh on the right; it keeps
+        # constraint variables the left side binds, which matching binds
         assert [sorted(v.name for v in rule.logical_vars)
                 for rule in fact_system.rules] == [["n"], [], ["n"], ["n"]]
-        assert [sorted(v.name for v in rule.fresh_vars)
+        assert [sorted(v.name for v in rule.logical_vars - rule.lhs.free_vars)
                 for rule in fact_system.rules] == [["n"], [], [], []]
 
     def test_theory_lhs_rejected(self, terms):

@@ -39,13 +39,16 @@ REMOVED_ATTRIBUTES = [
     (core.Signature, "copy"), (core.Substitution, "domain"),
     (horpo.HorpoParams, "closure_pairs"), (syntax.System, "file"),
     (prover.ProverConfig, "jobs"), (prover.Witness, "to_json"),
-    (prover.CheckResult, "__bool__"),
+    (prover.CheckResult, "__bool__"), (core.Rule, "fresh_vars"),
+    (prover.CheckResult, "derivations"),
 ]
 
 # keywords that nothing set, or only tests; the last three limits are
 # module constants now
 REMOVED_PARAMETERS = [
-    (syntax.System, "file"), (prover.ProverConfig, "jobs"),
+    (syntax.System, "file"), (syntax.System, "options"),
+    (prover.CheckResult, "derivations"), (prover.FailureReport, "message"),
+    (prover.ProverConfig, "jobs"),
     (prover.ProverConfig, "max_queries"), (prover.check_witness, "jobs"),
     (solver.Solver, "search_limit"), (solver.Solver, "timeout"),
     (rewrite.normalize, "trace_cap"),

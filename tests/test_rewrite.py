@@ -79,7 +79,7 @@ class TestRespects:
 
     def test_fresh_variable_must_be_a_value(self, fact_system):
         rule = fact_system.rules[0]  # init -> fact n exit [true]
-        (n,) = rule.fresh_vars
+        (n,) = rule.logical_vars
         assert respects(Substitution({n: int_value(7)}), rule) is True
         bad = Substitution({n: theory.ADD.apply(int_value(3), int_value(4))})
         assert respects(bad, rule) is False
@@ -226,7 +226,7 @@ class TestNormalize:
         x = Variable("x", arrow(INT_T, INT_T))
         variable_headed = Rule(x.apply(a), int_value(0), theory.TRUE)
         system = System(base.signature,
-                        (base.rules[0], variable_headed, base.rules[1]), {},
+                        (base.rules[0], variable_headed, base.rules[1]),
                         base.declarations)
         c, = system.signature.lookup("c")
         d, = system.signature.lookup("d")

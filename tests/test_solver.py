@@ -6,15 +6,16 @@ from pathlib import Path
 
 import pytest
 
+from helpers import all_read_system
+from lcstrs import prover, theory
 from lcstrs import solver as solver_module
-from lcstrs import theory
 from lcstrs.core import (
     App, BOOL_T, FunctionSymbol, INT_T, Substitution, Variable,
 )
 from lcstrs.solver import (
     Solver, SolverError, compile_constraint, eval_ground_constraint, to_smtlib,
 )
-from lcstrs.syntax import parse_term
+from lcstrs.syntax import parse_system, parse_term
 from lcstrs.theory import int_value, interpret, value_symbol
 
 FAKE_SMT = Path(__file__).resolve().parent / "fake_smt.py"
@@ -343,9 +344,34 @@ class TestExternalSolver:
 
 
 class TestQueryLog:
-    def test_log_records_every_call(self, P):
+    def test_log_keeps_one_record_per_distinct_query(self, P):
         solver = Solver()
         solver.entails(P("n > 0"), P("n !> (n - 1)"))
         solver.entails(P("n > 0"), P("n !> (n - 1)"))
-        assert len(solver.log) == 2
-        assert all(r.verdict.is_yes for r in solver.log)
+        assert len(solver.log) == solver.queries == 1
+        record, = solver.log
+        assert record.phi == P("n > 0") and record.verdict.is_yes
+        assert record.variables == frozenset({P.ctx["n"]})
+
+    def test_log_is_a_live_view_in_first_asked_order(self, P):
+        solver = Solver()
+        log = solver.log
+        solver.entails(P("n > 0"), P("n !> (n - 1)"))
+        solver.entails(P("n >= 3"), P("n > 1"))
+        solver.entails(P("n > 0"), P("n !> (n - 1)"))
+        assert [r.psi for r in log] == [P("n !> (n - 1)"), P("n > 1")]
+        assert not hasattr(log, "append")
+
+    def test_log_of_a_search_is_bounded_by_distinct_queries(self,
+                                                            monkeypatch):
+        # 3^4 precedence searches ask the same two entailments
+        solvers = []
+
+        def recording(**kwargs):
+            solvers.append(Solver(**kwargs))
+            return solvers[-1]
+
+        monkeypatch.setattr(prover, "Solver", recording)
+        report = prover.find_witness(parse_system(all_read_system(4)))
+        assert report.searched == 3 ** 4
+        assert [(len(s.log), s.queries) for s in solvers] == [(2, 2)]

@@ -73,6 +73,12 @@ option bound 2
         assert (err.value.line, err.value.col) == (2, 14)
         assert "option bound must be an integer, got 'two'" in str(err.value)
 
+    def test_unknown_option_rejected_at_its_key(self):
+        with pytest.raises(ParseError) as err:
+            parse_system("fun a : Int\noption boud -3\n")
+        assert (err.value.line, err.value.col) == (2, 8)
+        assert str(err.value) == "2:8: unknown option 'boud'"
+
     def test_user_sorts_are_not_theory(self):
         system = parse_system("fun cons : Elem -> List -> List\nfun nil : List\n")
         cons = system.signature.lookup("cons")[0]

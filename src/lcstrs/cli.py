@@ -1,8 +1,9 @@
 """Command-line front end: check, run, and prove.
 
 Exit codes: 0 success (file valid / normal form reached / witness found),
-1 input error (parse, typing, rule validity, too deep nesting), 2
-inconclusive (fuel exhausted / no witness found).
+1 input error (parse, typing, rule validity, too deep nesting) or a stdout
+closed before the output was written, 2 inconclusive (fuel exhausted / no
+witness found).
 """
 
 from __future__ import annotations
@@ -220,13 +221,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(e.code or 0)
     handlers = {"check": cmd_check, "run": cmd_run, "prove": cmd_prove}
     try:
-        return handlers[args.command](args)
-    except LcstrsError as e:
-        return _fail(str(e), args.format, args.command, args.file)
-    except RecursionError:
-        # some library walks still recurse once per nesting level
-        return _fail("input nests too deeply", args.format, args.command,
-                     args.file)
+        try:
+            return handlers[args.command](args)
+        except LcstrsError as e:
+            return _fail(str(e), args.format, args.command, args.file)
+        except RecursionError:
+            # some library walks still recurse once per nesting level
+            return _fail("input nests too deeply", args.format, args.command,
+                         args.file)
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return 1
+
+
+def _stdout_to_devnull() -> None:
+    """Point a closed stdout at os.devnull, so that the flush at exit
+    writes nowhere either (the recipe of the `signal` module's docs)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not backed by a file descriptor
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

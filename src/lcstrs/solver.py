@@ -27,15 +27,14 @@ import random
 import re
 import shlex
 import subprocess
-import threading
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, ValuesView
 
 from . import theory
 from .core import (
-    App, BaseType, BOOL, BOOL_T, FunctionSymbol, INT, LcstrsError, Term,
-    Variable, is_theory_sort_type,
+    App, BaseType, BOOL, BOOL_T, FunctionSymbol, INT, LcstrsError,
+    Substitution, Term, Variable, is_theory_sort_type,
 )
 from .theory import (
     ADD, AND, EQ, FALSE, GE, GT, LE, LT, MUL, NE, NOT, OR, SUB, SUP_BOOL,
@@ -123,11 +122,9 @@ def expand_orderings(term: Term, bound: int) -> Term:
     if isinstance(head, FunctionSymbol) and head in _ORDERING and len(args) == 2:
         x = expand_orderings(args[0], bound)
         y = expand_orderings(args[1], bound)
-        if head is SUP_INT:
-            return AND.apply(GT.apply(x, int_value(bound)), GT.apply(x, y))
-        if head is SUPEQ_INT:
+        if head is SUP_INT or head is SUPEQ_INT:
             strict = AND.apply(GT.apply(x, int_value(bound)), GT.apply(x, y))
-            return OR.apply(EQ.apply(x, y), strict)
+            return strict if head is SUP_INT else OR.apply(EQ.apply(x, y), strict)
         if head is SUP_BOOL:
             return AND.apply(x, NOT.apply(y))
         return OR.apply(x, NOT.apply(y))  # weak Bool ordering
@@ -147,9 +144,12 @@ def _conjuncts(term: Term) -> list[Term]:
 # ---------------------------------------------------------------------------
 # Linear fast path
 
-_CMP = (LE, LT, GE, GT, EQ, NE)
-
 Poly = tuple[dict[Variable, int], int]
+
+# comparison -> the (sign, shift) pairs for which the comparison says
+# sign * (left - right) + shift >= 0; `!=` is handled on its own
+_GE0 = {GE: ((1, 0),), GT: ((1, -1),), LE: ((-1, 0),), LT: ((-1, -1),),
+        EQ: ((1, 0), (-1, 0))}
 
 
 def _linearize(term: Term) -> Optional[Poly]:
@@ -200,9 +200,27 @@ def _poly_const(p: Poly) -> Optional[int]:
     return p[1] if not p[0] else None
 
 
-def _poly_key(p: Poly) -> tuple:
-    coeffs = sorted(((v.name, str(v.type)), c) for v, c in p[0].items())
-    return (tuple(coeffs), p[1])
+def _shift(p: Poly, k: int) -> Poly:
+    return p[0], p[1] + k
+
+
+def _linear_atom(atom: Term) -> Optional[tuple[FunctionSymbol, Poly]]:
+    """A comparison of two linear Int terms -> (operator, left - right),
+    or None for any other atom."""
+    head, args = atom.spine()
+    if len(args) != 2 or (head not in _GE0 and head is not NE):
+        return None
+    left = _linearize(args[0])
+    right = _linearize(args[1])
+    if left is None or right is None:
+        return None
+    return head, _poly_add(left, right, -1)
+
+
+def _ge0_facts(op: FunctionSymbol, d: Poly) -> list[Poly]:
+    """The polynomials that `op`, applied to sides with difference `d`,
+    says are >= 0."""
+    return [_shift(_poly_scale(d, sign), shift) for sign, shift in _GE0[op]]
 
 
 class _Premises:
@@ -222,32 +240,17 @@ class _Premises:
         if atom == FALSE:
             self.contradictory = True
             return
-        head, args = atom.spine()
-        if head in _CMP and len(args) == 2:
-            left = _linearize(args[0])
-            right = _linearize(args[1])
-            if left is None or right is None:
-                self.literals.add(atom)
-                return
-            d = _poly_add(left, right, -1)  # left - right
-            if head is GE:
-                self._add_ge0(d)
-            elif head is GT:
-                self._add_ge0(_shift(d, -1))
-            elif head is LE:
-                self._add_ge0(_poly_scale(d, -1))
-            elif head is LT:
-                self._add_ge0(_shift(_poly_scale(d, -1), -1))
-            elif head is EQ:
-                self._add_ge0(d)
-                self._add_ge0(_poly_scale(d, -1))
-            else:  # NE
-                k = _poly_const(d)
-                if k is not None and k == 0:
-                    self.contradictory = True
-                self.ne0.append(d)
-            return
-        self.literals.add(atom)
+        linear = _linear_atom(atom)
+        if linear is None:
+            self.literals.add(atom)
+        elif linear[0] is NE:
+            d = linear[1]
+            if _poly_const(d) == 0:
+                self.contradictory = True
+            self.ne0.append(d)
+        else:
+            for p in _ge0_facts(*linear):
+                self._add_ge0(p)
 
     def _add_ge0(self, p: Poly) -> None:
         k = _poly_const(p)
@@ -277,20 +280,12 @@ class _Premises:
         k = _poly_const(g)
         if k is not None:
             return k != 0
-        key = _poly_key(g)
-        neg = _poly_key(_poly_scale(g, -1))
-        if any(_poly_key(p) in (key, neg) for p in self.ne0):
+        neg = _poly_scale(g, -1)
+        if any(p == g or p == neg for p in self.ne0):
             return True
         # strictly positive or strictly negative implies nonzero
         return self.derives_ge0(_shift(g, -1)) or \
-            self.derives_ge0(_shift(_poly_scale(g, -1), -1))
-
-    def has_literal(self, atom: Term) -> bool:
-        return atom in self.literals
-
-
-def _shift(p: Poly, k: int) -> Poly:
-    return p[0], p[1] + k
+            self.derives_ge0(_shift(neg, -1))
 
 
 def _goal_holds(goal: Term, premises: _Premises) -> bool:
@@ -301,25 +296,12 @@ def _goal_holds(goal: Term, premises: _Premises) -> bool:
         return _goal_holds(args[0], premises) and _goal_holds(args[1], premises)
     if head is OR and len(args) == 2:
         return _goal_holds(args[0], premises) or _goal_holds(args[1], premises)
-    if head in _CMP and len(args) == 2:
-        left = _linearize(args[0])
-        right = _linearize(args[1])
-        if left is None or right is None:
-            return premises.has_literal(goal)
-        d = _poly_add(left, right, -1)
-        if head is GE:
-            return premises.derives_ge0(d)
-        if head is GT:
-            return premises.derives_ge0(_shift(d, -1))
-        if head is LE:
-            return premises.derives_ge0(_poly_scale(d, -1))
-        if head is LT:
-            return premises.derives_ge0(_shift(_poly_scale(d, -1), -1))
-        if head is EQ:
-            return (premises.derives_ge0(d)
-                    and premises.derives_ge0(_poly_scale(d, -1)))
-        return premises.derives_ne0(d)
-    return premises.has_literal(goal)
+    linear = _linear_atom(goal)
+    if linear is None:
+        return goal in premises.literals
+    if linear[0] is NE:
+        return premises.derives_ne0(linear[1])
+    return all(premises.derives_ge0(p) for p in _ge0_facts(*linear))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +457,6 @@ class Solver:
         self.smt_command = smt_command
         self.bound = bound
         self._cache: dict[tuple, QueryRecord] = {}
-        self._lock = threading.Lock()
 
     @property
     def log(self) -> ValuesView[QueryRecord]:
@@ -506,13 +487,10 @@ class Solver:
             raise SolverError(
                 "entailment variables must cover both constraints' free variables")
         key = (phi, psi, varset, self.bound)
-        with self._lock:
-            record = self._cache.get(key)
+        record = self._cache.get(key)
         if record is None:
-            record = QueryRecord(phi, psi, varset,
-                                 self._decide(phi, psi, varset))
-            with self._lock:
-                record = self._cache.setdefault(key, record)
+            record = self._cache.setdefault(key, QueryRecord(
+                phi, psi, varset, self._decide(phi, psi, varset)))
         return record.verdict
 
     def smt_script(self, phi: Term, psi: Term,
@@ -590,7 +568,8 @@ class Solver:
 
     def _is_counterexample(self, phi: Term, psi: Term,
                            assignment: dict[Variable, SemValue]) -> bool:
-        subst = _value_subst(assignment)
+        subst = Substitution(
+            {v: value_symbol(val) for v, val in assignment.items()})
         return (interpret(subst.apply(phi), self.bound) is True
                 and interpret(subst.apply(psi), self.bound) is False)
 
@@ -616,8 +595,3 @@ class Solver:
                 return No(assignment)
             return Unknown("SMT model did not verify")
         return Unknown(f"SMT solver answered {status or 'nothing'}")
-
-
-def _value_subst(assignment: dict[Variable, SemValue]):
-    from .core import Substitution
-    return Substitution({v: value_symbol(val) for v, val in assignment.items()})

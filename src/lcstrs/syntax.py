@@ -351,7 +351,7 @@ def parse_system(text: str) -> System:
     """Parse and validate a whole system file."""
     stripped = _strip_comments(text)
     declarations: list[tuple[str, Type]] = []
-    bound = 0
+    bound: Optional[int] = None
     base_types = {"Int": theory.INT_T, "Bool": theory.BOOL_T}
     rule_lines: list[tuple[int, list[Token], list[Token], list[Token]]] = []
 
@@ -383,6 +383,9 @@ def parse_system(text: str) -> System:
             if tokens[1].text != "bound":
                 raise ParseError(f"unknown option {tokens[1].text!r}",
                                  lineno, tokens[1].col)
+            if bound is not None:
+                raise ParseError("option bound is already set",
+                                 lineno, tokens[1].col)
             value = line[tokens[2].col - 1:].strip()
             try:
                 bound = int(value)
@@ -413,7 +416,8 @@ def parse_system(text: str) -> System:
         rules.append(Rule(lhs, rhs, constraint))
 
     return System(signature=signature, rules=tuple(rules),
-                  declarations=tuple(declared), bound=bound)
+                  declarations=tuple(declared),
+                  bound=0 if bound is None else bound)
 
 
 def _split_rule_tokens(tokens: list[Token], lineno: int

@@ -57,6 +57,20 @@ def gen_theory_term(rng: random.Random, sort=None, budget: int = 12) -> Term:
     return NOT.apply(gen_theory_term(rng, BOOL, budget - 2))
 
 
+INT_VARS = tuple(Variable(name, INT_T) for name in ("x", "y", "z"))
+BOOL_VARS = tuple(Variable(name, BOOL_T) for name in ("p", "q"))
+
+
+def with_variables(rng: random.Random, term: Term) -> Term:
+    """The term with about half of its value leaves replaced by variables
+    of the same sort."""
+    if isinstance(term, FunctionSymbol):
+        if term.is_value and rng.random() < 0.5:
+            return rng.choice(INT_VARS if term.type == INT_T else BOOL_VARS)
+        return term
+    return App(with_variables(rng, term.head), with_variables(rng, term.arg))
+
+
 # ---------------------------------------------------------------------------
 # Random well-typed ground terms over an arbitrary signature
 

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, output formats, schema validity."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -276,6 +279,30 @@ class TestMalformedOptionValues:
         assert code == 1
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["check"], ["run", "--term", "down 1"], ["prove"],
+    ], ids=["check", "run", "prove"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_repeated_bound_option_is_a_parse_error(self, capsys, tmp_path,
+                                                    argv, fmt):
+        # a later bound must not silently override the first one
+        path = tmp_path / "twice.lcstrs"
+        path.write_text("option bound -3\nfun down : Int -> Int\n"
+                        "rule down x -> down (x - 1) [x > -2]\n"
+                        "option bound 0\n")
+        command, *rest = argv
+        argv = [command, str(path), *rest]
+        message = "4:8: option bound is already set"
+        if fmt == "json":
+            code, payload, err = run_json(capsys, *argv)
+            assert payload == {"command": command, "file": str(path),
+                               "ok": False, "error": message}
+        else:
+            code, out, err = run_cli(capsys, *argv)
+            assert out == ""
+        assert code == 1
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("timeout, code", [("inf", 0), ("0", 2)])
     def test_timeout_extremes_still_work(self, capsys, timeout, code):
         assert run_cli(capsys, "prove", str(SYSTEMS / "fact.lcstrs"),
@@ -307,6 +334,60 @@ class TestDeepInputs:
             assert out == ""
         assert code == 1
         assert err == "error: input nests too deeply\n"
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone: every write raises."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["prove", str(SYSTEMS / "fact.lcstrs")],
+        ["run", str(SYSTEMS / "fact.lcstrs"), "--term", "fact 3 exit"],
+        ["check", str(SYSTEMS / "fact.lcstrs")],
+    ], ids=["prove", "run", "check"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_clean_exit(self, capsys, monkeypatch, argv, fmt):
+        stdout = ClosedStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main([*argv, "--format", fmt]) == 1
+        assert stdout.writes == 1
+        assert capsys.readouterr().err == ""
+
+    def test_clean_exit_from_the_error_payload(self, capsys, monkeypatch,
+                                               bad_file):
+        stdout = ClosedStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["check", bad_file, "--format", "json"]) == 1
+        assert stdout.writes == 1
+        assert capsys.readouterr().err == ""
+
+    def test_reader_that_stops_early(self):
+        # the output is far larger than a pipe holds, so the writer sees
+        # the reader go
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lcstrs.cli", "run",
+             str(SYSTEMS / "fact.lcstrs"), "--term", "fact 300 exit",
+             "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+            env=env)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
 
 class TestFlags:

@@ -2,15 +2,16 @@
 
 import random
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from helpers import all_read_system
+from helpers import BOOL_VARS, INT_VARS, all_read_system, with_variables
 from lcstrs import prover, theory
 from lcstrs import solver as solver_module
 from lcstrs.core import (
-    App, BOOL_T, FunctionSymbol, INT_T, Substitution, Variable,
+    App, BOOL_T, INT_T, Substitution, Variable,
 )
 from lcstrs.solver import (
     Solver, SolverError, compile_constraint, eval_ground_constraint, to_smtlib,
@@ -156,23 +157,11 @@ class TestSoundnessSampling:
                     assert interpret(sigma.apply(psi)) is True
 
 
-INT_VARS = tuple(Variable(name, INT_T) for name in ("x", "y", "z"))
-BOOL_VARS = tuple(Variable(name, BOOL_T) for name in ("p", "q"))
 ALL_OPERATORS = {
     theory.ADD, theory.SUB, theory.MUL, theory.LE, theory.LT, theory.GE,
     theory.GT, theory.EQ, theory.NE, theory.AND, theory.OR, theory.NOT,
     theory.SUP_INT, theory.SUPEQ_INT, theory.SUP_BOOL, theory.SUPEQ_BOOL,
 }
-
-
-def _with_variables(rng, term):
-    """The term with about half of its value leaves replaced by variables
-    of the same sort."""
-    if isinstance(term, FunctionSymbol):
-        if term.is_value and rng.random() < 0.5:
-            return rng.choice(INT_VARS if term.type == INT_T else BOOL_VARS)
-        return term
-    return App(_with_variables(rng, term.head), _with_variables(rng, term.arg))
 
 
 def _heads(term, out):
@@ -191,7 +180,7 @@ class TestCompiledConstraints:
         variables = INT_VARS + BOOL_VARS
         seen = set()
         for i in range(2400):
-            term = _with_variables(
+            term = with_variables(
                 rng, gen_theory_term(rng, budget=rng.randint(5, 25)))
             _heads(term, seen)
             bound = (-2, 0, 3)[i % 3]
@@ -375,3 +364,40 @@ class TestQueryLog:
         report = prover.find_witness(parse_system(all_read_system(4)))
         assert report.searched == 3 ** 4
         assert [(len(s.log), s.queries) for s in solvers] == [(2, 2)]
+
+    def test_a_solver_shared_between_threads_keeps_one_record(self):
+        # two threads ask the same distinct queries in opposite orders
+        from helpers import gen_theory_term
+        rng = random.Random(83)
+        queries = {}
+        while len(queries) < 200:
+            phi, psi = (with_variables(rng, gen_theory_term(
+                rng, theory.BOOL, budget=rng.randint(5, 13))) for _ in range(2))
+            queries[phi, psi] = None
+        queries = list(queries)
+        alone = Solver()
+        expected = {q: repr(alone.entails(*q, q[0].free_vars | q[1].free_vars))
+                    for q in queries}
+        shared = Solver()
+        start = threading.Barrier(2)
+        answers = [{}, {}]
+
+        def ask(order, out):
+            start.wait()
+            for q in order:
+                out[q] = repr(shared.entails(
+                    *q, q[0].free_vars | q[1].free_vars))
+
+        threads = [threading.Thread(target=ask, args=(order, out)) for
+                   order, out in zip((queries, queries[::-1]), answers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers == [expected, expected]
+        assert shared.queries == len(shared.log) == 200

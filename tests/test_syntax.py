@@ -79,6 +79,12 @@ option bound 2
         assert (err.value.line, err.value.col) == (2, 8)
         assert str(err.value) == "2:8: unknown option 'boud'"
 
+    def test_repeated_bound_option_rejected_at_its_key(self):
+        # even when both lines give the same value, as a repeated `fun` is
+        with pytest.raises(ParseError) as err:
+            parse_system("option bound 0\nfun a : Int\noption bound 0\n")
+        assert str(err.value) == "3:8: option bound is already set"
+
     def test_user_sorts_are_not_theory(self):
         system = parse_system("fun cons : Elem -> List -> List\nfun nil : List\n")
         cons = system.signature.lookup("cons")[0]

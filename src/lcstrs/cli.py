@@ -3,7 +3,7 @@
 Exit codes: 0 success (file valid / normal form reached / witness found),
 1 input error (parse, typing, rule validity, too deep nesting) or a stdout
 closed before the output was written, 2 inconclusive (fuel exhausted / no
-witness found).
+witness found) or a usage error reported by argparse.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--term", required=True, help="term to normalize")
     p_run.add_argument("--strategy", choices=("innermost", "outermost"),
                        default="innermost")
-    p_run.add_argument("--fuel", type=int, default=10000)
+    p_run.add_argument("--fuel", default="10000")
     p_run.add_argument("--inputs", default="",
                        help="comma-separated values for input variables, "
                             "e.g. 3,true,-1")
@@ -59,11 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prove.add_argument("--smt-cmd", default=None,
                          help="external SMT solver command line "
                               f"(default ${SMT_ENV_VAR})")
-    p_prove.add_argument("--timeout", type=float, default=60.0,
+    p_prove.add_argument("--timeout", default="60",
                          help="wall-clock budget in seconds")
-    p_prove.add_argument("--jobs", type=int, default=1,
-                         help="accepted and ignored: witness verification "
-                              "is serial")
     return parser
 
 
@@ -73,6 +70,17 @@ def _integer(piece: str, option: str) -> int:
     except ValueError:
         raise LcstrsError(
             f"{option}: {piece.strip()!r} is not an integer") from None
+
+
+def _seconds(text: str) -> float:
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if math.isnan(seconds):
+        raise LcstrsError(
+            f"--timeout expects a number of seconds, got {text.strip()}")
+    return seconds
 
 
 def _parse_inputs(text: str) -> list:
@@ -135,7 +143,8 @@ def cmd_run(args) -> int:
     system = parse_system(_read(args.file))
     term = parse_term(args.term, system)
     inputs = InputSource(_parse_inputs(args.inputs))
-    result = normalize(term, system, strategy=args.strategy, fuel=args.fuel,
+    fuel = _integer(args.fuel, "--fuel")
+    result = normalize(term, system, strategy=args.strategy, fuel=fuel,
                        inputs=inputs)
 
     memo: dict = {}  # one for the call: steps share most subterms
@@ -157,7 +166,7 @@ def cmd_run(args) -> int:
         return {
             "command": "run", "file": args.file, "ok": not result.exhausted,
             "start": print_term(term, memo), "strategy": args.strategy,
-            "fuel": args.fuel, "result": print_term(result.term, memo),
+            "fuel": fuel, "result": print_term(result.term, memo),
             "normal_form": not result.exhausted,
             "total_steps": result.total_steps,
             "steps": [{"position": list(s.position), "kind": s.kind,
@@ -176,11 +185,10 @@ def cmd_prove(args) -> int:
     else:
         bounds = tuple(_integer(b, "--bounds") for b in args.bounds.split(",")
                        if b.strip() != "") or (system.bound,)
-    if math.isnan(args.timeout):
-        raise LcstrsError("--timeout expects a number of seconds, got nan")
+    timeout = _seconds(args.timeout)
     smt_command = (os.environ.get(SMT_ENV_VAR) if args.smt_cmd is None
                    else args.smt_cmd)
-    config = ProverConfig(bounds=bounds, timeout=args.timeout,
+    config = ProverConfig(bounds=bounds, timeout=timeout,
                           smt_command=smt_command)
     result = find_witness(system, config)
     if isinstance(result, Witness):

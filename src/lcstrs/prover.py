@@ -14,7 +14,13 @@ ones it reads, so an assignment that agrees with a failed one on every
 status that search read would fail the same way: the walk skips every
 such assignment, whole subtrees at a time, and credits the attempts the
 failed search made to each. The first witness found, and the attempt
-count of a failure report, are those of the unpruned product.
+count of a failure report, are those of the unpruned product. A run of
+skips can be as long as the product, so the walk also stops where the
+deadline has passed at a skip.
+
+Both searches are loops over explicit stacks, the walk over the statuses
+fixed so far and the precedence search over the edge sets still to try,
+so neither recurses on the number of symbols, rules or edges.
 
 The state of the whole search lives in one `_Budget`: the deadline and
 whether it has passed, the attempts covered, and the furthest failure,
@@ -161,43 +167,6 @@ def _status_options(symbol: FunctionSymbol) -> list[Status]:
     return [LEX] + [Mul(k) for k in range(arity, 1, -1)]
 
 
-def _status_walk(options: list[list[Status]], refuted: dict,
-                 budget: _Budget):
-    """Yield the tuples of `product(*options)` in order, minus every tuple
-    that agrees with a refuted one at each position that one's search read.
-
-    `refuted` maps the sorted read positions of a failed search to {the
-    statuses at those positions: the attempts it made}; the caller adds to
-    it as tuples fail. A skipped tuple would repeat such a search step for
-    step, so its attempts are credited to the budget. The walk stops when
-    the deadline has passed where a search was skipped: a run of skips can
-    be as long as the product, so it too must stop at the deadline.
-    """
-    prefix: list[Status] = []
-
-    def walk(depth: int):
-        for positions, failed in refuted.items():
-            if positions and positions[-1] >= depth:
-                continue
-            attempts = failed.get(tuple(prefix[i] for i in positions))
-            if attempts is not None:
-                if not budget.exceeded():
-                    budget.attempts += attempts * math.prod(
-                        len(column) for column in options[depth:])
-                return
-        if depth == len(options):
-            yield tuple(prefix)
-            return
-        for option in options[depth]:
-            prefix.append(option)
-            yield from walk(depth + 1)
-            prefix.pop()
-            if budget.expired:
-                return
-
-    return walk(0)
-
-
 def find_witness(system: System, config: Optional[ProverConfig] = None
                  ) -> ProveResult:
     """Search bounds, statuses and precedences for a verified witness."""
@@ -212,19 +181,46 @@ def find_witness(system: System, config: Optional[ProverConfig] = None
 
     for bound in dict.fromkeys(cfg.bounds):     # each distinct bound once
         solver = Solver(smt_command=cfg.smt_command, bound=bound)
+        # the sorted read positions of a failed search -> {the statuses at
+        # those positions: the attempts it made}
         refuted: dict = {}
-        for combo in _status_walk(options, refuted, budget):
-            made = budget.attempts
-            outcome = _search_precedence(system, dict(zip(defined, combo)),
-                                         bound, solver, budget)
-            if isinstance(outcome, Witness):
-                return outcome
-            if budget.expired:
+        prefix: list[Status] = []       # the statuses fixed so far
+        indices: list[int] = []         # their indices in `options`
+        while not budget.expired:
+            depth = len(prefix)
+            for positions, failed in refuted.items():
+                if positions and positions[-1] >= depth:
+                    continue
+                attempts = failed.get(tuple(prefix[i] for i in positions))
+                if attempts is not None:
+                    if not budget.exceeded():
+                        budget.attempts += attempts * math.prod(
+                            len(column) for column in options[depth:])
+                    break
+            else:
+                if depth < len(options):
+                    prefix.append(options[depth][0])
+                    indices.append(0)
+                    continue
+                made = budget.attempts
+                outcome = _search_precedence(
+                    system, dict(zip(defined, prefix)), bound, solver, budget)
+                if isinstance(outcome, Witness):
+                    return outcome
+                # statuses of symbols without rules are lex in every tuple
+                read = tuple(sorted(position[f] for f in outcome
+                                    if f in position))
+                key = tuple(prefix[i] for i in read)
+                refuted.setdefault(read, {})[key] = budget.attempts - made
+            # the next option of the deepest column that has one left
+            while indices and indices[-1] + 1 == len(options[depth - 1]):
+                prefix.pop()
+                indices.pop()
+                depth -= 1
+            if not indices:
                 break
-            # statuses of symbols without rules are lex in every tuple
-            read = tuple(sorted(position[f] for f in outcome if f in position))
-            refuted.setdefault(read, {})[tuple(combo[i] for i in read)] = (
-                budget.attempts - made)
+            indices[-1] += 1
+            prefix[-1] = options[depth - 1][indices[-1]]
         if budget.expired:
             break
 
@@ -250,10 +246,13 @@ def _search_precedence(system: System, status: dict, bound: int,
     read."""
     visited: set[frozenset] = set()
     reads: set[FunctionSymbol] = set()
-
-    def dfs(edges: frozenset) -> Optional[Witness]:
-        if edges in visited or budget.exceeded():
-            return None
+    stack: list[frozenset] = [frozenset()]
+    while stack:
+        edges = stack.pop()
+        if edges in visited:
+            continue
+        if budget.exceeded():
+            break
         visited.add(edges)
         budget.attempts += 1
         params = HorpoParams(edges, status, bound)
@@ -269,19 +268,15 @@ def _search_precedence(system: System, status: dict, bound: int,
             return Witness(params, tuple(derivations))
         if budget.failure is None or index > budget.failure[0]:
             budget.failure = (index, engine)
-        for f, g in sorted(engine.prec_misses,
-                           key=lambda e: (e[0].name, e[1].name)):
+        # pushed in reverse, so the first miss is grown first
+        for f, g in reversed(sorted(engine.prec_misses,
+                                    key=lambda e: (e[0].name, e[1].name))):
             # a miss relates two distinct non-theory symbols, so this
             # holds exactly when f is reachable from g: f > g would close
             # a cycle
-            if params.prec_gt(g, f):
-                continue
-            found = dfs(edges | {(f, g)})
-            if found is not None or budget.expired:
-                return found
-        return None
-
-    return dfs(frozenset()) or reads
+            if not params.prec_gt(g, f):
+                stack.append(edges | {(f, g)})
+    return reads
 
 
 def params_from_dict(data: dict, signature) -> HorpoParams:

@@ -147,17 +147,6 @@ class TestProve:
         assert payload["ok"] is False
         assert payload["report"]["rules"][0]["index"] == 1
 
-    def test_jobs_flag(self, capsys):
-        # accepted and ignored: verification is serial
-        for name, code in (("fact", 0), ("loop", 2)):
-            path = str(SYSTEMS / f"{name}.lcstrs")
-            for fmt in ("text", "json"):
-                plain = run_cli(capsys, "prove", path, "--format", fmt)
-                jobs = run_cli(capsys, "prove", path, "--format", fmt,
-                               "--jobs", "4")
-                assert plain[0] == code
-                assert jobs[:2] == plain[:2]
-
     def test_bounds_flag(self, capsys, tmp_path):
         path = tmp_path / "down.lcstrs"
         path.write_text("fun down : Int -> Int\n"
@@ -218,7 +207,12 @@ class TestMalformedOptionValues:
          "--inputs: 'abc' is not an integer"),
         (["prove", "fact", "--timeout", "nan"],
          "--timeout expects a number of seconds, got nan"),
-    ], ids=["bounds-word", "bounds-fraction", "inputs-word", "timeout-nan"])
+        (["run", "fact", "--term", "init", "--fuel", "abc"],
+         "--fuel: 'abc' is not an integer"),
+        (["prove", "fact", "--timeout", "abc"],
+         "--timeout expects a number of seconds, got abc"),
+    ], ids=["bounds-word", "bounds-fraction", "inputs-word", "timeout-nan",
+            "fuel-word", "timeout-word"])
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_clean_input_error(self, capsys, argv, message, fmt):
         command, name, *rest = argv
@@ -318,6 +312,17 @@ def deep_file(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def wide_file(tmp_path_factory):
+    # 1500 defined symbols whose rules orient without reading a status
+    path = tmp_path_factory.mktemp("wide") / "wide.lcstrs"
+    path.write_text("".join(f"fun f{i} : Int -> Int -> Int\n"
+                            for i in range(1500))
+                    + "".join(f"rule f{i} x y -> x [true]\n"
+                              for i in range(1500)))
+    return str(path)
+
+
 class TestDeepInputs:
     @pytest.mark.parametrize("argv", [["run", "--term", "deep 1"], ["prove"]],
                              ids=["run", "prove"])
@@ -334,6 +339,19 @@ class TestDeepInputs:
             assert out == ""
         assert code == 1
         assert err == "error: input nests too deeply\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_wide_system_proves(self, capsys, wide_file, fmt):
+        # the status walk loops: a symbol is a column, not a nesting level
+        if fmt == "json":
+            code, payload, err = run_json(capsys, "prove", wide_file)
+            assert payload["ok"] is True
+            assert len(payload["witness"]["status"]) == 1500
+        else:
+            code, out, err = run_cli(capsys, "prove", wide_file)
+            assert out.startswith("TERMINATING\n")
+        assert code == 0
+        assert err == ""
 
 
 class ClosedStdout:
@@ -397,6 +415,21 @@ class TestFlags:
 
     def test_missing_subcommand_is_an_error(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["prove", "--format", "json", "--jobs", "4"],
+        ["run", "--format", "json"],
+        ["prove", "--format", "xml"],
+    ], ids=["jobs", "missing-term", "format-choice"])
+    def test_usage_error(self, capsys, argv):
+        # argparse's errors: usage on stderr, no payload, exit 2
+        command, *rest = argv
+        code, out, err = run_cli(capsys, command,
+                                 str(SYSTEMS / "fact.lcstrs"), *rest)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: lcstrs ")
+        assert "error: " in err
 
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "prove", str(SYSTEMS / "fact.lcstrs"),

@@ -3,6 +3,9 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,8 @@ from lcstrs.prover import (
 from lcstrs.solver import Solver
 from lcstrs.syntax import parse_system, print_rule
 
-SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
+REPO = Path(__file__).resolve().parent.parent
+SYSTEMS = REPO / "systems"
 
 LOOP = "fun f : Int -> Int\nrule f x -> f x [true]\n"
 PLANTED = ("fun g : Int -> Int\nfun h : Int -> Int\n"
@@ -52,6 +56,16 @@ WIDE = ("".join(f"fun f{i} : Int -> Int -> Int\n" for i in range(9))
         + "fun h : Int -> Int -> Int\n"
         + "".join(f"rule f{i} x y -> x [true]\n" for i in range(9))
         + "rule h x y -> h (x + 1) y [true]\n")
+# The first attempt misses f > g and s > g, either of which orients rule 1;
+# each then misses g > h for rule 2, and rule 3 never orients.
+BRANCHING = ("fun s : Int -> Int\nfun f : Int -> Int\n"
+             "fun g : Int -> Int\nfun h : Int -> Int\n"
+             "rule f (s x) -> g x [true]\nrule g x -> h x [true]\n"
+             "rule h x -> h x [true]\n")
+# each rule wants one more edge, so the precedence search grows a chain of
+# 120 edges, one attempt per edge
+CHAIN = ("".join(f"fun f{i} : Int -> Int\n" for i in range(121))
+         + "".join(f"rule f{i} x -> f{i + 1} x [true]\n" for i in range(120)))
 
 
 def symbols(system, *names):
@@ -185,6 +199,38 @@ class TestFindWitness:
         assert clock.reads == searched[-1] + 6
         assert report.searched == 2 + 5
         assert report.failures == expected.failures
+
+    def test_precedence_search_is_depth_first_in_miss_order(self,
+                                                             monkeypatch):
+        tried = []
+
+        def recording(edges, status, bound):
+            tried.append(sorted(f"{f.name}>{g.name}" for f, g in edges))
+            return HorpoParams(edges, status, bound)
+
+        monkeypatch.setattr(prover, "HorpoParams", recording)
+        report = find_witness(parse_system(BRANCHING))
+        assert isinstance(report, FailureReport) and report.searched == 5
+        assert tried == [[], ["f>g"], ["f>g", "g>h"], ["s>g"],
+                         ["g>h", "s>g"]]
+
+    def test_long_chain_under_a_low_recursion_limit(self):
+        # neither search recurses per symbol or per edge
+        script = ("import sys\n"
+                  "from lcstrs.prover import find_witness\n"
+                  "from lcstrs.syntax import parse_system\n"
+                  "system = parse_system(sys.stdin.read())\n"
+                  "sys.setrecursionlimit(100)\n"
+                  "witness = find_witness(system)\n"
+                  "print(sorted(f'{f.name} {g.name}'\n"
+                  "             for f, g in witness.params.edges))\n")
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], input=CHAIN,
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.stderr == ""
+        chain = sorted(f"f{i} f{i + 1}" for i in range(120))
+        assert proc.stdout == f"{chain}\n"
 
     def test_expired_budget_stays_expired(self, monkeypatch):
         clock = Clock(expires_after=1)

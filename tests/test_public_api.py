@@ -32,6 +32,7 @@ REMOVED = [
     "free_vars", "apply_subst", "validate_rule", "geq", "gt", "rpo",
     "lex_ext", "mul_ext", "orient_rule", "replay_judgment", "entails",
     "print_type", "SystemFile", "ThreadPoolExecutor", "_creates_cycle",
+    "_status_walk",
 ]
 
 # attributes that nothing read

@@ -291,10 +291,11 @@ def params_from_dict(data: dict, signature) -> HorpoParams:
     edges = [(symbol(f), symbol(g)) for f, g in data["precedence"]]
     status: dict[FunctionSymbol, Status] = {}
     for name, st in data["status"].items():
+        k = str(st)[4:-1]
         if st == "lex":
             status[symbol(name)] = LEX
-        elif st.startswith("mul(") and st.endswith(")"):
-            status[symbol(name)] = Mul(int(st[4:-1]))
+        elif st == f"mul({k})" and k.isascii() and k.isdigit() and int(k) >= 2:
+            status[symbol(name)] = Mul(int(k))
         else:
             raise ValueError(f"bad status {st!r} in witness")
     return HorpoParams(edges, status, int(data["bound"]))

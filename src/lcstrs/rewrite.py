@@ -15,7 +15,9 @@ from .core import (
     App, BaseType, BOOL, INT, LcstrsError, Rule, Substitution, Term, Variable,
 )
 from .syntax import System
-from .theory import bool_value, int_value, interpret, try_calculate
+from .theory import (
+    bool_value, int_value, interpret, semantic_value, try_calculate,
+)
 
 Position = tuple[int, ...]
 TRACE_CAP = 10000   # steps `normalize` keeps in its trace
@@ -56,15 +58,15 @@ def match(pattern: Term, subject: Term) -> Optional[Substitution]:
 
 def respects(subst: Substitution, rule: Rule, bound: int = 0) -> bool:
     """Whether a substitution respects a rule: constraint variables and
-    fresh right-hand side variables go to values, and the instantiated
-    constraint is ground and evaluates to true."""
+    fresh right-hand side variables go to values, and the constraint is
+    true under those values."""
+    values = {}
     for v in rule.logical_vars:
-        if not subst.get(v).is_value:
+        term = subst.get(v)
+        if not term.is_value:
             return False
-    phi = subst.apply(rule.constraint)
-    if not phi.is_ground:
-        return False
-    return interpret(phi, bound) is True
+        values[v] = semantic_value(term)
+    return interpret(rule.constraint, bound, values) is True
 
 
 class InputSource:

@@ -33,13 +33,12 @@ from typing import Callable, Iterable, Optional, Sequence, ValuesView
 
 from . import theory
 from .core import (
-    App, BaseType, BOOL, BOOL_T, FunctionSymbol, INT, LcstrsError,
-    Substitution, Term, Variable, is_theory_sort_type,
+    App, BaseType, BOOL, BOOL_T, FunctionSymbol, INT, LcstrsError, Term,
+    Variable, is_theory_sort_type,
 )
 from .theory import (
     ADD, AND, EQ, FALSE, GE, GT, LE, LT, MUL, NE, NOT, OR, SUB, SUP_BOOL,
     SUP_INT, SUPEQ_BOOL, SUPEQ_INT, TRUE, SemValue, int_value, interpret,
-    value_symbol,
 )
 
 
@@ -334,10 +333,9 @@ def compile_constraint(term: Term, variables: Sequence[Variable],
     """Compile a theory term of base sort into a closure over an
     environment tuple whose i-th entry is the value of `variables[i]`.
 
-    The closure computes what `interpret` computes on the term instantiated
-    by that assignment (the ordering symbols relative to `bound`), without
-    building the instance. Operators are resolved here, once; `interpret`
-    stays the reference semantics.
+    The closure computes what `interpret` computes under that assignment
+    (the ordering symbols relative to `bound`). Operators are resolved
+    here, once; `interpret` stays the reference semantics.
     """
     return _compile(term, {v: i for i, v in enumerate(variables)}, bound)
 
@@ -568,10 +566,8 @@ class Solver:
 
     def _is_counterexample(self, phi: Term, psi: Term,
                            assignment: dict[Variable, SemValue]) -> bool:
-        subst = Substitution(
-            {v: value_symbol(val) for v, val in assignment.items()})
-        return (interpret(subst.apply(phi), self.bound) is True
-                and interpret(subst.apply(psi), self.bound) is False)
+        return (interpret(phi, self.bound, assignment) is True
+                and interpret(psi, self.bound, assignment) is False)
 
     def _ask_smt(self, phi: Term, psi: Term, varset: frozenset) -> Verdict:
         script = self.smt_script(phi, psi, varset)

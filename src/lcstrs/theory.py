@@ -2,8 +2,8 @@
 
 Houses the fixed theory signature (literals, arithmetic, comparisons,
 connectives and the ordering symbols used by the termination checker), the
-semantic domains, the interpretation of ground theory terms, and root-level
-calculation.
+semantic domains, the interpretation of theory terms under an assignment of
+values to their variables, and root-level calculation.
 
 Semantic values are plain Python objects: `int` for Int and `bool` for Bool
 (exact, arbitrary-precision arithmetic). The ordering symbol on integers is
@@ -17,14 +17,13 @@ only strict pair. The weak versions are the reflexive closures.
 
 from __future__ import annotations
 
-import operator
 import re
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
 
 from .core import (
-    App, BOOL, BOOL_T, FunctionSymbol, INT, INT_T, LcstrsError, Signature,
-    Sort, Term, arrow, is_theory_sort_type,
+    BaseType, BOOL, BOOL_T, FunctionSymbol, INT, INT_T, LcstrsError,
+    Signature, Sort, Term, Variable, arrow, is_theory_sort_type,
 )
 
 SemValue = Union[int, bool]
@@ -106,71 +105,69 @@ def _literal_resolver(name: str) -> Optional[FunctionSymbol]:
     return None
 
 
-_INT_BINOPS = {
-    ADD: operator.add, SUB: operator.sub, MUL: operator.mul,
-    LE: operator.le, LT: operator.lt, GE: operator.ge, GT: operator.gt,
-    EQ: operator.eq, NE: operator.ne,
+#: the interpretation of each non-value theory symbol: a function of its
+#: argument values and the bound of the integer ordering symbols
+_OPERATIONS = {
+    ADD: lambda x, y, b: x + y,
+    SUB: lambda x, y, b: x - y,
+    MUL: lambda x, y, b: x * y,
+    LE: lambda x, y, b: x <= y,
+    LT: lambda x, y, b: x < y,
+    GE: lambda x, y, b: x >= y,
+    GT: lambda x, y, b: x > y,
+    EQ: lambda x, y, b: x == y,
+    NE: lambda x, y, b: x != y,
+    AND: lambda x, y, b: x and y,
+    OR: lambda x, y, b: x or y,
+    NOT: lambda x, b: not x,
+    SUP_INT: lambda x, y, b: x > b and x > y,
+    SUPEQ_INT: lambda x, y, b: x == y or (x > b and x > y),
+    SUP_BOOL: lambda x, y, b: x and not y,
+    SUPEQ_BOOL: lambda x, y, b: x or not y,
 }
-_BOOL_BINOPS = {
-    AND: lambda a, b: a and b,
-    OR: lambda a, b: a or b,
-}
 
 
-def _symbol_semantics(f: FunctionSymbol, bound: int):
-    if f.is_value:
-        return semantic_value(f)
-    op = _INT_BINOPS.get(f) or _BOOL_BINOPS.get(f)
-    if op is not None:
-        return lambda x: lambda y: op(x, y)
-    if f is NOT:
-        return lambda x: not x
-    if f is SUP_INT:
-        return lambda x: lambda y: x > bound and x > y
-    if f is SUPEQ_INT:
-        return lambda x: lambda y: x == y or (x > bound and x > y)
-    if f is SUP_BOOL:
-        return lambda x: lambda y: x and not y
-    if f is SUPEQ_BOOL:
-        return lambda x: lambda y: x or not y
-    raise TheoryError(f"no interpretation for symbol '{f.name}'")
-
-
-def interpret(term: Term, bound: int = 0):
-    """Interpret a ground theory term.
-
-    For terms whose type is a theory sort the result is a SemValue; for
-    higher theory types it is a curried Python callable (internal use).
+def interpret(term: Term, bound: int = 0,
+              values: Optional[Mapping[Variable, SemValue]] = None) -> SemValue:
+    """Interpret a theory term of base type. Each variable takes its value
+    from `values`, a map from variables to semantic values; without
+    `values` the term must be ground. A partial application has no value.
     """
     if not term.is_theory_term:
         raise TheoryError(f"not a theory term: {term!r}")
-    if not term.is_ground:
+    if term.free_vars and (values is None or not values.keys() >= term.free_vars):
         raise TheoryError(f"not a ground term: {term!r}")
-    return _eval(term, bound)
+    if not isinstance(term.type, BaseType):
+        raise TheoryError(f"partial application has no value: {term!r}")
+    return _eval(term, bound, values)
 
 
-def _eval(term: Term, bound: int):
-    if isinstance(term, FunctionSymbol):
-        return _symbol_semantics(term, bound)
-    assert isinstance(term, App)
-    return _eval(term.head, bound)(_eval(term.arg, bound))
+def _eval(term: Term, bound: int, values):
+    if isinstance(term, Variable):
+        return values[term]
+    if term.is_value:
+        return semantic_value(term)
+    head, args = term.spine()
+    operation = _OPERATIONS.get(head)
+    if operation is None:
+        raise TheoryError(f"no interpretation for symbol '{head.name}'")
+    return operation(*[_eval(a, bound, values) for a in args], bound)
 
 
 def try_calculate(term: Term, bound: int = 0) -> Optional[Term]:
     """The unique root-level calculation step, if the term admits one.
 
-    Applies when the term is a non-value theory symbol fully applied to
+    Applies when the term is an interpreted theory symbol fully applied to
     values and its type is a theory sort; the result is the value symbol
     with the same interpretation. Otherwise returns None.
     """
     head, args = term.spine()
-    if not isinstance(head, FunctionSymbol) or not head.is_theory or head.is_value:
-        return None
-    if not all(a.is_value for a in args):
+    operation = _OPERATIONS.get(head)
+    if operation is None or not all(a.is_value for a in args):
         return None
     if not is_theory_sort_type(term.type):
         return None
-    return value_symbol(interpret(term, bound))
+    return value_symbol(operation(*map(semantic_value, args), bound))
 
 
 _BUILTINS = (

@@ -136,6 +136,19 @@ def recursive_free_vars(t: Term) -> frozenset:
     return recursive_free_vars(t.head) | recursive_free_vars(t.arg)
 
 
+def respects_by_instantiation(subst, rule: Rule, bound: int = 0) -> bool:
+    """Reference for `rewrite.respects`: the logical variables go to
+    values, and the constraint instantiated by the substitution is ground
+    and interprets to true."""
+    for v in rule.logical_vars:
+        if not subst.get(v).is_value:
+            return False
+    phi = subst.apply(rule.constraint)
+    if not phi.is_ground:
+        return False
+    return theory.interpret(phi, bound) is True
+
+
 def calc_redexes(t: Term, bound: int = 0) -> list[tuple[Position, Term]]:
     """All positions where a calculation step applies, with the results."""
     out = []

@@ -4,13 +4,17 @@ Adding a name to `lcstrs`, or bringing back a removed wrapper or alias,
 must be a deliberate change to this file.
 """
 
+import importlib.util
 import inspect
 import types
+from pathlib import Path
 
 import pytest
 
 import lcstrs
-from lcstrs import core, horpo, prover, rewrite, solver, syntax
+from lcstrs import cli, core, horpo, prover, rewrite, solver, syntax, theory
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 PUBLIC = [
     "App", "ArrowType", "BOOL", "BOOL_T", "BaseType", "CheckResult",
@@ -76,3 +80,35 @@ def test_removed_attributes_stay_removed():
             if name in inspect.signature(owner).parameters] == []
     assert [name for name in ("search_limit", "timeout")
             if hasattr(solver.Solver(), name)] == []
+
+
+def test_tracer_puts_back_what_it_rebinds():
+    # perfbench/tracer.py traces layers by rebinding names of these modules
+    # and their classes; `uninstall` must leave every one as it was
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    modules = (cli, core, horpo, prover, rewrite, solver, syntax, theory)
+    owners = list(modules) + [
+        value for module in modules for value in vars(module).values()
+        if isinstance(value, type) and value.__module__ == module.__name__]
+
+    def snapshot():
+        return {(owner, name): value for owner in owners
+                for name, value in vars(owner).items()}
+
+    before = snapshot()
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        rebound = {f"{owner.__name__}.{name}"
+                   for (owner, name), value in snapshot().items()
+                   if before.get((owner, name)) is not value}
+    finally:
+        tracer.uninstall()
+    assert {"lcstrs.rewrite.interpret", "lcstrs.solver.interpret",
+            "lcstrs.rewrite.try_calculate", "Substitution.apply"} <= rebound
+    after = snapshot()
+    assert after.keys() == before.keys()
+    assert [f"{owner.__name__}.{name}" for (owner, name), value in after.items()
+            if before[(owner, name)] is not value] == []

@@ -1,23 +1,29 @@
 """Matching, respecting substitutions, steps, normalization, joinability."""
 
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from helpers import (
-    calc_redexes, gen_ground_term, gen_system, gen_theory_term, joinable_bfs,
-    random_calc_normalize,
+    BOOL_VARS, INT_VARS, calc_redexes, gen_ground_term, gen_system,
+    gen_theory_term, joinable_bfs, random_calc_normalize,
+    respects_by_instantiation, with_variables,
 )
 from lcstrs import rewrite, theory
 from lcstrs.core import (
-    BOOL_T, INT_T, LcstrsError, Substitution, Variable, arrow,
+    BOOL, BOOL_T, FunctionSymbol, INT_T, LcstrsError, Rule, Substitution,
+    Variable, arrow,
 )
 from lcstrs.rewrite import (
     InputSource, calc_normal_form, joinable_calc, match, normalize, respects,
     step_at,
 )
-from lcstrs.syntax import parse_term, print_term
-from lcstrs.theory import int_value
+from lcstrs.syntax import parse_system, parse_term, print_term
+from lcstrs.theory import bool_value, int_value
+
+SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
 
 class TestMatch:
@@ -87,6 +93,48 @@ class TestRespects:
     def test_non_ground_constraint_is_false(self, fact_system):
         rule = fact_system.rules[3]
         assert respects(Substitution(), rule) is False
+
+    def test_agrees_with_instantiation(self):
+        # the shipped rules, random systems, and rules whose constraints are
+        # random theory terms over x, y, z, p, q
+        rng = random.Random(97)
+        rules = [rule for path in sorted(SYSTEMS.glob("*.lcstrs"))
+                 for rule in parse_system(path.read_text()).rules]
+        for _ in range(30):
+            rules.extend(gen_system(rng).rules)
+        variables = INT_VARS + BOOL_VARS
+        f = FunctionSymbol("f", arrow(*(v.type for v in variables), INT_T))
+        for _ in range(60):
+            phi = with_variables(rng, gen_theory_term(rng, BOOL, budget=15))
+            rules.append(Rule(f.apply(*variables), INT_VARS[0], phi))
+        verdicts = Counter()
+        for rule in rules:
+            free = (rule.lhs.free_vars | rule.rhs.free_vars
+                    | rule.constraint.free_vars)
+            for i in range(30):
+                sigma = Substitution({
+                    v: t for v in sorted(free, key=lambda v: v.name)
+                    if (t := _instance(rng, v)) is not None})
+                bound = (-2, 0, 3)[i % 3]
+                expected = respects_by_instantiation(sigma, rule, bound)
+                assert respects(sigma, rule, bound) is expected, (rule, sigma)
+                verdicts[expected] += 1
+        assert verdicts[True] > 500 and verdicts[False] > 500
+
+
+def _instance(rng, v):
+    """A random image of `v`: mostly a value, sometimes a non-value of the
+    same type, sometimes none (the variable stays unbound)."""
+    roll = rng.random()
+    if roll < 0.1 or v.type not in (INT_T, BOOL_T):
+        return None
+    if v.type == INT_T:
+        if roll < 0.2:
+            return theory.ADD.apply(int_value(1), int_value(2))
+        return int_value(rng.randint(-5, 5))
+    if roll < 0.2:
+        return theory.NOT.apply(bool_value(True))
+    return bool_value(rng.random() < 0.5)
 
 
 class TestStepAt:

@@ -196,6 +196,18 @@ class TestWitnessDocument:
         with pytest.raises(ValueError):
             params_from_dict(data, fact_system.signature)
 
+    @pytest.mark.parametrize("status", [
+        "mul(x)", "mul()", "mul(1)", "mul(0)", "mul(-2)", "mul(2",
+        "mul(\u0663)", "lexx", "", 3, None,
+    ])
+    def test_malformed_status_rejected(self, fact_system, status):
+        witness = find_witness(fact_system)
+        data = json.loads(json.dumps(witness.to_dict()))
+        data["status"]["fact"] = status
+        with pytest.raises(ValueError) as raised:
+            params_from_dict(data, fact_system.signature)
+        assert str(raised.value) == f"bad status {status!r} in witness"
+
 
 class TestSolverEdges:
     def test_contradictory_antecedent_entails_anything(self, fact_system):

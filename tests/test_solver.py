@@ -194,6 +194,9 @@ class TestCompiledConstraints:
                 got = compiled(env)
                 # type too: True == 1 in Python
                 assert (type(got), got) == (type(expected), expected), term
+                assigned = interpret(term, bound, dict(zip(variables, env)))
+                assert (type(assigned), assigned) == \
+                    (type(expected), expected), term
         assert seen >= ALL_OPERATORS
 
     def test_refutations_rest_on_the_interpreter(self, P, monkeypatch):

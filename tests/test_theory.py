@@ -6,7 +6,7 @@ import pytest
 
 from helpers import gen_theory_term
 from lcstrs import theory
-from lcstrs.core import INT_T, Variable
+from lcstrs.core import INT_T, FunctionSymbol, Variable, arrow
 from lcstrs.syntax import parse_term
 from lcstrs.theory import (
     FALSE, SUP_INT, SUPEQ_INT, TheoryError, TRUE, int_value, interpret,
@@ -82,9 +82,25 @@ class TestInterpret:
             value = interpret(t)
             assert isinstance(value, (int, bool))
 
-    def test_higher_type_interpretation_is_applicable(self, P):
-        f = interpret(P("[+] 1"))
-        assert f(41) == 42
+    def test_partial_application_has_no_value(self, P):
+        with pytest.raises(TheoryError):
+            interpret(P("[+] 1"))
+        with pytest.raises(TheoryError):
+            interpret(theory.ADD)
+
+    def test_uninterpreted_theory_symbol(self):
+        f = FunctionSymbol("f", arrow(INT_T, INT_T), is_theory=True)
+        with pytest.raises(TheoryError, match="no interpretation for symbol 'f'"):
+            interpret(f.apply(int_value(1)))
+        assert try_calculate(f.apply(int_value(1))) is None
+
+    def test_variables_take_their_values(self, P):
+        n, p = Variable("n", INT_T), Variable("p", theory.BOOL_T)
+        t = P("n * 2 !> 3 /\\ p", {"n": n, "p": p})
+        assert interpret(t, values={n: 2, p: True}) is True
+        assert interpret(t, values={n: 1, p: True}) is False
+        with pytest.raises(TheoryError, match="not a ground term"):
+            interpret(t, values={n: 2})
 
 
 class TestValues:

@@ -19,6 +19,7 @@ from typing import Callable, Optional, Sequence
 from .core import LcstrsError
 from .prover import ProverConfig, Witness, check_witness, find_witness
 from .rewrite import InputSource, normalize
+from .solver import Solver
 from .syntax import parse_system, parse_term, print_rule, print_term
 
 SMT_ENV_VAR = "LCSTRS_SMT_CMD"
@@ -180,11 +181,9 @@ def cmd_run(args) -> int:
 
 def cmd_prove(args) -> int:
     system = parse_system(_read(args.file))
-    if args.bounds is None:
-        bounds = (system.bound,)
-    else:
-        bounds = tuple(_integer(b, "--bounds") for b in args.bounds.split(",")
-                       if b.strip() != "") or (system.bound,)
+    pieces = (args.bounds or "").split(",")
+    bounds = tuple(_integer(b, "--bounds") for b in pieces
+                   if b.strip() != "") or None    # None: the file's bound
     timeout = _seconds(args.timeout)
     smt_command = (os.environ.get(SMT_ENV_VAR) if args.smt_cmd is None
                    else args.smt_cmd)
@@ -192,7 +191,10 @@ def cmd_prove(args) -> int:
                           smt_command=smt_command)
     result = find_witness(system, config)
     if isinstance(result, Witness):
-        verification = check_witness(result, system)
+        # a fresh solver: the re-check shares no cache with the search,
+        # only its external solver
+        verification = check_witness(result, system, Solver(
+            smt_command=smt_command, bound=result.params.bound))
         if not verification.ok:
             _emit(args.format,
                   lambda: {"command": "prove", "file": args.file, "ok": False,

@@ -45,7 +45,7 @@ from .syntax import System, print_rule, print_term
 
 @dataclass
 class ProverConfig:
-    bounds: Sequence[int] = (0,)
+    bounds: Optional[Sequence[int]] = None    # None: the system's bound
     timeout: float = 60.0                 # wall-clock budget, seconds
     smt_command: Optional[str] = None
 
@@ -171,15 +171,16 @@ def find_witness(system: System, config: Optional[ProverConfig] = None
                  ) -> ProveResult:
     """Search bounds, statuses and precedences for a verified witness."""
     cfg = config or ProverConfig()
-    if cfg.bounds and not system.rules:
+    bounds = (system.bound,) if cfg.bounds is None else cfg.bounds
+    if bounds and not system.rules:
         # the empty witness orients every rule
-        return Witness(HorpoParams((), {}, cfg.bounds[0]), ())
+        return Witness(HorpoParams((), {}, bounds[0]), ())
     defined = system.defined_symbols()
     position = {f: i for i, f in enumerate(defined)}
     options = [_status_options(f) for f in defined]
     budget = _Budget(cfg.timeout)
 
-    for bound in dict.fromkeys(cfg.bounds):     # each distinct bound once
+    for bound in dict.fromkeys(bounds):     # each distinct bound once
         solver = Solver(smt_command=cfg.smt_command, bound=bound)
         # the sorted read positions of a failed search -> {the statuses at
         # those positions: the attempts it made}
@@ -288,9 +289,21 @@ def params_from_dict(data: dict, signature) -> HorpoParams:
             raise ValueError(f"witness names unknown symbol '{name}'")
         return found[0]
 
-    edges = [(symbol(f), symbol(g)) for f, g in data["precedence"]]
+    def field(key: str, kind: type):
+        value = data.get(key)
+        if type(value) is not kind:     # rejects True for an int, too
+            raise ValueError(f"missing or malformed '{key}' in witness")
+        return value
+
+    bound = field("bound", int)
+    edges = []
+    for pair in field("precedence", list):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(name, str) for name in pair)):
+            raise ValueError(f"bad precedence entry {pair!r} in witness")
+        edges.append((symbol(pair[0]), symbol(pair[1])))
     status: dict[FunctionSymbol, Status] = {}
-    for name, st in data["status"].items():
+    for name, st in field("status", dict).items():
         k = str(st)[4:-1]
         if st == "lex":
             status[symbol(name)] = LEX
@@ -298,7 +311,7 @@ def params_from_dict(data: dict, signature) -> HorpoParams:
             status[symbol(name)] = Mul(int(k))
         else:
             raise ValueError(f"bad status {st!r} in witness")
-    return HorpoParams(edges, status, int(data["bound"]))
+    return HorpoParams(edges, status, bound)
 
 
 @dataclass

@@ -6,9 +6,9 @@ Yes, No (with a verified counterexample), or Unknown.
 
 The decision pipeline:
   1. ground queries are evaluated outright;
-  2. syntactic fast paths (psi a conjunct of phi, reflexive weak-ordering
-     instances) and a linear-arithmetic fast path over the expansion of the
-     ordering symbols;
+  2. one fast path over the expansion of the ordering symbols: at some
+     level of its conjunctions and disjunctions, psi is an atom of phi or
+     the sum of at most two linear atoms of phi (or one taken twice);
   3. a bounded search for counterexamples over small value assignments,
      evaluating phi and psi compiled once per query (every hit is
      re-verified with `theory.interpret` before it is reported);
@@ -116,9 +116,11 @@ def expand_orderings(term: Term, bound: int) -> Term:
     """Rewrite applications of the ordering symbols into base theory
     operators: x !> y on Int becomes (x > b) /\\ (x > y), the weak version
     adds the equality disjunct; on Bool, x !> y becomes x /\\ not y and the
-    weak version x \\/ not y."""
+    weak version x \\/ not y; s !>= s becomes true on either sort."""
     head, args = term.spine()
     if isinstance(head, FunctionSymbol) and head in _ORDERING and len(args) == 2:
+        if args[0] == args[1] and (head is SUPEQ_INT or head is SUPEQ_BOOL):
+            return TRUE
         x = expand_orderings(args[0], bound)
         y = expand_orderings(args[1], bound)
         if head is SUP_INT or head is SUPEQ_INT:
@@ -128,8 +130,10 @@ def expand_orderings(term: Term, bound: int) -> Term:
             return AND.apply(x, NOT.apply(y))
         return OR.apply(x, NOT.apply(y))  # weak Bool ordering
     if isinstance(term, App):
-        return App(expand_orderings(term.head, bound),
-                   expand_orderings(term.arg, bound))
+        head = expand_orderings(term.head, bound)
+        arg = expand_orderings(term.arg, bound)
+        if head is not term.head or arg is not term.arg:
+            return App(head, arg)
     return term
 
 
@@ -262,16 +266,13 @@ class _Premises:
     # goal checks ----------------------------------------------------------
 
     def derives_ge0(self, g: Poly) -> bool:
-        k = _poly_const(g)
-        if k is not None:
-            return k >= 0
-        for p in self.ge0:
-            k = _poly_const(_poly_add(g, p, -1))
-            if k is not None and k >= 0:
-                return True
-        for p, q in itertools.combinations(self.ge0, 2):
-            k = _poly_const(_poly_add(_poly_add(g, p, -1), q, -1))
-            if k is not None and k >= 0:
+        """g >= 0 when g - (p + q) is a nonnegative constant for premises
+        p, q, each of them possibly the trivial fact 0 >= 0, or both the
+        same premise."""
+        for p, q in itertools.combinations_with_replacement(
+                [({}, 0)] + self.ge0, 2):
+            coeffs, k = _poly_add(p, q, 1)
+            if coeffs == g[0] and g[1] >= k:
                 return True
         return False
 
@@ -288,7 +289,7 @@ class _Premises:
 
 
 def _goal_holds(goal: Term, premises: _Premises) -> bool:
-    if premises.contradictory or goal == TRUE:
+    if premises.contradictory or goal == TRUE or goal in premises.literals:
         return True
     head, args = goal.spine()
     if head is AND and len(args) == 2:
@@ -297,7 +298,7 @@ def _goal_holds(goal: Term, premises: _Premises) -> bool:
         return _goal_holds(args[0], premises) or _goal_holds(args[1], premises)
     linear = _linear_atom(goal)
     if linear is None:
-        return goal in premises.literals
+        return False
     if linear[0] is NE:
         return premises.derives_ne0(linear[1])
     return all(premises.derives_ge0(p) for p in _ge0_facts(*linear))
@@ -515,8 +516,6 @@ class Solver:
                     return YES
                 return No({})
             return YES  # antecedent unsatisfiable
-        if self._syntactic_yes(phi, psi):
-            return YES
         expanded_phi = expand_orderings(phi, self.bound)
         expanded_psi = expand_orderings(psi, self.bound)
         if _goal_holds(expanded_psi, _Premises(expanded_phi)):
@@ -527,18 +526,6 @@ class Solver:
         if self.smt_command:
             return self._ask_smt(phi, psi, varset)
         return Unknown("fast paths inconclusive and no SMT solver configured")
-
-    def _syntactic_yes(self, phi: Term, psi: Term) -> bool:
-        premises = _conjuncts(phi)
-        for goal in _conjuncts(psi):
-            if goal == TRUE or goal in premises:
-                continue
-            head, args = goal.spine()
-            if head in (SUPEQ_INT, SUPEQ_BOOL) and len(args) == 2 \
-                    and args[0] == args[1]:
-                continue  # reflexive weak-ordering instance
-            return False
-        return True
 
     def _assignments(self, variables: list[Variable]) -> Iterable[tuple]:
         """Value tuples for `variables`: all of them in product order when

@@ -197,6 +197,21 @@ class TestProve:
         run_cli(capsys, "prove", path, "--smt-cmd", "solver-from-flag")
         assert seen == [None, "solver-from-env", "solver-from-flag"]
 
+    def test_witness_that_needs_the_smt_solver_is_verified(self, capsys,
+                                                             tmp_path):
+        # only the external solver shows x * x * x > 8 entails x !> x - 1,
+        # so the re-check of the witness must ask it too
+        path = tmp_path / "cube.lcstrs"
+        path.write_text("fun f : Int -> Int\n"
+                        "rule f x -> f (x - 1) [x * x * x > 8]\n")
+        smt = f"{sys.executable} {REPO / 'tests' / 'fake_smt.py'} eval"
+        code, out, _ = run_cli(capsys, "prove", str(path), "--smt-cmd", smt)
+        assert (code, out.splitlines()[0]) == (0, "TERMINATING")
+        code, payload, _ = run_json(capsys, "prove", str(path),
+                                    "--smt-cmd", smt)
+        assert (code, payload["ok"]) == (0, True)
+        assert run_cli(capsys, "prove", str(path))[0] == 2
+
 
 class TestMalformedOptionValues:
     @pytest.mark.parametrize("argv, message", [

@@ -246,6 +246,12 @@ class TestFindWitness:
         assert isinstance(witness, Witness)
         assert witness.params.bound == -3
 
+    def test_file_bound_is_the_default(self):
+        assert ProverConfig().bounds is None
+        witness = find_witness(parse_system("option bound -3\n" + DOWN))
+        assert isinstance(witness, Witness)
+        assert witness.params.bound == -3
+
 
 class TestCheckWitness:
     def test_handpicked_witness(self, fact_system):
@@ -306,7 +312,8 @@ def exhaustive_find_witness(system, config):
     bound."""
     defined = system.defined_symbols()
     budget = prover._Budget(config.timeout)
-    for bound in dict.fromkeys(config.bounds):
+    bounds = (system.bound,) if config.bounds is None else config.bounds
+    for bound in dict.fromkeys(bounds):
         solver = Solver(smt_command=config.smt_command, bound=bound)
         for combo in itertools.product(
                 *(prover._status_options(f) for f in defined)):

@@ -208,6 +208,23 @@ class TestWitnessDocument:
             params_from_dict(data, fact_system.signature)
         assert str(raised.value) == f"bad status {status!r} in witness"
 
+    @pytest.mark.parametrize("key, value", [
+        ("bound", 1.9), ("bound", True), ("bound", "2"), ("bound", None),
+        ("status", None), ("precedence", None),
+        ("precedence", [["fact"]]), ("precedence", [["fact", 1]]),
+        ("precedence", [["init", "fact", "exit"]]), ("precedence", ["if"]),
+    ], ids=["bound-float", "bound-bool", "bound-string", "no-bound",
+            "no-status", "no-precedence", "pair-of-one", "pair-with-int",
+            "pair-of-three", "pair-as-string"])
+    def test_malformed_document_rejected(self, fact_system, key, value):
+        data = json.loads(json.dumps(find_witness(fact_system).to_dict()))
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+        with pytest.raises(ValueError, match=" in witness$"):
+            params_from_dict(data, fact_system.signature)
+
 
 class TestSolverEdges:
     def test_contradictory_antecedent_entails_anything(self, fact_system):

@@ -66,6 +66,27 @@ class TestFastPaths:
         verdict = Solver().entails(P("n > 0 /\\ n < 7"), P("n < 7"))
         assert verdict.is_yes
 
+    def test_premise_used_twice(self, fact_system):
+        ctx = {}
+        phi = parse_term("z - x < 3", fact_system, ctx)
+        psi = parse_term("z - x + (z - x) < 3 + 3", fact_system, ctx)
+        assert Solver().entails(phi, psi).is_yes
+
+    def test_premise_literal_inside_a_disjunction(self, fact_system):
+        ctx = {v: Variable(v, BOOL_T) for v in "abc"}
+        phi = parse_term("a \\/ b", fact_system, ctx)
+        psi = parse_term("(a \\/ b) \\/ c", fact_system, ctx)
+        assert Solver().entails(phi, psi, variables=psi.free_vars).is_yes
+
+    @pytest.mark.parametrize("goal", ["p !>= p", "false !>= false",
+                                      "x * y !>= x * y"])
+    def test_reflexive_weak_ordering_on_both_sorts(self, fact_system, goal):
+        ctx = {"p": Variable("p", BOOL_T)}
+        phi = parse_term("n > 0", fact_system, ctx)
+        psi = parse_term(goal, fact_system, ctx)
+        variables = phi.free_vars | psi.free_vars
+        assert Solver().entails(phi, psi, variables).is_yes
+
     def test_linear_combination(self):
         # two-premise combination: a > 0 and b > 0 entail a + b > 1
         a = Variable("a", INT_T)
@@ -250,6 +271,9 @@ class TestSmtTranslation:
         ctx = {"a": Variable("a", BOOL_T), "b": Variable("b", BOOL_T)}
         t = parse_term("a !> b", fact_system, ctx)
         assert to_smtlib(t) == "(and a (not b))"
+
+    def test_reflexive_weak_ordering_is_true(self, P):
+        assert to_smtlib(P("n !>= n")) == "true"
 
     def test_true_literal(self, P):
         assert to_smtlib(P("true")) == "true"

@@ -252,11 +252,18 @@ def multiset_extension_search(m: int, n: int,
 class Horpo:
     """One proof context: parameters, a solver, and memoized judgments.
 
-    Also records, per orientation attempt, which precedence queries failed
-    (useful to drive a parameter search), whose statuses were read (a
-    search need not retry statuses that went unread), which entailment
-    checks came back Unknown, and the deepest point where a derivation
-    attempt failed.
+    Also records, per orientation attempt, every question it asks of the
+    parameters: the precedence queries between non-theory symbols that held
+    (`prec_hits`) and that failed (`prec_misses`, which drive a parameter
+    search), and the symbols whose status it read (`status_reads`; a search
+    need not retry statuses that went unread). Besides the bound, these are
+    its only reads of the parameters, so its result holds for any
+    parameters with the same bound that answer them alike. The prover
+    relies on this: per rule, it keeps a record of the judgment, these
+    answers, the entailment checks that came back Unknown (`unknowns`) and
+    the deepest point where a derivation attempt failed
+    (`deepest_failure`), but not the memo, and reuses it in place of a
+    fresh engine.
     """
 
     def __init__(self, params: HorpoParams, solver: Optional[Solver] = None):
@@ -270,6 +277,7 @@ class Horpo:
         self.solver = solver
         self._memo: dict = {}
         self._depth = 0
+        self.prec_hits: set[tuple[FunctionSymbol, FunctionSymbol]] = set()
         self.prec_misses: set[tuple[FunctionSymbol, FunctionSymbol]] = set()
         self.status_reads: set[FunctionSymbol] = set()
         self.unknowns: list[str] = []
@@ -479,14 +487,17 @@ class Horpo:
                                     children=(left, right))
         # (3) smaller head symbol by precedence
         if isinstance(t_head, FunctionSymbol):
-            if self.params.prec_gt(s_head, t_head):
+            above = self.params.prec_gt(s_head, t_head)
+            # only between two distinct non-theory symbols does the answer
+            # depend on the parameters
+            if not (s_head.is_theory or t_head.is_theory) and s_head != t_head:
+                (self.prec_hits if above else self.prec_misses).add(
+                    (s_head, t_head))
+            if above:
                 children = self._below(s, t_args, phi, cvars)
                 if children is not None:
                     return Judgment("rpo", "rpo:precedence", s, t, phi, cvars,
                                     children=children)
-            elif (s_head != t_head and not s_head.is_theory
-                  and not t_head.is_theory):
-                self.prec_misses.add((s_head, t_head))
         # (4)/(5) same head: compare argument lists by the head's status
         if isinstance(t_head, FunctionSymbol) and t_head == s_head and t_args:
             status = self.params.status_of(s_head)

@@ -26,8 +26,20 @@ The state of the whole search lives in one `_Budget`: the deadline and
 whether it has passed, the attempts covered, and the furthest failure,
 which the report names. Each distinct bound is searched once.
 
+Under one bound, orienting a rule depends on the parameters only through
+the precedence pairs and statuses the engine asked about. So each rule
+keeps records across all the attempts and status assignments of a bound,
+one per distinct set of answers: the judgment, the precedence pairs asked
+and found, those asked and not found, the statuses read, the entailments
+that came back Unknown and the deepest failure. An attempt reuses a
+record when its parameters answer every one of those questions alike, and
+only otherwise orients the rule afresh and adds a record. The bound's
+solver keeps every verdict, so a reused record is what a fresh engine
+would give: the same witness, failure report and attempt count.
+
 A found witness is self-certifying: `check_witness` replays every rule
-from scratch with fresh caches.
+from scratch with fresh engines and, unless given one, a fresh solver; it
+reuses no record.
 """
 
 from __future__ import annotations
@@ -35,9 +47,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
-from .core import FunctionSymbol
+from .core import FunctionSymbol, LcstrsError, Rule
 from .horpo import LEX, Horpo, HorpoParams, Judgment, Mul, Status
 from .solver import Solver
 from .syntax import System, print_rule, print_term
@@ -144,6 +156,32 @@ class FailureReport:
 ProveResult = Union[Witness, FailureReport]
 
 
+class _Orientation(NamedTuple):
+    """The outcome of orienting one rule, and every precedence and status
+    answer it used: with the bound, all it depends on. The memo of the
+    engine that computed it is not kept."""
+    judgment: Optional[Judgment]
+    hits: set                   # precedence pairs asked and found
+    misses: set                 # precedence pairs asked and not found
+    statuses: tuple             # (symbol, status) of each status read
+    unknowns: list
+    deepest_failure: Optional[tuple[int, str]]    # rendered on failure
+
+    @classmethod
+    def of(cls, engine: Horpo, rule: Rule) -> "_Orientation":
+        judgment = engine.orient_rule(rule)
+        return cls(judgment, engine.prec_hits, engine.prec_misses,
+                   tuple((f, engine.params.status_of(f))
+                         for f in engine.status_reads),
+                   engine.unknowns,
+                   engine.deepest_failure if judgment is None else None)
+
+    def holds_under(self, params: HorpoParams) -> bool:
+        return (all(params.prec_gt(f, g) for f, g in self.hits)
+                and not any(params.prec_gt(f, g) for f, g in self.misses)
+                and all(params.status_of(f) == st for f, st in self.statuses))
+
+
 class _Budget:
     """The state of one search: its deadline, whether that has passed, the
     orientation attempts covered, and the furthest failure."""
@@ -152,9 +190,9 @@ class _Budget:
         self.deadline = time.monotonic() + timeout
         self.expired = False
         self.attempts = 0
-        # (index of the first rule not oriented, the engine that failed on
-        # it) of the first attempt that oriented the most rules
-        self.failure: Optional[tuple[int, Horpo]] = None
+        # (index of the first rule not oriented, the record of its failed
+        # orientation) of the first attempt that oriented the most rules
+        self.failure: Optional[tuple[int, _Orientation]] = None
 
     def exceeded(self) -> bool:
         if not self.expired:
@@ -182,6 +220,7 @@ def find_witness(system: System, config: Optional[ProverConfig] = None
 
     for bound in dict.fromkeys(bounds):     # each distinct bound once
         solver = Solver(smt_command=cfg.smt_command, bound=bound)
+        records: list[list[_Orientation]] = [[] for _ in system.rules]
         # the sorted read positions of a failed search -> {the statuses at
         # those positions: the attempts it made}
         refuted: dict = {}
@@ -205,7 +244,8 @@ def find_witness(system: System, config: Optional[ProverConfig] = None
                     continue
                 made = budget.attempts
                 outcome = _search_precedence(
-                    system, dict(zip(defined, prefix)), bound, solver, budget)
+                    system, dict(zip(defined, prefix)), bound, solver, budget,
+                    records)
                 if isinstance(outcome, Witness):
                     return outcome
                 # statuses of symbols without rules are lex in every tuple
@@ -229,22 +269,25 @@ def find_witness(system: System, config: Optional[ProverConfig] = None
     gave_up = budget.expired
     if budget.failure is not None:
         # rendered once, for the report that is shown
-        index, engine = budget.failure
-        deepest = engine.deepest_failure
+        index, record = budget.failure
+        deepest = record.deepest_failure
         failures = (RuleFailure(index + 1, print_rule(system.rules[index]),
                                 deepest[1] if deepest else None,
-                                tuple(engine.unknowns)),)
-        gave_up = gave_up or bool(engine.unknowns)
+                                tuple(record.unknowns)),)
+        gave_up = gave_up or bool(record.unknowns)
     return FailureReport(failures, budget.attempts, gave_up)
 
 
 def _search_precedence(system: System, status: dict, bound: int,
-                       solver: Solver, budget: _Budget
+                       solver: Solver, budget: _Budget,
+                       records: list[list[_Orientation]]
                        ) -> Union[Witness, set[FunctionSymbol]]:
     """Depth-first growth of the precedence edge set for one status/bound
-    choice. Each failed attempt is offered to `budget.failure`. Returns a
-    Witness, or else the symbols whose status any engine of any attempt
-    read."""
+    choice. `records` holds each rule's orientations under this bound and
+    `solver` so far: a rule is oriented afresh, and its record appended,
+    only when none of them holds under the attempt's parameters. Each
+    failed attempt is offered to `budget.failure`. Returns a Witness, or
+    else the symbols whose status any orientation of any attempt read."""
     visited: set[frozenset] = set()
     reads: set[FunctionSymbol] = set()
     stack: list[frozenset] = [frozenset()]
@@ -259,18 +302,21 @@ def _search_precedence(system: System, status: dict, bound: int,
         params = HorpoParams(edges, status, bound)
         derivations = []
         for index, rule in enumerate(system.rules):
-            engine = Horpo(params, solver)
-            judgment = engine.orient_rule(rule)
-            reads.update(engine.status_reads)
-            if judgment is None:
+            record = next((r for r in records[index] if r.holds_under(params)),
+                          None)
+            if record is None:
+                record = _Orientation.of(Horpo(params, solver), rule)
+                records[index].append(record)
+            reads.update(f for f, _ in record.statuses)
+            if record.judgment is None:
                 break
-            derivations.append(judgment)
+            derivations.append(record.judgment)
         else:
             return Witness(params, tuple(derivations))
         if budget.failure is None or index > budget.failure[0]:
-            budget.failure = (index, engine)
+            budget.failure = (index, record)
         # pushed in reverse, so the first miss is grown first
-        for f, g in reversed(sorted(engine.prec_misses,
+        for f, g in reversed(sorted(record.misses,
                                     key=lambda e: (e[0].name, e[1].name))):
             # a miss relates two distinct non-theory symbols, so this
             # holds exactly when f is reachable from g: f > g would close
@@ -304,14 +350,16 @@ def params_from_dict(data: dict, signature) -> HorpoParams:
         edges.append((symbol(pair[0]), symbol(pair[1])))
     status: dict[FunctionSymbol, Status] = {}
     for name, st in field("status", dict).items():
-        k = str(st)[4:-1]
-        if st == "lex":
-            status[symbol(name)] = LEX
-        elif st == f"mul({k})" and k.isascii() and k.isdigit() and int(k) >= 2:
-            status[symbol(name)] = Mul(int(k))
-        else:
+        f = symbol(name)
+        # only a status the search can give f, spelled as `to_dict` does
+        found = [o for o in _status_options(f) if repr(o) == st]
+        if not found:
             raise ValueError(f"bad status {st!r} in witness")
-    return HorpoParams(edges, status, bound)
+        status[f] = found[0]
+    try:
+        return HorpoParams(edges, status, bound)
+    except LcstrsError as error:        # a cycle, or a theory symbol
+        raise ValueError(f"{error} in witness") from None
 
 
 @dataclass

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import LIST_SYSTEM, blowup_system
+from helpers import LIST_SYSTEM, all_read_system, blowup_system
 from lcstrs import prover
-from lcstrs.horpo import LEX, HorpoParams, Mul
+from lcstrs.horpo import LEX, Horpo, HorpoParams, Mul
 from lcstrs.prover import (
     FailureReport, ProverConfig, RuleFailure, Witness, check_witness,
     find_witness,
@@ -66,6 +66,31 @@ BRANCHING = ("fun s : Int -> Int\nfun f : Int -> Int\n"
 # 120 edges, one attempt per edge
 CHAIN = ("".join(f"fun f{i} : Int -> Int\n" for i in range(121))
          + "".join(f"rule f{i} x -> f{i + 1} x [true]\n" for i in range(120)))
+
+# Rule 2 needs p > q. The search for c = lex first orients it under p > q,
+# which rule 1 needs under lex; rule 3 holds only under mul(2). The search
+# for c = mul(2) reaches rule 2 under no edge, so reusing the record made
+# under p > q would be unsound there.
+REUSED_ACROSS_TUPLES = """\
+fun c : Int -> Int -> Int
+fun p : Int -> Int
+fun q : Int -> Int
+rule c (p x) (q x) -> c (q x) x [true]
+rule p x -> q x [true]
+rule c x y -> c y (x - 1) [x > 0 /\\ y > x]
+"""
+# Rule 1 holds under f > h or g > h; rule 2 only under f > h, and rule 3
+# only under h > f. The branch g > h reaches rule 2 without the edge its
+# record from the branch f > h used; reusing it would orient the loop
+# f x -> h x -> f x.
+REUSED_ACROSS_BRANCHES = """\
+fun f : Int -> Int
+fun g : Int -> Int
+fun h : Int -> Int
+rule f (g x) -> h x [true]
+rule f x -> h x [true]
+rule h x -> f x [true]
+"""
 
 
 def symbols(system, *names):
@@ -309,7 +334,8 @@ class TestWitnessOutput:
 def exhaustive_find_witness(system, config):
     """Reference for `find_witness`: `_search_precedence` on every tuple of
     the status product, in order, with no skipping, for each distinct
-    bound."""
+    bound. Each search starts from no orientation records, so no rule's
+    orientation is reused from another status tuple's search."""
     defined = system.defined_symbols()
     budget = prover._Budget(config.timeout)
     bounds = (system.bound,) if config.bounds is None else config.bounds
@@ -318,7 +344,8 @@ def exhaustive_find_witness(system, config):
         for combo in itertools.product(
                 *(prover._status_options(f) for f in defined)):
             outcome = prover._search_precedence(
-                system, dict(zip(defined, combo)), bound, solver, budget)
+                system, dict(zip(defined, combo)), bound, solver, budget,
+                [[] for _ in system.rules])
             if isinstance(outcome, Witness):
                 return outcome
             if budget.expired:
@@ -328,23 +355,27 @@ def exhaustive_find_witness(system, config):
     failures = ()
     gave_up = budget.expired
     if budget.failure is not None:
-        index, engine = budget.failure
-        deepest = engine.deepest_failure
+        index, record = budget.failure
+        deepest = record.deepest_failure
         failures = (RuleFailure(index + 1, print_rule(system.rules[index]),
                                 deepest[1] if deepest else None,
-                                tuple(engine.unknowns)),)
-        gave_up = gave_up or bool(engine.unknowns)
+                                tuple(record.unknowns)),)
+        gave_up = gave_up or bool(record.unknowns)
     return FailureReport(failures, budget.attempts, gave_up)
 
 
 DIFFERENTIAL_CASES = {
     **{f"blowup_k{k}": (blowup_system(k), ProverConfig()) for k in range(2, 6)},
+    **{f"all_read_k{k}": (all_read_system(k), ProverConfig())
+       for k in range(2, 5)},
     "list": (LIST_SYSTEM, ProverConfig()),
     **{f"systems_{path.stem}": (path.read_text(), ProverConfig())
        for path in sorted(SYSTEMS.glob("*.lcstrs"))},
     "fact_bounds_0_1": ((SYSTEMS / "fact.lcstrs").read_text(),
                         ProverConfig(bounds=(0, 1))),
     "loop": (LOOP, ProverConfig()),
+    "reused_across_tuples": (REUSED_ACROSS_TUPLES, ProverConfig()),
+    "reused_across_branches": (REUSED_ACROSS_BRANCHES, ProverConfig()),
     "planted": (PLANTED, ProverConfig()),
     "swap": (SWAP, ProverConfig()),
     "query_cap": (QUERY_CAP, ProverConfig()),
@@ -368,3 +399,50 @@ class TestPrunedStatusWalk:
         got = find_witness(system, config)
         assert type(got) is type(expected)
         assert got.to_dict() == expected.to_dict()
+
+
+class TestOrientationRecords:
+    """A rule is oriented afresh only when a precedence or status answer
+    its earlier orientations used comes out differently."""
+
+    @staticmethod
+    def fresh_orientations(monkeypatch, text: str):
+        count = [0]
+        orient = Horpo.orient_rule
+
+        def counted(self, rule):
+            count[0] += 1
+            return orient(self, rule)
+
+        monkeypatch.setattr(Horpo, "orient_rule", counted)
+        return find_witness(parse_system(text)), count[0]
+
+    def test_all_read_orients_each_rule_once_per_status(self, monkeypatch):
+        # 3^k precedence searches; each h rule has one record per status of
+        # its symbol, and the loop rule one (5103 orientations at k=6 when
+        # every attempt orients every rule it reaches afresh)
+        k = 6
+        report, fresh = self.fresh_orientations(monkeypatch,
+                                                all_read_system(k))
+        assert isinstance(report, FailureReport)
+        assert report.searched == 3 ** k
+        assert fresh <= 3 * k + 1
+
+    def test_blowup_orients_each_rule_at_most_twice(self, monkeypatch):
+        # two precedence searches (44 orientations at k=7 without records)
+        k = 7
+        witness, fresh = self.fresh_orientations(monkeypatch,
+                                                 blowup_system(k))
+        assert isinstance(witness, Witness)
+        assert fresh <= 2 * k + 2
+
+    def test_a_record_holds_only_where_its_precedence_hits_do(self):
+        system = parse_system(REUSED_ACROSS_TUPLES)
+        witness = find_witness(system)
+        assert isinstance(witness, Witness)
+        p, q = symbols(system, "p", "q")
+        assert witness.params.edges == {(p, q)}
+        assert check_witness(witness, system).ok
+        report = find_witness(parse_system(REUSED_ACROSS_BRANCHES))
+        assert isinstance(report, FailureReport) and not report.gave_up
+        assert report.searched == 4

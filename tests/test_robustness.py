@@ -213,9 +213,15 @@ class TestWitnessDocument:
         ("status", None), ("precedence", None),
         ("precedence", [["fact"]]), ("precedence", [["fact", 1]]),
         ("precedence", [["init", "fact", "exit"]]), ("precedence", ["if"]),
+        ("status", {"init": "mul(3)"}), ("status", {"fact": "mul(9)"}),
+        ("status", {"fact": "mul(02)"}),
+        ("precedence", [["init", "init"]]),
+        ("precedence", [["init", "fact"], ["fact", "init"]]),
     ], ids=["bound-float", "bound-bool", "bound-string", "no-bound",
             "no-status", "no-precedence", "pair-of-one", "pair-with-int",
-            "pair-of-three", "pair-as-string"])
+            "pair-of-three", "pair-as-string", "mul-on-constant",
+            "mul-wider-than-symbol", "mul-not-as-printed", "self-loop",
+            "two-cycle"])
     def test_malformed_document_rejected(self, fact_system, key, value):
         data = json.loads(json.dumps(find_witness(fact_system).to_dict()))
         if value is None:

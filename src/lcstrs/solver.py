@@ -5,16 +5,18 @@ variables that satisfies phi also satisfies psi. Verdicts are three-valued:
 Yes, No (with a verified counterexample), or Unknown.
 
 The decision pipeline:
-  1. ground queries are evaluated outright;
-  2. one fast path over the expansion of the ordering symbols: at some
-     level of its conjunctions and disjunctions, psi is an atom of phi or
-     the sum of at most two linear atoms of phi (or one taken twice);
-  3. a bounded search for counterexamples over small value assignments,
+  1. a refutation of phi /\\ not psi, the ordering symbols expanded: a
+     case split over `/\\`, `\\/` and `not`, where an atom that is not a
+     linear comparison is an opaque literal, and Fourier-Motzkin
+     elimination over the integers of each case's linear facts (a `!=`
+     split last into `>` or `<`); past `REFUTATION_LIMIT` cases or facts
+     it gives up;
+  2. a bounded search for counterexamples over small value assignments,
      evaluating phi and psi compiled once per query (every hit is
      re-verified with `theory.interpret` before it is reported);
-  4. an external SMT solver over SMT-LIB 2 (QF_LIA), if configured.
+  3. an external SMT solver over SMT-LIB 2 (QF_LIA), if configured.
 
-Stages 1-3 need no external tooling; stage 4 only ever strengthens the
+Stages 1-2 need no external tooling; stage 3 only ever strengthens the
 answer (unsat gives Yes, a model is verified by evaluation before a No is
 returned, anything else is Unknown).
 """
@@ -137,50 +139,43 @@ def expand_orderings(term: Term, bound: int) -> Term:
     return term
 
 
-def _conjuncts(term: Term) -> list[Term]:
-    head, args = term.spine()
-    if head is AND and len(args) == 2:
-        return _conjuncts(args[0]) + _conjuncts(args[1])
-    return [term]
-
-
 # ---------------------------------------------------------------------------
-# Linear fast path
+# Refutation: a case split, then Fourier-Motzkin elimination
 
-Poly = tuple[dict[Variable, int], int]
+# coefficients by variable name, and the constant
+Poly = tuple[dict[str, int], int]
 
 # comparison -> the (sign, shift) pairs for which the comparison says
-# sign * (left - right) + shift >= 0; `!=` is handled on its own
+# sign * (left - right) + shift >= 0; a `!=` is split into `>` or `<`
 _GE0 = {GE: ((1, 0),), GT: ((1, -1),), LE: ((-1, 0),), LT: ((-1, -1),),
         EQ: ((1, 0), (-1, 0))}
+# comparison -> the comparison that holds exactly when it does not
+_COMPLEMENT = {GE: LT, GT: LE, LE: GT, LT: GE, EQ: NE, NE: EQ}
 
 
 def _linearize(term: Term) -> Optional[Poly]:
     """Integer term -> linear polynomial (coefficients, constant), or None
     if the term is nonlinear or not built from the arithmetic fragment."""
     if isinstance(term, Variable):
-        return ({term: 1}, 0)
+        return ({term.name: 1}, 0)
     if isinstance(term, FunctionSymbol):
         if term.is_value and term.type.sort == INT:
             return ({}, theory.semantic_value(term))
         return None
     head, args = term.spine()
-    if len(args) != 2 or head not in (ADD, SUB, MUL):
+    if len(args) != 2 or not (head is ADD or head is SUB or head is MUL):
         return None
-    left = _linearize(args[0])
-    right = _linearize(args[1])
+    left, right = _linearize(args[0]), _linearize(args[1])
     if left is None or right is None:
         return None
     if head is ADD:
         return _poly_add(left, right, 1)
     if head is SUB:
         return _poly_add(left, right, -1)
-    lc, lk = left
-    rc, rk = right
-    if not lc:
-        return _poly_scale(right, lk)
-    if not rc:
-        return _poly_scale(left, rk)
+    if not left[0]:
+        return _poly_scale(right, left[1])
+    if not right[0]:
+        return _poly_scale(left, right[1])
     return None  # product of two non-constant terms
 
 
@@ -194,114 +189,107 @@ def _poly_add(a: Poly, b: Poly, sign: int) -> Poly:
 
 
 def _poly_scale(p: Poly, k: int) -> Poly:
-    if k == 0:
-        return ({}, 0)
-    return {v: c * k for v, c in p[0].items()}, p[1] * k
+    return ({v: c * k for v, c in p[0].items()} if k else {}), p[1] * k
 
 
-def _poly_const(p: Poly) -> Optional[int]:
-    return p[1] if not p[0] else None
-
-
-def _shift(p: Poly, k: int) -> Poly:
-    return p[0], p[1] + k
-
-
-def _linear_atom(atom: Term) -> Optional[tuple[FunctionSymbol, Poly]]:
-    """A comparison of two linear Int terms -> (operator, left - right),
-    or None for any other atom."""
-    head, args = atom.spine()
-    if len(args) != 2 or (head not in _GE0 and head is not NE):
+def _difference(head: Term, args: tuple) -> Optional[Poly]:
+    """left - right, for a comparison `head` of two linear Int terms; None
+    for any other atom."""
+    if len(args) != 2 or head not in _COMPLEMENT:
         return None
-    left = _linearize(args[0])
-    right = _linearize(args[1])
+    left, right = _linearize(args[0]), _linearize(args[1])
     if left is None or right is None:
         return None
-    return head, _poly_add(left, right, -1)
+    return _poly_add(left, right, -1)
 
 
-def _ge0_facts(op: FunctionSymbol, d: Poly) -> list[Poly]:
-    """The polynomials that `op`, applied to sides with difference `d`,
-    says are >= 0."""
-    return [_shift(_poly_scale(d, sign), shift) for sign, shift in _GE0[op]]
+REFUTATION_LIMIT = 64    # cases per query, and facts per case
 
 
-class _Premises:
-    """Facts extracted from the antecedent's conjuncts."""
-
-    def __init__(self, phi: Term):
-        self.ge0: list[Poly] = []       # polynomials known to be >= 0
-        self.ne0: list[Poly] = []       # polynomials known to be != 0
-        self.literals: set[Term] = set()
-        self.contradictory = False
-        for c in _conjuncts(phi):
-            self._absorb(c)
-
-    def _absorb(self, atom: Term) -> None:
-        if atom == TRUE:
-            return
-        if atom == FALSE:
-            self.contradictory = True
-            return
-        linear = _linear_atom(atom)
-        if linear is None:
-            self.literals.add(atom)
-        elif linear[0] is NE:
-            d = linear[1]
-            if _poly_const(d) == 0:
-                self.contradictory = True
-            self.ne0.append(d)
-        else:
-            for p in _ge0_facts(*linear):
-                self._add_ge0(p)
-
-    def _add_ge0(self, p: Poly) -> None:
-        k = _poly_const(p)
-        if k is not None:
-            if k < 0:
-                self.contradictory = True
-            return  # constant facts carry no information
-        self.ge0.append(p)
-
-    # goal checks ----------------------------------------------------------
-
-    def derives_ge0(self, g: Poly) -> bool:
-        """g >= 0 when g - (p + q) is a nonnegative constant for premises
-        p, q, each of them possibly the trivial fact 0 >= 0, or both the
-        same premise."""
-        for p, q in itertools.combinations_with_replacement(
-                [({}, 0)] + self.ge0, 2):
-            coeffs, k = _poly_add(p, q, 1)
-            if coeffs == g[0] and g[1] >= k:
-                return True
-        return False
-
-    def derives_ne0(self, g: Poly) -> bool:
-        k = _poly_const(g)
-        if k is not None:
-            return k != 0
-        neg = _poly_scale(g, -1)
-        if any(p == g or p == neg for p in self.ne0):
+def _refuted(phi: Term, psi: Term) -> bool:
+    """Whether `phi /\\ not psi`, both free of ordering symbols, has no
+    integer model: each case of it is refuted by `_infeasible`. False when
+    a case survives, or past `REFUTATION_LIMIT` cases."""
+    # a case: the formulas to take apart, each with its polarity; the
+    # polarity of each opaque atom; the facts p >= 0; and the disjunctions
+    # put off, the splits of `!=` at the bottom
+    stack = [([(phi, True), (psi, False)], {}, [], [])]
+    for _ in range(REFUTATION_LIMIT):
+        if not stack:
             return True
-        # strictly positive or strictly negative implies nonzero
-        return self.derives_ge0(_shift(g, -1)) or \
-            self.derives_ge0(_shift(neg, -1))
+        todo, literals, facts, later = stack.pop()
+        while todo:
+            term, positive = todo.pop()
+            head, args = term.spine()
+            if head is NOT:
+                todo.append((args[0], not positive))
+            elif head is AND or head is OR:
+                parts = [(args[0], positive), (args[1], positive)]
+                if (head is AND) == positive:
+                    todo += parts
+                else:
+                    later.append(parts)
+            elif isinstance(head, FunctionSymbol) and not args:  # true, false
+                if theory.semantic_value(head) != positive:
+                    break
+            elif (d := _difference(head, args)) is None:
+                if literals.setdefault(term, positive) != positive:
+                    break
+            elif (op := head if positive else _COMPLEMENT[head]) is not NE:
+                facts += [_poly_add(({}, shift), d, sign)
+                          for sign, shift in _GE0[op]]
+            elif d[0]:
+                later.insert(0, [(GT.apply(*args), True),
+                                 (LT.apply(*args), True)])
+            elif d[1] == 0:     # a constant: zero refutes, others hold
+                break
+        else:
+            if later:
+                first, second = later.pop()
+                stack.append(([second], dict(literals), facts[:], later[:]))
+                stack.append(([first], literals, facts, later))
+            elif not _infeasible(facts):
+                return False
+    return not stack
 
 
-def _goal_holds(goal: Term, premises: _Premises) -> bool:
-    if premises.contradictory or goal == TRUE or goal in premises.literals:
-        return True
-    head, args = goal.spine()
-    if head is AND and len(args) == 2:
-        return _goal_holds(args[0], premises) and _goal_holds(args[1], premises)
-    if head is OR and len(args) == 2:
-        return _goal_holds(args[0], premises) or _goal_holds(args[1], premises)
-    linear = _linear_atom(goal)
-    if linear is None:
-        return False
-    if linear[0] is NE:
-        return premises.derives_ne0(linear[1])
-    return all(premises.derives_ge0(p) for p in _ge0_facts(*linear))
+def _infeasible(facts: list[Poly]) -> bool:
+    """Whether no integer point satisfies every fact p >= 0, shown by
+    Fourier-Motzkin elimination with the gcd tightening of the Omega test
+    (Pugh, 1991): each fact is divided by the gcd of its coefficients, its
+    constant rounded down. False when the facts have a rational solution,
+    or past `REFUTATION_LIMIT` facts."""
+    while True:
+        tightest: dict[frozenset, Poly] = {}
+        for coeffs, k in facts:
+            g = math.gcd(*coeffs.values())   # 0 for a constant
+            if g > 1:
+                coeffs, k = {v: c // g for v, c in coeffs.items()}, k // g
+            key = frozenset(coeffs.items())
+            if key not in tightest or k < tightest[key][1]:
+                tightest[key] = coeffs, k
+        if tightest.pop(frozenset(), ({}, 0))[1] < 0:
+            return True
+        lower: dict[str, list] = {}     # the facts where v's coefficient
+        upper: dict[str, list] = {}     # is > 0, and where it is < 0
+        for p in tightest.values():
+            for v, c in p[0].items():
+                (lower if c > 0 else upper).setdefault(v, []).append(p)
+        both = [v for v in lower if v in upper]
+        if not both or len(tightest) > REFUTATION_LIMIT:
+            return False
+        # eliminate exactly, where all coefficients on one side are 1, if
+        # a variable allows it; else make the fewest new facts. A fact with
+        # a variable bounded on one side only is dropped.
+        x = min(both, key=lambda v: (
+            any(p[0][v] != 1 for p in lower[v])
+            and any(p[0][v] != -1 for p in upper[v]),
+            len(lower[v]) * len(upper[v])))
+        facts = [p for p in tightest.values() if x not in p[0] and all(
+            v in lower and v in upper for v in p[0])]
+        facts += [
+            _poly_add(_poly_scale(p, -q[0][x]), _poly_scale(q, p[0][x]), 1)
+            for p in lower[x] for q in upper[x]]
 
 
 # ---------------------------------------------------------------------------
@@ -510,15 +498,8 @@ class Solver:
     # -- pipeline stages -------------------------------------------------
 
     def _decide(self, phi: Term, psi: Term, varset: frozenset) -> Verdict:
-        if not varset:
-            if eval_ground_constraint(phi, self.bound):
-                if eval_ground_constraint(psi, self.bound):
-                    return YES
-                return No({})
-            return YES  # antecedent unsatisfiable
-        expanded_phi = expand_orderings(phi, self.bound)
-        expanded_psi = expand_orderings(psi, self.bound)
-        if _goal_holds(expanded_psi, _Premises(expanded_phi)):
+        if _refuted(expand_orderings(phi, self.bound),
+                    expand_orderings(psi, self.bound)):
             return YES
         counterexample = self._search_counterexample(phi, psi, varset)
         if counterexample is not None:
@@ -529,15 +510,21 @@ class Solver:
 
     def _assignments(self, variables: list[Variable]) -> Iterable[tuple]:
         """Value tuples for `variables`: all of them in product order when
-        there are at most `SEARCH_LIMIT`, else that many seeded draws."""
+        there are at most `SEARCH_LIMIT`, else that many seeded draws and
+        then the corners (each value its pool's least or greatest) when
+        there are at most `SEARCH_LIMIT` of those."""
         ints = tuple(dict.fromkeys(
             _SEARCH_INTS + (self.bound, self.bound + 1, self.bound - 1)))
         pools = [(False, True) if v.type == BOOL_T else ints for v in variables]
         if math.prod(len(p) for p in pools) <= SEARCH_LIMIT:
             return itertools.product(*pools)
         rng = random.Random(0)
-        return (tuple(rng.choice(pool) for pool in pools)
-                for _ in range(SEARCH_LIMIT))
+        draws = (tuple(rng.choice(pool) for pool in pools)
+                 for _ in range(SEARCH_LIMIT))
+        if 2 ** len(pools) > SEARCH_LIMIT:
+            return draws
+        return itertools.chain(draws, itertools.product(
+            *((min(p), max(p)) for p in pools)))
 
     def _search_counterexample(self, phi: Term, psi: Term, varset: frozenset
                                ) -> Optional[dict[Variable, SemValue]]:

@@ -156,6 +156,43 @@ class TestFastPaths:
         assert solver.queries == 2
 
 
+class TestRefutation:
+    """What the case split and the elimination over the integers prove
+    without an SMT solver, and what happens past their bound."""
+
+    @pytest.fixture
+    def Q(self, fact_system):
+        ctx = {"p": Variable("p", BOOL_T), "q": Variable("q", BOOL_T)}
+        return lambda text: parse_term(text, fact_system, ctx)
+
+    @pytest.mark.parametrize("phi, psi", [
+        ("x != y", "2 * x != 2 * y"),           # a scaled `!=` premise
+        ("(-1) = y + y", "false"),              # no integer is -1/2
+        ("true", "5 - z != z"),                 # nor 5/2
+        ("not true", "not q"),                  # the antecedent is false
+        ("p", "not false"),
+        ("x > 2 /\\ y <= 3", "x !>= y"),        # x = y = 3 or x > y
+    ])
+    def test_valid_without_smt(self, Q, phi, psi):
+        phi, psi = Q(phi), Q(psi)
+        verdict = Solver().entails(phi, psi, phi.free_vars | psi.free_vars)
+        assert verdict.is_yes
+
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_more_cases_than_the_limit(self, Q, valid):
+        # each `!=` of the negated goal doubles the cases: 2^8 or 2^7 of
+        # them, more than REFUTATION_LIMIT
+        values = range(8) if valid else (0, 1, 2, 3, 4, 6, 7)
+        phi = Q("0 <= x /\\ x <= 7")
+        psi = Q(" \\/ ".join(f"x = {v}" for v in values))
+        assert 2 ** len(values) > solver_module.REFUTATION_LIMIT
+        verdict = Solver().entails(phi, psi)
+        if valid:
+            assert not verdict.is_no
+        else:
+            assert repr(verdict) == "No(x=5)"
+
+
 class TestSoundnessSampling:
     def test_yes_verdicts_never_falsified(self, P):
         solver = Solver()
@@ -248,6 +285,9 @@ class TestCompiledConstraints:
         # 13^5 assignments exceed SEARCH_LIMIT: seeded random draws
         ("a + b + c + d + e > 150", "a > 50 \\/ b > 50", 0,
          "No(a=2, b=2, c=100, d=-1, e=100)"),
+        # no seeded draw refutes it: the first corner after them does
+        ("a * b + c * d > e /\\ e > 50", "a > 0 \\/ c > 0", 0,
+         "No(a=-10, b=-10, c=-10, d=-10, e=100)"),
     ])
     def test_first_counterexample_is_pinned(self, P, phi, psi, bound,
                                             expected):

@@ -5,12 +5,12 @@ variables that satisfies phi also satisfies psi. Verdicts are three-valued:
 Yes, No (with a verified counterexample), or Unknown.
 
 The decision pipeline:
-  1. a refutation of phi /\\ not psi, the ordering symbols expanded: a
-     case split over `/\\`, `\\/` and `not`, where an atom that is not a
-     linear comparison is an opaque literal, and Fourier-Motzkin
-     elimination over the integers of each case's linear facts (a `!=`
-     split last into `>` or `<`); past `REFUTATION_LIMIT` cases or facts
-     it gives up;
+  1. a refutation of phi /\\ not psi: a case split over `/\\`, `\\/`
+     and `not` that replaces an ordering atom by its expansion as it
+     meets it, where an atom that is not a linear comparison is an opaque
+     literal, and Fourier-Motzkin elimination over the integers of each
+     case's linear facts (a `!=` split last into `>` or `<`); past
+     `REFUTATION_LIMIT` cases or facts it gives up;
   2. a bounded search for counterexamples over small value assignments,
      evaluating phi and psi compiled once per query (every hit is
      re-verified with `theory.interpret` before it is reported);
@@ -35,12 +35,12 @@ from typing import Callable, Iterable, Optional, Sequence, ValuesView
 
 from . import theory
 from .core import (
-    App, BaseType, BOOL, BOOL_T, FunctionSymbol, INT, LcstrsError, Term,
+    BaseType, BOOL, BOOL_T, FunctionSymbol, INT, LcstrsError, Term,
     Variable, is_theory_sort_type,
 )
 from .theory import (
     ADD, AND, EQ, FALSE, GE, GT, LE, LT, MUL, NE, NOT, OR, SUB, SUP_BOOL,
-    SUP_INT, SUPEQ_BOOL, SUPEQ_INT, TRUE, SemValue, int_value, interpret,
+    SUP_INT, SUPEQ_BOOL, SUPEQ_INT, TRUE, SemValue, interpret,
 )
 
 
@@ -106,37 +106,6 @@ def _check_logical_constraint(term: Term, what: str) -> None:
         if not is_theory_sort_type(v.type):
             raise SolverError(
                 f"{what} has a variable '{v.name}' of non-theory type {v.type}")
-
-
-# ---------------------------------------------------------------------------
-# Ordering-symbol expansion
-
-_ORDERING = (SUP_INT, SUPEQ_INT, SUP_BOOL, SUPEQ_BOOL)
-
-
-def expand_orderings(term: Term, bound: int) -> Term:
-    """Rewrite applications of the ordering symbols into base theory
-    operators: x !> y on Int becomes (x > b) /\\ (x > y), the weak version
-    adds the equality disjunct; on Bool, x !> y becomes x /\\ not y and the
-    weak version x \\/ not y; s !>= s becomes true on either sort."""
-    head, args = term.spine()
-    if isinstance(head, FunctionSymbol) and head in _ORDERING and len(args) == 2:
-        if args[0] == args[1] and (head is SUPEQ_INT or head is SUPEQ_BOOL):
-            return TRUE
-        x = expand_orderings(args[0], bound)
-        y = expand_orderings(args[1], bound)
-        if head is SUP_INT or head is SUPEQ_INT:
-            strict = AND.apply(GT.apply(x, int_value(bound)), GT.apply(x, y))
-            return strict if head is SUP_INT else OR.apply(EQ.apply(x, y), strict)
-        if head is SUP_BOOL:
-            return AND.apply(x, NOT.apply(y))
-        return OR.apply(x, NOT.apply(y))  # weak Bool ordering
-    if isinstance(term, App):
-        head = expand_orderings(term.head, bound)
-        arg = expand_orderings(term.arg, bound)
-        if head is not term.head or arg is not term.arg:
-            return App(head, arg)
-    return term
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +175,10 @@ def _difference(head: Term, args: tuple) -> Optional[Poly]:
 REFUTATION_LIMIT = 64    # cases per query, and facts per case
 
 
-def _refuted(phi: Term, psi: Term) -> bool:
-    """Whether `phi /\\ not psi`, both free of ordering symbols, has no
-    integer model: each case of it is refuted by `_infeasible`. False when
-    a case survives, or past `REFUTATION_LIMIT` cases."""
+def _refuted(phi: Term, psi: Term, bound: int) -> bool:
+    """Whether `phi /\\ not psi` has no integer model, the ordering symbols
+    read relative to `bound`: each case of it is refuted by `_infeasible`.
+    False when a case survives, or past `REFUTATION_LIMIT` cases."""
     # a case: the formulas to take apart, each with its polarity; the
     # polarity of each opaque atom; the facts p >= 0; and the disjunctions
     # put off, the splits of `!=` at the bottom
@@ -233,7 +202,9 @@ def _refuted(phi: Term, psi: Term) -> bool:
                 if theory.semantic_value(head) != positive:
                     break
             elif (d := _difference(head, args)) is None:
-                if literals.setdefault(term, positive) != positive:
+                if (expanded := theory.expansion(head, args, bound)) is not None:
+                    todo.append((expanded, positive))
+                elif literals.setdefault(term, positive) != positive:
                     break
             elif (op := head if positive else _COMPLEMENT[head]) is not NE:
                 facts += [_poly_add(({}, shift), d, sign)
@@ -363,14 +334,14 @@ def _smt_name(name: str) -> str:
 def to_smtlib(constraint: Term, bound: int = 0) -> str:
     """Render a logical constraint as an SMT-LIB 2 term over QF_LIA.
 
-    Ordering symbols are expanded into linear arithmetic first, so the
-    output never contains uninterpreted functions.
+    Each ordering symbol is translated as its expansion into linear
+    arithmetic, so the output never contains uninterpreted functions.
     """
     _check_logical_constraint(constraint, "constraint")
-    return _to_sexp(expand_orderings(constraint, bound))
+    return _to_sexp(constraint, bound)
 
 
-def _to_sexp(term: Term) -> str:
+def _to_sexp(term: Term, bound: int) -> str:
     if isinstance(term, Variable):
         return _smt_name(term.name)
     if isinstance(term, FunctionSymbol):
@@ -383,10 +354,13 @@ def _to_sexp(term: Term) -> str:
             return str(n) if n >= 0 else f"(- {-n})"
         raise SolverError(f"unsupported symbol '{term.name}' in SMT translation")
     head, args = term.spine()
+    expanded = theory.expansion(head, args, bound)
+    if expanded is not None:
+        return _to_sexp(expanded, bound)
     op = _SMT_OPS.get(head)
     if op is None or len(args) != head.type.arity:
         raise SolverError(f"unsupported term in SMT translation: {term!r}")
-    return "(" + " ".join([op] + [_to_sexp(a) for a in args]) + ")"
+    return "(" + " ".join([op] + [_to_sexp(a, bound) for a in args]) + ")"
 
 
 _SMT_SORTS = {INT: "Int", BOOL: "Bool"}
@@ -498,8 +472,7 @@ class Solver:
     # -- pipeline stages -------------------------------------------------
 
     def _decide(self, phi: Term, psi: Term, varset: frozenset) -> Verdict:
-        if _refuted(expand_orderings(phi, self.bound),
-                    expand_orderings(psi, self.bound)):
+        if _refuted(phi, psi, self.bound):
             return YES
         counterexample = self._search_counterexample(phi, psi, varset)
         if counterexample is not None:

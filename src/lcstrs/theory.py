@@ -6,17 +6,20 @@ semantic domains, the interpretation of theory terms under an assignment of
 values to their variables, and root-level calculation.
 
 Semantic values are plain Python objects: `int` for Int and `bool` for Bool
-(exact, arbitrary-precision arithmetic). The ordering symbol on integers is
-interpreted relative to a configurable lower bound b:
+(exact, arbitrary-precision arithmetic). Each operator is a function of its
+argument values. An ordering symbol means its `expansion` into the
+operators, the one place where the configurable lower bound b enters:
 
-    x !> y   iff   x > b  and  x > y
+    x !> y   is   x > b /\\ x > y
 
-which is well founded for any finite b. On booleans, true !> false is the
-only strict pair. The weak versions are the reflexive closures.
+on integers, which is well founded for any finite b, and x /\\ not y on
+booleans, where true !> false is the only strict pair. The weak versions
+are the reflexive closures.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import lru_cache
 from typing import Mapping, Optional, Union
@@ -105,26 +108,35 @@ def _literal_resolver(name: str) -> Optional[FunctionSymbol]:
     return None
 
 
-#: the interpretation of each non-value theory symbol: a function of its
-#: argument values and the bound of the integer ordering symbols
+#: the interpretation of each operator: a function of its argument values
 _OPERATIONS = {
-    ADD: lambda x, y, b: x + y,
-    SUB: lambda x, y, b: x - y,
-    MUL: lambda x, y, b: x * y,
-    LE: lambda x, y, b: x <= y,
-    LT: lambda x, y, b: x < y,
-    GE: lambda x, y, b: x >= y,
-    GT: lambda x, y, b: x > y,
-    EQ: lambda x, y, b: x == y,
-    NE: lambda x, y, b: x != y,
-    AND: lambda x, y, b: x and y,
-    OR: lambda x, y, b: x or y,
-    NOT: lambda x, b: not x,
-    SUP_INT: lambda x, y, b: x > b and x > y,
-    SUPEQ_INT: lambda x, y, b: x == y or (x > b and x > y),
-    SUP_BOOL: lambda x, y, b: x and not y,
-    SUPEQ_BOOL: lambda x, y, b: x or not y,
+    ADD: operator.add, SUB: operator.sub, MUL: operator.mul,
+    LE: operator.le, LT: operator.lt, GE: operator.ge, GT: operator.gt,
+    EQ: operator.eq, NE: operator.ne,
+    AND: operator.and_, OR: operator.or_, NOT: operator.not_,
 }
+
+
+def expansion(head: Term, args: tuple[Term, ...], bound: int) -> Optional[Term]:
+    """What an ordering symbol applied to `args` means, one level deep, in
+    the operators: on Int, x !> y is (x > b) /\\ (x > y) for the bound b,
+    and x !>= y adds the disjunct x = y; on Bool, x !> y is x /\\ not y and
+    x !>= y is x \\/ not y; s !>= s is true on either sort. None for any
+    other head."""
+    if len(args) != 2:
+        return None
+    x, y = args
+    if head is SUP_INT or head is SUPEQ_INT:
+        if head is SUP_INT:
+            return AND.apply(GT.apply(x, int_value(bound)), GT.apply(x, y))
+        if x == y:
+            return TRUE
+        return OR.apply(EQ.apply(x, y), expansion(SUP_INT, args, bound))
+    if head is SUP_BOOL:
+        return AND.apply(x, NOT.apply(y))
+    if head is SUPEQ_BOOL:
+        return TRUE if x == y else OR.apply(x, NOT.apply(y))
+    return None
 
 
 def interpret(term: Term, bound: int = 0,
@@ -149,9 +161,12 @@ def _eval(term: Term, bound: int, values):
         return semantic_value(term)
     head, args = term.spine()
     operation = _OPERATIONS.get(head)
-    if operation is None:
+    if operation is not None:
+        return operation(*[_eval(a, bound, values) for a in args])
+    expanded = expansion(head, args, bound)
+    if expanded is None:
         raise TheoryError(f"no interpretation for symbol '{head.name}'")
-    return operation(*[_eval(a, bound, values) for a in args], bound)
+    return _eval(expanded, bound, values)
 
 
 def try_calculate(term: Term, bound: int = 0) -> Optional[Term]:
@@ -163,11 +178,14 @@ def try_calculate(term: Term, bound: int = 0) -> Optional[Term]:
     """
     head, args = term.spine()
     operation = _OPERATIONS.get(head)
-    if operation is None or not all(a.is_value for a in args):
+    if operation is None and not head.is_theory_term:   # the common miss
         return None
-    if not is_theory_sort_type(term.type):
+    if not all(a.is_value for a in args) or not is_theory_sort_type(term.type):
         return None
-    return value_symbol(operation(*map(semantic_value, args), bound))
+    if operation is not None:
+        return value_symbol(operation(*map(semantic_value, args)))
+    expanded = expansion(head, args, bound)
+    return None if expanded is None else value_symbol(_eval(expanded, bound, None))
 
 
 _BUILTINS = (

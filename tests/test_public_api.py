@@ -36,7 +36,7 @@ REMOVED = [
     "free_vars", "apply_subst", "validate_rule", "geq", "gt", "rpo",
     "lex_ext", "mul_ext", "orient_rule", "replay_judgment", "entails",
     "print_type", "SystemFile", "ThreadPoolExecutor", "_creates_cycle",
-    "_status_walk",
+    "_status_walk", "expand_orderings",
 ]
 
 # attributes that nothing read

@@ -315,6 +315,20 @@ class TestSmtTranslation:
     def test_reflexive_weak_ordering_is_true(self, P):
         assert to_smtlib(P("n !>= n")) == "true"
 
+    @pytest.mark.parametrize("text, bound, expected", [
+        ("not (p !> q) \\/ (p !>= (x !> y))", 0,
+         "(or (not (and p (not q))) (or p (not (and (> x 0) (> x y)))))"),
+        ("(p !> q) !>= (x !>= y)", -2,
+         "(or (and p (not q)) (not (or (= x y) (and (> x (- 2)) (> x y)))))"),
+        ("(x !>= x) /\\ (p !>= p)", 0, "(and true true)"),
+    ])
+    def test_nested_and_negated_orderings(self, fact_system, text, bound,
+                                          expected):
+        ctx = {name: Variable(name, INT_T) for name in "xy"}
+        ctx.update({name: Variable(name, BOOL_T) for name in "pq"})
+        t = parse_term(text, fact_system, ctx)
+        assert to_smtlib(t, bound) == expected
+
     def test_true_literal(self, P):
         assert to_smtlib(P("true")) == "true"
 

@@ -6,11 +6,13 @@ import pytest
 
 from helpers import gen_theory_term
 from lcstrs import theory
-from lcstrs.core import INT_T, FunctionSymbol, Variable, arrow
+from lcstrs.core import BOOL_T, INT_T, FunctionSymbol, Variable, arrow
+from lcstrs.solver import compile_constraint
 from lcstrs.syntax import parse_term
 from lcstrs.theory import (
-    FALSE, SUP_INT, SUPEQ_INT, TheoryError, TRUE, int_value, interpret,
-    semantic_value, try_calculate, value_symbol,
+    FALSE, GT, SUP_BOOL, SUP_INT, SUPEQ_BOOL, SUPEQ_INT, TheoryError, TRUE,
+    expansion, int_value, interpret, semantic_value, try_calculate,
+    value_symbol,
 )
 
 
@@ -101,6 +103,41 @@ class TestInterpret:
         assert interpret(t, values={n: 1, p: True}) is False
         with pytest.raises(TheoryError, match="not a ground term"):
             interpret(t, values={n: 2})
+
+
+# each ordering symbol, its argument values, and what it means at a bound b,
+# written out here rather than read from the theory
+ORDERINGS = [
+    (SUP_INT, range(-6, 7), lambda x, y, b: x > b and x > y),
+    (SUPEQ_INT, range(-6, 7), lambda x, y, b: x == y or (x > b and x > y)),
+    (SUP_BOOL, (False, True), lambda x, y, b: x and not y),
+    (SUPEQ_BOOL, (False, True), lambda x, y, b: x or not y),
+]
+
+
+class TestOrderingMeaning:
+    @pytest.mark.parametrize("symbol, values, meaning", ORDERINGS,
+                             ids=["sup_int", "supeq_int", "sup_bool",
+                                  "supeq_bool"])
+    def test_every_evaluation_gives_the_formula(self, symbol, values, meaning):
+        sort_type = symbol.type.arg
+        x, y = Variable("x", sort_type), Variable("y", sort_type)
+        for bound in (-3, 0, 2):
+            compiled = compile_constraint(symbol.apply(x, y), (x, y), bound)
+            for vx in values:
+                for vy in values:
+                    expected = meaning(vx, vy, bound)
+                    ground = symbol.apply(value_symbol(vx), value_symbol(vy))
+                    assert interpret(ground, bound) is expected
+                    assert try_calculate(ground, bound) is value_symbol(expected)
+                    assert compiled((vx, vy)) is expected
+
+    def test_weak_on_equal_arguments_expands_to_true(self):
+        x, p = Variable("x", INT_T), Variable("p", BOOL_T)
+        for bound in (-3, 0, 2):
+            assert expansion(SUPEQ_INT, (x, x), bound) is TRUE
+            assert expansion(SUPEQ_BOOL, (p, p), bound) is TRUE
+        assert expansion(GT, (x, x), 0) is None
 
 
 class TestValues:

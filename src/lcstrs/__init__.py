@@ -8,9 +8,9 @@ recursive path ordering that emits machine-checkable witnesses.
 """
 
 from .core import (
-    App, ArrowType, BaseType, BOOL, BOOL_T, FunctionSymbol, INT, INT_T,
-    LcstrsError, Rule, RuleError, Signature, Sort, Substitution, Term, Type,
-    TypingError, Variable, arrow, typecheck,
+    App, ArrowType, BaseType, BOOL_T, FunctionSymbol, INT_T, LcstrsError,
+    Rule, RuleError, Signature, Substitution, Term, Type, TypingError,
+    Variable, arrow, typecheck,
 )
 from .horpo import LEX, Horpo, HorpoParams, Judgment, Lex, Mul
 from .prover import (

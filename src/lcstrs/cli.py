@@ -17,7 +17,9 @@ import sys
 from typing import Callable, Optional, Sequence
 
 from .core import LcstrsError
-from .prover import ProverConfig, Witness, check_witness, find_witness
+from .prover import (
+    ProverConfig, Witness, check_witness, find_witness, params_from_dict,
+)
 from .rewrite import InputSource, normalize
 from .solver import Solver
 from .syntax import parse_system, parse_term, print_rule, print_term
@@ -191,21 +193,28 @@ def cmd_prove(args) -> int:
                           smt_command=smt_command)
     result = find_witness(system, config)
     if isinstance(result, Witness):
-        # a fresh solver: the re-check shares no cache with the search,
-        # only its external solver
-        verification = check_witness(result, system, Solver(
-            smt_command=smt_command, bound=result.params.bound))
-        if not verification.ok:
+        # the re-check reads the parameters back from the document that is
+        # printed, and uses a fresh solver: it shares no cache with the
+        # search, only its external solver
+        document = result.to_dict()
+        try:
+            params = params_from_dict(document, system.signature)
+        except ValueError as error:
+            diagnostics: tuple[str, ...] = (str(error),)
+        else:
+            diagnostics = check_witness(Witness(params, ()), system, Solver(
+                smt_command=smt_command, bound=params.bound)).diagnostics
+        if diagnostics:
             _emit(args.format,
                   lambda: {"command": "prove", "file": args.file, "ok": False,
                            "report": {"message": "witness failed verification",
-                                      "diagnostics": list(verification.diagnostics)}},
+                                      "diagnostics": list(diagnostics)}},
                   lambda: "witness failed verification:\n" +
-                          "\n".join(verification.diagnostics))
+                          "\n".join(diagnostics))
             return 2
         _emit(args.format,
               lambda: {"command": "prove", "file": args.file, "ok": True,
-                       "witness": result.to_dict()},
+                       "witness": document},
               lambda: "TERMINATING\n" + result.to_text())
         return 0
     _emit(args.format,

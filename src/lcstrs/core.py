@@ -35,9 +35,10 @@ class RuleError(LcstrsError):
 
 
 # ---------------------------------------------------------------------------
-# Sorts and types
+# Types
 #
-# Sorts, types and terms are frozen dataclasses with the generated `__eq__`.
+# A type is a sort (`BaseType`) or an arrow between types. Types and terms
+# are frozen dataclasses with the generated `__eq__`.
 # Each class defines its own `__hash__` that returns the generated value,
 # the hash of the tuple of its fields, but computes it only once per node:
 # the generated one recurses over the whole tree on every call, and terms
@@ -53,28 +54,8 @@ def _store_hash(node, fields: tuple) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class Sort:
-    name: str
-    is_theory: bool = False
-
-    _hash = None
-
-    def __hash__(self) -> int:
-        h = self._hash
-        return h if h is not None else _store_hash(
-            self, (self.name, self.is_theory))
-
-    def __str__(self) -> str:
-        return self.name
-
-
-INT = Sort("Int", is_theory=True)
-BOOL = Sort("Bool", is_theory=True)
-
-
 class Type:
-    """A simple type: either a base sort or an arrow between types."""
+    """A simple type: either a sort or an arrow between types."""
 
     is_theory_type: bool
     _hash = None
@@ -86,28 +67,20 @@ class Type:
             n, t = n + 1, t.result
         return n
 
-    def argument_types(self) -> tuple["Type", ...]:
-        out, t = [], self
-        while isinstance(t, ArrowType):
-            out.append(t.arg)
-            t = t.result
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class BaseType(Type):
-    sort: Sort
+    """A sort; Int and Bool are the theory sorts."""
+    name: str
+    is_theory_type: bool = False
 
     def __hash__(self) -> int:
         h = self._hash
-        return h if h is not None else _store_hash(self, (self.sort,))
-
-    @property
-    def is_theory_type(self) -> bool:
-        return self.sort.is_theory
+        return h if h is not None else _store_hash(
+            self, (self.name, self.is_theory_type))
 
     def __str__(self) -> str:
-        return self.sort.name
+        return self.name
 
 
 @dataclass(frozen=True)
@@ -123,7 +96,7 @@ class ArrowType(Type):
     @property
     def is_theory_type(self) -> bool:
         # argument must be a theory sort, not just any theory type
-        return (isinstance(self.arg, BaseType) and self.arg.sort.is_theory
+        return (isinstance(self.arg, BaseType) and self.arg.is_theory_type
                 and self.result.is_theory_type)
 
     def __str__(self) -> str:
@@ -131,8 +104,8 @@ class ArrowType(Type):
         return f"{left} -> {self.result}"
 
 
-INT_T = BaseType(INT)
-BOOL_T = BaseType(BOOL)
+INT_T = BaseType("Int", is_theory_type=True)
+BOOL_T = BaseType("Bool", is_theory_type=True)
 
 
 def arrow(*types: Type) -> Type:
@@ -146,7 +119,7 @@ def arrow(*types: Type) -> Type:
 
 
 def is_theory_sort_type(t: Type) -> bool:
-    return isinstance(t, BaseType) and t.sort.is_theory
+    return isinstance(t, BaseType) and t.is_theory_type
 
 
 # ---------------------------------------------------------------------------

@@ -289,15 +289,15 @@ class Horpo:
             cvars: Optional[frozenset] = None) -> Optional[Judgment]:
         if s.type != t.type:
             raise LcstrsError("weak comparison requires terms of equal type")
-        return self._run("geq", s, t, phi, self._cvars(phi, cvars), self._geq)
+        return self._run("geq", s, t, phi, self._cvars(phi, cvars))
 
     def gt(self, s: Term, t: Term, phi: Term,
            cvars: Optional[frozenset] = None) -> Optional[Judgment]:
-        return self._run("gt", s, t, phi, self._cvars(phi, cvars), self._gt)
+        return self._run("gt", s, t, phi, self._cvars(phi, cvars))
 
     def rpo(self, s: Term, t: Term, phi: Term,
             cvars: Optional[frozenset] = None) -> Optional[Judgment]:
-        return self._run("rpo", s, t, phi, self._cvars(phi, cvars), self._rpo)
+        return self._run("rpo", s, t, phi, self._cvars(phi, cvars))
 
     def lex_ext(self, ss: Sequence[Term], ts: Sequence[Term], phi: Term,
                 cvars: Optional[frozenset] = None) -> Optional[Judgment]:
@@ -305,12 +305,12 @@ class Horpo:
         cvars = self._cvars(phi, cvars)
         prefix: list[Judgment] = []
         for i in range(min(len(ss), len(ts))):
-            strict = self._gt_safe(ss[i], ts[i], phi, cvars)
+            strict = self._run("gt", ss[i], ts[i], phi, cvars)
             if strict is not None:
                 return Judgment("lex", "lex:strict-prefix", tuple(ss), tuple(ts),
                                 phi, cvars,
                                 children=tuple(prefix) + (strict,), data=i)
-            weak = self._geq_safe(ss[i], ts[i], phi, cvars)
+            weak = self._run("geq", ss[i], ts[i], phi, cvars)
             if weak is None:
                 return None
             prefix.append(weak)
@@ -322,10 +322,10 @@ class Horpo:
         cvars = self._cvars(phi, cvars)
         # a repeated comparison is a hit in the memo of `_run`
         def gt(i: int, j: int) -> Optional[Judgment]:
-            return self._gt_safe(ss[i], ts[j], phi, cvars)
+            return self._run("gt", ss[i], ts[j], phi, cvars)
 
         def geq(i: int, j: int) -> Optional[Judgment]:
-            return self._geq_safe(ss[i], ts[j], phi, cvars)
+            return self._run("geq", ss[i], ts[j], phi, cvars)
 
         found = multiset_extension_search(
             len(ss), len(ts), lambda i, j: gt(i, j) is not None,
@@ -350,25 +350,27 @@ class Horpo:
     def _cvars(phi: Term, cvars: Optional[frozenset]) -> frozenset:
         return phi.free_vars if cvars is None else frozenset(cvars)
 
-    def _run(self, rel: str, s: Term, t: Term, phi: Term, cvars: frozenset,
-             body) -> Optional[Judgment]:
+    def _run(self, rel: str, s: Term, t: Term, phi: Term,
+             cvars: frozenset) -> Optional[Judgment]:
+        """The memoized comparison `rel` ("geq", "gt" or "rpo"), noting the
+        deepest one that fails. A weak comparison of terms of different
+        types fails at once and is neither memoized nor noted."""
+        if rel == "geq" and s.type != t.type:
+            return None
         key = (rel, s, t, phi, cvars)
         if key in self._memo:
             return self._memo[key]
         self._depth += 1
         try:
-            result = body(s, t, phi, cvars)
+            result = self._RELATIONS[rel](self, s, t, phi, cvars)
         finally:
             self._depth -= 1
         self._memo[key] = result
         if result is None:
-            self._note_failure(rel, s, t)
+            depth = self._depth + 1
+            if self._deepest is None or depth > self._deepest[0]:
+                self._deepest = (depth, rel, s, t)
         return result
-
-    def _note_failure(self, rel: str, s: Term, t: Term) -> None:
-        depth = self._depth + 1
-        if self._deepest is None or depth > self._deepest[0]:
-            self._deepest = (depth, rel, s, t)
 
     @property
     def deepest_failure(self) -> Optional[tuple[int, str]]:
@@ -378,16 +380,6 @@ class Horpo:
             return None
         depth, rel, s, t = self._deepest
         return depth, f"{rel}: {print_term(s)} vs {print_term(t)}"
-
-    def _geq_safe(self, s: Term, t: Term, phi: Term,
-                  cvars: frozenset) -> Optional[Judgment]:
-        if s.type != t.type:
-            return None
-        return self._run("geq", s, t, phi, cvars, self._geq)
-
-    def _gt_safe(self, s: Term, t: Term, phi: Term,
-                 cvars: frozenset) -> Optional[Judgment]:
-        return self._run("gt", s, t, phi, cvars, self._gt)
 
     def _entail_ordering(self, s: Term, t: Term, phi: Term, cvars: frozenset,
                          strict: bool) -> Optional[Verdict]:
@@ -399,7 +391,7 @@ class Horpo:
             return None
         if not (s.free_vars | t.free_vars) <= cvars:
             return None
-        goal = theory.sup_symbol(s.type.sort, strict).apply(s, t)
+        goal = theory.sup_symbol(s.type, strict).apply(s, t)
         verdict = self.solver.entails(phi, goal, cvars)
         if verdict.is_unknown:
             self.unknowns.append(
@@ -413,7 +405,7 @@ class Horpo:
         verdict = self._entail_ordering(s, t, phi, cvars, strict=False)
         if verdict is not None and verdict.is_yes:
             return Judgment("geq", "geq:theory", s, t, phi, cvars, verdict=verdict)
-        strict = self._gt_safe(s, t, phi, cvars)
+        strict = self._run("gt", s, t, phi, cvars)
         if strict is not None:
             return Judgment("geq", "geq:strict", s, t, phi, cvars,
                             children=(strict,))
@@ -421,9 +413,9 @@ class Horpo:
             return Judgment("geq", "geq:calc-join", s, t, phi, cvars)
         if (not s.is_theory_term and isinstance(s, App) and isinstance(t, App)
                 and s.head.type == t.head.type):
-            head = self._geq_safe(s.head, t.head, phi, cvars)
+            head = self._run("geq", s.head, t.head, phi, cvars)
             if head is not None:
-                arg = self._geq_safe(s.arg, t.arg, phi, cvars)
+                arg = self._run("geq", s.arg, t.arg, phi, cvars)
                 if arg is not None:
                     return Judgment("geq", "geq:app", s, t, phi, cvars,
                                     children=(head, arg))
@@ -435,7 +427,7 @@ class Horpo:
         if verdict is not None and verdict.is_yes:
             return Judgment("gt", "gt:theory", s, t, phi, cvars, verdict=verdict)
         if s.type == t.type:
-            descent = self._run("rpo", s, t, phi, cvars, self._rpo)
+            descent = self._run("rpo", s, t, phi, cvars)
             if descent is not None:
                 return Judgment("gt", "gt:descent", s, t, phi, cvars,
                                 children=(descent,))
@@ -448,12 +440,12 @@ class Horpo:
                         else "gt:args-var")
                 weak = []
                 for si, ti in zip(s_args, t_args):
-                    w = self._geq_safe(si, ti, phi, cvars)
+                    w = self._run("geq", si, ti, phi, cvars)
                     if w is None:
                         return None
                     weak.append(w)
                 for i, (si, ti) in enumerate(zip(s_args, t_args)):
-                    strict = self._gt_safe(si, ti, phi, cvars)
+                    strict = self._run("gt", si, ti, phi, cvars)
                     if strict is not None:
                         children = tuple(weak[:i]) + (strict,) + tuple(weak[i + 1:])
                         return Judgment("gt", case, s, t, phi, cvars,
@@ -470,7 +462,7 @@ class Horpo:
         # (1) some argument already covers the whole of t
         for i, si in enumerate(s_args):
             if si.type == t.type:
-                j = self._geq_safe(si, t, phi, cvars)
+                j = self._run("geq", si, t, phi, cvars)
                 if j is not None:
                     return Judgment("rpo", "rpo:subterm", s, t, phi, cvars,
                                     children=(j,), data=i)
@@ -479,9 +471,9 @@ class Horpo:
         # Peeling one argument at a time subsumes every way of splitting
         # the application into a head and argument segments.
         if isinstance(t, App):
-            left = self._run("rpo", s, t.head, phi, cvars, self._rpo)
+            left = self._run("rpo", s, t.head, phi, cvars)
             if left is not None:
-                right = self._run("rpo", s, t.arg, phi, cvars, self._rpo)
+                right = self._run("rpo", s, t.arg, phi, cvars)
                 if right is not None:
                     return Judgment("rpo", "rpo:parts", s, t, phi, cvars,
                                     children=(left, right))
@@ -526,8 +518,10 @@ class Horpo:
         first that fails."""
         children = []
         for ti in t_args:
-            j = self._run("rpo", s, ti, phi, cvars, self._rpo)
+            j = self._run("rpo", s, ti, phi, cvars)
             if j is None:
                 return None
             children.append(j)
         return tuple(children)
+
+    _RELATIONS = {"geq": _geq, "gt": _gt, "rpo": _rpo}

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .core import (
-    App, BaseType, BOOL, INT, LcstrsError, Rule, Substitution, Term, Variable,
+    App, BaseType, BOOL_T, INT_T, LcstrsError, Rule, Substitution, Term,
+    Variable,
 )
 from .syntax import System
 from .theory import (
@@ -91,11 +92,11 @@ class InputSource:
                     f"input value {value!r} does not fit variable "
                     f"'{var.name}' : {var.type}")
             return term
-        if var.type.sort == INT:
+        if var.type == INT_T:
             return int_value(0)
-        if var.type.sort == BOOL:
+        if var.type == BOOL_T:
             return bool_value(False)
-        raise LcstrsError(f"no default input value for sort {var.type.sort}")
+        raise LcstrsError(f"no default input value for sort {var.type}")
 
 
 @dataclass(frozen=True)
@@ -109,26 +110,6 @@ class RewriteStep:
     @property
     def kind(self) -> str:
         return "calc" if self.rule_index is None else f"rule#{self.rule_index + 1}"
-
-    def replay(self, source: Term, system: System) -> bool:
-        """Re-derive the step from its source term and compare results."""
-        for step in step_at(source, self.position, system,
-                            inputs=_ReplayInputs(self)):
-            if step.rule_index == self.rule_index and step.result == self.result:
-                return True
-        return False
-
-
-class _ReplayInputs:
-    """Input source that reproduces a recorded step's fresh-variable values."""
-
-    def __init__(self, step: RewriteStep):
-        self._subst = step.subst
-
-    def value_for(self, var: Variable) -> Term:
-        if self._subst is None:
-            raise LcstrsError("calculation steps take no inputs")
-        return self._subst.get(var)
 
 
 # A contraction found by `_probe`: the rule index (None for a calculation),

@@ -31,12 +31,12 @@ import shlex
 import subprocess
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence, ValuesView
+from typing import Callable, Iterable, Optional, Sequence, Union, ValuesView
 
 from . import theory
 from .core import (
-    BaseType, BOOL, BOOL_T, FunctionSymbol, INT, LcstrsError, Term,
-    Variable, is_theory_sort_type,
+    BaseType, BOOL_T, FunctionSymbol, INT_T, LcstrsError, Term, Variable,
+    is_theory_sort_type,
 )
 from .theory import (
     ADD, AND, EQ, FALSE, GE, GT, LE, LT, MUL, NE, NOT, OR, SUB, SUP_BOOL,
@@ -128,7 +128,7 @@ def _linearize(term: Term) -> Optional[Poly]:
     if isinstance(term, Variable):
         return ({term.name: 1}, 0)
     if isinstance(term, FunctionSymbol):
-        if term.is_value and term.type.sort == INT:
+        if term.is_value and term.type == INT_T:
             return ({}, theory.semantic_value(term))
         return None
     head, args = term.spine()
@@ -342,28 +342,42 @@ def to_smtlib(constraint: Term, bound: int = 0) -> str:
 
 
 def _to_sexp(term: Term, bound: int) -> str:
-    if isinstance(term, Variable):
-        return _smt_name(term.name)
-    if isinstance(term, FunctionSymbol):
-        if term is TRUE:
-            return "true"
-        if term is FALSE:
-            return "false"
-        if term.is_value and term.type.sort == INT:
+    """The S-expression of `term`, written left to right from an explicit
+    stack of terms to translate and of text to copy."""
+    out: list[str] = []
+    stack: list[Union[Term, str]] = [term]
+    while stack:
+        term = stack.pop()
+        if isinstance(term, str):
+            out.append(term)
+        elif isinstance(term, Variable):
+            out.append(_smt_name(term.name))
+        elif term is TRUE or term is FALSE:
+            out.append(term.name)
+        elif isinstance(term, FunctionSymbol):
+            if not (term.is_value and term.type == INT_T):
+                raise SolverError(
+                    f"unsupported symbol '{term.name}' in SMT translation")
             n = theory.semantic_value(term)
-            return str(n) if n >= 0 else f"(- {-n})"
-        raise SolverError(f"unsupported symbol '{term.name}' in SMT translation")
-    head, args = term.spine()
-    expanded = theory.expansion(head, args, bound)
-    if expanded is not None:
-        return _to_sexp(expanded, bound)
-    op = _SMT_OPS.get(head)
-    if op is None or len(args) != head.type.arity:
-        raise SolverError(f"unsupported term in SMT translation: {term!r}")
-    return "(" + " ".join([op] + [_to_sexp(a, bound) for a in args]) + ")"
+            out.append(str(n) if n >= 0 else f"(- {-n})")
+        else:
+            head, args = term.spine()
+            expanded = theory.expansion(head, args, bound)
+            if expanded is not None:
+                stack.append(expanded)
+                continue
+            op = _SMT_OPS.get(head)
+            if op is None or len(args) != head.type.arity:
+                raise SolverError(
+                    f"unsupported term in SMT translation: {term!r}")
+            out.append("(" + op)
+            stack.append(")")
+            for a in reversed(args):
+                stack.extend((a, " "))
+    return "".join(out)
 
 
-_SMT_SORTS = {INT: "Int", BOOL: "Bool"}
+_SMT_SORTS = {INT_T: "Int", BOOL_T: "Bool"}
 
 _MODEL_ENTRY = re.compile(
     r"\(define-fun\s+(\|[^|]*\||[^\s()]+)\s*\(\s*\)\s*(Int|Bool)\s+"
@@ -463,7 +477,7 @@ class Solver:
         for v in sorted(varset, key=lambda v: v.name):
             assert isinstance(v.type, BaseType)
             lines.append(
-                f"(declare-const {_smt_name(v.name)} {_SMT_SORTS[v.type.sort]})")
+                f"(declare-const {_smt_name(v.name)} {_SMT_SORTS[v.type]})")
         lines.append(f"(assert {to_smtlib(phi, self.bound)})")
         lines.append(f"(assert (not {to_smtlib(psi, self.bound)}))")
         lines.extend(["(check-sat)", "(get-model)", "(exit)"])

@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 from . import theory
 from .core import (
     App, ArrowType, BaseType, FunctionSymbol, LcstrsError, PreApp,
-    PreLeaf, PreTerm, Rule, Signature, Sort, Term, Type, Variable, typecheck,
+    PreLeaf, PreTerm, Rule, Signature, Term, Type, Variable, typecheck,
 )
 
 
@@ -258,8 +258,8 @@ class _Parser:
 
     def parse_type(self, base_types: dict[str, BaseType]) -> Type:
         """A type; `->` associates to the right. One chain of arrow
-        operands per open parenthesis. A new sort name gets a sort and
-        a base type in `base_types`."""
+        operands per open parenthesis. A new sort name gets its base type
+        in `base_types`."""
         chains: list[list[Type]] = [[]]
         while True:
             t = self.next()
@@ -271,7 +271,7 @@ class _Parser:
                                  t.line, t.col)
             ty = base_types.get(t.text)
             if ty is None:
-                ty = base_types[t.text] = BaseType(Sort(t.text))
+                ty = base_types[t.text] = BaseType(t.text)
             while True:
                 chains[-1].append(ty)
                 i = self.i

@@ -25,8 +25,8 @@ from functools import lru_cache
 from typing import Mapping, Optional, Union
 
 from .core import (
-    BaseType, BOOL, BOOL_T, FunctionSymbol, INT, INT_T, LcstrsError,
-    Signature, Sort, Term, Variable, arrow, is_theory_sort_type,
+    BaseType, BOOL_T, FunctionSymbol, INT_T, LcstrsError, Signature, Term,
+    Variable, arrow, is_theory_sort_type,
 )
 
 SemValue = Union[int, bool]
@@ -60,11 +60,11 @@ SUPEQ_INT = FunctionSymbol("!>=", arrow(INT_T, INT_T, BOOL_T), is_theory=True)
 SUP_BOOL = FunctionSymbol("!>", arrow(BOOL_T, BOOL_T, BOOL_T), is_theory=True)
 SUPEQ_BOOL = FunctionSymbol("!>=", arrow(BOOL_T, BOOL_T, BOOL_T), is_theory=True)
 
-_SUP = {(INT, True): SUP_INT, (INT, False): SUPEQ_INT,
-        (BOOL, True): SUP_BOOL, (BOOL, False): SUPEQ_BOOL}
+_SUP = {(INT_T, True): SUP_INT, (INT_T, False): SUPEQ_INT,
+        (BOOL_T, True): SUP_BOOL, (BOOL_T, False): SUPEQ_BOOL}
 
 
-def sup_symbol(sort: Sort, strict: bool) -> FunctionSymbol:
+def sup_symbol(sort: BaseType, strict: bool) -> FunctionSymbol:
     try:
         return _SUP[(sort, strict)]
     except KeyError:

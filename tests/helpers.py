@@ -7,15 +7,15 @@ import random
 from collections import Counter
 
 from lcstrs.core import (
-    App, ArrowType, BaseType, BOOL, BOOL_T, FunctionSymbol, INT, INT_T, Rule,
-    Signature, Term, Variable,
+    App, ArrowType, BOOL_T, FunctionSymbol, INT_T, LcstrsError, Rule,
+    Signature, Term, Type, Variable,
 )
 from lcstrs import theory
 from lcstrs.theory import (
     ADD, AND, EQ, GE, GT, LE, LT, MUL, NE, NOT, OR, SUB, SUP_BOOL, SUP_INT,
     SUPEQ_BOOL, SUPEQ_INT, bool_value, int_value,
 )
-from lcstrs.rewrite import Position
+from lcstrs.rewrite import Position, RewriteStep, step_at
 from lcstrs.theory import try_calculate
 
 INT_BINOPS = (ADD, SUB, MUL)
@@ -30,14 +30,14 @@ BOOL_BINOPS = (AND, OR, SUP_BOOL, SUPEQ_BOOL)
 def gen_theory_term(rng: random.Random, sort=None, budget: int = 12) -> Term:
     """A random ground theory term of the given sort within a node budget."""
     if sort is None:
-        sort = rng.choice((INT, BOOL))
-    if sort == INT:
+        sort = rng.choice((INT_T, BOOL_T))
+    if sort == INT_T:
         if budget < 5 or rng.random() < 0.25:
             return int_value(rng.randint(-9, 9))
         op = rng.choice(INT_BINOPS)
         left_budget = rng.randint(1, budget - 4)
-        left = gen_theory_term(rng, INT, left_budget)
-        right = gen_theory_term(rng, INT, budget - 3 - left.size)
+        left = gen_theory_term(rng, INT_T, left_budget)
+        right = gen_theory_term(rng, INT_T, budget - 3 - left.size)
         return op.apply(left, right)
     if budget < 5 or rng.random() < 0.25:
         return bool_value(rng.random() < 0.5)
@@ -45,16 +45,16 @@ def gen_theory_term(rng: random.Random, sort=None, budget: int = 12) -> Term:
     if kind < 0.5:
         op = rng.choice(CMP_OPS)
         left_budget = rng.randint(1, budget - 4)
-        left = gen_theory_term(rng, INT, left_budget)
-        right = gen_theory_term(rng, INT, budget - 3 - left.size)
+        left = gen_theory_term(rng, INT_T, left_budget)
+        right = gen_theory_term(rng, INT_T, budget - 3 - left.size)
         return op.apply(left, right)
     if kind < 0.8 or budget < 5:
         op = rng.choice(BOOL_BINOPS)
         left_budget = rng.randint(1, budget - 4)
-        left = gen_theory_term(rng, BOOL, left_budget)
-        right = gen_theory_term(rng, BOOL, budget - 3 - left.size)
+        left = gen_theory_term(rng, BOOL_T, left_budget)
+        right = gen_theory_term(rng, BOOL_T, budget - 3 - left.size)
         return op.apply(left, right)
-    return NOT.apply(gen_theory_term(rng, BOOL, budget - 2))
+    return NOT.apply(gen_theory_term(rng, BOOL_T, budget - 2))
 
 
 INT_VARS = tuple(Variable(name, INT_T) for name in ("x", "y", "z"))
@@ -73,6 +73,14 @@ def with_variables(rng: random.Random, term: Term) -> Term:
 
 # ---------------------------------------------------------------------------
 # Random well-typed ground terms over an arbitrary signature
+
+
+def argument_types(ty: Type) -> tuple[Type, ...]:
+    out = []
+    while isinstance(ty, ArrowType):
+        out.append(ty.arg)
+        ty = ty.result
+    return tuple(out)
 
 
 def _result_after(ty, k: int):
@@ -100,7 +108,7 @@ def gen_ground_term(rng: random.Random, signature: Signature, target,
                 candidates.append((symbol, k))
     if target == INT_T:
         candidates.append((None, 0))  # integer literal
-    if isinstance(target, BaseType) and target.sort == BOOL:
+    if target == BOOL_T:
         candidates.append((bool_value(rng.random() < 0.5), 0))
     if depth <= 0:
         min_k = min(k for _, k in candidates)
@@ -109,7 +117,7 @@ def gen_ground_term(rng: random.Random, signature: Signature, target,
     if symbol is None:
         return int_value(rng.randint(int_lo, int_hi))
     term: Term = symbol
-    for arg_type in symbol.type.argument_types()[:k]:
+    for arg_type in argument_types(symbol.type)[:k]:
         term = App(term, gen_ground_term(rng, signature, arg_type, depth - 1,
                                          int_lo, int_hi))
     return term
@@ -147,6 +155,29 @@ def respects_by_instantiation(subst, rule: Rule, bound: int = 0) -> bool:
     if not phi.is_ground:
         return False
     return theory.interpret(phi, bound) is True
+
+
+def replay(step: RewriteStep, source: Term, system) -> bool:
+    """Re-derive a recorded step from its source term: some step at the
+    same position by the same rule, with the step's values for the rule's
+    fresh variables, gives the same result."""
+    for other in step_at(source, step.position, system,
+                         inputs=_ReplayInputs(step)):
+        if other.rule_index == step.rule_index and other.result == step.result:
+            return True
+    return False
+
+
+class _ReplayInputs:
+    """Input source that reproduces a recorded step's fresh-variable values."""
+
+    def __init__(self, step: RewriteStep):
+        self._subst = step.subst
+
+    def value_for(self, var: Variable) -> Term:
+        if self._subst is None:
+            raise LcstrsError("calculation steps take no inputs")
+        return self._subst.get(var)
 
 
 def calc_redexes(t: Term, bound: int = 0) -> list[tuple[Position, Term]]:
@@ -246,7 +277,7 @@ def gen_system(rng: random.Random, n_symbols: int = 3, n_rules: int = 4):
     rules = []
     for _ in range(n_rules):
         head = rng.choice(defined)
-        arg_types = head.type.argument_types()
+        arg_types = argument_types(head.type)
         variables = [Variable(f"v{i}", ty) for i, ty in enumerate(arg_types)]
         lhs = head.apply(*variables)
         rhs = _gen_rhs(rng, signature, lhs.type, variables, depth=3)

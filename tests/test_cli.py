@@ -11,7 +11,7 @@ import pytest
 
 from lcstrs import cli
 from lcstrs.cli import main
-from lcstrs.prover import FailureReport
+from lcstrs.prover import FailureReport, Witness
 
 REPO = Path(__file__).resolve().parent.parent
 SYSTEMS = REPO / "systems"
@@ -211,6 +211,38 @@ class TestProve:
                                     "--smt-cmd", smt)
         assert (code, payload["ok"]) == (0, True)
         assert run_cli(capsys, "prove", str(path))[0] == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("tamper, diagnostic", [
+        (lambda doc: doc["precedence"].remove(["init", "fact"]),
+         "rule 1 not oriented: init -> fact n exit [true]"),
+        (lambda doc: doc["precedence"].append(["init", "start"]),
+         "witness names unknown symbol 'start'"),
+    ], ids=["dropped-edge", "unknown-symbol"])
+    def test_the_printed_document_is_the_one_checked(
+            self, capsys, monkeypatch, fmt, tamper, diagnostic):
+        # a document that does not prove what the search found must not be
+        # printed as a proof
+        to_dict = Witness.to_dict
+
+        def tampered(witness):
+            document = to_dict(witness)
+            tamper(document)
+            return document
+
+        monkeypatch.setattr(Witness, "to_dict", tampered)
+        code, out, _ = run_cli(capsys, "prove", str(SYSTEMS / "fact.lcstrs"),
+                               "--format", fmt)
+        assert code == 2
+        if fmt == "json":
+            payload = json.loads(out)
+            jsonschema.validate(payload, SCHEMA)
+            assert payload["report"]["message"] == "witness failed verification"
+            assert payload["report"]["diagnostics"][0].startswith(diagnostic)
+        else:
+            lines = out.splitlines()
+            assert lines[0] == "witness failed verification:"
+            assert lines[1].startswith(diagnostic)
 
 
 class TestMalformedOptionValues:

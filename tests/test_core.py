@@ -11,7 +11,7 @@ from helpers import (
 )
 from lcstrs.core import (
     App, ArrowType, BaseType, BOOL_T, FunctionSymbol, INT_T, PreApp, PreLeaf,
-    Rule, RuleError, Sort, Substitution, TypingError, Variable, arrow,
+    Rule, RuleError, Substitution, TypingError, Variable, arrow,
     typecheck,
 )
 from lcstrs import core, theory
@@ -38,7 +38,7 @@ class TestTypes:
         assert arrow(INT_T, INT_T, BOOL_T).is_theory_type
         # higher-order argument disqualifies
         assert not arrow(arrow(INT_T, INT_T), INT_T).is_theory_type
-        assert not BaseType(theory.Sort("List")).is_theory_type
+        assert not BaseType("List").is_theory_type
 
     def test_arrow_right_associative_printing(self):
         assert str(arrow(INT_T, INT_T, INT_T)) == "Int -> Int -> Int"
@@ -49,13 +49,20 @@ class TestTypes:
         assert arrow(INT_T, INT_T, INT_T) == ArrowType(INT_T, ArrowType(INT_T, INT_T))
         assert arrow(INT_T, BOOL_T) != arrow(BOOL_T, INT_T)
 
+    def test_a_sort_is_a_base_type(self):
+        first, second = BaseType("List"), BaseType("List")
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert str(first) == "List"
+        assert not first.is_theory_type
+        assert first != BaseType("Int") and BaseType("Int") != INT_T
+
 
 def one_of_each() -> list:
-    """A fresh, never hashed instance of each sort, type and term class."""
-    sort = Sort("List")
-    f = FunctionSymbol("f", arrow(INT_T, BaseType(sort)))
+    """A fresh, never hashed instance of each type and term class."""
+    f = FunctionSymbol("f", arrow(INT_T, BaseType("List")))
     x = Variable("x", INT_T)
-    return [sort, BaseType(sort), ArrowType(INT_T, BOOL_T), f, x, App(f, x)]
+    return [BaseType("List"), ArrowType(INT_T, BOOL_T), f, x, App(f, x)]
 
 
 class TestHashContract:

@@ -84,7 +84,7 @@ def corpus() -> list[tuple]:
     queries = []
     for i in range(RANDOM_QUERIES):
         phi, psi = (with_variables(rng, gen_theory_term(
-            rng, theory.BOOL, budget=rng.randint(5, 17))) for _ in range(2))
+            rng, theory.BOOL_T, budget=rng.randint(5, 17))) for _ in range(2))
         queries.append((phi, psi, BOUNDS[i % 3]))
     for i in range(LINEAR_QUERIES):
         queries.append((*_linear_pair(rng), BOUNDS[i % 3]))

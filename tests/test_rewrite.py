@@ -8,12 +8,12 @@ import pytest
 
 from helpers import (
     BOOL_VARS, INT_VARS, calc_redexes, gen_ground_term, gen_system,
-    gen_theory_term, joinable_bfs, random_calc_normalize,
+    gen_theory_term, joinable_bfs, random_calc_normalize, replay,
     respects_by_instantiation, with_variables,
 )
 from lcstrs import rewrite, theory
 from lcstrs.core import (
-    BOOL, BOOL_T, FunctionSymbol, INT_T, LcstrsError, Rule, Substitution,
+    BOOL_T, FunctionSymbol, INT_T, LcstrsError, Rule, Substitution,
     Variable, arrow,
 )
 from lcstrs.rewrite import (
@@ -105,7 +105,7 @@ class TestRespects:
         variables = INT_VARS + BOOL_VARS
         f = FunctionSymbol("f", arrow(*(v.type for v in variables), INT_T))
         for _ in range(60):
-            phi = with_variables(rng, gen_theory_term(rng, BOOL, budget=15))
+            phi = with_variables(rng, gen_theory_term(rng, BOOL_T, budget=15))
             rules.append(Rule(f.apply(*variables), INT_VARS[0], phi))
         verdicts = Counter()
         for rule in rules:
@@ -301,8 +301,8 @@ class TestNormalize:
             result = normalize(t, fact_system, fuel=200)
             current = t
             for step in result.steps:
-                assert step.replay(current, fact_system), (print_term(current),
-                                                           step.kind)
+                assert replay(step, current, fact_system), (
+                    print_term(current), step.kind)
                 current = step.result
             assert current == result.term
 
@@ -314,8 +314,7 @@ class TestNormalize:
                 target = rng.choice(system.declarations).type
                 while hasattr(target, "result"):
                     target = target.result
-                from lcstrs.core import BaseType
-                t = gen_ground_term(rng, system.signature, BaseType(target.sort), 4)
+                t = gen_ground_term(rng, system.signature, target, 4)
                 result = normalize(t, system, fuel=60)
                 current = t
                 for step in result.steps:
@@ -376,8 +375,8 @@ class TestJoinable:
         checked = 0
         while checked < 300:
             ty = rng.choice((INT_T, BOOL_T))
-            s = gen_theory_term(rng, ty.sort, budget=8)
-            t = gen_theory_term(rng, ty.sort, budget=8)
+            s = gen_theory_term(rng, ty, budget=8)
+            t = gen_theory_term(rng, ty, budget=8)
             if s.size > 8 or t.size > 8:
                 continue
             checked += 1

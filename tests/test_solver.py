@@ -110,8 +110,8 @@ class TestFastPaths:
         from helpers import gen_theory_term
         solver = Solver()
         for _ in range(300):
-            phi = gen_theory_term(rng, theory.BOOL, budget=9)
-            psi = gen_theory_term(rng, theory.BOOL, budget=9)
+            phi = gen_theory_term(rng, theory.BOOL_T, budget=9)
+            psi = gen_theory_term(rng, theory.BOOL_T, budget=9)
             verdict = solver.entails(phi, psi)
             assert not verdict.is_unknown
 
@@ -332,6 +332,15 @@ class TestSmtTranslation:
     def test_true_literal(self, P):
         assert to_smtlib(P("true")) == "true"
 
+    def test_long_sum_does_not_recurse(self):
+        x = Variable("x", INT_T)
+        one = theory.int_value(1)
+        total = x
+        for _ in range(2999):
+            total = theory.ADD.apply(total, one)
+        text = to_smtlib(theory.GT.apply(total, theory.int_value(0)))
+        assert text == "(> " + "(+ " * 2999 + "x" + " 1)" * 2999 + " 0)"
+
     def test_negative_literal(self, P):
         assert to_smtlib(P("n > (-5)")) == "(> n (- 5))"
 
@@ -453,7 +462,7 @@ class TestQueryLog:
         queries = {}
         while len(queries) < 200:
             phi, psi = (with_variables(rng, gen_theory_term(
-                rng, theory.BOOL, budget=rng.randint(5, 13))) for _ in range(2))
+                rng, theory.BOOL_T, budget=rng.randint(5, 13))) for _ in range(2))
             queries[phi, psi] = None
         queries = list(queries)
         alone = Solver()

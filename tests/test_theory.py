@@ -6,7 +6,9 @@ import pytest
 
 from helpers import gen_theory_term
 from lcstrs import theory
-from lcstrs.core import BOOL_T, INT_T, FunctionSymbol, Variable, arrow
+from lcstrs.core import (
+    BOOL_T, INT_T, BaseType, FunctionSymbol, Variable, arrow,
+)
 from lcstrs.solver import compile_constraint
 from lcstrs.syntax import parse_term
 from lcstrs.theory import (
@@ -138,6 +140,14 @@ class TestOrderingMeaning:
             assert expansion(SUPEQ_INT, (x, x), bound) is TRUE
             assert expansion(SUPEQ_BOOL, (p, p), bound) is TRUE
         assert expansion(GT, (x, x), 0) is None
+
+    def test_one_symbol_pair_per_theory_sort(self):
+        assert theory.sup_symbol(INT_T, True) is SUP_INT
+        assert theory.sup_symbol(INT_T, False) is SUPEQ_INT
+        assert theory.sup_symbol(BOOL_T, True) is SUP_BOOL
+        assert theory.sup_symbol(BOOL_T, False) is SUPEQ_BOOL
+        with pytest.raises(TheoryError, match="no ordering symbol for sort List"):
+            theory.sup_symbol(BaseType("List"), True)
 
 
 class TestValues:

@@ -1,5 +1,9 @@
 """Command-line front end: check, run, and prove.
 
+Each command builds one payload, the document `--format json` prints; the
+text format is a view of that payload, `_text`, which reads every line from
+it. So text-mode `prove` prints the witness document it re-checked.
+
 Exit codes: 0 success (file valid / normal form reached / witness found),
 1 input error (parse, typing, rule validity, too deep nesting) or a stdout
 closed before the output was written, 2 inconclusive (fuel exhausted / no
@@ -14,15 +18,16 @@ import json
 import math
 import os
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import LcstrsError
+from .horpo import _transitive_closure
 from .prover import (
     ProverConfig, Witness, check_witness, find_witness, params_from_dict,
 )
 from .rewrite import InputSource, normalize
 from .solver import Solver
-from .syntax import parse_system, parse_term, print_rule, print_term
+from .syntax import parse_system, parse_term, print_term
 
 SMT_ENV_VAR = "LCSTRS_SMT_CMD"
 
@@ -99,13 +104,81 @@ def _parse_inputs(text: str) -> list:
     return values
 
 
-def _emit(fmt: str, payload: Callable[[], dict], text: Callable[[], str]
-          ) -> None:
-    """Print the JSON payload or the text, building only the one asked for."""
-    if fmt == "json":
-        print(json.dumps(payload(), indent=2))
+def _emit(fmt: str, payload: dict) -> None:
+    """Print the payload as JSON, or its text view."""
+    print(json.dumps(payload, indent=2) if fmt == "json" else _text(payload))
+
+
+_RELATION_SIGNS = {"geq": ">=", "gt": ">", "rpo": ">>", "lex": ">lex",
+                   "mul": ">mul"}
+
+
+def _text(payload: dict) -> str:
+    """The text view of a `check`, `run` or `prove` payload: every line is
+    read from the payload, so the text says what the JSON says."""
+    command = payload["command"]
+    if command == "check":
+        lines = [f"fun {s['name']} : {s['type']}" for s in payload["symbols"]]
+        lines += [f"rule {_rule(r)}" for r in payload["rules"]]
+        lines.append(f"ok: {len(payload['symbols'])} symbols, "
+                     f"{len(payload['rules'])} rules")
+    elif command == "run":
+        lines = [f"start: {payload['start']}"]
+        lines += [f"step {i}: {s['kind']} at {s['position']} -> {s['term']}"
+                  for i, s in enumerate(payload["steps"], 1)]
+        total = payload["total_steps"]
+        lines.append(f"normal form after {total} steps: {payload['result']}"
+                     if payload["normal_form"]
+                     else f"fuel exhausted after {total} steps")
+    elif "witness" in payload:
+        lines = ["TERMINATING", *_witness_lines(payload["witness"])]
+    elif "diagnostics" in payload["report"]:
+        report = payload["report"]
+        lines = [f"{report['message']}:", *report["diagnostics"]]
     else:
-        print(text())
+        report = payload["report"]
+        lines = ["UNKNOWN",
+                 f"no termination witness found: {report['message']}"]
+        for failure in report["rules"]:
+            lines.append(f"  rule {failure['index']}: {failure['rule']}")
+            if failure["deepest_failure"]:
+                lines.append("    deepest failing comparison: "
+                             f"{failure['deepest_failure']}")
+            lines += [f"    undecided entailment: {u}"
+                      for u in failure["unknown_entailments"]]
+    return "\n".join(lines)
+
+
+def _rule(rule: dict) -> str:
+    return f"{rule['lhs']} -> {rule['rhs']} [{rule['constraint']}]"
+
+
+def _witness_lines(witness: dict) -> list[str]:
+    """The witness document: its parameters, with the precedence cut down
+    to the edges that transitivity does not imply, then each rule and its
+    derivation tree, one node a line, children indented below."""
+    edges = frozenset(map(tuple, witness["precedence"]))
+    above = _transitive_closure(edges)
+    direct = [f"{f} > {g}" for f, g in sorted(edges)
+              if not any(g in above.get(h, ()) for h in above[f] if h != g)]
+    status = ", ".join(f"{f}: {st}" for f, st in witness["status"].items())
+    lines = ["termination witness", f"  bound: {witness['bound']}",
+             f"  precedence: {', '.join(direct) or '(empty)'}",
+             f"  status: {status or '(all lexicographic)'}"]
+    for rule in witness["rules"]:
+        lines.append(f"  rule {rule['index']}: {_rule(rule)}")
+        stack = [(rule["derivation"], 4)]
+        while stack:
+            node, indent = stack.pop()
+            line = (f"{' ' * indent}{node['case']}: {node['lhs']} "
+                    f"{_RELATION_SIGNS[node['relation']]} {node['rhs']} "
+                    f"[{node['constraint']}]")
+            if "detail" in node:
+                line += f" ({node['detail']})"
+            lines.append(line)
+            stack += [(child, indent + 2)
+                      for child in reversed(node.get("children", ()))]
+    return lines
 
 
 def _fail(message: str, fmt: str, command: str, file: str) -> int:
@@ -118,27 +191,16 @@ def _fail(message: str, fmt: str, command: str, file: str) -> int:
 
 def cmd_check(args) -> int:
     system = parse_system(_read(args.file))
-
-    def text() -> str:
-        lines = [f"fun {s.name} : {s.type}" for s in system.declarations]
-        lines += [f"rule {print_rule(r)}" for r in system.rules]
-        lines.append(f"ok: {len(system.declarations)} symbols, "
-                     f"{len(system.rules)} rules")
-        return "\n".join(lines)
-
-    def payload() -> dict:
-        return {
-            "command": "check", "file": args.file, "ok": True,
-            "symbols": [{"name": s.name, "type": str(s.type)}
-                        for s in system.declarations],
-            "rules": [{"index": i + 1,
-                       "lhs": print_term(r.lhs),
-                       "rhs": print_term(r.rhs),
-                       "constraint": print_term(r.constraint)}
-                      for i, r in enumerate(system.rules)],
-        }
-
-    _emit(args.format, payload, text)
+    _emit(args.format, {
+        "command": "check", "file": args.file, "ok": True,
+        "symbols": [{"name": s.name, "type": str(s.type)}
+                    for s in system.declarations],
+        "rules": [{"index": i + 1,
+                   "lhs": print_term(r.lhs),
+                   "rhs": print_term(r.rhs),
+                   "constraint": print_term(r.constraint)}
+                  for i, r in enumerate(system.rules)],
+    })
     return 0
 
 
@@ -151,33 +213,16 @@ def cmd_run(args) -> int:
                        inputs=inputs)
 
     memo: dict = {}  # one for the call: steps share most subterms
-
-    def text() -> str:
-        lines = [f"start: {print_term(term, memo)}"]
-        for i, step in enumerate(result.steps):
-            lines.append(f"step {i + 1}: {step.kind} at "
-                         f"{list(step.position)} -> "
-                         f"{print_term(step.result, memo)}")
-        if result.exhausted:
-            lines.append(f"fuel exhausted after {result.total_steps} steps")
-        else:
-            lines.append(f"normal form after {result.total_steps} steps: "
-                         f"{print_term(result.term, memo)}")
-        return "\n".join(lines)
-
-    def payload() -> dict:
-        return {
-            "command": "run", "file": args.file, "ok": not result.exhausted,
-            "start": print_term(term, memo), "strategy": args.strategy,
-            "fuel": fuel, "result": print_term(result.term, memo),
-            "normal_form": not result.exhausted,
-            "total_steps": result.total_steps,
-            "steps": [{"position": list(s.position), "kind": s.kind,
-                       "term": print_term(s.result, memo)}
-                      for s in result.steps],
-        }
-
-    _emit(args.format, payload, text)
+    _emit(args.format, {
+        "command": "run", "file": args.file, "ok": not result.exhausted,
+        "start": print_term(term, memo), "strategy": args.strategy,
+        "fuel": fuel, "result": print_term(result.term, memo),
+        "normal_form": not result.exhausted,
+        "total_steps": result.total_steps,
+        "steps": [{"position": list(s.position), "kind": s.kind,
+                   "term": print_term(s.result, memo)}
+                  for s in result.steps],
+    })
     return 2 if result.exhausted else 0
 
 
@@ -205,22 +250,16 @@ def cmd_prove(args) -> int:
             diagnostics = check_witness(Witness(params, ()), system, Solver(
                 smt_command=smt_command, bound=params.bound)).diagnostics
         if diagnostics:
-            _emit(args.format,
-                  lambda: {"command": "prove", "file": args.file, "ok": False,
-                           "report": {"message": "witness failed verification",
-                                      "diagnostics": list(diagnostics)}},
-                  lambda: "witness failed verification:\n" +
-                          "\n".join(diagnostics))
+            _emit(args.format, {
+                "command": "prove", "file": args.file, "ok": False,
+                "report": {"message": "witness failed verification",
+                           "diagnostics": list(diagnostics)}})
             return 2
-        _emit(args.format,
-              lambda: {"command": "prove", "file": args.file, "ok": True,
-                       "witness": document},
-              lambda: "TERMINATING\n" + result.to_text())
+        _emit(args.format, {"command": "prove", "file": args.file,
+                            "ok": True, "witness": document})
         return 0
-    _emit(args.format,
-          lambda: {"command": "prove", "file": args.file, "ok": False,
-                   "report": result.to_dict()},
-          lambda: "UNKNOWN\n" + result.to_text())
+    _emit(args.format, {"command": "prove", "file": args.file, "ok": False,
+                        "report": result.to_dict()})
     return 2
 
 

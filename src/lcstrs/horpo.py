@@ -104,16 +104,6 @@ class HorpoParams:
     def status_of(self, f: FunctionSymbol) -> Status:
         return self.status.get(f, LEX)
 
-    def hasse_pairs(self) -> tuple[tuple[FunctionSymbol, FunctionSymbol], ...]:
-        """Direct edges minus those implied by transitivity, for display."""
-        closure = self._closure
-        out = []
-        for f, g in self.edges:
-            if any(g in closure.get(h, ()) for h in closure.get(f, ()) if h != g):
-                continue
-            out.append((f, g))
-        return tuple(sorted(out, key=lambda e: (e[0].name, e[1].name)))
-
 
 def _transitive_closure(edges: frozenset) -> dict:
     direct: dict = {}
@@ -156,13 +146,14 @@ class Judgment:
     verdict: Optional[Verdict] = None
     data: object = None
 
-    def to_dict(self) -> dict:
+    def to_dict(self, memo: Optional[dict] = None) -> dict:
+        """The derivation as nested dicts; `memo` is `print_term`'s."""
         d = {
             "relation": self.relation,
             "case": self.case,
-            "lhs": _render(self.lhs),
-            "rhs": _render(self.rhs),
-            "constraint": print_term(self.constraint),
+            "lhs": _render(self.lhs, memo),
+            "rhs": _render(self.rhs, memo),
+            "constraint": print_term(self.constraint, memo),
         }
         if self.verdict is not None:
             d["entailment"] = repr(self.verdict)
@@ -170,20 +161,8 @@ class Judgment:
         if detail is not None:
             d["detail"] = detail
         if self.children:
-            d["children"] = [c.to_dict() for c in self.children]
+            d["children"] = [c.to_dict(memo) for c in self.children]
         return d
-
-    def to_text(self, indent: int = 0) -> str:
-        rel = {"geq": ">=", "gt": ">", "rpo": ">>", "lex": ">lex", "mul": ">mul"}
-        line = (" " * indent
-                + f"{self.case}: {_render(self.lhs)} {rel[self.relation]} "
-                + f"{_render(self.rhs)} [{print_term(self.constraint)}]")
-        detail = self._detail()
-        if detail is not None:
-            line += f" ({detail})"
-        parts = [line]
-        parts.extend(c.to_text(indent + 2) for c in self.children)
-        return "\n".join(parts)
 
     def _detail(self) -> Optional[str]:
         if self.data is None:
@@ -200,10 +179,10 @@ class Judgment:
         return str(self.data)
 
 
-def _render(side) -> str:
+def _render(side, memo: Optional[dict]) -> str:
     if isinstance(side, Term):
-        return print_term(side)
-    return "(" + ", ".join(print_term(t) for t in side) + ")"
+        return print_term(side, memo)
+    return "(" + ", ".join(print_term(t, memo) for t in side) + ")"
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,7 @@ class Witness:
     derivations: tuple[Judgment, ...]
 
     def to_dict(self) -> dict:
+        memo: dict = {}     # one for the document: derivations share terms
         status = {f.name: repr(st) for f, st in sorted(
             self.params.status.items(), key=lambda it: it[0].name)}
         return {
@@ -80,30 +81,14 @@ class Witness:
             "rules": [
                 {
                     "index": i + 1,
-                    "lhs": print_term(j.lhs),
-                    "rhs": print_term(j.rhs),
-                    "constraint": print_term(j.constraint),
-                    "derivation": j.to_dict(),
+                    "lhs": print_term(j.lhs, memo),
+                    "rhs": print_term(j.rhs, memo),
+                    "constraint": print_term(j.constraint, memo),
+                    "derivation": j.to_dict(memo),
                 }
                 for i, j in enumerate(self.derivations)
             ],
         }
-
-    def to_text(self) -> str:
-        lines = ["termination witness"]
-        lines.append(f"  bound: {self.params.bound}")
-        hasse = self.params.hasse_pairs()
-        prec = ", ".join(f"{f.name} > {g.name}" for f, g in hasse) or "(empty)"
-        lines.append(f"  precedence: {prec}")
-        status = ", ".join(
-            f"{f.name}: {st!r}" for f, st in sorted(
-                self.params.status.items(), key=lambda it: it[0].name))
-        lines.append(f"  status: {status or '(all lexicographic)'}")
-        for i, j in enumerate(self.derivations):
-            lines.append(f"  rule {i + 1}: {print_term(j.lhs)} -> "
-                         f"{print_term(j.rhs)} [{print_term(j.constraint)}]")
-            lines.append(j.to_text(indent=4))
-        return "\n".join(lines)
 
 
 @dataclass
@@ -141,16 +126,6 @@ class FailureReport:
                 for f in self.failures
             ],
         }
-
-    def to_text(self) -> str:
-        lines = [f"no termination witness found: {self.message}"]
-        for f in self.failures:
-            lines.append(f"  rule {f.index}: {f.rule}")
-            if f.deepest:
-                lines.append(f"    deepest failing comparison: {f.deepest}")
-            for u in f.unknowns:
-                lines.append(f"    undecided entailment: {u}")
-        return "\n".join(lines)
 
 
 ProveResult = Union[Witness, FailureReport]

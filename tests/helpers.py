@@ -16,6 +16,7 @@ from lcstrs.theory import (
     SUPEQ_BOOL, SUPEQ_INT, bool_value, int_value,
 )
 from lcstrs.rewrite import Position, RewriteStep, step_at
+from lcstrs.syntax import print_rule
 from lcstrs.theory import try_calculate
 
 INT_BINOPS = (ADD, SUB, MUL)
@@ -285,6 +286,14 @@ def gen_system(rng: random.Random, n_symbols: int = 3, n_rules: int = 4):
         rules.append(Rule(lhs, rhs, constraint))
     return System(signature=signature, rules=tuple(rules),
                   declarations=tuple(defined))
+
+
+def system_text(system) -> str:
+    """The text of a system file that declares `system`'s symbols and
+    states its rules."""
+    lines = [f"fun {s.name} : {s.type}" for s in system.declarations]
+    lines += [f"rule {print_rule(r)}" for r in system.rules]
+    return "\n".join(lines) + "\n"
 
 
 def _fold(args, result):

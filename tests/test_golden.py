@@ -1,4 +1,4 @@
-"""Golden `prove` outputs and `run` traces.
+"""Golden `check` and `prove` outputs and `run` traces.
 
 The stdout and exit code of `lcstrs prove <file> --format json` on the
 shipped systems, a List map/fold/range system and status-blowup systems
@@ -8,15 +8,26 @@ dict of terms shows up here. The k=3 output was recorded before the term
 core's hashing was reworked; the k=5 output and the text-mode outputs were
 recorded before the status product was pruned, and pin its attempt counts.
 The `--bounds 0,1,-1` outputs were recorded before the search state moved
-into one object, and pin the attempts summed over several bounds.
+into one object, and pin the attempts summed over several bounds. The
+`chain` and `cube` outputs, the `iter` and `empty` text outputs and the
+`check` outputs were recorded before text output became a view of the JSON
+payload: `chain` pins a precedence edge that the JSON lists and the text
+leaves out as implied, and `cube` two undecided entailments. The last
+test holds the text output of every golden call, and of calls on seeded
+random systems, to `_text` of the JSON output.
 """
 
+import json
+import random
 from pathlib import Path
 
 import pytest
 
-from helpers import LIST_SYSTEM, blowup_system
-from lcstrs.cli import main
+from helpers import (
+    LIST_SYSTEM, blowup_system, gen_ground_term, gen_system, system_text,
+)
+from lcstrs.cli import _text, main
+from lcstrs.syntax import print_term
 
 TESTS = Path(__file__).resolve().parent
 SYSTEMS = TESTS.parent / "systems"
@@ -31,9 +42,16 @@ CASES = {
     "list": (LIST_SYSTEM, 2),
     "blowup_k3": (blowup_system(3), 0),
     "blowup_k5": (blowup_system(5), 0),
+    "chain": ("fun f : Int -> Int\nfun g : Int -> Int\nfun h : Int -> Int\n"
+              "rule f x -> h x [true]\nrule g x -> h x [true]\n"
+              "rule f x -> g x [true]\n", 0),
+    # nonlinear: undecided without an SMT solver
+    "cube": ("fun f : Int -> Int\n"
+             "rule f x -> f (x - 1) [x * x * x > 8]\n", 2),
 }
 # the cases whose text-mode `prove` output is pinned as well
-PROVE_TEXT_CASES = ("fact", "loop", "list", "blowup_k3")
+PROVE_TEXT_CASES = ("fact", "iter", "loop", "empty", "list", "blowup_k3",
+                    "chain", "cube")
 # the cases whose `prove --bounds 0,1,-1 --format json` output is pinned
 PROVE_BOUNDS_CASES = ("loop", "list")
 
@@ -116,3 +134,58 @@ def test_run_trace_is_golden(case, fmt, tmp_path, monkeypatch, capsys):
     assert code == RUN_CASES[case][3]
     assert err == ""
     assert out == (GOLDEN / f"run_{case}.{fmt}").read_text()
+
+
+# the cases whose `check` output is pinned, text and json
+CHECK_CASES = ("fact", "list")
+
+
+@pytest.mark.parametrize("fmt", ["json", "txt"])
+@pytest.mark.parametrize("name", CHECK_CASES)
+def test_check_is_golden(name, fmt, tmp_path, monkeypatch, capsys):
+    (tmp_path / f"{name}.lcstrs").write_text(CASES[name][0])
+    monkeypatch.chdir(tmp_path)
+    code = main(["check", f"{name}.lcstrs", "--format",
+                 "text" if fmt == "txt" else "json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / f"check_{name}.{fmt}").read_text()
+
+
+def view_calls() -> list:
+    """(system name, system text, command and its options) of every golden
+    call, then of `check`, `run` and `prove` on seeded random systems."""
+    calls = [pytest.param(name, CASES[name][0], [command],
+                          id=f"{command}-{name}")
+             for name in sorted(CASES) for command in ("check", "prove")]
+    calls += [pytest.param(name, CASES[name][0], ["run", "--term", term,
+                                                  *extra], id=f"run-{case}")
+              for case, (name, term, extra, _) in RUN_CASES.items()]
+    for seed in range(12):
+        rng = random.Random(seed)
+        system = gen_system(rng)
+        term = gen_ground_term(rng, system.signature,
+                               system.rules[0].lhs.type, 3)
+        text = system_text(system)
+        argvs = {"check": ["check"], "prove": ["prove"],
+                 "run": ["run", "--term", print_term(term), "--fuel", "50"]}
+        calls += [pytest.param(f"gen{seed}", text, argv,
+                               id=f"{command}-gen{seed}")
+                  for command, argv in argvs.items()]
+    return calls
+
+
+@pytest.mark.parametrize("name, system, argv", view_calls())
+def test_text_is_a_view_of_the_json(name, system, argv, tmp_path,
+                                    monkeypatch, capsys):
+    # the text is `_text` of the JSON payload, line for line
+    (tmp_path / f"{name}.lcstrs").write_text(system)
+    monkeypatch.chdir(tmp_path)
+    command, *options = argv
+    outputs = {}
+    for fmt in ("text", "json"):
+        code = main([command, f"{name}.lcstrs", *options, "--format", fmt])
+        outputs[fmt] = code, capsys.readouterr().out
+    assert outputs["text"][0] == outputs["json"][0]
+    assert outputs["text"][1] == _text(json.loads(outputs["json"][1])) + "\n"

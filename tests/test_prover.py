@@ -12,6 +12,7 @@ import pytest
 
 from helpers import LIST_SYSTEM, all_read_system, blowup_system
 from lcstrs import prover
+from lcstrs.cli import _text
 from lcstrs.horpo import LEX, Horpo, HorpoParams, Mul
 from lcstrs.prover import (
     FailureReport, ProverConfig, RuleFailure, Witness, check_witness,
@@ -141,7 +142,8 @@ class TestFindWitness:
         assert not report.gave_up  # the space is exhausted, nothing undecided
         assert report.failures and report.failures[0].index == 1
         assert report.failures[0].deepest is not None
-        assert "nontermination" not in report.to_text()
+        assert "nontermination" not in _text(
+            {"command": "prove", "report": report.to_dict()})
 
     def test_planted_witness_is_found(self):
         # if checking accepts some assignment in the space, search succeeds
@@ -318,7 +320,7 @@ class TestWitnessOutput:
 
     def test_text_output(self, fact_system):
         witness = find_witness(fact_system)
-        text = witness.to_text()
+        text = _text({"command": "prove", "witness": witness.to_dict()})
         assert "precedence:" in text
         assert "init > fact" in text
         assert "rule 4" in text

@@ -46,6 +46,9 @@ REMOVED_ATTRIBUTES = [
     (prover.ProverConfig, "jobs"), (prover.Witness, "to_json"),
     (prover.CheckResult, "__bool__"), (core.Rule, "fresh_vars"),
     (prover.CheckResult, "derivations"), (rewrite.RewriteStep, "replay"),
+    # text is a view of the JSON payload, `cli._text`
+    (horpo.Judgment, "to_text"), (prover.Witness, "to_text"),
+    (prover.FailureReport, "to_text"), (horpo.HorpoParams, "hasse_pairs"),
 ]
 
 # keywords that nothing set, or only tests; the last three limits are

@@ -22,7 +22,7 @@ from .rewrite import (
     joinable_calc, match, normalize, respects, step_at,
 )
 from .solver import (
-    No, Solver, Unknown, Verdict, YES, Yes, eval_ground_constraint, to_smtlib,
+    No, Solver, Unknown, Verdict, YES, Yes, to_smtlib,
 )
 from .syntax import (
     ParseError, System, parse_system, parse_term, print_rule, print_term,

@@ -90,15 +90,6 @@ class Unknown(Verdict):
 YES = Yes()
 
 
-def eval_ground_constraint(constraint: Term, bound: int = 0) -> bool:
-    """Evaluate a ground logical constraint."""
-    if not constraint.is_ground:
-        raise SolverError(f"constraint is not ground: {constraint!r}")
-    if not constraint.is_theory_term or constraint.type != BOOL_T:
-        raise SolverError(f"not a logical constraint: {constraint!r}")
-    return interpret(constraint, bound) is True
-
-
 def _check_logical_constraint(term: Term, what: str) -> None:
     if not term.is_theory_term or term.type != BOOL_T:
         raise SolverError(f"{what} is not a logical constraint: {term!r}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from typing import Iterator
 
 from lcstrs.core import (
     App, ArrowType, BOOL_T, FunctionSymbol, INT_T, LcstrsError, Rule,
@@ -153,7 +154,7 @@ def respects_by_instantiation(subst, rule: Rule, bound: int = 0) -> bool:
         if not subst.get(v).is_value:
             return False
     phi = subst.apply(rule.constraint)
-    if not phi.is_ground:
+    if phi.free_vars:
         return False
     return theory.interpret(phi, bound) is True
 
@@ -181,10 +182,21 @@ class _ReplayInputs:
         return self._subst.get(var)
 
 
+def subterms(term: Term) -> Iterator[tuple[Position, Term]]:
+    """All (position, subterm) pairs of `term`, root first."""
+    stack = [((), term)]
+    while stack:
+        pos, t = stack.pop()
+        yield pos, t
+        if isinstance(t, App):
+            stack.append((pos + (1,), t.arg))
+            stack.append((pos + (0,), t.head))
+
+
 def calc_redexes(t: Term, bound: int = 0) -> list[tuple[Position, Term]]:
     """All positions where a calculation step applies, with the results."""
     out = []
-    for pos, sub in t.subterms():
+    for pos, sub in subterms(t):
         calculated = try_calculate(sub, bound)
         if calculated is not None:
             out.append((pos, t.replace_at(pos, calculated)))

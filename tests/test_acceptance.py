@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 from helpers import (
     calc_redexes, dershowitz_manna_gt, gen_ground_term, gen_theory_term,
-    multisets_up_to, random_calc_normalize,
+    multisets_up_to, random_calc_normalize, subterms,
 )
 from lcstrs import theory
 from lcstrs.core import App, BOOL_T, INT_T, Substitution, Term, arrow
@@ -125,7 +125,7 @@ def respecting_samples(system, rng, rule, count):
 def inject_calc_redex(term: Term, rng) -> Term | None:
     """Replace one integer value occurrence by a two-value redex that
     calculates back to it in a single step."""
-    spots = [pos for pos, sub in term.subterms()
+    spots = [pos for pos, sub in subterms(term)
              if sub.is_value and sub.type == INT_T]
     if not spots:
         return None
@@ -405,5 +405,5 @@ def test_criterion_9_end_to_end_smoke(fact_system):
                                 int_lo=-5, int_hi=5)
             result = normalize(t, fact_system, fuel=10000)
             assert not result.exhausted, print_term(t)
-            for pos, _ in result.term.subterms():
+            for pos, _ in subterms(result.term):
                 assert not step_at(result.term, pos, fact_system)

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import (
     gen_ground_term, gen_theory_term, recursive_free_vars,
-    recursive_is_theory_term,
+    recursive_is_theory_term, subterms,
 )
 from lcstrs.core import (
     App, ArrowType, BaseType, BOOL_T, FunctionSymbol, INT_T, PreApp, PreLeaf,
@@ -118,6 +118,29 @@ class TestHashContract:
         assert len(visited) == 200
         assert hash(term) == first
         assert len(visited) == 201
+
+
+class TestStoredFacts:
+    """What rewriting reads of every matching rule, `is_value` and
+    `Rule.logical_vars`, is stored when the object is built."""
+
+    def test_symbols_store_is_value(self):
+        for symbol, value in [(int_value(7), True), (theory.TRUE, True),
+                              (theory.ADD, False),
+                              (FunctionSymbol("f", arrow(INT_T, INT_T)), False)]:
+            assert symbol.__dict__["is_value"] is value, symbol.name
+        x = Variable("x", INT_T)
+        for term in (x, App(theory.NOT, Variable("b", BOOL_T))):
+            assert "is_value" not in term.__dict__
+            assert term.is_value is False
+
+    def test_rule_stores_logical_vars(self):
+        g = FunctionSymbol("g", arrow(INT_T, INT_T))
+        x, y = Variable("x", INT_T), Variable("y", INT_T)
+        rule = Rule(App(g, x), App(g, y), theory.GT.apply(x, int_value(0)))
+        assert rule.__dict__["logical_vars"] == {x, y} == (
+            rule.constraint.free_vars
+            | (rule.rhs.free_vars - rule.lhs.free_vars))
 
 
 class TestTypecheck:
@@ -240,14 +263,14 @@ class TestTheoryTermFlag:
         rng = random.Random(19)
         for _ in range(200):
             t = gen_theory_term(rng, budget=12)
-            for _, sub in t.subterms():
+            for _, sub in subterms(t):
                 assert sub.is_theory_term
 
     def test_ground_theory_terms_have_theory_types(self):
         rng = random.Random(23)
         for _ in range(300):
             t = gen_theory_term(rng, budget=12)
-            assert t.is_ground
+            assert not t.free_vars
             assert t.type.is_theory_type
 
 

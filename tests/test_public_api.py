@@ -24,11 +24,10 @@ PUBLIC = [
     "RuleError", "SemValue", "Signature", "Solver", "Substitution",
     "System", "Term", "TheoryError", "Type", "TypingError", "Unknown",
     "Variable", "Verdict", "Witness", "YES", "Yes", "arrow", "base_signature",
-    "bool_value", "calc_normal_form", "check_witness",
-    "eval_ground_constraint", "find_witness", "int_value", "interpret",
-    "joinable_calc", "match", "normalize", "parse_system", "parse_term",
-    "print_rule", "print_term", "respects", "step_at", "to_smtlib",
-    "try_calculate", "typecheck", "value_symbol",
+    "bool_value", "calc_normal_form", "check_witness", "find_witness",
+    "int_value", "interpret", "joinable_calc", "match", "normalize",
+    "parse_system", "parse_term", "print_rule", "print_term", "respects",
+    "step_at", "to_smtlib", "try_calculate", "typecheck", "value_symbol",
 ]
 
 # module-level names that duplicated a method, a constructor or a type
@@ -37,6 +36,7 @@ REMOVED = [
     "lex_ext", "mul_ext", "orient_rule", "replay_judgment", "entails",
     "print_type", "SystemFile", "ThreadPoolExecutor", "_creates_cycle",
     "_status_walk", "expand_orderings", "Sort", "INT", "BOOL",
+    "eval_ground_constraint",
 ]
 
 # attributes that nothing read
@@ -49,6 +49,8 @@ REMOVED_ATTRIBUTES = [
     # text is a view of the JSON payload, `cli._text`
     (horpo.Judgment, "to_text"), (prover.Witness, "to_text"),
     (prover.FailureReport, "to_text"), (horpo.HorpoParams, "hasse_pairs"),
+    # term views only tests read, now `tests/helpers.py` or `free_vars`
+    (core.Term, "subterms"), (core.Term, "is_ground"),
 ]
 
 # keywords that nothing set, or only tests; the last three limits are

@@ -9,7 +9,7 @@ import pytest
 from helpers import (
     BOOL_VARS, INT_VARS, calc_redexes, gen_ground_term, gen_system,
     gen_theory_term, joinable_bfs, random_calc_normalize, replay,
-    respects_by_instantiation, with_variables,
+    respects_by_instantiation, subterms, with_variables,
 )
 from lcstrs import rewrite, theory
 from lcstrs.core import (
@@ -183,7 +183,7 @@ class TestStepAt:
         rng = random.Random(41)
         for _ in range(200):
             t = gen_ground_term(rng, fact_system.signature, INT_T, 4)
-            for pos, _ in t.subterms():
+            for pos, _ in subterms(t):
                 for step in step_at(t, pos, fact_system):
                     if step.rule_index is not None:
                         rule = fact_system.rules[step.rule_index]

@@ -6,7 +6,9 @@ import random
 
 import pytest
 
-from helpers import blowup_system, gen_ground_term, gen_theory_term
+from helpers import (
+    blowup_system, gen_ground_term, gen_theory_term, subterms,
+)
 from lcstrs.core import INT_T, BOOL_T, LcstrsError, Variable, arrow
 from lcstrs.prover import Witness, check_witness, find_witness, params_from_dict
 from lcstrs.rewrite import InputSource, calc_normal_form, match, normalize, step_at
@@ -26,7 +28,7 @@ class TestParserFuzz:
         for _ in range(600):
             t = gen_ground_term(rng, fact_system.signature,
                                 rng.choice((INT_T, BOOL_T)), depth=4)
-            spots = [pos for pos, sub in t.subterms()
+            spots = [pos for pos, sub in subterms(t)
                      if sub.type in (INT_T, BOOL_T, arrow(INT_T, INT_T))]
             if spots:
                 pos = rng.choice(spots)

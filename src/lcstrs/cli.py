@@ -106,7 +106,58 @@ def _parse_inputs(text: str) -> list:
 
 def _emit(fmt: str, payload: dict) -> None:
     """Print the payload as JSON, or its text view."""
-    print(json.dumps(payload, indent=2) if fmt == "json" else _text(payload))
+    print(_json(payload) if fmt == "json" else _text(payload))
+
+
+_encode = json.encoder.encode_basestring_ascii    # the C string encoder
+
+
+def _json(obj) -> str:
+    """What `json.dumps` writes for `obj` with an indent of 2, byte for
+    byte, for a document with `str` keys. With an indent, the json module
+    encodes in pure Python; this writer sends every string through the C
+    encoder instead."""
+    if not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)
+    pieces: list[str] = []
+    _put(obj, "\n", pieces)
+    return "".join(pieces)
+
+
+def _put(obj, newline: str, pieces: list) -> None:
+    """Append the dict, list or tuple `obj`, written at the indent that
+    `newline` ends in. It recurses once per container level, as the json
+    module's encoder does."""
+    keyed = isinstance(obj, dict)
+    if not obj:
+        pieces.append("{}" if keyed else "[]")
+        return
+    inner = newline + "  "
+    separator = "," + inner
+    append = pieces.append
+    append(("{" if keyed else "[") + inner)
+    for key, value in (obj.items() if keyed else enumerate(obj)):
+        if keyed:
+            append(_encode(key) + ": ")
+        cls = value.__class__
+        if cls is str:
+            append(_encode(value))
+        elif cls is dict or cls is list:
+            _put(value, inner, pieces)
+        elif cls is int:
+            append(repr(value))
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif value is None:
+            append("null")
+        elif isinstance(value, (dict, list, tuple)):
+            _put(value, inner, pieces)
+        else:    # a float, or a subclass of str or int: no payload has one
+            append(json.dumps(value))
+        append(separator)
+    pieces[-1] = newline + ("}" if keyed else "]")  # the last separator
 
 
 _RELATION_SIGNS = {"geq": ">=", "gt": ">", "rpo": ">>", "lex": ">lex",
@@ -183,8 +234,8 @@ def _witness_lines(witness: dict) -> list[str]:
 
 def _fail(message: str, fmt: str, command: str, file: str) -> int:
     if fmt == "json":
-        print(json.dumps({"command": command, "file": file, "ok": False,
-                          "error": message}, indent=2))
+        print(_json({"command": command, "file": file, "ok": False,
+                     "error": message}))
     print(f"error: {message}", file=sys.stderr)
     return 1
 

@@ -4,21 +4,29 @@
 variables that satisfies phi also satisfies psi. Verdicts are three-valued:
 Yes, No (with a verified counterexample), or Unknown.
 
-The decision pipeline:
-  1. a refutation of phi /\\ not psi: a case split over `/\\`, `\\/`
+The decision pipeline, where a session is the counterexample search of one
+antecedent phi over one variable set, kept for the solver's lifetime:
+  1. the session's cached models, the points of its pool drawn so far
+     where phi holds: the first one where psi is false is a counterexample
+     (psi is compiled once per query; phi once per session);
+  2. a refutation of phi /\\ not psi: a case split over `/\\`, `\\/`
      and `not` that replaces an ordering atom by its expansion as it
      meets it, where an atom that is not a linear comparison is an opaque
      literal, and Fourier-Motzkin elimination over the integers of each
      case's linear facts (a `!=` split last into `>` or `<`); past
      `REFUTATION_LIMIT` cases or facts it gives up;
-  2. a bounded search for counterexamples over small value assignments,
-     evaluating phi and psi compiled once per query (every hit is
-     re-verified with `theory.interpret` before it is reported);
-  3. an external SMT solver over SMT-LIB 2 (QF_LIA), if configured.
+  3. the session's search continued over the small value assignments it
+     has not drawn yet, each one where phi holds cached as a model;
+  4. an external SMT solver over SMT-LIB 2 (QF_LIA), if configured.
 
-Stages 1-2 need no external tooling; stage 3 only ever strengthens the
-answer (unsat gives Yes, a model is verified by evaluation before a No is
-returned, anything else is Unknown).
+Every counterexample of stages 1 and 3 is re-verified with
+`theory.interpret` before it is reported. The models are a prefix, in the
+pool's order, of the points where phi holds, so stages 1 and 3 together
+find the first counterexample in that order whichever queries came before:
+the verdict of a query does not depend on them. Stages 1-3 need no external
+tooling; stage 4 only ever strengthens the answer (unsat gives Yes, a model
+is verified by evaluation before a No is returned, anything else is
+Unknown).
 """
 
 from __future__ import annotations
@@ -29,9 +37,12 @@ import random
 import re
 import shlex
 import subprocess
+import threading
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence, Union, ValuesView
+from typing import (
+    Callable, Iterable, Iterator, Optional, Sequence, Union, ValuesView,
+)
 
 from . import theory
 from .core import (
@@ -410,8 +421,54 @@ class QueryRecord:
     verdict: Verdict
 
 
+def _assignments(variables: list[Variable], bound: int) -> Iterable[tuple]:
+    """Value tuples for `variables`: all of them in product order when
+    there are at most `SEARCH_LIMIT`, else that many seeded draws and then
+    the corners (each value its pool's least or greatest) when there are at
+    most `SEARCH_LIMIT` of those."""
+    ints = tuple(dict.fromkeys(_SEARCH_INTS + (bound, bound + 1, bound - 1)))
+    pools = [(False, True) if v.type == BOOL_T else ints for v in variables]
+    if math.prod(len(p) for p in pools) <= SEARCH_LIMIT:
+        return itertools.product(*pools)
+    rng = random.Random(0)
+    draws = (tuple(rng.choice(pool) for pool in pools)
+             for _ in range(SEARCH_LIMIT))
+    if 2 ** len(pools) > SEARCH_LIMIT:
+        return draws
+    return itertools.chain(draws, itertools.product(
+        *((min(p), max(p)) for p in pools)))
+
+
+def _drawn_models(phi: Term, variables: list[Variable], bound: int,
+                  models: list[tuple]) -> Iterator[tuple]:
+    """The tuples of `_assignments` where phi holds, in their order, each
+    appended to `models` before it is given. phi is compiled at the first
+    draw."""
+    holds = compile_constraint(phi, variables, bound)
+    for values in _assignments(variables, bound):
+        if holds(values) is True:
+            models.append(values)
+            yield values
+
+
+class _Session:
+    """The counterexample search of one antecedent over one variable set:
+    the variables in name order; the models, the value tuples drawn so far
+    where the antecedent holds; and the one generator that draws the rest,
+    so that each search goes on where the last one stopped. A decision
+    holds the lock, so threads that share the solver keep the models in
+    the search's order."""
+
+    def __init__(self, phi: Term, varset: frozenset, bound: int):
+        self.variables = sorted(varset, key=lambda v: v.name)
+        self.models: list[tuple] = []
+        self.undrawn = _drawn_models(phi, self.variables, bound, self.models)
+        self.lock = threading.Lock()
+
+
 class Solver:
-    """Entailment engine with memoization and an optional SMT backend.
+    """Entailment engine with memoization, one counterexample-search
+    session per antecedent and variable set, and an optional SMT backend.
 
     `smt_command` is a full command line (e.g. "z3 -in") for a process
     that reads SMT-LIB 2 on stdin and reports sat/unsat plus a model on
@@ -423,6 +480,7 @@ class Solver:
         self.smt_command = smt_command
         self.bound = bound
         self._cache: dict[tuple, QueryRecord] = {}
+        self._sessions: dict[tuple, _Session] = {}
 
     @property
     def log(self) -> ValuesView[QueryRecord]:
@@ -477,40 +535,39 @@ class Solver:
     # -- pipeline stages -------------------------------------------------
 
     def _decide(self, phi: Term, psi: Term, varset: frozenset) -> Verdict:
-        if _refuted(phi, psi, self.bound):
-            return YES
-        counterexample = self._search_counterexample(phi, psi, varset)
+        session = self._sessions.get((phi, varset))
+        if session is None:
+            session = self._sessions.setdefault(
+                (phi, varset), _Session(phi, varset, self.bound))
+        with session.lock:
+            goal = None
+            if session.models:
+                goal = compile_constraint(psi, session.variables, self.bound)
+                counterexample = self._first_counterexample(
+                    phi, psi, session.variables, goal, session.models)
+                if counterexample is not None:
+                    return No(counterexample)
+            if _refuted(phi, psi, self.bound):
+                return YES
+            if goal is None:
+                goal = compile_constraint(psi, session.variables, self.bound)
+            counterexample = self._first_counterexample(
+                phi, psi, session.variables, goal, session.undrawn)
         if counterexample is not None:
             return No(counterexample)
         if self.smt_command:
             return self._ask_smt(phi, psi, varset)
         return Unknown("fast paths inconclusive and no SMT solver configured")
 
-    def _assignments(self, variables: list[Variable]) -> Iterable[tuple]:
-        """Value tuples for `variables`: all of them in product order when
-        there are at most `SEARCH_LIMIT`, else that many seeded draws and
-        then the corners (each value its pool's least or greatest) when
-        there are at most `SEARCH_LIMIT` of those."""
-        ints = tuple(dict.fromkeys(
-            _SEARCH_INTS + (self.bound, self.bound + 1, self.bound - 1)))
-        pools = [(False, True) if v.type == BOOL_T else ints for v in variables]
-        if math.prod(len(p) for p in pools) <= SEARCH_LIMIT:
-            return itertools.product(*pools)
-        rng = random.Random(0)
-        draws = (tuple(rng.choice(pool) for pool in pools)
-                 for _ in range(SEARCH_LIMIT))
-        if 2 ** len(pools) > SEARCH_LIMIT:
-            return draws
-        return itertools.chain(draws, itertools.product(
-            *((min(p), max(p)) for p in pools)))
-
-    def _search_counterexample(self, phi: Term, psi: Term, varset: frozenset
-                               ) -> Optional[dict[Variable, SemValue]]:
-        variables = sorted(varset, key=lambda v: v.name)
-        holds = compile_constraint(phi, variables, self.bound)
-        goal = compile_constraint(psi, variables, self.bound)
-        for values in self._assignments(variables):
-            if holds(values) is True and goal(values) is False:
+    def _first_counterexample(self, phi: Term, psi: Term,
+                              variables: list[Variable], goal: Compiled,
+                              points: Iterable[tuple]
+                              ) -> Optional[dict[Variable, SemValue]]:
+        """The first of `points`, value tuples for `variables` where phi
+        holds, that `goal` (psi compiled) and then `interpret` show to be a
+        counterexample."""
+        for values in points:
+            if goal(values) is False:
                 assignment = dict(zip(variables, values))
                 if self._is_counterexample(phi, psi, assignment):
                     return assignment

@@ -13,11 +13,14 @@ from lcstrs import solver as solver_module
 from lcstrs.core import (
     App, BOOL_T, INT_T, Substitution, Variable,
 )
-from lcstrs.solver import Solver, SolverError, compile_constraint, to_smtlib
+from lcstrs.solver import (
+    Solver, SolverError, _assignments, compile_constraint, to_smtlib,
+)
 from lcstrs.syntax import parse_system, parse_term
 from lcstrs.theory import TheoryError, int_value, interpret, value_symbol
 
 FAKE_SMT = Path(__file__).resolve().parent / "fake_smt.py"
+REPO = Path(__file__).resolve().parent.parent
 
 
 def fake_smt(mode: str) -> str:
@@ -489,3 +492,223 @@ class TestQueryLog:
             sys.setswitchinterval(interval)
         assert answers == [expected, expected]
         assert shared.queries == len(shared.log) == 200
+
+
+def assert_sessions_are_prefixes(solver):
+    """One session per distinct (phi, varset) decided, and each session's
+    models are the tuples of `_assignments` where phi holds, in their order,
+    up to where the search stopped: never longer, never out of order."""
+    assert set(solver._sessions) == {(r.phi, r.variables) for r in solver.log}
+    for (phi, varset), session in solver._sessions.items():
+        assert session.variables == sorted(varset, key=lambda v: v.name)
+        holds = compile_constraint(phi, session.variables, solver.bound)
+        satisfying = [values for values in _assignments(
+            session.variables, solver.bound) if holds(values) is True]
+        assert session.models == satisfying[:len(session.models)]
+
+
+class TestSessions:
+    """One session per antecedent and variable set: the antecedent compiled
+    once, one iterator over the pool and its models cached, answering a
+    goal before the refutation runs. Every verdict must be the one a fresh
+    solver gives."""
+
+    @pytest.mark.parametrize("bound", [-1, 0, 2])
+    def test_a_shared_solver_answers_as_fresh_ones(self, bound):
+        # the golden corpus, and each phi with three other goals of it
+        from test_entails_golden import corpus
+        rng = random.Random(2207 + bound)
+        queries = [(phi, psi) for phi, psi, _ in corpus()]
+        goals = [psi for _, psi in queries]
+        queries += [(phi, psi) for phi, _ in queries
+                    for psi in rng.sample(goals, 3)]
+        rng.shuffle(queries)
+        shared = Solver(bound=bound)
+        for phi, psi in queries:
+            variables = phi.free_vars | psi.free_vars
+            assert repr(shared.entails(phi, psi, variables)) == repr(
+                Solver(bound=bound).entails(phi, psi, variables)), (phi, psi)
+        assert shared.queries == len(set(queries))
+        assert len(shared._sessions) < shared.queries
+
+    def test_the_antecedent_is_compiled_once_per_variable_set(
+            self, P, monkeypatch):
+        phi = P("n > 2 /\\ n < 50")
+        m = P.ctx["m"] = Variable("m", INT_T)
+        queries = [(P(goal), phi.free_vars) for goal in (
+            "n > 3", "n < 10", "n != 5", "n * n < 100", "n = 3", "n !> 7",
+            "n + n > 7")]
+        queries += [(P(goal), phi.free_vars | {m}) for goal in (
+            "n > m", "m < 10", "n < 10")]
+        expected = [repr(Solver().entails(phi, psi, variables))
+                    for psi, variables in queries]
+        compiled = []
+
+        def counting(term, variables, bound):
+            compiled.append(term)
+            return compile_constraint(term, variables, bound)
+
+        monkeypatch.setattr(solver_module, "compile_constraint", counting)
+        solver = Solver()
+        assert [repr(solver.entails(phi, psi, variables))
+                for psi, variables in queries] == expected
+        # once for {n} and once for {n, m}, however many goals were searched
+        assert compiled.count(phi) == 2
+        assert len(compiled) <= 2 + len(queries)
+        monkeypatch.undo()
+        assert_sessions_are_prefixes(solver)
+
+    def test_a_no_from_cached_models_needs_no_refutation(self, P,
+                                                         monkeypatch):
+        refutations = []
+        refuted = solver_module._refuted
+
+        def counting(phi, psi, bound):
+            refutations.append(psi)
+            return refuted(phi, psi, bound)
+
+        monkeypatch.setattr(solver_module, "_refuted", counting)
+        solver = Solver()
+        phi = P("n > 0 /\\ n < 9")
+        m = P.ctx["m"] = Variable("m", INT_T)
+        # the pool in product order: 0, 1, -1, 2, -2, 3, ...
+        assert repr(solver.entails(phi, P("n > 5"))) == "No(n=1)"
+        assert repr(solver.entails(phi, P("n < 3"))) == "No(n=3)"
+        assert refutations == [P("n > 5"), P("n < 3")]
+        # answered by the models n = 1, 2, 3
+        assert repr(solver.entails(phi, P("n != 2"))) == "No(n=2)"
+        assert repr(solver.entails(phi, P("n > 1"))) == "No(n=1)"
+        assert len(refutations) == 2
+        # the same antecedent over another variable set: a session of its own
+        assert repr(solver.entails(phi, P("n > 1"), {P.ctx["n"], m})) == \
+            "No(m=0, n=1)"
+        assert len(refutations) == 3
+        # a goal that no model falsifies is refuted, then searched
+        assert repr(solver.entails(phi, P("n < 100"))) == "Yes"
+        assert repr(solver.entails(phi, P("n < 7"))) == "No(n=7)"
+        assert len(refutations) == 5
+        assert_sessions_are_prefixes(solver)
+
+    def test_a_no_from_cached_models_rests_on_the_interpreter(
+            self, P, monkeypatch):
+        # a compiled goal that claims a counterexample at every point
+        def lying(term, variables, bound):
+            if term is phi:
+                return compile_constraint(term, variables, bound)
+            return lambda env: False
+
+        monkeypatch.setattr(solver_module, "compile_constraint", lying)
+        phi = P("a * b > c /\\ d > 0")
+        solver = Solver()
+        assert repr(solver.entails(phi, P("d > 1"))) == \
+            repr(Solver().entails(phi, P("d > 1")))
+        assert solver._sessions[phi, phi.free_vars].models
+        # valid, and nonlinear: no cached model may answer it
+        assert solver.entails(phi, P("a * b + d > c")).is_unknown
+        assert solver.entails(phi, P("d > 0")).is_yes
+
+    def test_the_pinned_corner_after_two_goals_on_its_antecedent(self, P):
+        # both earlier goals are refuted by seeded draws; the third goes
+        # on from where they stopped, to the corners
+        phi = P("a * b + c * d > e /\\ e > 50")
+        solver = Solver()
+        assert repr(solver.entails(phi, P("e != 100"))) == \
+            "No(a=10, b=100, c=1, d=-5, e=100)"
+        assert repr(solver.entails(phi, P("b > -10"))) == \
+            "No(a=-10, b=-10, c=10, d=2, e=100)"
+        session = solver._sessions[phi, phi.free_vars]
+        drawn = len(session.models)
+        assert repr(solver.entails(phi, P("a > 0 \\/ c > 0"))) == \
+            "No(a=-10, b=-10, c=-10, d=-10, e=100)"
+        assert drawn < len(session.models)
+        assert_sessions_are_prefixes(solver)
+
+    def test_models_are_bounded_by_the_pool(self, P):
+        # undecided goals exhaust the pool; asking more keeps one copy
+        solver = Solver()
+        phi = P("n >= -3 \\/ m > 5")
+        goals = ["n * n >= 0", "n * n + m * m >= 0", "n * n != 2",
+                 "m * m != 3"]
+        for goal in goals * 2:
+            assert solver.entails(phi, P(goal)).is_unknown
+        session, = solver._sessions.values()
+        pool = list(_assignments(session.variables, 0))
+        holds = compile_constraint(phi, session.variables, 0)
+        assert session.models == [t for t in pool if holds(t)]
+        assert len(pool) > len(session.models) > len(pool) // 2
+        assert solver.queries == len(goals)
+        assert_sessions_are_prefixes(solver)
+
+    def test_threads_sharing_sessions_answer_as_fresh_solvers(self, P):
+        # more threads than cores, each asking the same goals on two
+        # antecedents in its own order; a goal is falsified at one point of
+        # the pool at most (4 is not in it), so the searches are long and
+        # go on from each other's stopping points. Every verdict must be a
+        # fresh solver's, and the models must stay in the search's order
+        rng = random.Random(89)
+        values = (-10, -3, 0, 2, 4, 7, 100)
+        queries = [(P(phi), P(f"x != {a} \\/ y != {b} \\/ z != {c}"))
+                   for phi in ("x + y + 250 > z", "x * y + 10000 >= z")
+                   for a, b, c in (rng.choices(values, k=3)
+                                   for _ in range(15))]
+        expected = {q: repr(Solver().entails(*q, P.ctx.values()))
+                    for q in queries}
+        shared = Solver()
+        start = threading.Barrier(4)
+        answers = [{} for _ in range(4)]
+
+        def ask(order, out):
+            start.wait()
+            for q in order:
+                out[q] = repr(shared.entails(*q, P.ctx.values()))
+
+        orders = [random.Random(i).sample(queries, len(queries))
+                  for i in range(4)]
+        threads = [threading.Thread(target=ask, args=(order, out))
+                   for order, out in zip(orders, answers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert answers == [expected] * 4
+        assert len(shared._sessions) == 2
+        assert_sessions_are_prefixes(shared)
+
+    def test_the_first_entail_cycle_refutes_only_what_models_leave(
+            self, monkeypatch, tmp_path, capsys):
+        # seed 1 of the benchmark's entail workload: 267 decisions, 161 of
+        # them No; a No that a cached model answers is never refuted. The
+        # counts are those of perfbench/workloads.py's generator, and a
+        # change to the entail workload must count them again
+        monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+        from workloads import cycles
+        from lcstrs import cli
+        decided, refuted, solvers = [], [], []
+        decide, refute = Solver._decide, solver_module._refuted
+
+        def deciding(solver, phi, psi, varset):
+            decided.append(decide(solver, phi, psi, varset))
+            solvers.append(solver)
+            return decided[-1]
+
+        def refuting(*args):
+            refuted.append(refute(*args))
+            return refuted[-1]
+
+        monkeypatch.setattr(Solver, "_decide", deciding)
+        monkeypatch.setattr(solver_module, "_refuted", refuting)
+        cycle = next(cycles("entail", 1, str(tmp_path), str(REPO / "systems")))
+        for case in cycle:
+            assert cli.main(case.argv) in (0, 2)
+        capsys.readouterr()
+        assert len(decided) == 267
+        assert sum(v.is_no for v in decided) == 161
+        assert len(refuted) <= 161
+        for solver in dict.fromkeys(solvers):
+            assert_sessions_are_prefixes(solver)

@@ -237,12 +237,12 @@ class Horpo:
     search), and the symbols whose status it read (`status_reads`; a search
     need not retry statuses that went unread). Besides the bound, these are
     its only reads of the parameters, so its result holds for any
-    parameters with the same bound that answer them alike. The prover
-    relies on this: per rule, it keeps a record of the judgment, these
-    answers, the entailment checks that came back Unknown (`unknowns`) and
-    the deepest point where a derivation attempt failed
-    (`deepest_failure`), but not the memo, and reuses it in place of a
-    fresh engine.
+    parameters with the same bound that answer them alike
+    (`answers_alike`). `orient_rule` keeps its result as `judgment` and
+    releases the memo, so the prover keeps each orienting engine as its
+    rule's record, with the entailments that came back Unknown
+    (`unknowns`) and the deepest failed comparison (`deepest_failure`),
+    and reuses it in place of a fresh engine.
     """
 
     def __init__(self, params: HorpoParams, solver: Optional[Solver] = None):
@@ -259,7 +259,9 @@ class Horpo:
         self.prec_hits: set[tuple[FunctionSymbol, FunctionSymbol]] = set()
         self.prec_misses: set[tuple[FunctionSymbol, FunctionSymbol]] = set()
         self.status_reads: set[FunctionSymbol] = set()
-        self.unknowns: list[str] = []
+        # (phi, goal, reason) of each entailment that came back Unknown
+        self.unknowns: list[tuple[Term, Term, str]] = []
+        self.judgment: Optional[Judgment] = None
         self._deepest: Optional[tuple[int, str, Term, Term]] = None
 
     # -- public relations --------------------------------------------------
@@ -320,8 +322,21 @@ class Horpo:
     def orient_rule(self, rule: Rule) -> Optional[Judgment]:
         """Strictly compare the rule's sides under its constraint, with the
         constraint's variable set extended by the fresh right-hand side
-        variables (they are value-instantiated by respecting substitutions)."""
-        return self.gt(rule.lhs, rule.rhs, rule.constraint, rule.logical_vars)
+        variables (they are value-instantiated by respecting substitutions).
+        The result is kept as `judgment` and the memo is released."""
+        self.judgment = self.gt(rule.lhs, rule.rhs, rule.constraint,
+                                rule.logical_vars)
+        self._memo.clear()
+        return self.judgment
+
+    def answers_alike(self, params: HorpoParams) -> bool:
+        """Whether `params` answer every precedence and status question
+        this engine asked as its own did: with the same bound, its results
+        then hold under `params` unchanged."""
+        return (all(params.prec_gt(f, g) for f, g in self.prec_hits)
+                and not any(params.prec_gt(f, g) for f, g in self.prec_misses)
+                and all(params.status_of(f) == self.params.status_of(f)
+                        for f in self.status_reads))
 
     # -- plumbing ------------------------------------------------------
 
@@ -373,8 +388,7 @@ class Horpo:
         goal = theory.sup_symbol(s.type, strict).apply(s, t)
         verdict = self.solver.entails(phi, goal, cvars)
         if verdict.is_unknown:
-            self.unknowns.append(
-                f"{print_term(phi)} entails {print_term(goal)}: {verdict.reason}")
+            self.unknowns.append((phi, goal, verdict.reason))
         return verdict
 
     # -- the three relations -------------------------------------------

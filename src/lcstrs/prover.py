@@ -28,18 +28,18 @@ which the report names. Each distinct bound is searched once.
 
 Under one bound, orienting a rule depends on the parameters only through
 the precedence pairs and statuses the engine asked about. So each rule
-keeps records across all the attempts and status assignments of a bound,
-one per distinct set of answers: the judgment, the precedence pairs asked
-and found, those asked and not found, the statuses read, the entailments
-that came back Unknown and the deepest failure. An attempt reuses a
-record when its parameters answer every one of those questions alike, and
-only otherwise orients the rule afresh and adds a record. The bound's
-solver keeps every verdict, so a reused record is what a fresh engine
-would give: the same witness, failure report and attempt count.
+keeps, across all the attempts and status assignments of a bound, the
+engines that oriented it, one per distinct set of answers, each with its
+memo released: an engine is its orientation's record. An attempt reuses
+an engine whose questions its parameters answer alike, and only
+otherwise orients the rule with a fresh engine and keeps that one too.
+The bound's solver keeps every verdict, so a reused engine gives what a
+fresh one would: the same witness, failure report and attempt count.
+Only the reported failure is rendered.
 
 A found witness is self-certifying: `check_witness` replays every rule
 from scratch with fresh engines and, unless given one, a fresh solver; it
-reuses no record.
+reuses no kept engine.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .core import FunctionSymbol, LcstrsError, Rule
+from .core import FunctionSymbol, LcstrsError
 from .horpo import LEX, Horpo, HorpoParams, Judgment, Mul, Status
 from .solver import Solver
 from .syntax import System, print_rule, print_term
@@ -131,32 +131,6 @@ class FailureReport:
 ProveResult = Union[Witness, FailureReport]
 
 
-class _Orientation(NamedTuple):
-    """The outcome of orienting one rule, and every precedence and status
-    answer it used: with the bound, all it depends on. The memo of the
-    engine that computed it is not kept."""
-    judgment: Optional[Judgment]
-    hits: set                   # precedence pairs asked and found
-    misses: set                 # precedence pairs asked and not found
-    statuses: tuple             # (symbol, status) of each status read
-    unknowns: list
-    deepest_failure: Optional[tuple[int, str]]    # rendered on failure
-
-    @classmethod
-    def of(cls, engine: Horpo, rule: Rule) -> "_Orientation":
-        judgment = engine.orient_rule(rule)
-        return cls(judgment, engine.prec_hits, engine.prec_misses,
-                   tuple((f, engine.params.status_of(f))
-                         for f in engine.status_reads),
-                   engine.unknowns,
-                   engine.deepest_failure if judgment is None else None)
-
-    def holds_under(self, params: HorpoParams) -> bool:
-        return (all(params.prec_gt(f, g) for f, g in self.hits)
-                and not any(params.prec_gt(f, g) for f, g in self.misses)
-                and all(params.status_of(f) == st for f, st in self.statuses))
-
-
 class _Budget:
     """The state of one search: its deadline, whether that has passed, the
     orientation attempts covered, and the furthest failure."""
@@ -165,9 +139,9 @@ class _Budget:
         self.deadline = time.monotonic() + timeout
         self.expired = False
         self.attempts = 0
-        # (index of the first rule not oriented, the record of its failed
+        # (index of the first rule not oriented, the engine of its failed
         # orientation) of the first attempt that oriented the most rules
-        self.failure: Optional[tuple[int, _Orientation]] = None
+        self.failure: Optional[tuple[int, Horpo]] = None
 
     def exceeded(self) -> bool:
         if not self.expired:
@@ -195,7 +169,7 @@ def find_witness(system: System, config: Optional[ProverConfig] = None
 
     for bound in dict.fromkeys(bounds):     # each distinct bound once
         solver = Solver(smt_command=cfg.smt_command, bound=bound)
-        records: list[list[_Orientation]] = [[] for _ in system.rules]
+        records: list[list[Horpo]] = [[] for _ in system.rules]
         # the sorted read positions of a failed search -> {the statuses at
         # those positions: the attempts it made}
         refuted: dict = {}
@@ -239,30 +213,37 @@ def find_witness(system: System, config: Optional[ProverConfig] = None
             prefix[-1] = options[depth - 1][indices[-1]]
         if budget.expired:
             break
+    return _failure_report(system, budget)
 
+
+def _failure_report(system: System, budget: _Budget) -> FailureReport:
+    """The report of a search that found no witness. Its one failure is
+    rendered here, the only place it is read."""
     failures: tuple[RuleFailure, ...] = ()
     gave_up = budget.expired
     if budget.failure is not None:
-        # rendered once, for the report that is shown
-        index, record = budget.failure
-        deepest = record.deepest_failure
+        index, engine = budget.failure
+        deepest = engine.deepest_failure
+        unknowns = tuple(
+            f"{print_term(phi)} entails {print_term(goal)}: {reason}"
+            for phi, goal, reason in engine.unknowns)
         failures = (RuleFailure(index + 1, print_rule(system.rules[index]),
-                                deepest[1] if deepest else None,
-                                tuple(record.unknowns)),)
-        gave_up = gave_up or bool(record.unknowns)
+                                deepest[1] if deepest else None, unknowns),)
+        gave_up = gave_up or bool(unknowns)
     return FailureReport(failures, budget.attempts, gave_up)
 
 
 def _search_precedence(system: System, status: dict, bound: int,
                        solver: Solver, budget: _Budget,
-                       records: list[list[_Orientation]]
+                       records: list[list[Horpo]]
                        ) -> Union[Witness, set[FunctionSymbol]]:
     """Depth-first growth of the precedence edge set for one status/bound
-    choice. `records` holds each rule's orientations under this bound and
-    `solver` so far: a rule is oriented afresh, and its record appended,
-    only when none of them holds under the attempt's parameters. Each
-    failed attempt is offered to `budget.failure`. Returns a Witness, or
-    else the symbols whose status any orientation of any attempt read."""
+    choice. `records` holds the engines that oriented each rule under this
+    bound and `solver` so far: a rule is oriented by a fresh engine, which
+    is appended, only when the attempt's parameters answer none of them
+    alike. Each failed attempt is offered to `budget.failure`. Returns a
+    Witness, or else the symbols whose status any orientation of any
+    attempt read."""
     visited: set[frozenset] = set()
     reads: set[FunctionSymbol] = set()
     stack: list[frozenset] = [frozenset()]
@@ -277,12 +258,13 @@ def _search_precedence(system: System, status: dict, bound: int,
         params = HorpoParams(edges, status, bound)
         derivations = []
         for index, rule in enumerate(system.rules):
-            record = next((r for r in records[index] if r.holds_under(params)),
-                          None)
+            record = next((r for r in records[index]
+                           if r.answers_alike(params)), None)
             if record is None:
-                record = _Orientation.of(Horpo(params, solver), rule)
+                record = Horpo(params, solver)
+                record.orient_rule(rule)
                 records[index].append(record)
-            reads.update(f for f, _ in record.statuses)
+            reads.update(record.status_reads)
             if record.judgment is None:
                 break
             derivations.append(record.judgment)
@@ -291,7 +273,7 @@ def _search_precedence(system: System, status: dict, bound: int,
         if budget.failure is None or index > budget.failure[0]:
             budget.failure = (index, record)
         # pushed in reverse, so the first miss is grown first
-        for f, g in reversed(sorted(record.misses,
+        for f, g in reversed(sorted(record.prec_misses,
                                     key=lambda e: (e[0].name, e[1].name))):
             # a miss relates two distinct non-theory symbols, so this
             # holds exactly when f is reachable from g: f > g would close

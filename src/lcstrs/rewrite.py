@@ -18,6 +18,7 @@ from .core import (
 from .syntax import System
 from .theory import (
     bool_value, int_value, interpret, semantic_value, try_calculate,
+    value_symbol,
 )
 
 Position = tuple[int, ...]
@@ -86,7 +87,7 @@ class InputSource:
                 f"variable '{var.name}' of type {var.type} cannot take an input value")
         if self._queue:
             value = self._queue.pop(0)
-            term = bool_value(value) if isinstance(value, bool) else int_value(value)
+            term = value_symbol(value)
             if term.type != var.type:
                 raise LcstrsError(
                     f"input value {value!r} does not fit variable "

@@ -4,22 +4,22 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from helpers import LIST_SYSTEM, all_read_system, blowup_system
-from lcstrs import prover
+from helpers import LIST_SYSTEM, all_read_system, blowup_system, gen_system
+from lcstrs import horpo, prover
 from lcstrs.cli import _text
 from lcstrs.horpo import LEX, Horpo, HorpoParams, Mul
 from lcstrs.prover import (
-    FailureReport, ProverConfig, RuleFailure, Witness, check_witness,
-    find_witness,
+    FailureReport, ProverConfig, Witness, check_witness, find_witness,
 )
 from lcstrs.solver import Solver
-from lcstrs.syntax import parse_system, print_rule
+from lcstrs.syntax import parse_system
 
 REPO = Path(__file__).resolve().parent.parent
 SYSTEMS = REPO / "systems"
@@ -63,6 +63,18 @@ BRANCHING = ("fun s : Int -> Int\nfun f : Int -> Int\n"
              "fun g : Int -> Int\nfun h : Int -> Int\n"
              "rule f (s x) -> g x [true]\nrule g x -> h x [true]\n"
              "rule h x -> h x [true]\n")
+# f > g orients rule 1 and g > h rule 2; rule 3 then fails under every
+# precedence, in the descent onto its argument
+CYCLE = ("fun f : Int -> Int\nfun g : Int -> Int\nfun h : Int -> Int\n"
+         "rule f x -> g x [true]\nrule g x -> h x [true]\n"
+         "rule h x -> f (x * x) [x * x > 4]\n")
+# nonlinear: its two entailments stay undecided without an SMT solver
+CUBE = "fun f : Int -> Int\nrule f x -> f (x - 1) [x * x * x > 8]\n"
+# under f > g, rule 1 orients past two undecided entailments; rule 2 then
+# fails under every precedence
+CUBE_THEN_LOOP = ("fun f : Int -> Int\nfun g : Int -> Int\n"
+                  "rule f x -> g (x - 1) [x * x * x > 8]\n"
+                  "rule g x -> g x [true]\n")
 # each rule wants one more edge, so the precedence search grows a chain of
 # 120 edges, one attempt per edge
 CHAIN = ("".join(f"fun f{i} : Int -> Int\n" for i in range(121))
@@ -354,16 +366,7 @@ def exhaustive_find_witness(system, config):
                 break
         if budget.expired:
             break
-    failures = ()
-    gave_up = budget.expired
-    if budget.failure is not None:
-        index, record = budget.failure
-        deepest = record.deepest_failure
-        failures = (RuleFailure(index + 1, print_rule(system.rules[index]),
-                                deepest[1] if deepest else None,
-                                tuple(record.unknowns)),)
-        gave_up = gave_up or bool(record.unknowns)
-    return FailureReport(failures, budget.attempts, gave_up)
+    return prover._failure_report(system, budget)
 
 
 DIFFERENTIAL_CASES = {
@@ -448,3 +451,102 @@ class TestOrientationRecords:
         report = find_witness(parse_system(REUSED_ACROSS_BRANCHES))
         assert isinstance(report, FailureReport) and not report.gave_up
         assert report.searched == 4
+
+
+def derivation(engine):
+    return None if engine.judgment is None else engine.judgment.to_dict()
+
+
+class TestKeptEngines:
+    """An engine kept as a rule's record answers, wherever the search
+    reuses it, as a fresh engine with a fresh solver would, and keeps no
+    memo."""
+
+    @staticmethod
+    def find_checking_reuse(monkeypatch, system, config):
+        """`find_witness`, with each reuse of a kept engine checked against
+        a fresh orientation; returns the number of reuses."""
+        search, alike = prover._search_precedence, Horpo.answers_alike
+        kept: list = []         # the records of each search
+        reuses: list = []
+
+        def searched(system, status, bound, solver, budget, records):
+            kept.append(records)
+            return search(system, status, bound, solver, budget, records)
+
+        def answers_alike(record, params):
+            if not alike(record, params):
+                return False
+            index = next(i for i, engines in enumerate(kept[-1])
+                         if any(e is record for e in engines))
+            fresh = Horpo(params, Solver(bound=params.bound))
+            fresh.orient_rule(system.rules[index])
+            assert derivation(record) == derivation(fresh)
+            assert record.deepest_failure == fresh.deepest_failure
+            assert record.unknowns == fresh.unknowns
+            reuses.append(record)
+            return True
+
+        with monkeypatch.context() as patched:
+            patched.setattr(prover, "_search_precedence", searched)
+            patched.setattr(Horpo, "answers_alike", answers_alike)
+            find_witness(system, config)
+        assert all(not engine._memo for records in kept
+                   for engines in records for engine in engines)
+        return len(reuses)
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
+    def test_differential_cases(self, monkeypatch, name):
+        text, config = DIFFERENTIAL_CASES[name]
+        reuses = self.find_checking_reuse(monkeypatch, parse_system(text),
+                                          config)
+        if name.startswith(("all_read", "blowup")):
+            assert reuses > 0
+
+    def test_generated_systems(self, monkeypatch):
+        reuses = sum(self.find_checking_reuse(
+            monkeypatch, gen_system(random.Random(seed)), ProverConfig())
+            for seed in range(30))
+        assert reuses > 0
+
+
+class TestReportRendering:
+    """Only the failure a report shows is rendered."""
+
+    @staticmethod
+    def rendered(monkeypatch, text):
+        """`find_witness` on `text`, and the terms it printed."""
+        printed = []
+
+        def counted(term, memo=None):
+            printed.append(term)
+            return print_term(term, memo)
+
+        print_term = horpo.print_term
+        with monkeypatch.context() as patched:
+            patched.setattr(horpo, "print_term", counted)
+            patched.setattr(prover, "print_term", counted)
+            return find_witness(parse_system(text)), printed
+
+    def test_cycle_renders_one_deepest_failure(self, monkeypatch):
+        # three orientations fail, and the report shows the last
+        report, printed = self.rendered(monkeypatch, CYCLE)
+        assert len(printed) == 2
+        failure, = report.failures
+        assert failure.index == 3
+        assert failure.deepest == "rpo: x vs f (x * x)"
+
+    def test_undecided_entailments_are_rendered_for_the_report(
+            self, monkeypatch):
+        report, printed = self.rendered(monkeypatch, CUBE)
+        failure, = report.failures
+        assert len(failure.unknowns) == 2
+        assert len(printed) == 2 + 2 * len(failure.unknowns)
+        golden = json.loads((REPO / "tests" / "golden" /
+                             "prove_cube.json").read_text())
+        assert report.to_dict() == golden["report"]
+        # those of an orientation the report does not show stay unrendered
+        report, printed = self.rendered(monkeypatch, CUBE_THEN_LOOP)
+        failure, = report.failures
+        assert (failure.index, failure.unknowns) == (2, ())
+        assert len(printed) == 2

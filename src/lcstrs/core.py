@@ -272,17 +272,8 @@ class Substitution:
             default = var
         return self._map.get(var, default)
 
-    def __getitem__(self, var: Variable) -> Term:
-        return self._map.get(var, var)
-
     def __contains__(self, var: Variable) -> bool:
         return var in self._map
-
-    def __iter__(self):
-        return iter(self._map)
-
-    def __len__(self) -> int:
-        return len(self._map)
 
     def items(self):
         return self._map.items()
@@ -347,9 +338,6 @@ class Signature:
                 found = self._literals[name] = (lit,)
                 return found
         return ()
-
-    def __contains__(self, name: str) -> bool:
-        return bool(self.lookup(name))
 
     def symbols(self) -> Iterator[FunctionSymbol]:
         for group in self._by_name.values():

@@ -8,19 +8,21 @@ empty; each such edge is hypothesized in turn, rejecting cycles, and the
 attempt is retried. Precedence growth never invalidates an orientation
 that already succeeded, so the first fully-oriented assignment wins.
 
-The assignments are walked in product order, symbol by symbol, with
-pruning. A precedence search depends on the statuses only through the
-ones it reads, so an assignment that agrees with a failed one on every
-status that search read would fail the same way: the walk skips every
-such assignment, whole subtrees at a time, and credits the attempts the
-failed search made to each. The first witness found, and the attempt
-count of a failure report, are those of the unpruned product. A run of
-skips can be as long as the product, so the walk also stops where the
-deadline has passed at a skip.
+The assignments are walked in product order, by rank: one counter. A
+precedence search depends on the statuses only through the ones it
+reads, so an assignment that agrees with a failed one on every status
+that search read would fail the same way. The tuples that share their
+statuses up to a position form a block of consecutive ranks, so after
+searching or skipping a tuple the walk jumps to the end of its block at
+the last position the refuting search read, and credits each tuple
+jumped over with the attempts that search made. The first witness found,
+and the attempt count of a failure report, are those of the unpruned
+product. A run of skips can be as long as the product, so the walk also
+stops where the deadline has passed at a skip.
 
-Both searches are loops over explicit stacks, the walk over the statuses
-fixed so far and the precedence search over the edge sets still to try,
-so neither recurses on the number of symbols, rules or edges.
+The walk is a loop over that counter and the precedence search a loop
+over an explicit stack of edge sets, so neither recurses on the number
+of symbols, rules or edges.
 
 The state of the whole search lives in one `_Budget`: the deadline and
 whether it has passed, the attempts covered, and the furthest failure,
@@ -165,6 +167,9 @@ def find_witness(system: System, config: Optional[ProverConfig] = None
     defined = system.defined_symbols()
     position = {f: i for i, f in enumerate(defined)}
     options = [_status_options(f) for f in defined]
+    # blocks[i]: the number of tuples that share their first i statuses
+    blocks = [math.prod(map(len, options[i:]))
+              for i in range(len(options) + 1)]
     budget = _Budget(cfg.timeout)
 
     for bound in dict.fromkeys(bounds):     # each distinct bound once
@@ -173,44 +178,38 @@ def find_witness(system: System, config: Optional[ProverConfig] = None
         # the sorted read positions of a failed search -> {the statuses at
         # those positions: the attempts it made}
         refuted: dict = {}
-        prefix: list[Status] = []       # the statuses fixed so far
-        indices: list[int] = []         # their indices in `options`
-        while not budget.expired:
-            depth = len(prefix)
-            for positions, failed in refuted.items():
-                if positions and positions[-1] >= depth:
-                    continue
-                attempts = failed.get(tuple(prefix[i] for i in positions))
+        rank = 0            # of the current status tuple, in product order
+        while rank < blocks[0] and not budget.expired:
+            statuses = [column[rank // blocks[i + 1] % len(column)]
+                        for i, column in enumerate(options)]
+            for read, failed in refuted.items():
+                attempts = failed.get(tuple(statuses[i] for i in read))
                 if attempts is not None:
-                    if not budget.exceeded():
-                        budget.attempts += attempts * math.prod(
-                            len(column) for column in options[depth:])
+                    searched = 0
                     break
             else:
-                if depth < len(options):
-                    prefix.append(options[depth][0])
-                    indices.append(0)
-                    continue
                 made = budget.attempts
                 outcome = _search_precedence(
-                    system, dict(zip(defined, prefix)), bound, solver, budget,
-                    records)
+                    system, dict(zip(defined, statuses)), bound, solver,
+                    budget, records)
                 if isinstance(outcome, Witness):
                     return outcome
                 # statuses of symbols without rules are lex in every tuple
                 read = tuple(sorted(position[f] for f in outcome
                                     if f in position))
-                key = tuple(prefix[i] for i in read)
-                refuted.setdefault(read, {})[key] = budget.attempts - made
-            # the next option of the deepest column that has one left
-            while indices and indices[-1] + 1 == len(options[depth - 1]):
-                prefix.pop()
-                indices.pop()
-                depth -= 1
-            if not indices:
+                attempts = budget.attempts - made
+                refuted.setdefault(read, {})[
+                    tuple(statuses[i] for i in read)] = attempts
+                searched = 1
+            # a skip reads the clock; a search has read it already
+            if budget.expired or not searched and budget.exceeded():
                 break
-            indices[-1] += 1
-            prefix[-1] = options[depth - 1][indices[-1]]
+            # the tuples up to the end of this one's block at its last read
+            # position agree with it on every status read
+            block = blocks[read[-1] + 1] if read else blocks[0]
+            following = (rank // block + 1) * block
+            budget.attempts += attempts * (following - rank - searched)
+            rank = following
         if budget.expired:
             break
     return _failure_report(system, budget)

@@ -141,7 +141,8 @@ def _probe(redex: Term, system: System, bound: int,
         unbound = sorted((v for v in rule.logical_vars if v not in base),
                          key=lambda v: v.name)
         drew = drew or bool(unbound)
-        subst = base.extended({v: inputs.value_for(v) for v in unbound})
+        subst = (base.extended({v: inputs.value_for(v) for v in unbound})
+                 if unbound else base)
         if respects(subst, rule, bound):
             found.append((index, subst, subst.apply(rule.rhs)))
     calculated = try_calculate(redex, bound)

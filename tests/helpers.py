@@ -362,6 +362,34 @@ def blowup_system(k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+_SHIFTS = ("x", "y", "x - 1", "y - 1", "x + 1", "y + 1")
+_GUARDS = ("true", "x > 0", "y > 0", "x > y", "y > x", "x >= y",
+           "x > 0 /\\ y > x", "x > y /\\ y > 0")
+
+
+def gen_recursive_system(rng: random.Random) -> str:
+    """A random system of guarded argument shifts between two binary
+    symbols f and g, whose right sides, unlike `gen_system`'s, call
+    defined symbols recursively; a quarter of them add the higher-order
+    `h k x -> h k (k x)` and `s x -> x - 1`."""
+    lines = ["fun f : Int -> Int -> Int", "fun g : Int -> Int -> Int"]
+    rules = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.25:     # a swap, which only mul(2) orients
+            shifts = ("y", rng.choice(("x", "x - 1")))
+        else:
+            shifts = (rng.choice(_SHIFTS), rng.choice(_SHIFTS))
+        args = " ".join(shift if shift in "xy" else f"({shift})"
+                        for shift in shifts)
+        rules.append(f"rule {rng.choice('fg')} x y -> {rng.choice('fg')} "
+                     f"{args} [{rng.choice(_GUARDS)}]")
+    if rng.random() < 0.25:
+        lines += ["fun h : (Int -> Int) -> Int -> Int", "fun s : Int -> Int"]
+        rules += ["rule h k x -> h k (k x) [x > 0]",
+                  "rule s x -> x - 1 [true]"]
+    return "\n".join(lines + rules) + "\n"
+
+
 def all_read_system(k: int) -> str:
     """The all-read family: k arity-3 symbols, each with a rule that every
     status orients and every search reads the status of, then a loop no

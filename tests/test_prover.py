@@ -405,6 +405,65 @@ class TestPrunedStatusWalk:
         assert type(got) is type(expected)
         assert got.to_dict() == expected.to_dict()
 
+    @staticmethod
+    def scripted_tree(rng, sizes, unread, witness_share):
+        """A decision tree over status positions: a node is (position,
+        one subtree per status there) and reads a position its path has
+        not; a leaf is the attempts of a failed search, or None for a
+        witness."""
+        leaf_share = 0.05 if len(unread) == len(sizes) else 0.35
+        if not unread or rng.random() < leaf_share:
+            return None if rng.random() < witness_share else rng.randint(1, 4)
+        position = rng.choice(sorted(unread))
+        return position, [
+            TestPrunedStatusWalk.scripted_tree(
+                rng, sizes, unread - {position}, witness_share)
+            for _ in range(sizes[position])]
+
+    def test_agrees_with_exhaustive_product_on_scripted_searches(
+            self, monkeypatch):
+        # The outcome of a scripted search depends only on the statuses
+        # its path reads, the premise of the walk, so the walk must give
+        # what the whole product does: its jumps, and the attempts they
+        # credit, come from the read positions of the entry that matched.
+        rng = random.Random(24)
+        tree = defined = options = None
+
+        def scripted(system, status, bound, solver, budget, records):
+            node, read = tree, set()
+            while isinstance(node, tuple):
+                position, children = node
+                read.add(defined[position])
+                node = children[options[position].index(
+                    status[defined[position]])]
+            if node is None:
+                return Witness(HorpoParams((), status, bound), ())
+            budget.attempts += node
+            return read
+
+        monkeypatch.setattr(prover, "_search_precedence", scripted)
+        outcomes = {"reads nothing": 0, "witness": 0, "report": 0}
+        for _ in range(1000):
+            arities = [rng.randint(1, 3) for _ in range(rng.randint(2, 6))]
+            system = parse_system("".join(
+                f"fun f{i} : {'Int -> ' * arity}Int\n"
+                f"rule f{i} {' '.join(f'x{j}' for j in range(arity))}"
+                " -> x0 [true]\n" for i, arity in enumerate(arities)))
+            defined = system.defined_symbols()
+            options = [prover._status_options(f) for f in defined]
+            tree = self.scripted_tree(
+                rng, [len(column) for column in options],
+                frozenset(range(len(defined))),
+                rng.choice((0.0, 0.05, 0.2)))
+            config = ProverConfig(bounds=rng.choice((None, (0, 1))))
+            expected = exhaustive_find_witness(system, config)
+            assert find_witness(system, config).to_dict() == \
+                expected.to_dict()
+            outcomes["reads nothing"] += not isinstance(tree, tuple)
+            outcomes["witness" if isinstance(expected, Witness)
+                     else "report"] += 1
+        assert min(outcomes.values()) > 0
+
 
 class TestOrientationRecords:
     """A rule is oriented afresh only when a precedence or status answer

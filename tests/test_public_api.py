@@ -51,6 +51,9 @@ REMOVED_ATTRIBUTES = [
     (prover.FailureReport, "to_text"), (horpo.HorpoParams, "hasse_pairs"),
     # term views only tests read, now `tests/helpers.py` or `free_vars`
     (core.Term, "subterms"), (core.Term, "is_ground"),
+    # protocol methods that nothing called; `get` is the lookup
+    (core.Substitution, "__getitem__"), (core.Substitution, "__iter__"),
+    (core.Substitution, "__len__"), (core.Signature, "__contains__"),
 ]
 
 # keywords that nothing set, or only tests; the last three limits are

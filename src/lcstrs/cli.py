@@ -289,17 +289,20 @@ def cmd_prove(args) -> int:
                           smt_command=smt_command)
     result = find_witness(system, config)
     if isinstance(result, Witness):
-        # the re-check reads the parameters back from the document that is
-        # printed, and uses a fresh solver: it shares no cache with the
-        # search, only its external solver
+        # the check reads the parameters back from the document that is
+        # printed and checks each of its derivations node by node, with a
+        # fresh solver for the entailment leaves: it shares no cache with
+        # the search, only its external solver
         document = result.to_dict()
         try:
             params = params_from_dict(document, system.signature)
         except ValueError as error:
             diagnostics: tuple[str, ...] = (str(error),)
         else:
-            diagnostics = check_witness(Witness(params, ()), system, Solver(
-                smt_command=smt_command, bound=params.bound)).diagnostics
+            diagnostics = check_witness(
+                Witness(params, result.derivations), system,
+                Solver(smt_command=smt_command, bound=params.bound)
+            ).diagnostics
         if diagnostics:
             _emit(args.format, {
                 "command": "prove", "file": args.file, "ok": False,

@@ -39,9 +39,11 @@ The bound's solver keeps every verdict, so a reused engine gives what a
 fresh one would: the same witness, failure report and attempt count.
 Only the reported failure is rendered.
 
-A found witness is self-certifying: `check_witness` replays every rule
-from scratch with fresh engines and, unless given one, a fresh solver; it
-reuses no kept engine.
+A found witness is a certificate: `check_witness` checks each node of
+each rule's derivation against the side condition of the case it names,
+with the entailment leaves proved again by a fresh solver unless it is
+given one. It searches nothing and runs no engine, so an engine that
+derives a false comparison cannot get its proof past the check.
 """
 
 from __future__ import annotations
@@ -51,8 +53,13 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .core import FunctionSymbol, LcstrsError
-from .horpo import LEX, Horpo, HorpoParams, Judgment, Mul, Status
+from . import theory
+from .core import (
+    App, FunctionSymbol, LcstrsError, Rule, Term, Variable,
+    is_theory_sort_type,
+)
+from .horpo import LEX, Horpo, HorpoParams, Judgment, Mul, Status, _render
+from .rewrite import joinable_calc
 from .solver import Solver
 from .syntax import System, print_rule, print_term
 
@@ -326,19 +333,259 @@ class CheckResult:
 
 def check_witness(witness: Witness, system: System,
                   solver: Optional[Solver] = None) -> CheckResult:
-    """Re-validate the witness parameters and re-orient every rule with
-    fresh caches, independently of whatever search produced the witness."""
+    """Check the witness as a certificate: each rule's derivation must be
+    a `gt` comparison of the rule's sides under its constraint and logical
+    variables, and each node must meet the side condition of the case it
+    names, under the witness parameters revalidated, with every entailment
+    leaf proved again by `solver` (fresh unless given). Nothing is
+    searched. A witness without derivations first gets them from one fresh
+    engine per rule, over the same solver, and is then checked alike."""
     params = HorpoParams(witness.params.edges, witness.params.status,
                          witness.params.bound)
     if solver is None:
         solver = Solver(bound=params.bound)
+    elif solver.bound != params.bound:
+        raise LcstrsError(
+            f"solver bound {solver.bound} differs from ordering bound "
+            f"{params.bound}")
+    derivations = witness.derivations
     diagnostics: list[str] = []
-    for index, rule in enumerate(system.rules):
-        engine = Horpo(params, solver)
-        if engine.orient_rule(rule) is None:
-            note = f"rule {index + 1} not oriented: {print_rule(rule)}"
-            deepest = engine.deepest_failure
-            if deepest:
-                note += f" (deepest failure: {deepest[1]})"
-            diagnostics.append(note)
+    if not derivations and system.rules:
+        derived = []
+        for index, rule in enumerate(system.rules):
+            engine = Horpo(params, solver)
+            if engine.orient_rule(rule) is None:
+                note = f"rule {index + 1} not oriented: {print_rule(rule)}"
+                deepest = engine.deepest_failure
+                if deepest:
+                    note += f" (deepest failure: {deepest[1]})"
+                diagnostics.append(note)
+            derived.append(engine.judgment)
+        if diagnostics:
+            return CheckResult(False, tuple(diagnostics))
+        derivations = tuple(derived)
+    if len(derivations) != len(system.rules):
+        return CheckResult(False, (
+            f"witness has {len(derivations)} derivations for "
+            f"{len(system.rules)} rules",))
+    for index, (rule, root) in enumerate(zip(system.rules, derivations)):
+        failure = _certify(root, rule, params, solver)
+        if failure is not None:
+            diagnostics.append(f"rule {index + 1} not oriented: "
+                               f"{print_rule(rule)} ({failure})")
     return CheckResult(not diagnostics, tuple(diagnostics))
+
+
+def _certify(root: Judgment, rule: Rule, params: HorpoParams,
+             solver: Solver) -> Optional[str]:
+    """None when `root` derives `rule.lhs > rule.rhs` under the rule's
+    constraint and logical variables, else what fails first, in the order
+    the document prints the nodes. An explicit stack walks the tree, each
+    node shared by several parents checked once; a node's children are
+    matched against what its case requires before any of them is
+    visited."""
+    phi, cvars = rule.constraint, rule.logical_vars
+    if not (isinstance(root, Judgment) and root.relation == "gt"
+            and root.lhs == rule.lhs and root.rhs == rule.rhs):
+        return "its derivation is not a strict comparison of its sides"
+    checked: set[int] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in checked:
+            continue
+        checked.add(id(node))
+        relation, side_condition = _CASES.get(node.case, (None, None))
+        required = None
+        if (node.relation == relation
+                and (node.constraint is phi or node.constraint == phi)
+                and (node.cvars is cvars or node.cvars == cvars)):
+            required = side_condition(node, params, solver)
+        children = node.children
+        matched = required is not None and len(children) == len(required)
+        if matched:
+            for child, (rel, lhs, rhs) in zip(children, required):
+                if not (isinstance(child, Judgment) and child.relation == rel
+                        and (child.lhs is lhs or child.lhs == lhs)
+                        and (child.rhs is rhs or child.rhs == rhs)):
+                    matched = False
+                    break
+        if not matched:
+            return (f"node {node.case} fails on {node.relation}: "
+                    f"{_render(node.lhs, None)} vs {_render(node.rhs, None)}")
+        stack.extend(reversed(children))
+    return None
+
+
+# The side condition of each case: given a node whose relation, constraint
+# and variable set are checked, the (relation, lhs, rhs) its children must
+# have, in order, or None where the condition fails. Each mirrors the
+# branch of `Horpo` that builds the case, and none searches.
+
+
+def _index(value, size: int) -> bool:
+    return type(value) is int and 0 <= value < size
+
+
+def _theory(strict: bool):
+    def side_condition(node, params, solver):
+        s, t = node.lhs, node.rhs
+        if not (s.is_theory_term and t.is_theory_term
+                and is_theory_sort_type(s.type) and s.type == t.type
+                and (s.free_vars | t.free_vars) <= node.cvars):
+            return None
+        goal = theory.sup_symbol(s.type, strict).apply(s, t)
+        # proved again, whatever verdict the node records
+        verdict = solver.entails(node.constraint, goal, node.cvars)
+        return [] if verdict.is_yes else None
+    return side_condition
+
+
+def _geq_strict(node, params, solver):
+    return [("gt", node.lhs, node.rhs)]
+
+
+def _geq_calc_join(node, params, solver):
+    s, t = node.lhs, node.rhs
+    joined = s.type == t.type and joinable_calc(s, t, params.bound)
+    return [] if joined else None
+
+
+def _geq_app(node, params, solver):
+    s, t = node.lhs, node.rhs
+    if (s.is_theory_term or not isinstance(s, App) or not isinstance(t, App)
+            or s.head.type != t.head.type):
+        return None
+    return [("geq", s.head, t.head), ("geq", s.arg, t.arg)]
+
+
+def _gt_descent(node, params, solver):
+    s, t = node.lhs, node.rhs
+    return [("rpo", s, t)] if s.type == t.type else None
+
+
+def _gt_args(function_headed: bool):
+    def side_condition(node, params, solver):
+        s, t = node.lhs, node.rhs
+        if s.is_theory_term:
+            return None
+        s_head, s_args = s.spine()
+        t_head, t_args = t.spine()
+        i = node.data
+        if (s_head != t_head or len(s_args) != len(t_args)
+                or isinstance(s_head, FunctionSymbol) != function_headed
+                or not _index(i, len(s_args))):
+            return None
+        return [("gt" if k == i else "geq", si, ti)
+                for k, (si, ti) in enumerate(zip(s_args, t_args))]
+    return side_condition
+
+
+def _symbol_spine(s: Term):
+    """The head symbol and arguments of a term the descent relation can
+    peel, or (None, ()) for a theory term or a variable-headed one."""
+    if s.is_theory_term:
+        return None, ()
+    head, args = s.spine()
+    return (head, args) if isinstance(head, FunctionSymbol) else (None, ())
+
+
+def _rpo_subterm(node, params, solver):
+    head, args = _symbol_spine(node.lhs)
+    i = node.data
+    if (head is None or not _index(i, len(args))
+            or args[i].type != node.rhs.type):
+        return None
+    return [("geq", args[i], node.rhs)]
+
+
+def _rpo_parts(node, params, solver):
+    s, t = node.lhs, node.rhs
+    if _symbol_spine(s)[0] is None or not isinstance(t, App):
+        return None
+    return [("rpo", s, t.head), ("rpo", s, t.arg)]
+
+
+def _rpo_precedence(node, params, solver):
+    s, t = node.lhs, node.rhs
+    s_head, _ = _symbol_spine(s)
+    t_head, t_args = t.spine()
+    if (s_head is None or not isinstance(t_head, FunctionSymbol)
+            or not params.prec_gt(s_head, t_head)):
+        return None
+    return [("rpo", s, ti) for ti in t_args]
+
+
+def _rpo_status(lexicographic: bool):
+    def side_condition(node, params, solver):
+        s, t = node.lhs, node.rhs
+        s_head, s_args = _symbol_spine(s)
+        t_head, t_args = t.spine()
+        if s_head is None or t_head != s_head or not t_args:
+            return None
+        status = params.status_of(s_head)
+        if lexicographic and status == LEX:
+            extension = ("lex", s_args, t_args)
+        elif (not lexicographic and isinstance(status, Mul)
+                and status.k <= len(t_args)):
+            extension = ("mul", s_args[:status.k], t_args[:status.k])
+        else:
+            return None
+        return [extension] + [("rpo", s, ti) for ti in t_args]
+    return side_condition
+
+
+def _rpo_base(node, params, solver):
+    t = node.rhs
+    if _symbol_spine(node.lhs)[0] is None or not (
+            t.is_value or (isinstance(t, Variable) and t in node.cvars)):
+        return None
+    return []
+
+
+def _lex_strict_prefix(node, params, solver):
+    ss, ts = node.lhs, node.rhs
+    i = node.data
+    if not _index(i, min(len(ss), len(ts))):
+        return None
+    return ([("geq", si, ti) for si, ti in zip(ss[:i], ts[:i])]
+            + [("gt", ss[i], ts[i])])
+
+
+def _mul_cover(node, params, solver):
+    """A map pi from targets to sources and a set of strict sources: each
+    strict source covers at least one target and dominates all of them,
+    each other source covers exactly one target weakly, and some source is
+    strict or some source covers nothing."""
+    ss, ts = node.lhs, node.rhs
+    if not (type(node.data) is tuple and len(node.data) == 2):
+        return None
+    pi, strict = node.data
+    if not (type(pi) is tuple and len(pi) == len(ts)
+            and all(_index(i, len(ss)) for i in pi)
+            and isinstance(strict, frozenset) and strict <= set(pi)
+            and (strict or len(ss) > len(ts))
+            and all(pi.count(i) == 1 for i in pi if i not in strict)):
+        return None
+    return [("gt" if i in strict else "geq", ss[i], tj)
+            for i, tj in zip(pi, ts)]
+
+
+_CASES = {
+    "geq:theory": ("geq", _theory(strict=False)),
+    "geq:strict": ("geq", _geq_strict),
+    "geq:calc-join": ("geq", _geq_calc_join),
+    "geq:app": ("geq", _geq_app),
+    "gt:theory": ("gt", _theory(strict=True)),
+    "gt:descent": ("gt", _gt_descent),
+    "gt:args-fun": ("gt", _gt_args(function_headed=True)),
+    "gt:args-var": ("gt", _gt_args(function_headed=False)),
+    "rpo:subterm": ("rpo", _rpo_subterm),
+    "rpo:parts": ("rpo", _rpo_parts),
+    "rpo:precedence": ("rpo", _rpo_precedence),
+    "rpo:lex": ("rpo", _rpo_status(lexicographic=True)),
+    "rpo:mul": ("rpo", _rpo_status(lexicographic=False)),
+    "rpo:base": ("rpo", _rpo_base),
+    "lex:strict-prefix": ("lex", _lex_strict_prefix),
+    "mul:cover": ("mul", _mul_cover),
+}

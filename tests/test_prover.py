@@ -404,6 +404,9 @@ class TestPrunedStatusWalk:
         got = find_witness(system, config)
         assert type(got) is type(expected)
         assert got.to_dict() == expected.to_dict()
+        if isinstance(got, Witness):
+            assert check_witness(got, system,
+                                 Solver(bound=got.params.bound)).ok
 
     @staticmethod
     def scripted_tree(rng, sizes, unread, witness_share):

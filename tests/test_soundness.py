@@ -12,10 +12,10 @@ import random
 import warnings
 
 from helpers import gen_recursive_system
-from lcstrs.horpo import Horpo
-from lcstrs.prover import Witness, find_witness
+from lcstrs.horpo import Horpo, Judgment
+from lcstrs.prover import Witness, check_witness, find_witness
 from lcstrs.rewrite import normalize
-from lcstrs.solver import YES
+from lcstrs.solver import YES, Solver
 from lcstrs.syntax import parse_system, print_term
 from lcstrs.theory import int_value
 
@@ -44,19 +44,26 @@ def repeats_a_term(system, term, strategy):
     return len(set(trace)) < len(trace), result.exhausted
 
 
-def run_proved(seed, stop_at_repeat=False):
-    """Runs every system of the seeded slice that `find_witness` proves
-    from every start, in both strategies. Returns the number proved, the
-    repeats found and the runs that used up their fuel without one, each
-    as (system, start, strategy)."""
+def proved_systems(seed):
+    """(text, system, witness) for each system of the seeded slice that
+    `find_witness` proves."""
     rng = random.Random(seed)
-    proved, repeats, suspects = 0, [], []
     for _ in range(SYSTEMS):
         text = gen_recursive_system(rng)
         system = parse_system(text)
-        if not isinstance(find_witness(system), Witness):
-            continue
-        proved += 1
+        witness = find_witness(system)
+        if isinstance(witness, Witness):
+            yield text, system, witness
+
+
+def run_proved(proved, stop_at_repeat=False):
+    """Runs each system of `proved`, (text, system, witness) triples, from
+    every start, in both strategies. Returns the number run, the repeats
+    found and the runs that used up their fuel without one, each as
+    (system, start, strategy)."""
+    count, repeats, suspects = 0, [], []
+    for text, system, _ in proved:
+        count += 1
         for term in starts(system):
             for strategy in STRATEGIES:
                 repeated, exhausted = repeats_a_term(system, term, strategy)
@@ -64,15 +71,22 @@ def run_proved(seed, stop_at_repeat=False):
                 if repeated:
                     repeats.append(run)
                     if stop_at_repeat:
-                        return proved, repeats, suspects
+                        return count, repeats, suspects
                 elif exhausted:
                     suspects.append(run)
-    return proved, repeats, suspects
+    return count, repeats, suspects
+
+
+def checked(witness, system):
+    """The witness check with its derivations and a fresh solver."""
+    return check_witness(witness, system, Solver(bound=witness.params.bound))
 
 
 def test_no_proved_system_repeats_a_term():
-    proved, repeats, suspects = run_proved(seed=1)
-    assert proved > 0
+    proved = list(proved_systems(seed=1))
+    assert all(checked(witness, system).ok for _, system, witness in proved)
+    count, repeats, suspects = run_proved(proved)
+    assert count > 0
     assert repeats == []
     if suspects:
         warnings.warn(f"{len(suspects)} runs on proved systems used up "
@@ -89,5 +103,45 @@ def test_an_unsound_prover_is_caught(monkeypatch):
         return YES if verdict is not None and verdict.is_no else verdict
 
     monkeypatch.setattr(Horpo, "_entail_ordering", lenient)
-    _, repeats, _ = run_proved(seed=1, stop_at_repeat=True)
+    _, repeats, _ = run_proved(proved_systems(seed=1), stop_at_repeat=True)
     assert repeats
+
+
+def accept_a_decided_no(monkeypatch):
+    """Makes `Horpo`'s strict comparison take a decided No of a theory
+    comparison for a `gt:theory` leaf. `_run` calls the functions that
+    `Horpo._RELATIONS` holds, so the table entry is patched: patching the
+    attribute `Horpo._gt` would change nothing."""
+    gt = Horpo._RELATIONS["gt"]
+
+    def lenient(self, s, t, phi, cvars):
+        verdict = self._entail_ordering(s, t, phi, cvars, strict=True)
+        if verdict is not None and verdict.is_no:
+            return Judgment("gt", "gt:theory", s, t, phi, cvars,
+                            verdict=verdict)
+        return gt(self, s, t, phi, cvars)
+
+    monkeypatch.setitem(Horpo._RELATIONS, "gt", lenient)
+
+
+def test_a_gt_that_accepts_a_decided_no_is_caught(monkeypatch):
+    accept_a_decided_no(monkeypatch)
+    _, repeats, _ = run_proved(proved_systems(seed=1), stop_at_repeat=True)
+    assert repeats
+
+
+def test_the_check_rejects_the_unsound_proofs_of_that_gt(monkeypatch):
+    # the check runs while the mutant is still in place: it checks the
+    # derivations and asks the solver, and does not run the engine. So no
+    # proof it accepts repeats a term (on seed 1 the mutant makes 153
+    # proofs; the check rejects 125, the 14 that repeat a term among them)
+    accept_a_decided_no(monkeypatch)
+    accepted, rejected = [], 0
+    for text, system, witness in proved_systems(seed=1):
+        if checked(witness, system).ok:
+            accepted.append((text, system, witness))
+        else:
+            rejected += 1
+    assert accepted and rejected
+    _, repeats, _ = run_proved(accepted)
+    assert repeats == []

@@ -137,6 +137,7 @@ class Term:
     size: int
     is_theory_term: bool
     is_value = False    # each function symbol stores its own
+    value = None        # a value symbol's semantic value, set by the theory
     _hash = None
 
     def spine(self) -> tuple["Term", tuple["Term", ...]]:
@@ -238,6 +239,20 @@ class App(Term):
         fields["size"] = head.size + arg.size + 1
         fields["is_theory_term"] = head.is_theory_term and arg.is_theory_term
 
+    @classmethod
+    def _rebuilt(cls, node: "App", head: Term, arg: Term) -> "App":
+        """`node` with its children replaced by terms of the same types,
+        built without the type check: the new node has `node`'s type."""
+        new = object.__new__(cls)
+        fields = new.__dict__
+        fields["head"] = head
+        fields["arg"] = arg
+        fields["type"] = node.type
+        fields["free_vars"] = head.free_vars | arg.free_vars
+        fields["size"] = head.size + arg.size + 1
+        fields["is_theory_term"] = head.is_theory_term and arg.is_theory_term
+        return new
+
     def __hash__(self) -> int:
         h = self._hash
         return h if h is not None else _store_hash(self, (self.head, self.arg))
@@ -267,6 +282,14 @@ class Substitution:
                     f"substitution maps '{v.name}' : {v.type} to a term of type {t.type}")
         self._map = m
 
+    @classmethod
+    def _trusted(cls, mapping: dict[Variable, Term]) -> "Substitution":
+        """A substitution over bindings whose types were already checked;
+        it keeps `mapping` itself."""
+        subst = cls.__new__(cls)
+        subst._map = mapping
+        return subst
+
     def get(self, var: Variable, default: Optional[Term] = None) -> Term:
         if default is None:
             default = var
@@ -279,11 +302,20 @@ class Substitution:
         return self._map.items()
 
     def apply(self, term: Term) -> Term:
-        if isinstance(term, Variable):
-            return self._map.get(term, term)
-        if isinstance(term, FunctionSymbol):
-            return term
-        return App(self.apply(term.head), self.apply(term.arg))
+        """The instance of `term`. Each variable keeps its type, so every
+        rebuilt application keeps the type it had and is not re-checked;
+        a ground subterm is shared, not copied."""
+        mapping = self._map
+        rebuilt = App._rebuilt
+
+        def instance(t: Term) -> Term:
+            if not t.free_vars:
+                return t
+            if isinstance(t, Variable):
+                return mapping.get(t, t)
+            return rebuilt(t, instance(t.head), instance(t.arg))
+
+        return instance(term)
 
     def extended(self, mapping: Mapping[Variable, Term]) -> "Substitution":
         merged = dict(self._map)

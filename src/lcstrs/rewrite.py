@@ -38,24 +38,26 @@ def match(pattern: Term, subject: Term) -> Optional[Substitution]:
             f"{subject.type}")
     bindings: dict[Variable, Term] = {}
     stack = [(pattern, subject)]
+    pop, push = stack.pop, stack.append
+    # the `is` tests skip the structural comparison of shared nodes
     while stack:
-        p, s = stack.pop()
-        if isinstance(p, Variable):
-            if p.type != s.type:
+        p, s = pop()
+        if type(p) is App:
+            if type(s) is not App:
+                return None
+            push((p.head, s.head))
+            push((p.arg, s.arg))
+        elif type(p) is Variable:
+            if p.type is not s.type and p.type != s.type:
                 return None
             bound = bindings.get(p)
             if bound is None:
                 bindings[p] = s
-            elif bound != s:
+            elif bound is not s and bound != s:
                 return None
-        elif isinstance(p, App):
-            if not isinstance(s, App):
-                return None
-            stack.append((p.head, s.head))
-            stack.append((p.arg, s.arg))
-        elif p != s:  # function symbol leaf
+        elif p is not s and p != s:  # function symbol leaf
             return None
-    return Substitution(bindings)
+    return Substitution._trusted(bindings)   # each binding's type was checked
 
 
 def respects(subst: Substitution, rule: Rule, bound: int = 0) -> bool:
@@ -126,6 +128,10 @@ def _probe(redex: Term, system: System, bound: int,
     Every rule that matches draws values for its fresh variables, even
     after an earlier rule applied and even if its constraint then fails,
     so a probe that drew can answer differently next time.
+
+    A matching substitution respects its rule when every logical variable
+    goes to a value and the rule's constraint, compiled once per system
+    and bound, holds under those values: what `respects` decides.
     """
     head, nargs = redex, 0
     while isinstance(head, App):
@@ -135,17 +141,20 @@ def _probe(redex: Term, system: System, bound: int,
     for index, rule in system.rules_for(head, nargs):
         if rule.lhs.type != redex.type:
             continue
-        base = match(rule.lhs, redex)
-        if base is None:
+        subst = match(rule.lhs, redex)
+        if subst is None:
             continue
-        unbound = sorted((v for v in rule.logical_vars if v not in base),
-                         key=lambda v: v.name)
-        drew = drew or bool(unbound)
-        subst = (base.extended({v: inputs.value_for(v) for v in unbound})
-                 if unbound else base)
-        if respects(subst, rule, bound):
+        logical, holds = system.constraint_checks(bound)[index]
+        # values for the variables matching left unbound, in name order
+        drawn = {v: inputs.value_for(v) for v in logical if v not in subst}
+        if drawn:
+            drew = True
+            subst = subst.extended(drawn)
+        values = tuple(subst.get(v).value for v in logical)
+        if None not in values and holds(values):
             found.append((index, subst, subst.apply(rule.rhs)))
-    calculated = try_calculate(redex, bound)
+    # only a theory symbol or a variable heads a calculation redex
+    calculated = try_calculate(redex, bound) if head.is_theory_term else None
     if calculated is not None:
         found.append((None, None, calculated))
     return found, drew
@@ -207,12 +216,16 @@ def _find_redex(term: Term, system: System, bound: int, inputs: InputSource,
 
 
 def _plug(ctx: Context, term: Term) -> tuple[Position, Term]:
-    """The position of a context's hole and the context filled with `term`."""
+    """The position of a context's hole and the context filled with `term`,
+    a term of the hole's type: each ancestor is rebuilt with its own type,
+    without re-checking it."""
     path = []
+    rebuilt = App._rebuilt
     while ctx is not None:
         ctx, side, parent = ctx
         path.append(side)
-        term = App(term, parent.arg) if side == 0 else App(parent.head, term)
+        term = (rebuilt(parent, term, parent.arg) if side == 0
+                else rebuilt(parent, parent.head, term))
     path.reverse()
     return tuple(path), term
 

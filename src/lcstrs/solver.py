@@ -39,10 +39,7 @@ import shlex
 import subprocess
 import threading
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import (
-    Callable, Iterable, Iterator, Optional, Sequence, Union, ValuesView,
-)
+from typing import Iterable, Iterator, Optional, Union, ValuesView
 
 from . import theory
 from .core import (
@@ -50,8 +47,8 @@ from .core import (
     is_theory_sort_type,
 )
 from .theory import (
-    ADD, AND, EQ, FALSE, GE, GT, LE, LT, MUL, NE, NOT, OR, SUB, SUP_BOOL,
-    SUP_INT, SUPEQ_BOOL, SUPEQ_INT, TRUE, SemValue, interpret,
+    ADD, AND, EQ, FALSE, GE, GT, LE, LT, MUL, NE, NOT, OR, SUB, TRUE,
+    Compiled, SemValue, compile_constraint, interpret,
 )
 
 
@@ -263,60 +260,6 @@ def _infeasible(facts: list[Poly]) -> bool:
         facts += [
             _poly_add(_poly_scale(p, -q[0][x]), _poly_scale(q, p[0][x]), 1)
             for p in lower[x] for q in upper[x]]
-
-
-# ---------------------------------------------------------------------------
-# Compiled constraints
-
-Compiled = Callable[[tuple], SemValue]
-
-_COMPILED_BINARY = {
-    ADD: lambda x, y, b: lambda env: x(env) + y(env),
-    SUB: lambda x, y, b: lambda env: x(env) - y(env),
-    MUL: lambda x, y, b: lambda env: x(env) * y(env),
-    LE: lambda x, y, b: lambda env: x(env) <= y(env),
-    LT: lambda x, y, b: lambda env: x(env) < y(env),
-    GE: lambda x, y, b: lambda env: x(env) >= y(env),
-    GT: lambda x, y, b: lambda env: x(env) > y(env),
-    EQ: lambda x, y, b: lambda env: x(env) == y(env),
-    NE: lambda x, y, b: lambda env: x(env) != y(env),
-    AND: lambda x, y, b: lambda env: x(env) and y(env),
-    OR: lambda x, y, b: lambda env: x(env) or y(env),
-    SUP_INT: lambda x, y, b: lambda env: (v := x(env)) > b and v > y(env),
-    SUPEQ_INT: lambda x, y, b: lambda env: (
-        (v := x(env)) == (w := y(env)) or (v > b and v > w)),
-    SUP_BOOL: lambda x, y, b: lambda env: x(env) and not y(env),
-    SUPEQ_BOOL: lambda x, y, b: lambda env: x(env) or not y(env),
-}
-
-
-def compile_constraint(term: Term, variables: Sequence[Variable],
-                       bound: int) -> Compiled:
-    """Compile a theory term of base sort into a closure over an
-    environment tuple whose i-th entry is the value of `variables[i]`.
-
-    The closure computes what `interpret` computes under that assignment
-    (the ordering symbols relative to `bound`). Operators are resolved
-    here, once; `interpret` stays the reference semantics.
-    """
-    return _compile(term, {v: i for i, v in enumerate(variables)}, bound)
-
-
-def _compile(term: Term, index: dict[Variable, int], bound: int) -> Compiled:
-    if isinstance(term, Variable):
-        return itemgetter(index[term])
-    if isinstance(term, FunctionSymbol):
-        value = theory.semantic_value(term)
-        return lambda env: value
-    head, args = term.spine()
-    compiled = [_compile(a, index, bound) for a in args]
-    if head is NOT and len(args) == 1:
-        x, = compiled
-        return lambda env: not x(env)
-    make = _COMPILED_BINARY.get(head) if len(args) == 2 else None
-    if make is None:
-        raise SolverError(f"cannot compile constraint term: {term!r}")
-    return make(*compiled, bound)
 
 
 # ---------------------------------------------------------------------------

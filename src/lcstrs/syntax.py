@@ -335,6 +335,24 @@ class System:
                 variable_headed.append((i, len(args), rule))
         return by_head, tuple(variable_headed)
 
+    def constraint_checks(self, bound: int) -> tuple[tuple, ...]:
+        """For each rule in file order, its logical variables in name
+        order and its constraint compiled over them at `bound` (a
+        `theory.Compiled`); built once per bound."""
+        checks = self._constraint_checks.get(bound)
+        if checks is None:
+            built = []
+            for rule in self.rules:
+                logical = tuple(sorted(rule.logical_vars, key=lambda v: v.name))
+                built.append((logical, theory.compile_constraint(
+                    rule.constraint, logical, bound)))
+            checks = self._constraint_checks[bound] = tuple(built)
+        return checks
+
+    @cached_property
+    def _constraint_checks(self) -> dict[int, tuple]:
+        return {}
+
     def defined_symbols(self) -> tuple[FunctionSymbol, ...]:
         seen: dict[FunctionSymbol, None] = {}
         for rule in self.rules:

@@ -3,12 +3,13 @@
 Houses the fixed theory signature (literals, arithmetic, comparisons,
 connectives and the ordering symbols used by the termination checker), the
 semantic domains, the interpretation of theory terms under an assignment of
-values to their variables, and root-level calculation.
+values to their variables, its compiled form, and root-level calculation.
 
 Semantic values are plain Python objects: `int` for Int and `bool` for Bool
-(exact, arbitrary-precision arithmetic). Each operator is a function of its
-argument values. An ordering symbol means its `expansion` into the
-operators, the one place where the configurable lower bound b enters:
+(exact, arbitrary-precision arithmetic); each value symbol stores its own.
+Each operator is a function of its argument values. An ordering symbol
+means its `expansion` into the operators, the one place where the
+configurable lower bound b enters:
 
     x !> y   is   x > b /\\ x > y
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 import operator
 import re
 from functools import lru_cache
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .core import (
     BaseType, BOOL_T, FunctionSymbol, INT_T, LcstrsError, Signature, Term,
@@ -36,8 +37,15 @@ class TheoryError(LcstrsError):
     pass
 
 
-TRUE = FunctionSymbol("true", BOOL_T, is_theory=True)
-FALSE = FunctionSymbol("false", BOOL_T, is_theory=True)
+def _value_symbol(name: str, sort: BaseType, value: SemValue) -> FunctionSymbol:
+    """A value symbol that stores its semantic value."""
+    symbol = FunctionSymbol(name, sort, is_theory=True)
+    object.__setattr__(symbol, "value", value)
+    return symbol
+
+
+TRUE = _value_symbol("true", BOOL_T, True)
+FALSE = _value_symbol("false", BOOL_T, False)
 
 ADD = FunctionSymbol("+", arrow(INT_T, INT_T, INT_T), is_theory=True)
 SUB = FunctionSymbol("-", arrow(INT_T, INT_T, INT_T), is_theory=True)
@@ -76,7 +84,7 @@ _INT_LITERAL = re.compile(r"-?[0-9]+\Z")
 
 @lru_cache(maxsize=None)
 def int_value(n: int) -> FunctionSymbol:
-    return FunctionSymbol(str(n), INT_T, is_theory=True)
+    return _value_symbol(str(n), INT_T, n)
 
 
 def bool_value(b: bool) -> FunctionSymbol:
@@ -93,13 +101,12 @@ def value_symbol(value: SemValue) -> FunctionSymbol:
 
 
 def semantic_value(symbol: FunctionSymbol) -> SemValue:
-    if symbol is TRUE:
-        return True
-    if symbol is FALSE:
-        return False
-    if symbol.is_value and symbol.type == INT_T and _INT_LITERAL.match(symbol.name):
-        return int(symbol.name)
-    raise TheoryError(f"'{symbol.name}' is not a value symbol")
+    """The value a value symbol stores; `true`, `false` and the symbols of
+    `int_value` are the only ones."""
+    value = symbol.value
+    if value is None:
+        raise TheoryError(f"'{symbol.name}' is not a value symbol")
+    return value
 
 
 def _literal_resolver(name: str) -> Optional[FunctionSymbol]:
@@ -167,6 +174,58 @@ def _eval(term: Term, bound: int, values):
     if expanded is None:
         raise TheoryError(f"no interpretation for symbol '{head.name}'")
     return _eval(expanded, bound, values)
+
+
+#: a compiled theory term: its value under an environment tuple
+Compiled = Callable[[tuple], SemValue]
+
+_COMPILED_BINARY = {
+    ADD: lambda x, y, b: lambda env: x(env) + y(env),
+    SUB: lambda x, y, b: lambda env: x(env) - y(env),
+    MUL: lambda x, y, b: lambda env: x(env) * y(env),
+    LE: lambda x, y, b: lambda env: x(env) <= y(env),
+    LT: lambda x, y, b: lambda env: x(env) < y(env),
+    GE: lambda x, y, b: lambda env: x(env) >= y(env),
+    GT: lambda x, y, b: lambda env: x(env) > y(env),
+    EQ: lambda x, y, b: lambda env: x(env) == y(env),
+    NE: lambda x, y, b: lambda env: x(env) != y(env),
+    AND: lambda x, y, b: lambda env: x(env) and y(env),
+    OR: lambda x, y, b: lambda env: x(env) or y(env),
+    SUP_INT: lambda x, y, b: lambda env: (v := x(env)) > b and v > y(env),
+    SUPEQ_INT: lambda x, y, b: lambda env: (
+        (v := x(env)) == (w := y(env)) or (v > b and v > w)),
+    SUP_BOOL: lambda x, y, b: lambda env: x(env) and not y(env),
+    SUPEQ_BOOL: lambda x, y, b: lambda env: x(env) or not y(env),
+}
+
+
+def compile_constraint(term: Term, variables: Sequence[Variable],
+                       bound: int) -> Compiled:
+    """Compile a theory term of base sort into a closure over an
+    environment tuple whose i-th entry is the value of `variables[i]`.
+
+    The closure computes what `interpret` computes under that assignment
+    (the ordering symbols relative to `bound`). Operators are resolved
+    here, once; `interpret` stays the reference semantics.
+    """
+    return _compile(term, {v: i for i, v in enumerate(variables)}, bound)
+
+
+def _compile(term: Term, index: dict[Variable, int], bound: int) -> Compiled:
+    if isinstance(term, Variable):
+        return operator.itemgetter(index[term])
+    if isinstance(term, FunctionSymbol):
+        value = semantic_value(term)
+        return lambda env: value
+    head, args = term.spine()
+    compiled = [_compile(a, index, bound) for a in args]
+    if head is NOT and len(args) == 1:
+        x, = compiled
+        return lambda env: not x(env)
+    make = _COMPILED_BINARY.get(head) if len(args) == 2 else None
+    if make is None:
+        raise TheoryError(f"cannot compile constraint term: {term!r}")
+    return make(*compiled, bound)
 
 
 def try_calculate(term: Term, bound: int = 0) -> Optional[Term]:

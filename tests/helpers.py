@@ -9,14 +9,16 @@ from typing import Iterator
 
 from lcstrs.core import (
     App, ArrowType, BOOL_T, FunctionSymbol, INT_T, LcstrsError, Rule,
-    Signature, Term, Type, Variable,
+    Signature, Substitution, Term, Type, Variable,
 )
 from lcstrs import theory
 from lcstrs.theory import (
     ADD, AND, EQ, GE, GT, LE, LT, MUL, NE, NOT, OR, SUB, SUP_BOOL, SUP_INT,
     SUPEQ_BOOL, SUPEQ_INT, bool_value, int_value,
 )
-from lcstrs.rewrite import Position, RewriteStep, step_at
+from lcstrs.rewrite import (
+    InputSource, Position, RewriteStep, match, respects, step_at,
+)
 from lcstrs.syntax import print_rule
 from lcstrs.theory import try_calculate
 
@@ -180,6 +182,83 @@ class _ReplayInputs:
         if self._subst is None:
             raise LcstrsError("calculation steps take no inputs")
         return self._subst.get(var)
+
+
+class RecordingInputs(InputSource):
+    """An input source that logs every draw as (variable name, value)."""
+
+    def __init__(self, values=()):
+        super().__init__(values)
+        self.draws = []
+
+    def value_for(self, var: Variable) -> Term:
+        term = super().value_for(var)
+        self.draws.append((var.name, term))
+        return term
+
+
+def checked_instance(term: Term, mapping: dict) -> Term:
+    """`term` with its variables replaced, every node built by the checking
+    `App` constructor."""
+    if isinstance(term, Variable):
+        return mapping.get(term, term)
+    if isinstance(term, App):
+        return App(checked_instance(term.head, mapping),
+                   checked_instance(term.arg, mapping))
+    return term
+
+
+def reference_probe(redex: Term, system, inputs) -> list[tuple]:
+    """Reference for the steps at the root of `redex`: every rule in file
+    order is matched, its logical variables that matching left unbound
+    draw inputs in name order, and `respects`, through `interpret`, decides
+    the checked substitution; then the calculation step. Each step is
+    (rule index or None, substitution or None, contractum)."""
+    found = []
+    for index, rule in enumerate(system.rules):
+        if rule.lhs.type != redex.type:
+            continue
+        sigma = match(rule.lhs, redex)
+        if sigma is None:
+            continue
+        mapping = dict(sigma.items())
+        for v in sorted(rule.logical_vars - mapping.keys(),
+                        key=lambda v: v.name):
+            mapping[v] = inputs.value_for(v)
+        subst = Substitution(mapping)
+        if respects(subst, rule, system.bound):
+            found.append((index, subst, checked_instance(rule.rhs, mapping)))
+    calculated = try_calculate(redex, system.bound)
+    if calculated is not None:
+        found.append((None, None, calculated))
+    return found
+
+
+def reference_normalize(term: Term, system, strategy: str, fuel: int,
+                        inputs) -> tuple[list[tuple], Term, bool]:
+    """Reference for `normalize`: every step probes the positions of the
+    whole term from scratch, leftmost-innermost (head subtree, argument
+    subtree, node) or leftmost-outermost (node first), and rewrites the
+    first one that has a step with `Term.replace_at`. Returns the trace as
+    (position, rule index, substitution, result) tuples, the last term,
+    and whether fuel ran out."""
+    trace = []
+    current = term
+    while True:
+        positions = [pos for pos, _ in subterms(current)]   # outermost order
+        if strategy == "innermost":
+            positions.sort(key=lambda pos: pos + (2,))
+        for pos in positions:
+            found = reference_probe(current.subterm_at(pos), system, inputs)
+            if found:
+                break
+        else:
+            return trace, current, False
+        if len(trace) == fuel:
+            return trace, current, True
+        index, subst, contractum = found[0]
+        current = current.replace_at(pos, contractum)
+        trace.append((pos, index, subst, current))
 
 
 def subterms(term: Term) -> Iterator[tuple[Position, Term]]:
@@ -347,6 +426,27 @@ rule fold f a (cons x xs) -> fold f (f a x) xs [true]
 rule range i n -> nil [i > n]
 rule range i n -> cons i (range (i + 1) n) [i <= n]
 """
+
+
+def variable_headed_system():
+    """`c y -> 1`, `x a -> 0` and `c y -> 2`, in that order: the middle
+    rule has a variable head, so it may match any term with at least one
+    argument. The parser cannot infer the type of `x`, so the rule is
+    built directly."""
+    from lcstrs.syntax import System, parse_system
+
+    base = parse_system(
+        "fun a : Int\n"
+        "fun c : Int -> Int\n"
+        "fun d : Int -> Int -> Int\n"
+        "rule c y -> 1 [true]\n"
+        "rule c y -> 2 [true]\n")
+    a, = base.signature.lookup("a")
+    x = Variable("x", ArrowType(INT_T, INT_T))
+    variable_headed = Rule(x.apply(a), int_value(0), theory.TRUE)
+    return System(base.signature,
+                  (base.rules[0], variable_headed, base.rules[1]),
+                  base.declarations)
 
 
 def blowup_system(k: int) -> str:

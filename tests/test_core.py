@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+from pathlib import Path
+
 from helpers import (
-    gen_ground_term, gen_theory_term, recursive_free_vars,
+    gen_ground_term, gen_system, gen_theory_term, recursive_free_vars,
     recursive_is_theory_term, subterms,
 )
 from lcstrs.core import (
@@ -15,8 +17,11 @@ from lcstrs.core import (
     typecheck,
 )
 from lcstrs import core, theory
-from lcstrs.syntax import parse_term
+from lcstrs.rewrite import InputSource, normalize
+from lcstrs.syntax import parse_system, parse_term
 from lcstrs.theory import int_value
+
+SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
 
 def leaf(name):
@@ -247,6 +252,48 @@ class TestSubstitution:
             expect = frozenset().union(
                 *(sigma.get(v).free_vars for v in t.free_vars))
             assert sigma.apply(t).free_vars == expect
+
+
+class TestTrustedBuild:
+    def test_rebuilt_nodes_equal_checked_ones(self, monkeypatch):
+        # every node `Substitution.apply` and the normalizer's plugging
+        # build without the type check, on the shipped systems and on
+        # random ones, against the checking constructor on the same
+        # children
+        rebuilt = App._rebuilt
+        built = []
+
+        def compared(node, head, arg):
+            new = rebuilt(node, head, arg)
+            checked = App(head, arg)
+            for field in ("type", "free_vars", "size", "is_theory_term"):
+                assert getattr(new, field) == getattr(checked, field), field
+            assert new == checked and hash(new) == hash(checked)
+            built.append(new)
+            return new
+
+        monkeypatch.setattr(App, "_rebuilt", compared)
+        runs = [(SYSTEMS / "fact.lcstrs", "fact 6 exit"),
+                (SYSTEMS / "fact.lcstrs", "init"),
+                (SYSTEMS / "iter.lcstrs", "iter 4 ([-] 3) 10"),
+                (SYSTEMS / "iter.lcstrs", "iter 3 (iter 2 ([+] 1)) 0"),
+                (SYSTEMS / "loop.lcstrs", "f (1 + 2)")]
+        for path, text in runs:
+            system = parse_system(path.read_text())
+            for strategy in ("innermost", "outermost"):
+                normalize(parse_term(text, system), system, strategy,
+                          fuel=40, inputs=InputSource([4]))
+        rng = random.Random(29)
+        for _ in range(40):
+            system = gen_system(rng)
+            for _ in range(4):
+                target = rng.choice(system.declarations).type
+                while hasattr(target, "result"):
+                    target = target.result
+                t = gen_ground_term(rng, system.signature, target, 4)
+                for strategy in ("innermost", "outermost"):
+                    normalize(t, system, strategy, fuel=40)
+        assert len(built) > 1000
 
 
 class TestTheoryTermFlag:

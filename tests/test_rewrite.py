@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from helpers import (
-    BOOL_VARS, INT_VARS, calc_redexes, gen_ground_term, gen_system,
-    gen_theory_term, joinable_bfs, random_calc_normalize, replay,
-    respects_by_instantiation, subterms, with_variables,
+    BOOL_VARS, INT_VARS, RecordingInputs, calc_redexes, gen_ground_term,
+    gen_system, gen_theory_term, joinable_bfs, random_calc_normalize,
+    reference_normalize, replay, respects_by_instantiation, subterms,
+    variable_headed_system, with_variables,
 )
 from lcstrs import rewrite, theory
 from lcstrs.core import (
@@ -20,7 +21,7 @@ from lcstrs.rewrite import (
     InputSource, calc_normal_form, joinable_calc, match, normalize, respects,
     step_at,
 )
-from lcstrs.syntax import parse_system, parse_term, print_term
+from lcstrs.syntax import System, parse_system, parse_term, print_term
 from lcstrs.theory import bool_value, int_value
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
@@ -95,18 +96,8 @@ class TestRespects:
         assert respects(Substitution(), rule) is False
 
     def test_agrees_with_instantiation(self):
-        # the shipped rules, random systems, and rules whose constraints are
-        # random theory terms over x, y, z, p, q
         rng = random.Random(97)
-        rules = [rule for path in sorted(SYSTEMS.glob("*.lcstrs"))
-                 for rule in parse_system(path.read_text()).rules]
-        for _ in range(30):
-            rules.extend(gen_system(rng).rules)
-        variables = INT_VARS + BOOL_VARS
-        f = FunctionSymbol("f", arrow(*(v.type for v in variables), INT_T))
-        for _ in range(60):
-            phi = with_variables(rng, gen_theory_term(rng, BOOL_T, budget=15))
-            rules.append(Rule(f.apply(*variables), INT_VARS[0], phi))
+        rules = _sample_rules(rng)
         verdicts = Counter()
         for rule in rules:
             free = (rule.lhs.free_vars | rule.rhs.free_vars
@@ -120,6 +111,49 @@ class TestRespects:
                 assert respects(sigma, rule, bound) is expected, (rule, sigma)
                 verdicts[expected] += 1
         assert verdicts[True] > 500 and verdicts[False] > 500
+
+
+    def test_compiled_constraints_agree(self):
+        # a system's compiled check of a rule, given values for its logical
+        # variables in name order, against `respects`
+        rng = random.Random(89)
+        rules = _sample_rules(rng)
+        system = System(theory.base_signature(), tuple(rules), ())
+        verdicts = Counter()
+        for bound in (-2, 0, 3):
+            checks = system.constraint_checks(bound)
+            assert system.constraint_checks(bound) is checks
+            for rule, (logical, holds) in zip(rules, checks):
+                assert logical == tuple(sorted(rule.logical_vars,
+                                               key=lambda v: v.name))
+                for _ in range(10):
+                    values = [_value(rng, v) for v in logical]
+                    sigma = Substitution(dict(zip(logical, values)))
+                    verdict = holds(tuple(map(theory.semantic_value, values)))
+                    assert verdict is respects(sigma, rule, bound), (rule, sigma)
+                    verdicts[verdict] += 1
+        assert verdicts[True] > 500 and verdicts[False] > 500
+
+
+def _sample_rules(rng):
+    """The shipped rules, random systems' rules, and rules whose
+    constraints are random theory terms over x, y, z, p, q."""
+    rules = [rule for path in sorted(SYSTEMS.glob("*.lcstrs"))
+             for rule in parse_system(path.read_text()).rules]
+    for _ in range(30):
+        rules.extend(gen_system(rng).rules)
+    variables = INT_VARS + BOOL_VARS
+    f = FunctionSymbol("f", arrow(*(v.type for v in variables), INT_T))
+    for _ in range(60):
+        phi = with_variables(rng, gen_theory_term(rng, BOOL_T, budget=15))
+        rules.append(Rule(f.apply(*variables), INT_VARS[0], phi))
+    return rules
+
+
+def _value(rng, v):
+    if v.type == INT_T:
+        return int_value(rng.randint(-5, 5))
+    return bool_value(rng.random() < 0.5)
 
 
 def _instance(rng, v):
@@ -260,22 +294,8 @@ class TestNormalize:
     def test_variable_headed_rule_keeps_file_order(self):
         # `x a` has a variable head, so it may match any term with at
         # least one argument; the rule index must still list it between
-        # the two `c y` rules for the same redex. The parser cannot infer
-        # the type of `x`, so the rule is built directly.
-        from lcstrs.core import Rule
-        from lcstrs.syntax import System, parse_system
-        base = parse_system(
-            "fun a : Int\n"
-            "fun c : Int -> Int\n"
-            "fun d : Int -> Int -> Int\n"
-            "rule c y -> 1 [true]\n"
-            "rule c y -> 2 [true]\n")
-        a, = base.signature.lookup("a")
-        x = Variable("x", arrow(INT_T, INT_T))
-        variable_headed = Rule(x.apply(a), int_value(0), theory.TRUE)
-        system = System(base.signature,
-                        (base.rules[0], variable_headed, base.rules[1]),
-                        base.declarations)
+        # the two `c y` rules for the same redex
+        system = variable_headed_system()
         c, = system.signature.lookup("c")
         d, = system.signature.lookup("d")
         assert [i for i, _ in system.rules_for(c, 1)] == [0, 1, 2]
@@ -320,6 +340,109 @@ class TestNormalize:
                 for step in result.steps:
                     assert step.result.type == current.type
                     current = step.result
+
+
+def _outcome(run):
+    """What a normalizer call gives, or the error it raises."""
+    try:
+        return run()
+    except LcstrsError as e:
+        return type(e).__name__, str(e)
+
+
+def _assert_same_as_reference(term, system, strategy, values=(), fuel=100):
+    """`normalize` and `reference_normalize` give the same positions, rule
+    indices, substitutions and terms, the same last term, and draw the
+    same inputs, or raise the same error."""
+    inputs, reference_inputs = RecordingInputs(values), RecordingInputs(values)
+
+    def run():
+        result = normalize(term, system, strategy, fuel, inputs)
+        return ([(s.position, s.rule_index, s.subst, s.result)
+                 for s in result.steps], result.term, result.exhausted)
+
+    got = _outcome(run)
+    expected = _outcome(lambda: reference_normalize(
+        term, system, strategy, fuel, reference_inputs))
+    assert got == expected, (print_term(term), strategy, values)
+    assert inputs.draws == reference_inputs.draws
+    return got
+
+
+ORDERING_SYSTEM = """\
+option bound {bound}
+fun g : Int -> Int
+fun h : Int -> Int -> Int
+fun k : Int -> Int
+fun b : Bool -> Int
+rule g x -> g (x - 1) [x !> x - 1]
+rule h x y -> h (x - 1) y [x !>= y]
+rule k x -> y - z [y !> x]
+rule b p -> b q [p !> q]
+rule b p -> 7 [p !>= p /\\ not p]
+"""
+
+
+class TestProbeDifferential:
+    """`normalize`, whose probes use each rule's compiled constraint and
+    build contracta without re-checking, against a reference that matches
+    every rule, decides `respects` through `interpret` and rebuilds with
+    the checking constructor and `replace_at`."""
+
+    @pytest.mark.parametrize("strategy", ["innermost", "outermost"])
+    def test_nonlinear_left_side(self, strategy):
+        system = parse_system(
+            "fun eq : Int -> Int -> Bool\nrule eq x x -> true [true]\n")
+        results = [_assert_same_as_reference(parse_term(text, system), system,
+                                             strategy)
+                   for text in ("eq 3 3", "eq 3 4", "eq (1 + 2) 3")]
+        assert [print_term(last) for _, last, _ in results] == [
+            "true", "eq 3 4", "true"]
+
+    @pytest.mark.parametrize("strategy", ["innermost", "outermost"])
+    def test_variable_headed_rule(self, strategy):
+        system = variable_headed_system()
+        for text in ("d (c a) a", "c (c a)", "d a (c (c a))"):
+            _assert_same_as_reference(parse_term(text, system), system,
+                                      strategy)
+
+    @pytest.mark.parametrize("strategy", ["innermost", "outermost"])
+    @pytest.mark.parametrize("values", [[], [3], [5, 2, 7], [True]])
+    def test_fact_init_under_inputs(self, fact_system, strategy, values):
+        trace = _assert_same_as_reference(
+            parse_term("init", fact_system), fact_system, strategy, values)
+        if values == [True]:
+            assert trace[0] == "LcstrsError"
+
+    @pytest.mark.parametrize("strategy", ["innermost", "outermost"])
+    @pytest.mark.parametrize("bound", [-3, 2])
+    def test_ordering_constraints_under_a_bound(self, strategy, bound):
+        system = parse_system(ORDERING_SYSTEM.format(bound=bound))
+        # `g` counts down to the bound
+        _, last, _ = _assert_same_as_reference(
+            parse_term("g 5", system), system, strategy)
+        assert last.arg == int_value(bound)
+        for text, values in [("g (0 - 5)", ()), ("h 3 1", ()),
+                             ("h 3 (0 - 2)", ()), ("h 4 4", ()),
+                             ("k 2", (1, 5, -7, 4)), ("k (1 + 1)", (9,)),
+                             ("b true", (False,)), ("b true", (True, False)),
+                             ("b false", ())]:
+            _assert_same_as_reference(
+                parse_term(text, system), system, strategy, values)
+
+    @pytest.mark.parametrize("strategy", ["innermost", "outermost"])
+    def test_random_systems(self, strategy):
+        rng = random.Random(71)
+        for _ in range(20):
+            system = gen_system(rng)
+            for _ in range(4):
+                target = rng.choice(system.declarations).type
+                while hasattr(target, "result"):
+                    target = target.result
+                t = gen_ground_term(rng, system.signature, target, 4)
+                _assert_same_as_reference(
+                    t, system, strategy,
+                    [rng.randint(-3, 3) for _ in range(3)], fuel=40)
 
 
 class TestCalcNormalForm:

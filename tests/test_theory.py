@@ -1,6 +1,7 @@
 """Interpretation of ground theory terms and root-level calculation."""
 
 import random
+import re
 
 import pytest
 
@@ -158,6 +159,17 @@ class TestValues:
             assert semantic_value(value_symbol(n)) == n
         assert semantic_value(value_symbol(True)) is True
         assert semantic_value(value_symbol(False)) is False
+
+    def test_values_are_stored(self):
+        for n in (0, -1, 7, -12, 10**30, -(10**30)):
+            assert semantic_value(int_value(n)) == int(str(n))
+        assert semantic_value(TRUE) is True
+        assert semantic_value(FALSE) is False
+        for symbol in (theory.ADD, FunctionSymbol("5", INT_T),
+                       FunctionSymbol("c", INT_T, is_theory=True)):
+            with pytest.raises(TheoryError, match=re.escape(
+                    f"'{symbol.name}' is not a value symbol")):
+                semantic_value(symbol)
 
     def test_bool_and_int_values_distinct(self):
         assert value_symbol(True) != value_symbol(1)

@@ -39,11 +39,11 @@ The bound's solver keeps every verdict, so a reused engine gives what a
 fresh one would: the same witness, failure report and attempt count.
 Only the reported failure is rendered.
 
-A found witness is a certificate: `check_witness` checks each node of
-each rule's derivation against the side condition of the case it names,
-with the entailment leaves proved again by a fresh solver unless it is
-given one. It searches nothing and runs no engine, so an engine that
-derives a false comparison cannot get its proof past the check.
+A witness is a certificate: `check_witness` checks each node of each
+rule's derivation against the side condition of the case it names, with
+the entailment leaves proved again by a fresh solver unless it is given
+one. It searches nothing and runs no engine, so an engine that derives a
+false comparison cannot get its proof past the check.
 """
 
 from __future__ import annotations
@@ -338,8 +338,7 @@ def check_witness(witness: Witness, system: System,
     variables, and each node must meet the side condition of the case it
     names, under the witness parameters revalidated, with every entailment
     leaf proved again by `solver` (fresh unless given). Nothing is
-    searched. A witness without derivations first gets them from one fresh
-    engine per rule, over the same solver, and is then checked alike."""
+    searched, and no engine runs."""
     params = HorpoParams(witness.params.edges, witness.params.status,
                          witness.params.bound)
     if solver is None:
@@ -349,25 +348,11 @@ def check_witness(witness: Witness, system: System,
             f"solver bound {solver.bound} differs from ordering bound "
             f"{params.bound}")
     derivations = witness.derivations
-    diagnostics: list[str] = []
-    if not derivations and system.rules:
-        derived = []
-        for index, rule in enumerate(system.rules):
-            engine = Horpo(params, solver)
-            if engine.orient_rule(rule) is None:
-                note = f"rule {index + 1} not oriented: {print_rule(rule)}"
-                deepest = engine.deepest_failure
-                if deepest:
-                    note += f" (deepest failure: {deepest[1]})"
-                diagnostics.append(note)
-            derived.append(engine.judgment)
-        if diagnostics:
-            return CheckResult(False, tuple(diagnostics))
-        derivations = tuple(derived)
     if len(derivations) != len(system.rules):
         return CheckResult(False, (
             f"witness has {len(derivations)} derivations for "
             f"{len(system.rules)} rules",))
+    diagnostics: list[str] = []
     for index, (rule, root) in enumerate(zip(system.rules, derivations)):
         failure = _certify(root, rule, params, solver)
         if failure is not None:

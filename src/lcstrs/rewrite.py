@@ -120,7 +120,7 @@ class RewriteStep:
 Contraction = tuple[Optional[int], Optional[Substitution], Term]
 
 
-def _probe(redex: Term, system: System, bound: int,
+def _probe(redex: Term, system: System,
            inputs: InputSource) -> tuple[list[Contraction], bool]:
     """Every step at the root of `redex`: rule steps in file order, then
     the calculation step if one applies; and whether an input was drawn.
@@ -131,7 +131,7 @@ def _probe(redex: Term, system: System, bound: int,
 
     A matching substitution respects its rule when every logical variable
     goes to a value and the rule's constraint, compiled once per system
-    and bound, holds under those values: what `respects` decides.
+    at its bound, holds under those values: what `respects` decides.
     """
     head, nargs = redex, 0
     while isinstance(head, App):
@@ -144,7 +144,7 @@ def _probe(redex: Term, system: System, bound: int,
         subst = match(rule.lhs, redex)
         if subst is None:
             continue
-        logical, holds = system.constraint_checks(bound)[index]
+        logical, holds = system.constraint_checks[index]
         # values for the variables matching left unbound, in name order
         drawn = {v: inputs.value_for(v) for v in logical if v not in subst}
         if drawn:
@@ -154,7 +154,8 @@ def _probe(redex: Term, system: System, bound: int,
         if None not in values and holds(values):
             found.append((index, subst, subst.apply(rule.rhs)))
     # only a theory symbol or a variable heads a calculation redex
-    calculated = try_calculate(redex, bound) if head.is_theory_term else None
+    calculated = (try_calculate(redex, system.bound) if head.is_theory_term
+                  else None)
     if calculated is not None:
         found.append((None, None, calculated))
     return found, drew
@@ -167,7 +168,7 @@ def step_at(term: Term, position: Position, system: System,
     redex = term.subterm_at(position)
     if inputs is None:
         inputs = InputSource()
-    found, _ = _probe(redex, system, system.bound, inputs)
+    found, _ = _probe(redex, system, inputs)
     return [RewriteStep(position, index, subst,
                         term.replace_at(position, contractum))
             for index, subst, contractum in found]
@@ -178,7 +179,7 @@ def step_at(term: Term, position: Position, system: System,
 Context = Optional[tuple["Context", int, App]]
 
 
-def _find_redex(term: Term, system: System, bound: int, inputs: InputSource,
+def _find_redex(term: Term, system: System, inputs: InputSource,
                 normal: set[Term], innermost: bool
                 ) -> Optional[tuple[Context, list[Contraction]]]:
     """The first position of `term` that admits a step, in leftmost-
@@ -206,7 +207,7 @@ def _find_redex(term: Term, system: System, bound: int, inputs: InputSource,
                 stack.append((t.head, (ctx, 0, t), None))
         # innermost probes a node on leaving it, outermost on entering it
         if leaving == innermost:
-            found, drew = _probe(t, system, bound, inputs)
+            found, drew = _probe(t, system, inputs)
             if found:
                 return ctx, found
             draws += drew
@@ -256,12 +257,11 @@ def normalize(term: Term, system: System, strategy: str = "innermost",
     if inputs is None:
         inputs = InputSource()
     innermost = strategy == "innermost"
-    bound = system.bound
     normal: set[Term] = set()
     result = NormalizationResult(term)
     current = term
     while True:
-        found = _find_redex(current, system, bound, inputs, normal, innermost)
+        found = _find_redex(current, system, inputs, normal, innermost)
         if found is None:
             break
         if result.total_steps == fuel:

@@ -297,9 +297,10 @@ def _infix(op: Token, left: PreTerm, right: PreTerm) -> PreApp:
 # Systems
 
 
-@dataclass
+@dataclass(frozen=True)
 class System:
-    """A validated rewrite system: signature, rules, and the bound."""
+    """A validated rewrite system: signature, rules, and the bound. Frozen,
+    since the rule index and the compiled constraints are cached."""
     signature: Signature
     rules: tuple[Rule, ...]
     declarations: tuple[FunctionSymbol, ...]
@@ -335,23 +336,17 @@ class System:
                 variable_headed.append((i, len(args), rule))
         return by_head, tuple(variable_headed)
 
-    def constraint_checks(self, bound: int) -> tuple[tuple, ...]:
-        """For each rule in file order, its logical variables in name
-        order and its constraint compiled over them at `bound` (a
-        `theory.Compiled`); built once per bound."""
-        checks = self._constraint_checks.get(bound)
-        if checks is None:
-            built = []
-            for rule in self.rules:
-                logical = tuple(sorted(rule.logical_vars, key=lambda v: v.name))
-                built.append((logical, theory.compile_constraint(
-                    rule.constraint, logical, bound)))
-            checks = self._constraint_checks[bound] = tuple(built)
-        return checks
-
     @cached_property
-    def _constraint_checks(self) -> dict[int, tuple]:
-        return {}
+    def constraint_checks(self) -> tuple[tuple, ...]:
+        """For each rule in file order, its logical variables in name
+        order and its constraint compiled over them at the system's bound
+        (a `theory.Compiled`); built once."""
+        checks = []
+        for rule in self.rules:
+            logical = tuple(sorted(rule.logical_vars, key=lambda v: v.name))
+            checks.append((logical, theory.compile_constraint(
+                rule.constraint, logical, self.bound)))
+        return tuple(checks)
 
     def defined_symbols(self) -> tuple[FunctionSymbol, ...]:
         seen: dict[FunctionSymbol, None] = {}

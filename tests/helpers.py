@@ -12,6 +12,8 @@ from lcstrs.core import (
     Signature, Substitution, Term, Type, Variable,
 )
 from lcstrs import theory
+from lcstrs.horpo import Horpo
+from lcstrs.prover import Witness
 from lcstrs.theory import (
     ADD, AND, EQ, GE, GT, LE, LT, MUL, NE, NOT, OR, SUB, SUP_BOOL, SUP_INT,
     SUPEQ_BOOL, SUPEQ_INT, bool_value, int_value,
@@ -410,7 +412,17 @@ def _gen_constraint(rng, variables):
 
 
 # ---------------------------------------------------------------------------
-# Systems shared by the prover suites
+# Systems shared by the prover suites, and witnesses of chosen parameters
+
+
+def derived_witness(params, system, solver=None) -> Witness:
+    """A witness of `params` whose derivations fresh engines build, one
+    per rule, all over `solver`, or each over a fresh one when it is None.
+    A rule no engine orients gets None, which `check_witness` rejects as
+    not a strict comparison of the rule's sides."""
+    return Witness(params, tuple(Horpo(params, solver).orient_rule(rule)
+                                 for rule in system.rules))
+
 
 LIST_SYSTEM = """\
 (* user sort List with higher-order map and fold *)

@@ -9,8 +9,8 @@ import time
 from contextlib import contextmanager
 
 from helpers import (
-    calc_redexes, dershowitz_manna_gt, gen_ground_term, gen_theory_term,
-    multisets_up_to, random_calc_normalize, subterms,
+    calc_redexes, derived_witness, dershowitz_manna_gt, gen_ground_term,
+    gen_theory_term, multisets_up_to, random_calc_normalize, subterms,
 )
 from lcstrs import theory
 from lcstrs.core import App, BOOL_T, INT_T, Substitution, Term, arrow
@@ -182,8 +182,8 @@ def test_criterion_3_witness_check(fact_system):
         params = witness_params(fact_system)
         solver = Solver(bound=params.bound)  # no external solver
         start = time.perf_counter()
-        result = check_witness(Witness(params, ()), fact_system,
-                               solver=solver)
+        result = check_witness(derived_witness(params, fact_system, solver),
+                               fact_system, solver=solver)
         elapsed = time.perf_counter() - start
         assert result.ok, result.diagnostics
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
@@ -356,7 +356,8 @@ def test_criterion_8_entailment_soundness(fact_system):
                       "1000 random substitutions"):
         if "criterion3_solver" not in RECORDS:  # isolated run
             solver = Solver(bound=0)
-            check_witness(Witness(witness_params(fact_system), ()),
+            check_witness(derived_witness(witness_params(fact_system),
+                                          fact_system, solver),
                           fact_system, solver=solver)
             RECORDS["criterion3_solver"] = solver
         if "criterion4_solver" not in RECORDS:

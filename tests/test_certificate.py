@@ -5,24 +5,27 @@ condition of the case it names and searches nothing. A witness that uses
 all 16 cases is tampered with one node, or one parameter, at a time: every
 tampered witness must be rejected with a `rule N not oriented` diagnostic
 for the rule it belongs to, and the witness as built accepted. Every
-witness that `find_witness` returns must pass the check, and under
-perturbed parameters a derivation the check accepts must be one that the
-engine finds too.
+witness that `find_witness` returns must pass the check, also with the
+engine unable to start, and under perturbed parameters a derivation the
+check accepts must be one that the engine finds too.
 """
 
 import dataclasses
 import random
 import re
+from pathlib import Path
 
 import pytest
 
-from helpers import gen_system
-from lcstrs.horpo import LEX, Horpo, HorpoParams, Mul
+from helpers import derived_witness, gen_system
+from lcstrs import horpo
+from lcstrs.horpo import LEX, Horpo, HorpoParams, Judgment, Mul
 from lcstrs.prover import (
     ProverConfig, Witness, _status_options, check_witness, find_witness,
 )
+from lcstrs.rewrite import normalize
 from lcstrs.solver import YES, Solver
-from lcstrs.syntax import parse_system
+from lcstrs.syntax import parse_system, parse_term
 from lcstrs.theory import TRUE
 from test_prover import DIFFERENTIAL_CASES
 from test_soundness import accept_a_decided_no
@@ -73,15 +76,9 @@ def params_of(system, drop=(), status=None):
                        statuses, 0)
 
 
-def derive(system, params):
-    """A witness of `params` whose derivations fresh engines build."""
-    return Witness(params, tuple(Horpo(params, Solver(bound=params.bound))
-                                 .orient_rule(rule) for rule in system.rules))
-
-
 @pytest.fixture(scope="module")
 def witness(system):
-    return derive(system, params_of(system))
+    return derived_witness(params_of(system), system)
 
 
 def nodes(root):
@@ -318,14 +315,71 @@ class TestTampering:
                               "rule d x -> d (x + 1) [x > 0]\n")
         params = HorpoParams()
         accept_a_decided_no(monkeypatch)
-        forged = derive(system, params)
+        forged = derived_witness(params, system)
         monkeypatch.undo()
-        assert derive(system, params).derivations == (None,)
+        assert derived_witness(params, system).derivations == (None,)
         index, path, leaf = first(forged, "gt:theory")
         assert leaf.verdict.is_no
         assert_rejected(forged, system, index)
         assert_rejected(tampered(forged, index, path, verdict=YES),
                         system, index)
+
+
+def test_a_multiset_comparison_narrower_than_the_status_is_rejected():
+    # f x y z -> f x y 0 loops at f 1 2 0. Under mul(3), comparing the
+    # two arguments of the partial application f x y as a multiset of
+    # three would let x and y cover themselves and z cover nothing
+    system = parse_system("fun f : Int -> Int -> Int -> Int\n"
+                          "rule f x y z -> f x y 0 [true]\n")
+    assert normalize(parse_term("f 1 2 3", system), system,
+                     fuel=20).exhausted
+    rule, = system.rules
+    f = symbol(system, "f")
+    s, t = rule.lhs, rule.rhs
+    x, y, _ = s.spine()[1]
+    partial = t.head
+
+    def node(relation, case, lhs, rhs, children=(), data=None):
+        return Judgment(relation, case, lhs, rhs, rule.constraint,
+                        rule.logical_vars, children, data=data)
+
+    joins = [node("geq", "geq:calc-join", v, v) for v in (x, y)]
+    cover = node("mul", "mul:cover", (x, y, s.arg), (x, y),
+                 tuple(joins), ((0, 1), frozenset()))
+    subterms = [node("rpo", "rpo:subterm", s, v, (join,), i)
+                 for i, (v, join) in enumerate(zip((x, y), joins))]
+    narrow = node("rpo", "rpo:mul", s, partial, (cover, *subterms))
+    parts = node("rpo", "rpo:parts", s, t,
+                 (narrow, node("rpo", "rpo:base", s, t.arg)))
+    root = node("gt", "gt:descent", s, t, (parts,))
+    result = check_witness(
+        Witness(HorpoParams((), {f: Mul(3)}, 0), (root,)), system)
+    assert result.diagnostics == (
+        "rule 1 not oriented: f x y z -> f x y 0 [true] (node rpo:mul "
+        "fails on rpo: f x y z vs f x y)",)
+
+
+def test_the_check_runs_no_engine(monkeypatch):
+    # every shipped witness is checked, and a witness without derivations
+    # rejected, with the engine unable to start
+    systems = {path.stem: parse_system(path.read_text()) for path in
+               (Path(__file__).resolve().parent.parent / "systems").glob(
+                   "*.lcstrs")}
+    found = {name: find_witness(system) for name, system in systems.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the witness check ran the engine")
+
+    monkeypatch.setattr(horpo.Horpo, "__init__", refuse)
+    monkeypatch.setattr(horpo.Horpo, "orient_rule", refuse)
+    witnesses = {name: witness for name, witness in found.items()
+                 if isinstance(witness, Witness)}
+    assert sorted(witnesses) == ["empty", "fact", "iter"]
+    for name, witness in witnesses.items():
+        assert check_witness(witness, systems[name]).ok
+    result = check_witness(Witness(witnesses["fact"].params, ()),
+                           systems["fact"])
+    assert result.diagnostics == ("witness has 0 derivations for 4 rules",)
 
 
 class TestDifferential:

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import LIST_SYSTEM, all_read_system, blowup_system, gen_system
+from helpers import (
+    LIST_SYSTEM, all_read_system, blowup_system, derived_witness, gen_system,
+)
 from lcstrs import horpo, prover
 from lcstrs.cli import _text
 from lcstrs.horpo import LEX, Horpo, HorpoParams, Mul
@@ -161,7 +163,7 @@ class TestFindWitness:
         # if checking accepts some assignment in the space, search succeeds
         system = parse_system(PLANTED)
         g, h = symbols(system, "g", "h")
-        planted = Witness(HorpoParams([(g, h)], {}, 0), ())
+        planted = derived_witness(HorpoParams([(g, h)], {}, 0), system)
         replayed = check_witness(planted, system)
         assert replayed.ok
         found = find_witness(system)
@@ -298,7 +300,8 @@ class TestCheckWitness:
                                           "comp", "exit")
         params = HorpoParams([(init, fact), (fact, comp), (init, exit_)],
                              {fact: LEX}, 0)
-        result = check_witness(Witness(params, ()), fact_system)
+        result = check_witness(derived_witness(params, fact_system),
+                               fact_system)
         assert result.ok, result.diagnostics
 
     def test_multiset_status_on_fact_fails(self, fact_system):
@@ -306,14 +309,16 @@ class TestCheckWitness:
                                           "comp", "exit")
         params = HorpoParams([(init, fact), (fact, comp), (init, exit_)],
                              {fact: Mul(2)}, 0)
-        result = check_witness(Witness(params, ()), fact_system)
+        result = check_witness(derived_witness(params, fact_system),
+                               fact_system)
         assert not result.ok
         assert any("rule 4" in d for d in result.diagnostics)
 
     def test_missing_edge_fails_on_rule_one(self, fact_system):
         init, fact, comp = symbols(fact_system, "init", "fact", "comp")
         params = HorpoParams([(init, fact), (fact, comp)], {fact: LEX}, 0)
-        result = check_witness(Witness(params, ()), fact_system)
+        result = check_witness(derived_witness(params, fact_system),
+                               fact_system)
         assert not result.ok
         assert any("rule 1" in d for d in result.diagnostics)
 

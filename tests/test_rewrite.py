@@ -1,5 +1,6 @@
 """Matching, respecting substitutions, steps, normalization, joinability."""
 
+import dataclasses
 import random
 from collections import Counter
 from pathlib import Path
@@ -114,15 +115,19 @@ class TestRespects:
 
 
     def test_compiled_constraints_agree(self):
-        # a system's compiled check of a rule, given values for its logical
-        # variables in name order, against `respects`
+        # a system's compiled check of a rule at the system's bound, given
+        # values for its logical variables in name order, against `respects`
         rng = random.Random(89)
         rules = _sample_rules(rng)
-        system = System(theory.base_signature(), tuple(rules), ())
         verdicts = Counter()
         for bound in (-2, 0, 3):
-            checks = system.constraint_checks(bound)
-            assert system.constraint_checks(bound) is checks
+            system = System(theory.base_signature(), tuple(rules), (),
+                            bound=bound)
+            checks = system.constraint_checks
+            assert system.constraint_checks is checks
+            # the checks are compiled at the bound, which is fixed
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                system.bound = bound + 1
             for rule, (logical, holds) in zip(rules, checks):
                 assert logical == tuple(sorted(rule.logical_vars,
                                                key=lambda v: v.name))

@@ -7,7 +7,8 @@ import random
 import pytest
 
 from helpers import (
-    blowup_system, gen_ground_term, gen_theory_term, subterms,
+    blowup_system, derived_witness, gen_ground_term, gen_theory_term,
+    subterms,
 )
 from lcstrs.core import INT_T, BOOL_T, LcstrsError, Variable, arrow
 from lcstrs.prover import Witness, check_witness, find_witness, params_from_dict
@@ -179,7 +180,10 @@ class TestWitnessDocument:
         witness = find_witness(fact_system)
         data = json.loads(json.dumps(witness.to_dict()))
         rebuilt = params_from_dict(data, fact_system.signature)
-        assert check_witness(Witness(rebuilt, ()), fact_system).ok
+        assert check_witness(Witness(rebuilt, witness.derivations),
+                             fact_system).ok
+        assert check_witness(derived_witness(rebuilt, fact_system),
+                             fact_system).ok
         assert rebuilt.edges == witness.params.edges
         assert rebuilt.bound == witness.params.bound
 
@@ -189,7 +193,13 @@ class TestWitnessDocument:
         data["precedence"] = [p for p in data["precedence"]
                               if p != ["init", "exit"]]
         rebuilt = params_from_dict(data, fact_system.signature)
-        assert not check_witness(Witness(rebuilt, ()), fact_system).ok
+        # what `prove` checks: the printed parameters, with the derivations
+        # the search built
+        result = check_witness(Witness(rebuilt, witness.derivations),
+                               fact_system)
+        assert result.diagnostics == (
+            "rule 1 not oriented: init -> fact n exit [true] (node "
+            "rpo:precedence fails on rpo: init vs exit)",)
 
     def test_unknown_symbol_rejected(self, fact_system):
         witness = find_witness(fact_system)

@@ -403,9 +403,12 @@ def typecheck(pre: PreTerm, signature: Signature,
 
     An overloaded name tries its symbols in signature order on its whole
     application; the first that types it wins, and if none does, the
-    error of the first is raised. The walk keeps explicit stacks of open
-    applications and open overload choices, so nesting depth is not
-    bounded by Python's recursion limit.
+    error of the first is raised. A later symbol that takes fewer
+    arguments than the application has, or whose type after them is not
+    the expected one, would fail too, so it is skipped: nested overloads
+    are typed without retrying every combination of their symbols. The
+    walk keeps explicit stacks of open applications and open overload
+    choices, so nesting depth is not bounded by Python's recursion limit.
     """
     ctx = {} if context is None else context
     lookup = signature.lookup
@@ -473,6 +476,10 @@ def typecheck(pre: PreTerm, signature: Signature,
             if choice.first_error is None:
                 choice.first_error = error
             choice.tried += 1
+            while (choice.tried < len(choice.symbols)
+                   and not _fits(choice.symbols[choice.tried],
+                                 len(choice.args), choice.expected)):
+                choice.tried += 1
             if choice.tried < len(choice.symbols):
                 break
             choices.pop()
@@ -500,6 +507,18 @@ class _Choice:
         self.pos = pos
         self.ctx = dict(ctx)
         self.first_error: Optional[TypingError] = None
+
+
+def _fits(symbol: FunctionSymbol, arguments: int,
+          expected: Optional[Type]) -> bool:
+    """Whether `symbol` applied to that many arguments has the expected
+    type, where one is expected."""
+    ty = symbol.type
+    for _ in range(arguments):
+        if type(ty) is not ArrowType:
+            return False
+        ty = ty.result
+    return expected is None or ty == expected
 
 
 def _variable(leaf: PreLeaf, applied: bool, expected: Optional[Type],

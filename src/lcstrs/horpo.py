@@ -131,20 +131,25 @@ def _transitive_closure(edges: frozenset) -> dict:
 class Judgment:
     """A successful comparison with its full derivation tree.
 
-    `case` names the rule of the definition that applied; `verdict` is
-    present on entailment-backed leaves; `data` carries case-specific
-    payload (the strict position for lexicographic comparisons, the
-    mapping and strict set for multiset comparisons).
+    `case` names the rule of the definition that applied, as
+    `relation:rule`; `data` carries case-specific payload (the strict
+    position for lexicographic comparisons, the mapping and strict set
+    for multiset comparisons). A node stores nothing its case or
+    comparison fixes: the variable set is the one the comparison was
+    asked under (a rule's logical variables, in a witness), and a
+    `*:theory` leaf is built only on a Yes entailment.
     """
-    relation: str   # geq | gt | rpo | lex | mul
     case: str
     lhs: object     # Term, or tuple of Terms for lex/mul
     rhs: object
     constraint: Term
-    cvars: frozenset = frozenset()
     children: tuple = ()
-    verdict: Optional[Verdict] = None
     data: object = None
+
+    @property
+    def relation(self) -> str:
+        """geq | gt | rpo | lex | mul: the prefix of `case`."""
+        return self.case.partition(":")[0]
 
     def to_dict(self, memo: Optional[dict] = None) -> dict:
         """The derivation as nested dicts; `memo` is `print_term`'s."""
@@ -155,8 +160,8 @@ class Judgment:
             "rhs": _render(self.rhs, memo),
             "constraint": print_term(self.constraint, memo),
         }
-        if self.verdict is not None:
-            d["entailment"] = repr(self.verdict)
+        if self.case.endswith(":theory"):
+            d["entailment"] = "Yes"
         detail = self._detail()
         if detail is not None:
             d["detail"] = detail
@@ -288,9 +293,8 @@ class Horpo:
         for i in range(min(len(ss), len(ts))):
             strict = self._run("gt", ss[i], ts[i], phi, cvars)
             if strict is not None:
-                return Judgment("lex", "lex:strict-prefix", tuple(ss), tuple(ts),
-                                phi, cvars,
-                                children=tuple(prefix) + (strict,), data=i)
+                return Judgment("lex:strict-prefix", tuple(ss), tuple(ts),
+                                phi, tuple(prefix) + (strict,), i)
             weak = self._run("geq", ss[i], ts[i], phi, cvars)
             if weak is None:
                 return None
@@ -316,8 +320,8 @@ class Horpo:
         pi, strict = found
         children = tuple(gt(pi[j], j) if pi[j] in strict else geq(pi[j], j)
                          for j in range(len(ts)))
-        return Judgment("mul", "mul:cover", tuple(ss), tuple(ts), phi, cvars,
-                        children=children, data=(pi, strict))
+        return Judgment("mul:cover", tuple(ss), tuple(ts), phi, children,
+                        (pi, strict))
 
     def orient_rule(self, rule: Rule) -> Optional[Judgment]:
         """Strictly compare the rule's sides under its constraint, with the
@@ -397,33 +401,30 @@ class Horpo:
              cvars: frozenset) -> Optional[Judgment]:
         verdict = self._entail_ordering(s, t, phi, cvars, strict=False)
         if verdict is not None and verdict.is_yes:
-            return Judgment("geq", "geq:theory", s, t, phi, cvars, verdict=verdict)
+            return Judgment("geq:theory", s, t, phi)
         strict = self._run("gt", s, t, phi, cvars)
         if strict is not None:
-            return Judgment("geq", "geq:strict", s, t, phi, cvars,
-                            children=(strict,))
+            return Judgment("geq:strict", s, t, phi, (strict,))
         if joinable_calc(s, t, self.params.bound):
-            return Judgment("geq", "geq:calc-join", s, t, phi, cvars)
+            return Judgment("geq:calc-join", s, t, phi)
         if (not s.is_theory_term and isinstance(s, App) and isinstance(t, App)
                 and s.head.type == t.head.type):
             head = self._run("geq", s.head, t.head, phi, cvars)
             if head is not None:
                 arg = self._run("geq", s.arg, t.arg, phi, cvars)
                 if arg is not None:
-                    return Judgment("geq", "geq:app", s, t, phi, cvars,
-                                    children=(head, arg))
+                    return Judgment("geq:app", s, t, phi, (head, arg))
         return None
 
     def _gt(self, s: Term, t: Term, phi: Term,
             cvars: frozenset) -> Optional[Judgment]:
         verdict = self._entail_ordering(s, t, phi, cvars, strict=True)
         if verdict is not None and verdict.is_yes:
-            return Judgment("gt", "gt:theory", s, t, phi, cvars, verdict=verdict)
+            return Judgment("gt:theory", s, t, phi)
         if s.type == t.type:
             descent = self._run("rpo", s, t, phi, cvars)
             if descent is not None:
-                return Judgment("gt", "gt:descent", s, t, phi, cvars,
-                                children=(descent,))
+                return Judgment("gt:descent", s, t, phi, (descent,))
         if not s.is_theory_term:
             s_head, s_args = s.spine()
             t_head, t_args = t.spine()
@@ -441,8 +442,7 @@ class Horpo:
                     strict = self._run("gt", si, ti, phi, cvars)
                     if strict is not None:
                         children = tuple(weak[:i]) + (strict,) + tuple(weak[i + 1:])
-                        return Judgment("gt", case, s, t, phi, cvars,
-                                        children=children, data=i)
+                        return Judgment(case, s, t, phi, children, i)
         return None
 
     def _rpo(self, s: Term, t: Term, phi: Term,
@@ -457,8 +457,7 @@ class Horpo:
             if si.type == t.type:
                 j = self._run("geq", si, t, phi, cvars)
                 if j is not None:
-                    return Judgment("rpo", "rpo:subterm", s, t, phi, cvars,
-                                    children=(j,), data=i)
+                    return Judgment("rpo:subterm", s, t, phi, (j,), i)
         t_head, t_args = t.spine()
         # (2) descend into both parts of an application, head included.
         # Peeling one argument at a time subsumes every way of splitting
@@ -468,8 +467,7 @@ class Horpo:
             if left is not None:
                 right = self._run("rpo", s, t.arg, phi, cvars)
                 if right is not None:
-                    return Judgment("rpo", "rpo:parts", s, t, phi, cvars,
-                                    children=(left, right))
+                    return Judgment("rpo:parts", s, t, phi, (left, right))
         # (3) smaller head symbol by precedence
         if isinstance(t_head, FunctionSymbol):
             above = self.params.prec_gt(s_head, t_head)
@@ -481,8 +479,7 @@ class Horpo:
             if above:
                 children = self._below(s, t_args, phi, cvars)
                 if children is not None:
-                    return Judgment("rpo", "rpo:precedence", s, t, phi, cvars,
-                                    children=children)
+                    return Judgment("rpo:precedence", s, t, phi, children)
         # (4)/(5) same head: compare argument lists by the head's status
         if isinstance(t_head, FunctionSymbol) and t_head == s_head and t_args:
             status = self.params.status_of(s_head)
@@ -498,11 +495,10 @@ class Horpo:
             if ext is not None:
                 children = self._below(s, t_args, phi, cvars)
                 if children is not None:
-                    return Judgment("rpo", case, s, t, phi, cvars,
-                                    children=(ext,) + children)
+                    return Judgment(case, s, t, phi, (ext,) + children)
         # (6) values and constrained variables are minimal
         if t.is_value or (isinstance(t, Variable) and t in cvars):
-            return Judgment("rpo", "rpo:base", s, t, phi, cvars)
+            return Judgment("rpo:base", s, t, phi)
         return None
 
     def _below(self, s: Term, t_args: Sequence[Term], phi: Term,

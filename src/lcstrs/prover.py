@@ -168,9 +168,6 @@ def find_witness(system: System, config: Optional[ProverConfig] = None
     """Search bounds, statuses and precedences for a verified witness."""
     cfg = config or ProverConfig()
     bounds = (system.bound,) if cfg.bounds is None else cfg.bounds
-    if bounds and not system.rules:
-        # the empty witness orients every rule
-        return Witness(HorpoParams((), {}, bounds[0]), ())
     defined = system.defined_symbols()
     position = {f: i for i, f in enumerate(defined)}
     options = [_status_options(f) for f in defined]
@@ -380,12 +377,9 @@ def _certify(root: Judgment, rule: Rule, params: HorpoParams,
         if id(node) in checked:
             continue
         checked.add(id(node))
-        relation, side_condition = _CASES.get(node.case, (None, None))
         required = None
-        if (node.relation == relation
-                and (node.constraint is phi or node.constraint == phi)
-                and (node.cvars is cvars or node.cvars == cvars)):
-            required = side_condition(node, params, solver)
+        if node.constraint is phi or node.constraint == phi:
+            required = _required(node, cvars, params, solver)
         children = node.children
         matched = required is not None and len(children) == len(required)
         if matched:
@@ -402,68 +396,113 @@ def _certify(root: Judgment, rule: Rule, params: HorpoParams,
     return None
 
 
-# The side condition of each case: given a node whose relation, constraint
-# and variable set are checked, the (relation, lhs, rhs) its children must
-# have, in order, or None where the condition fails. Each mirrors the
-# branch of `Horpo` that builds the case, and none searches.
+def _required(node: Judgment, cvars: frozenset, params: HorpoParams,
+              solver: Solver) -> Optional[list]:
+    """The side condition of `node`'s case, for a node whose constraint is
+    its rule's and `cvars` the rule's logical variables: the (relation,
+    lhs, rhs) its children must have, in order, or None where the
+    condition fails or the case is unknown. Each arm mirrors the branch of
+    `Horpo` that builds the case, and none searches. The arms come in the
+    order of how often the search's derivations use their cases, since a
+    `match` tries them one after another."""
+    s, t, i = node.lhs, node.rhs, node.data
+    match node.case:
+        case "rpo:subterm":
+            head, args = _symbol_spine(s)
+            if (head is None or not _index(i, len(args))
+                    or args[i].type != t.type):
+                return None
+            return [("geq", args[i], t)]
+        case "geq:calc-join":
+            joined = s.type == t.type and joinable_calc(s, t, params.bound)
+            return [] if joined else None
+        case "rpo:parts":
+            if _symbol_spine(s)[0] is None or not isinstance(t, App):
+                return None
+            return [("rpo", s, t.head), ("rpo", s, t.arg)]
+        case "gt:descent":
+            return [("rpo", s, t)] if s.type == t.type else None
+        case "rpo:precedence":
+            s_head, _ = _symbol_spine(s)
+            t_head, t_args = t.spine()
+            if (s_head is None or not isinstance(t_head, FunctionSymbol)
+                    or not params.prec_gt(s_head, t_head)):
+                return None
+            return [("rpo", s, ti) for ti in t_args]
+        case "geq:theory" | "gt:theory":
+            if not (s.is_theory_term and t.is_theory_term
+                    and is_theory_sort_type(s.type) and s.type == t.type
+                    and (s.free_vars | t.free_vars) <= cvars):
+                return None
+            strict = node.case == "gt:theory"
+            goal = theory.sup_symbol(s.type, strict).apply(s, t)
+            verdict = solver.entails(node.constraint, goal, cvars)
+            return [] if verdict.is_yes else None
+        case "rpo:lex" | "rpo:mul":
+            s_head, s_args = _symbol_spine(s)
+            t_head, t_args = t.spine()
+            if s_head is None or t_head != s_head or not t_args:
+                return None
+            status = params.status_of(s_head)
+            if node.case == "rpo:lex" and status == LEX:
+                extension = ("lex", s_args, t_args)
+            elif (node.case == "rpo:mul" and isinstance(status, Mul)
+                    and status.k <= len(t_args)):
+                extension = ("mul", s_args[:status.k], t_args[:status.k])
+            else:
+                return None
+            return [extension] + [("rpo", s, ti) for ti in t_args]
+        case "mul:cover":
+            # a map pi from targets to sources and a set of strict
+            # sources: each strict source covers at least one target and
+            # dominates all of them, each other source covers exactly one
+            # target weakly, and some source is strict or covers nothing
+            if not (type(node.data) is tuple and len(node.data) == 2):
+                return None
+            pi, strict = node.data
+            if not (type(pi) is tuple and len(pi) == len(t)
+                    and all(_index(j, len(s)) for j in pi)
+                    and isinstance(strict, frozenset) and strict <= set(pi)
+                    and (strict or len(s) > len(t))
+                    and all(pi.count(j) == 1 for j in pi
+                            if j not in strict)):
+                return None
+            return [("gt" if j in strict else "geq", s[j], tj)
+                    for j, tj in zip(pi, t)]
+        case "lex:strict-prefix":
+            if not _index(i, min(len(s), len(t))):
+                return None
+            return ([("geq", si, ti) for si, ti in zip(s[:i], t[:i])]
+                    + [("gt", s[i], t[i])])
+        case "rpo:base":
+            if _symbol_spine(s)[0] is None or not (
+                    t.is_value or (isinstance(t, Variable) and t in cvars)):
+                return None
+            return []
+        case "geq:app":
+            if (s.is_theory_term or not isinstance(s, App)
+                    or not isinstance(t, App) or s.head.type != t.head.type):
+                return None
+            return [("geq", s.head, t.head), ("geq", s.arg, t.arg)]
+        case "geq:strict":
+            return [("gt", s, t)]
+        case "gt:args-fun" | "gt:args-var":
+            if s.is_theory_term:
+                return None
+            s_head, s_args = s.spine()
+            t_head, t_args = t.spine()
+            if (s_head != t_head or len(s_args) != len(t_args)
+                    or isinstance(s_head, FunctionSymbol)
+                    != (node.case == "gt:args-fun")
+                    or not _index(i, len(s_args))):
+                return None
+            return [("gt" if k == i else "geq", si, ti)
+                    for k, (si, ti) in enumerate(zip(s_args, t_args))]
+    return None
 
 
 def _index(value, size: int) -> bool:
     return type(value) is int and 0 <= value < size
-
-
-def _theory(strict: bool):
-    def side_condition(node, params, solver):
-        s, t = node.lhs, node.rhs
-        if not (s.is_theory_term and t.is_theory_term
-                and is_theory_sort_type(s.type) and s.type == t.type
-                and (s.free_vars | t.free_vars) <= node.cvars):
-            return None
-        goal = theory.sup_symbol(s.type, strict).apply(s, t)
-        # proved again, whatever verdict the node records
-        verdict = solver.entails(node.constraint, goal, node.cvars)
-        return [] if verdict.is_yes else None
-    return side_condition
-
-
-def _geq_strict(node, params, solver):
-    return [("gt", node.lhs, node.rhs)]
-
-
-def _geq_calc_join(node, params, solver):
-    s, t = node.lhs, node.rhs
-    joined = s.type == t.type and joinable_calc(s, t, params.bound)
-    return [] if joined else None
-
-
-def _geq_app(node, params, solver):
-    s, t = node.lhs, node.rhs
-    if (s.is_theory_term or not isinstance(s, App) or not isinstance(t, App)
-            or s.head.type != t.head.type):
-        return None
-    return [("geq", s.head, t.head), ("geq", s.arg, t.arg)]
-
-
-def _gt_descent(node, params, solver):
-    s, t = node.lhs, node.rhs
-    return [("rpo", s, t)] if s.type == t.type else None
-
-
-def _gt_args(function_headed: bool):
-    def side_condition(node, params, solver):
-        s, t = node.lhs, node.rhs
-        if s.is_theory_term:
-            return None
-        s_head, s_args = s.spine()
-        t_head, t_args = t.spine()
-        i = node.data
-        if (s_head != t_head or len(s_args) != len(t_args)
-                or isinstance(s_head, FunctionSymbol) != function_headed
-                or not _index(i, len(s_args))):
-            return None
-        return [("gt" if k == i else "geq", si, ti)
-                for k, (si, ti) in enumerate(zip(s_args, t_args))]
-    return side_condition
 
 
 def _symbol_spine(s: Term):
@@ -473,104 +512,3 @@ def _symbol_spine(s: Term):
         return None, ()
     head, args = s.spine()
     return (head, args) if isinstance(head, FunctionSymbol) else (None, ())
-
-
-def _rpo_subterm(node, params, solver):
-    head, args = _symbol_spine(node.lhs)
-    i = node.data
-    if (head is None or not _index(i, len(args))
-            or args[i].type != node.rhs.type):
-        return None
-    return [("geq", args[i], node.rhs)]
-
-
-def _rpo_parts(node, params, solver):
-    s, t = node.lhs, node.rhs
-    if _symbol_spine(s)[0] is None or not isinstance(t, App):
-        return None
-    return [("rpo", s, t.head), ("rpo", s, t.arg)]
-
-
-def _rpo_precedence(node, params, solver):
-    s, t = node.lhs, node.rhs
-    s_head, _ = _symbol_spine(s)
-    t_head, t_args = t.spine()
-    if (s_head is None or not isinstance(t_head, FunctionSymbol)
-            or not params.prec_gt(s_head, t_head)):
-        return None
-    return [("rpo", s, ti) for ti in t_args]
-
-
-def _rpo_status(lexicographic: bool):
-    def side_condition(node, params, solver):
-        s, t = node.lhs, node.rhs
-        s_head, s_args = _symbol_spine(s)
-        t_head, t_args = t.spine()
-        if s_head is None or t_head != s_head or not t_args:
-            return None
-        status = params.status_of(s_head)
-        if lexicographic and status == LEX:
-            extension = ("lex", s_args, t_args)
-        elif (not lexicographic and isinstance(status, Mul)
-                and status.k <= len(t_args)):
-            extension = ("mul", s_args[:status.k], t_args[:status.k])
-        else:
-            return None
-        return [extension] + [("rpo", s, ti) for ti in t_args]
-    return side_condition
-
-
-def _rpo_base(node, params, solver):
-    t = node.rhs
-    if _symbol_spine(node.lhs)[0] is None or not (
-            t.is_value or (isinstance(t, Variable) and t in node.cvars)):
-        return None
-    return []
-
-
-def _lex_strict_prefix(node, params, solver):
-    ss, ts = node.lhs, node.rhs
-    i = node.data
-    if not _index(i, min(len(ss), len(ts))):
-        return None
-    return ([("geq", si, ti) for si, ti in zip(ss[:i], ts[:i])]
-            + [("gt", ss[i], ts[i])])
-
-
-def _mul_cover(node, params, solver):
-    """A map pi from targets to sources and a set of strict sources: each
-    strict source covers at least one target and dominates all of them,
-    each other source covers exactly one target weakly, and some source is
-    strict or some source covers nothing."""
-    ss, ts = node.lhs, node.rhs
-    if not (type(node.data) is tuple and len(node.data) == 2):
-        return None
-    pi, strict = node.data
-    if not (type(pi) is tuple and len(pi) == len(ts)
-            and all(_index(i, len(ss)) for i in pi)
-            and isinstance(strict, frozenset) and strict <= set(pi)
-            and (strict or len(ss) > len(ts))
-            and all(pi.count(i) == 1 for i in pi if i not in strict)):
-        return None
-    return [("gt" if i in strict else "geq", ss[i], tj)
-            for i, tj in zip(pi, ts)]
-
-
-_CASES = {
-    "geq:theory": ("geq", _theory(strict=False)),
-    "geq:strict": ("geq", _geq_strict),
-    "geq:calc-join": ("geq", _geq_calc_join),
-    "geq:app": ("geq", _geq_app),
-    "gt:theory": ("gt", _theory(strict=True)),
-    "gt:descent": ("gt", _gt_descent),
-    "gt:args-fun": ("gt", _gt_args(function_headed=True)),
-    "gt:args-var": ("gt", _gt_args(function_headed=False)),
-    "rpo:subterm": ("rpo", _rpo_subterm),
-    "rpo:parts": ("rpo", _rpo_parts),
-    "rpo:precedence": ("rpo", _rpo_precedence),
-    "rpo:lex": ("rpo", _rpo_status(lexicographic=True)),
-    "rpo:mul": ("rpo", _rpo_status(lexicographic=False)),
-    "rpo:base": ("rpo", _rpo_base),
-    "lex:strict-prefix": ("lex", _lex_strict_prefix),
-    "mul:cover": ("mul", _mul_cover),
-}

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -84,7 +85,16 @@ _INT_LITERAL = re.compile(r"-?[0-9]+\Z")
 
 @lru_cache(maxsize=None)
 def int_value(n: int) -> FunctionSymbol:
-    return _value_symbol(str(n), INT_T, n)
+    try:
+        name = str(n)
+    except ValueError:      # past the interpreter's digit limit
+        raise _too_many_digits() from None
+    return _value_symbol(name, INT_T, n)
+
+
+def _too_many_digits() -> TheoryError:
+    return TheoryError(f"integer has more than {sys.get_int_max_str_digits()}"
+                       f" digits, the interpreter's limit")
 
 
 def bool_value(b: bool) -> FunctionSymbol:
@@ -111,7 +121,11 @@ def semantic_value(symbol: FunctionSymbol) -> SemValue:
 
 def _literal_resolver(name: str) -> Optional[FunctionSymbol]:
     if _INT_LITERAL.match(name):
-        return int_value(int(name))
+        try:
+            n = int(name)
+        except ValueError:  # past the interpreter's digit limit
+            raise _too_many_digits() from None
+        return int_value(n)
     return None
 
 

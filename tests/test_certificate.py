@@ -4,10 +4,12 @@
 condition of the case it names and searches nothing. A witness that uses
 all 16 cases is tampered with one node, or one parameter, at a time: every
 tampered witness must be rejected with a `rule N not oriented` diagnostic
-for the rule it belongs to, and the witness as built accepted. Every
-witness that `find_witness` returns must pass the check, also with the
-engine unable to start, and under perturbed parameters a derivation the
-check accepts must be one that the engine finds too.
+for the rule it belongs to, and the witness as built accepted. A side
+condition that no derivation of the search breaks is broken by one
+witness, tampered or built by hand, rejected at the node that breaks it.
+Every witness that `find_witness` returns must pass the check, also with
+the engine unable to start, and under perturbed parameters a derivation
+the check accepts must be one that the engine finds too.
 """
 
 import dataclasses
@@ -24,8 +26,8 @@ from lcstrs.prover import (
     ProverConfig, Witness, _status_options, check_witness, find_witness,
 )
 from lcstrs.rewrite import normalize
-from lcstrs.solver import YES, Solver
-from lcstrs.syntax import parse_system, parse_term
+from lcstrs.solver import Solver
+from lcstrs.syntax import parse_system, parse_term, print_rule
 from lcstrs.theory import TRUE
 from test_prover import DIFFERENTIAL_CASES
 from test_soundness import accept_a_decided_no
@@ -203,7 +205,7 @@ class TestTampering:
         weak, strict = node.children
         engine = Horpo(witness.params, Solver())
         weaker = engine.geq(strict.lhs, strict.rhs, strict.constraint,
-                            strict.cvars)
+                            system.rules[index].logical_vars)
         assert weaker is not None
         assert_rejected(tampered(witness, index, path,
                                  data=((1, 0), frozenset({2})),
@@ -274,15 +276,10 @@ class TestTampering:
         result = check_witness(Witness(params, witness.derivations), system)
         assert rejected_rules(result) == rules
 
-    @pytest.mark.parametrize("change", ["constraint", "cvars"])
     def test_a_node_under_another_constraint_is_rejected(self, system,
-                                                         witness, change):
-        # the variables of rule 6 grow by x, a variable rpo:base would
-        # then take for minimal
-        index, path, node = first(witness, "rpo:base")
-        x = next(v for v in system.rules[index].lhs.free_vars)
-        value = TRUE if change == "constraint" else node.cvars | {x}
-        assert_rejected(tampered(witness, index, path, **{change: value}),
+                                                         witness):
+        index, path, _ = first(witness, "rpo:base")
+        assert_rejected(tampered(witness, index, path, constraint=TRUE),
                         system, index)
 
     def test_a_root_that_does_not_match_its_rule_is_rejected(self, system,
@@ -298,7 +295,8 @@ class TestTampering:
                               "of its sides)") for d in result.diagnostics)
         root = witness.derivations[0]
         assert_rejected(tampered(witness, 0, (), rhs=root.lhs), system, 0)
-        assert_rejected(tampered(witness, 0, (), relation="geq"), system, 0)
+        assert_rejected(tampered(witness, 0, (), case="geq:strict"),
+                        system, 0)
 
     def test_a_missing_derivation_is_rejected(self, system, witness):
         short = Witness(witness.params, witness.derivations[:-1])
@@ -310,7 +308,7 @@ class TestTampering:
     def test_a_theory_leaf_whose_entailment_is_no_is_rejected(
             self, monkeypatch):
         # an engine that takes a decided No for a strict theory comparison
-        # derives d x -> d (x + 1) [x > 0]; a recorded Yes changes nothing
+        # derives d x -> d (x + 1) [x > 0], its leaf printed as a Yes
         system = parse_system("fun d : Int -> Int\n"
                               "rule d x -> d (x + 1) [x > 0]\n")
         params = HorpoParams()
@@ -318,11 +316,124 @@ class TestTampering:
         forged = derived_witness(params, system)
         monkeypatch.undo()
         assert derived_witness(params, system).derivations == (None,)
-        index, path, leaf = first(forged, "gt:theory")
-        assert leaf.verdict.is_no
+        index, _, leaf = first(forged, "gt:theory")
+        assert leaf.to_dict()["entailment"] == "Yes"
         assert_rejected(forged, system, index)
-        assert_rejected(tampered(forged, index, path, verdict=YES),
-                        system, index)
+
+
+def path_to(root, case):
+    """The path of the first node of `case` in `root`."""
+    return next(path for path, node in nodes(root) if node.case == case)
+
+
+def assert_fails_at(witness, system, index, failure):
+    result = check_witness(witness, system, Solver(bound=witness.params.bound))
+    assert result.diagnostics == (
+        f"rule {index + 1} not oriented: {print_rule(system.rules[index])} "
+        f"(node {failure})",)
+
+
+def forged(rule):
+    """The system of the one rule `rule` over `k` and `c`, and a builder of
+    nodes under its constraint."""
+    system = parse_system(f"fun k : Int -> Int\nfun c : Int -> Int\n"
+                          f"rule {rule}\n")
+    constraint = system.rules[0].constraint
+
+    def node(case, lhs, rhs, children=(), data=None):
+        return Judgment(case, lhs, rhs, constraint, children, data)
+    return system, node
+
+
+class TestEveryRejection:
+    """Side conditions that no derivation of the search breaks, each
+    broken by one witness that the check rejects at that node. Without the
+    condition, the check would accept it, reject another node, or raise."""
+
+    def test_a_theory_comparison_of_other_terms(self, system, witness):
+        # the sides of c x -> g (x - 1) [x > 0] are not theory terms; in
+        # c x -> g x [true], x is no logical variable, so a respecting
+        # substitution need not send it to a value
+        assert_fails_at(tampered(witness, 8, (), case="gt:theory",
+                                 children=()),
+                        system, 8, "gt:theory fails on gt: c x vs g (x - 1)")
+        index = 7
+        path = path_to(witness.derivations[index], "geq:calc-join")
+        assert_fails_at(tampered(witness, index, path, case="geq:theory"),
+                        system, index, "geq:theory fails on geq: x vs x")
+
+    def test_an_application_case_on_a_variable(self, system, witness):
+        index = 7
+        path = path_to(witness.derivations[index], "geq:calc-join")
+        assert_fails_at(tampered(witness, index, path, case="geq:app"),
+                        system, index, "geq:app fails on geq: x vs x")
+
+    def test_the_parts_of_a_variable(self, system, witness):
+        # c x -> p y x [y > 0]: y is minimal, not an application
+        index, path, _ = first(witness, "rpo:base")
+        assert_fails_at(tampered(witness, index, path, case="rpo:parts"),
+                        system, index, "rpo:parts fails on rpo: c x vs y")
+
+    def test_a_status_comparison_under_another_head(self, system, witness):
+        # c x -> g (x - 1) [x > 0]: comparing the arguments of c x and
+        # g (x - 1) lexicographically would need no precedence c > g
+        index = 8
+        root = witness.derivations[index]
+        parts = root.children[0]
+        _, below = parts.children       # c x above x - 1
+        x, smaller = below.lhs.arg, below.rhs
+        lex = Judgment("lex:strict-prefix", (x,), (smaller,), root.constraint,
+                       (Judgment("gt:theory", x, smaller, root.constraint),),
+                       0)
+        assert_fails_at(
+            tampered(witness, index, (0,), case="rpo:lex",
+                     children=(lex, below)),
+            system, index, "rpo:lex fails on rpo: c x vs g (x - 1)")
+
+    def test_a_status_comparison_with_no_arguments(self):
+        # c x -> c (x - 1) [x > 0], with c x above the bare symbol c by
+        # comparing their arguments: an empty list is below no other
+        system, node = forged("c x -> c (x - 1) [x > 0]")
+        s, t = system.rules[0].lhs, system.rules[0].rhs
+        below = node("rpo:subterm", s, t.arg,
+                     (node("geq:theory", s.arg, t.arg),), 0)
+        lex = node("rpo:lex", s, t.head,
+                   (node("lex:strict-prefix", (s.arg,), (), (), 0),))
+        root = node("gt:descent", s, t,
+                    (node("rpo:parts", s, t, (lex, below)),))
+        assert_fails_at(Witness(HorpoParams(), (root,)), system, 0,
+                        "rpo:lex fails on rpo: c x vs c")
+
+    def test_argument_positions_of_a_theory_term(self):
+        # x - (y + 1) > x - y would follow from y + 1 > y, argument by
+        # argument, but a theory term is compared by its value
+        system, node = forged("k (x - (y + 1)) -> k (x - y) [y > 0]")
+        s, t = system.rules[0].lhs, system.rules[0].rhs
+        (x, y1), (_, y) = s.arg.spine()[1], t.arg.spine()[1]
+        inner = node("gt:args-fun", s.arg, t.arg,
+                     (node("geq:calc-join", x, x),
+                      node("gt:theory", y1, y)), 1)
+        root = node("gt:args-fun", s, t, (inner,), 0)
+        assert_fails_at(Witness(HorpoParams(), (root,)), system, 0,
+                        "gt:args-fun fails on gt: x - (y + 1) vs x - y")
+
+    def test_a_descent_from_a_theory_term(self):
+        # x + y > y is false at x = -1: a theory term has no head symbol
+        # to descend from
+        system, node = forged("k (x + y) -> k y [y > 0]")
+        s, t = system.rules[0].lhs, system.rules[0].rhs
+        descent = node("gt:descent", s.arg, t.arg,
+                       (node("rpo:base", s.arg, t.arg),))
+        root = node("gt:args-fun", s, t, (descent,), 0)
+        assert_fails_at(Witness(HorpoParams(), (root,)), system, 0,
+                        "rpo:base fails on rpo: x + y vs y")
+
+    def test_a_cover_that_is_not_a_map_and_a_set(self, system, witness):
+        # p x y -> p y (x - 1) [x > 0]
+        index, path, cover = first(witness, "mul:cover")
+        assert_fails_at(
+            tampered(witness, index, path, data=cover.data + (None,)),
+            system, index, "mul:cover fails on mul: (x, y) vs (y, x - 1)")
 
 
 def test_a_multiset_comparison_narrower_than_the_status_is_rejected():
@@ -339,19 +450,17 @@ def test_a_multiset_comparison_narrower_than_the_status_is_rejected():
     x, y, _ = s.spine()[1]
     partial = t.head
 
-    def node(relation, case, lhs, rhs, children=(), data=None):
-        return Judgment(relation, case, lhs, rhs, rule.constraint,
-                        rule.logical_vars, children, data=data)
+    def node(case, lhs, rhs, children=(), data=None):
+        return Judgment(case, lhs, rhs, rule.constraint, children, data)
 
-    joins = [node("geq", "geq:calc-join", v, v) for v in (x, y)]
-    cover = node("mul", "mul:cover", (x, y, s.arg), (x, y),
+    joins = [node("geq:calc-join", v, v) for v in (x, y)]
+    cover = node("mul:cover", (x, y, s.arg), (x, y),
                  tuple(joins), ((0, 1), frozenset()))
-    subterms = [node("rpo", "rpo:subterm", s, v, (join,), i)
+    subterms = [node("rpo:subterm", s, v, (join,), i)
                  for i, (v, join) in enumerate(zip((x, y), joins))]
-    narrow = node("rpo", "rpo:mul", s, partial, (cover, *subterms))
-    parts = node("rpo", "rpo:parts", s, t,
-                 (narrow, node("rpo", "rpo:base", s, t.arg)))
-    root = node("gt", "gt:descent", s, t, (parts,))
+    narrow = node("rpo:mul", s, partial, (cover, *subterms))
+    parts = node("rpo:parts", s, t, (narrow, node("rpo:base", s, t.arg)))
+    root = node("gt:descent", s, t, (parts,))
     result = check_witness(
         Witness(HorpoParams((), {f: Mul(3)}, 0), (root,)), system)
     assert result.diagnostics == (

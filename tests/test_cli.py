@@ -401,6 +401,33 @@ class TestDeepInputs:
         assert err == ""
 
 
+class TestDigitLimit:
+    # Python refuses to convert integers of more than
+    # `sys.get_int_max_str_digits()` digits (4300 by default) to or from
+    # text; the limit is process-wide, so lcstrs reports it, not raises it
+    def test_a_long_literal_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "long.lcstrs"
+        path.write_text("fun f : Int -> Int\n"
+                        f"rule f x -> f (x - 1) [x > {'9' * 5000}]\n")
+        code, payload, err = run_json(capsys, "check", str(path))
+        limit = sys.get_int_max_str_digits()
+        message = (f"integer has more than {limit} digits, the "
+                   f"interpreter's limit")
+        assert code == 1 and payload["ok"] is False
+        assert payload["error"] == message
+        assert err == f"error: {message}\n"
+
+    def test_a_long_result_is_an_error(self, capsys):
+        # 2000! has 5736 digits
+        code, payload, _ = run_json(capsys, "run",
+                                    str(SYSTEMS / "fact.lcstrs"), "--term",
+                                    "fact 2000 exit")
+        limit = sys.get_int_max_str_digits()
+        assert code == 1 and payload["ok"] is False
+        assert payload["error"] == (
+            f"integer has more than {limit} digits, the interpreter's limit")
+
+
 class ClosedStdout:
     """A stdout whose reader has gone: every write raises."""
 

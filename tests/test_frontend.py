@@ -11,7 +11,10 @@ and printing. They pin the replacement to the old behaviour.
 import contextlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -283,6 +286,28 @@ class TestDeepInputs:
             parse_term(text, fact_system)
         col = len("1" + " !> (1" * depth) + 2
         assert str(err.value) == f"1:{col}: term has type Bool, expected Int"
+
+    def test_nested_overloads_over_fresh_variables(self):
+        # p60 !> (p59 !> (... (p1 !> p0))): every level but the innermost
+        # is typed by the Bool symbol, after the Int one fails on the
+        # level below. Retrying a symbol whose result type is not the one
+        # expected there would double the work at every level, so the
+        # parse runs in a subprocess with a timeout
+        chain = "p1 !> p0"
+        for i in range(2, 61):
+            chain = f"p{i} !> ({chain})"
+        script = ("import sys\n"
+                  "from lcstrs.syntax import parse_system\n"
+                  "rule, = parse_system(sys.stdin.read()).rules\n"
+                  "print(sorted(v.name for v in rule.constraint.free_vars\n"
+                  "             if str(v.type) == 'Int'))\n")
+        env = dict(os.environ, PYTHONPATH=str(TESTS.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            input=f"fun f : Bool -> Int\nrule f q -> f q [{chain}]\n",
+            capture_output=True, text=True, env=env, timeout=30)
+        assert proc.stderr == ""
+        assert proc.stdout == "['p0', 'p1']\n"
 
     def test_run_fact_1500_json(self, tmp_path):
         # 85 MB of JSON, written to a file rather than captured

@@ -305,7 +305,7 @@ class TestJudgments:
             while stack:
                 j = stack.pop()
                 got = relations[j.relation](j.lhs, j.rhs, j.constraint,
-                                            j.cvars)
+                                            rule.logical_vars)
                 assert got is not None and got.case == j.case, j.to_dict()
                 stack.extend(j.children)
 

@@ -193,6 +193,18 @@ class TestRefutation:
         else:
             assert repr(verdict) == "No(x=5)"
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_the_case_limit_gives_up(self, Q, n):
+        # each disjunction of the antecedent doubles the cases: the split
+        # of 5 of them ends within REFUTATION_LIMIT iterations, that of 6
+        # does not, and the query is left undecided, never taken for Yes
+        phi = Q(" /\\ ".join(f"(v{i} = 1 \\/ v{i} = 2)" for i in range(n)))
+        psi = Q(" + ".join(f"v{i}" for i in range(n)) + f" >= {n}")
+        assert solver_module._refuted(phi, psi, 0) is (n == 5)
+        verdict = Solver().entails(phi, psi, phi.free_vars | psi.free_vars)
+        assert repr(verdict) == ("Yes" if n == 5 else "Unknown(fast paths "
+                                 "inconclusive and no SMT solver configured)")
+
 
 class TestSoundnessSampling:
     def test_yes_verdicts_never_falsified(self, P):

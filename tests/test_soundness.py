@@ -117,8 +117,7 @@ def accept_a_decided_no(monkeypatch):
     def lenient(self, s, t, phi, cvars):
         verdict = self._entail_ordering(s, t, phi, cvars, strict=True)
         if verdict is not None and verdict.is_no:
-            return Judgment("gt", "gt:theory", s, t, phi, cvars,
-                            verdict=verdict)
+            return Judgment("gt:theory", s, t, phi)
         return gt(self, s, t, phi, cvars)
 
     monkeypatch.setitem(Horpo._RELATIONS, "gt", lenient)

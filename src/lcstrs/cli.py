@@ -28,6 +28,7 @@ from .prover import (
 from .rewrite import InputSource, normalize
 from .solver import Solver
 from .syntax import parse_system, parse_term, print_term
+from .theory import TheoryError, parse_int
 
 SMT_ENV_VAR = "LCSTRS_SMT_CMD"
 
@@ -74,10 +75,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _integer(piece: str, option: str) -> int:
     try:
-        return int(piece)
+        return parse_int(piece)
     except ValueError:
         raise LcstrsError(
             f"{option}: {piece.strip()!r} is not an integer") from None
+    except TheoryError as e:
+        raise LcstrsError(f"{option}: {e}") from None
 
 
 def _seconds(text: str) -> float:
@@ -293,7 +296,7 @@ def cmd_prove(args) -> int:
         # printed and checks each of its derivations node by node, with a
         # fresh solver for the entailment leaves: it shares no cache with
         # the search, only its external solver
-        document = result.to_dict()
+        document = result.to_dict(system)
         try:
             params = params_from_dict(document, system.signature)
         except ValueError as error:

@@ -425,7 +425,10 @@ def typecheck(pre: PreTerm, signature: Signature,
                         args.append(pre.arg)
                         pre = pre.head
                     pos = pre.pos
-                    symbols = lookup(pre.name)
+                    try:
+                        symbols = lookup(pre.name)
+                    except LcstrsError as e:    # a literal past a limit
+                        raise TypingError(str(e), pos) from None
                     if len(symbols) > 1:
                         choices.append(_Choice(len(frames), symbols, args,
                                                expected, pos, ctx))

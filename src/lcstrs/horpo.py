@@ -1,13 +1,13 @@
 """A constraint-indexed recursive path ordering on applicative terms.
 
-Three mutually recursive relations drive everything, each indexed by a
-logical constraint: a weak comparison `geq`, a strict comparison `gt`, and
-a structural descent relation `rpo` that peels arguments off a
-symbol-headed term. Theory terms of base sort are compared semantically,
-through entailment of the built-in ordering symbols; everything else is
-compared structurally using a precedence on function symbols and a
-per-symbol status (lexicographic or k-ary multiset comparison of
-arguments).
+Three mutually recursive relations drive everything, each indexed by the
+engine's logical constraint and variable set: a weak comparison `geq`, a
+strict comparison `gt`, and a structural descent relation `rpo` that peels
+arguments off a symbol-headed term. Theory terms of base sort are compared
+semantically, through entailment of the built-in ordering symbols;
+everything else is compared structurally using a precedence on function
+symbols and a per-symbol status (lexicographic or k-ary multiset
+comparison of arguments).
 
 A rule is oriented by a strict comparison of its sides under the rule's
 constraint, with the constraint's variable set enlarged by the variables
@@ -135,14 +135,13 @@ class Judgment:
     `relation:rule`; `data` carries case-specific payload (the strict
     position for lexicographic comparisons, the mapping and strict set
     for multiset comparisons). A node stores nothing its case or
-    comparison fixes: the variable set is the one the comparison was
-    asked under (a rule's logical variables, in a witness), and a
-    `*:theory` leaf is built only on a Yes entailment.
+    comparison fixes: the constraint and variable set are those of the
+    engine that built it (a rule's, in a witness), and a `*:theory` leaf
+    is built only on a Yes entailment.
     """
     case: str
     lhs: object     # Term, or tuple of Terms for lex/mul
     rhs: object
-    constraint: Term
     children: tuple = ()
     data: object = None
 
@@ -151,14 +150,15 @@ class Judgment:
         """geq | gt | rpo | lex | mul: the prefix of `case`."""
         return self.case.partition(":")[0]
 
-    def to_dict(self, memo: Optional[dict] = None) -> dict:
-        """The derivation as nested dicts; `memo` is `print_term`'s."""
+    def to_dict(self, constraint: Term, memo: Optional[dict] = None) -> dict:
+        """The derivation as nested dicts under `constraint`, its rule's;
+        `memo` is `print_term`'s."""
         d = {
             "relation": self.relation,
             "case": self.case,
             "lhs": _render(self.lhs, memo),
             "rhs": _render(self.rhs, memo),
-            "constraint": print_term(self.constraint, memo),
+            "constraint": print_term(constraint, memo),
         }
         if self.case.endswith(":theory"):
             d["entailment"] = "Yes"
@@ -166,7 +166,7 @@ class Judgment:
         if detail is not None:
             d["detail"] = detail
         if self.children:
-            d["children"] = [c.to_dict(memo) for c in self.children]
+            d["children"] = [c.to_dict(constraint, memo) for c in self.children]
         return d
 
     def _detail(self) -> Optional[str]:
@@ -234,7 +234,8 @@ def multiset_extension_search(m: int, n: int,
 
 
 class Horpo:
-    """One proof context: parameters, a solver, and memoized judgments.
+    """One proof context: parameters, a solver, the constraint and variable
+    set every comparison is under, and memoized judgments.
 
     Also records, per orientation attempt, every question it asks of the
     parameters: the precedence queries between non-theory symbols that held
@@ -250,7 +251,9 @@ class Horpo:
     and reuses it in place of a fresh engine.
     """
 
-    def __init__(self, params: HorpoParams, solver: Optional[Solver] = None):
+    def __init__(self, params: HorpoParams, solver: Optional[Solver] = None,
+                 constraint: Term = theory.TRUE,
+                 logical_vars: frozenset = frozenset()):
         if solver is None:
             solver = Solver(bound=params.bound)
         elif solver.bound != params.bound:
@@ -259,77 +262,69 @@ class Horpo:
                 f"{params.bound}")
         self.params = params
         self.solver = solver
+        self.constraint, self.logical_vars = constraint, logical_vars
         self._memo: dict = {}
         self._depth = 0
         self.prec_hits: set[tuple[FunctionSymbol, FunctionSymbol]] = set()
         self.prec_misses: set[tuple[FunctionSymbol, FunctionSymbol]] = set()
         self.status_reads: set[FunctionSymbol] = set()
-        # (phi, goal, reason) of each entailment that came back Unknown
-        self.unknowns: list[tuple[Term, Term, str]] = []
+        # (goal, reason) of each entailment that came back Unknown
+        self.unknowns: list[tuple[Term, str]] = []
         self.judgment: Optional[Judgment] = None
         self._deepest: Optional[tuple[int, str, Term, Term]] = None
 
     # -- public relations --------------------------------------------------
 
-    def geq(self, s: Term, t: Term, phi: Term,
-            cvars: Optional[frozenset] = None) -> Optional[Judgment]:
+    def geq(self, s: Term, t: Term) -> Optional[Judgment]:
         if s.type != t.type:
             raise LcstrsError("weak comparison requires terms of equal type")
-        return self._run("geq", s, t, phi, self._cvars(phi, cvars))
+        return self._run("geq", s, t)
 
-    def gt(self, s: Term, t: Term, phi: Term,
-           cvars: Optional[frozenset] = None) -> Optional[Judgment]:
-        return self._run("gt", s, t, phi, self._cvars(phi, cvars))
+    def gt(self, s: Term, t: Term) -> Optional[Judgment]:
+        return self._run("gt", s, t)
 
-    def rpo(self, s: Term, t: Term, phi: Term,
-            cvars: Optional[frozenset] = None) -> Optional[Judgment]:
-        return self._run("rpo", s, t, phi, self._cvars(phi, cvars))
+    def rpo(self, s: Term, t: Term) -> Optional[Judgment]:
+        return self._run("rpo", s, t)
 
-    def lex_ext(self, ss: Sequence[Term], ts: Sequence[Term], phi: Term,
-                cvars: Optional[frozenset] = None) -> Optional[Judgment]:
+    def lex_ext(self, ss: Sequence[Term],
+                ts: Sequence[Term]) -> Optional[Judgment]:
         """Strict comparison at some position, weak on everything before it."""
-        cvars = self._cvars(phi, cvars)
         prefix: list[Judgment] = []
         for i in range(min(len(ss), len(ts))):
-            strict = self._run("gt", ss[i], ts[i], phi, cvars)
+            strict = self._run("gt", ss[i], ts[i])
             if strict is not None:
                 return Judgment("lex:strict-prefix", tuple(ss), tuple(ts),
-                                phi, tuple(prefix) + (strict,), i)
-            weak = self._run("geq", ss[i], ts[i], phi, cvars)
+                                tuple(prefix) + (strict,), i)
+            weak = self._run("geq", ss[i], ts[i])
             if weak is None:
                 return None
             prefix.append(weak)
         return None
 
-    def mul_ext(self, ss: Sequence[Term], ts: Sequence[Term], phi: Term,
-                cvars: Optional[frozenset] = None) -> Optional[Judgment]:
+    def mul_ext(self, ss: Sequence[Term],
+                ts: Sequence[Term]) -> Optional[Judgment]:
         """Generalized multiset comparison of two argument lists."""
-        cvars = self._cvars(phi, cvars)
-        # a repeated comparison is a hit in the memo of `_run`
-        def gt(i: int, j: int) -> Optional[Judgment]:
-            return self._run("gt", ss[i], ts[j], phi, cvars)
-
-        def geq(i: int, j: int) -> Optional[Judgment]:
-            return self._run("geq", ss[i], ts[j], phi, cvars)
-
+        run = self._run
         found = multiset_extension_search(
-            len(ss), len(ts), lambda i, j: gt(i, j) is not None,
-            lambda i, j: geq(i, j) is not None)
+            len(ss), len(ts),
+            lambda i, j: run("gt", ss[i], ts[j]) is not None,
+            lambda i, j: run("geq", ss[i], ts[j]) is not None)
         if found is None:
             return None
         pi, strict = found
-        children = tuple(gt(pi[j], j) if pi[j] in strict else geq(pi[j], j)
-                         for j in range(len(ts)))
-        return Judgment("mul:cover", tuple(ss), tuple(ts), phi, children,
+        # a repeated comparison is a hit in the memo of `_run`
+        children = tuple(run("gt" if i in strict else "geq", ss[i], tj)
+                         for i, tj in zip(pi, ts))
+        return Judgment("mul:cover", tuple(ss), tuple(ts), children,
                         (pi, strict))
 
     def orient_rule(self, rule: Rule) -> Optional[Judgment]:
-        """Strictly compare the rule's sides under its constraint, with the
-        constraint's variable set extended by the fresh right-hand side
-        variables (they are value-instantiated by respecting substitutions).
-        The result is kept as `judgment` and the memo is released."""
-        self.judgment = self.gt(rule.lhs, rule.rhs, rule.constraint,
-                                rule.logical_vars)
+        """Compare the rule's sides strictly under its constraint and
+        logical variables, made the context; keep the result as `judgment`
+        and release the memo."""
+        self.constraint, self.logical_vars = rule.constraint, rule.logical_vars
+        self._memo.clear()      # its judgments hold under the old context
+        self.judgment = self._run("gt", rule.lhs, rule.rhs)
         self._memo.clear()
         return self.judgment
 
@@ -344,23 +339,18 @@ class Horpo:
 
     # -- plumbing ------------------------------------------------------
 
-    @staticmethod
-    def _cvars(phi: Term, cvars: Optional[frozenset]) -> frozenset:
-        return phi.free_vars if cvars is None else frozenset(cvars)
-
-    def _run(self, rel: str, s: Term, t: Term, phi: Term,
-             cvars: frozenset) -> Optional[Judgment]:
+    def _run(self, rel: str, s: Term, t: Term) -> Optional[Judgment]:
         """The memoized comparison `rel` ("geq", "gt" or "rpo"), noting the
         deepest one that fails. A weak comparison of terms of different
         types fails at once and is neither memoized nor noted."""
         if rel == "geq" and s.type != t.type:
             return None
-        key = (rel, s, t, phi, cvars)
+        key = (rel, s, t)
         if key in self._memo:
             return self._memo[key]
         self._depth += 1
         try:
-            result = self._RELATIONS[rel](self, s, t, phi, cvars)
+            result = self._RELATIONS[rel](self, s, t)
         finally:
             self._depth -= 1
         self._memo[key] = result
@@ -379,52 +369,50 @@ class Horpo:
         depth, rel, s, t = self._deepest
         return depth, f"{rel}: {print_term(s)} vs {print_term(t)}"
 
-    def _entail_ordering(self, s: Term, t: Term, phi: Term, cvars: frozenset,
+    def _entail_ordering(self, s: Term, t: Term,
                          strict: bool) -> Optional[Verdict]:
         """Entailment of s !> t (or s !>= t) when both sides are theory
-        terms of one theory sort covered by the constraint's variables."""
+        terms of one theory sort covered by the engine's variables."""
         if not (s.is_theory_term and t.is_theory_term):
             return None
         if not (is_theory_sort_type(s.type) and s.type == t.type):
             return None
-        if not (s.free_vars | t.free_vars) <= cvars:
+        if not (s.free_vars | t.free_vars) <= self.logical_vars:
             return None
         goal = theory.sup_symbol(s.type, strict).apply(s, t)
-        verdict = self.solver.entails(phi, goal, cvars)
+        verdict = self.solver.entails(self.constraint, goal, self.logical_vars)
         if verdict.is_unknown:
-            self.unknowns.append((phi, goal, verdict.reason))
+            self.unknowns.append((goal, verdict.reason))
         return verdict
 
     # -- the three relations -------------------------------------------
 
-    def _geq(self, s: Term, t: Term, phi: Term,
-             cvars: frozenset) -> Optional[Judgment]:
-        verdict = self._entail_ordering(s, t, phi, cvars, strict=False)
+    def _geq(self, s: Term, t: Term) -> Optional[Judgment]:
+        verdict = self._entail_ordering(s, t, strict=False)
         if verdict is not None and verdict.is_yes:
-            return Judgment("geq:theory", s, t, phi)
-        strict = self._run("gt", s, t, phi, cvars)
+            return Judgment("geq:theory", s, t)
+        strict = self._run("gt", s, t)
         if strict is not None:
-            return Judgment("geq:strict", s, t, phi, (strict,))
+            return Judgment("geq:strict", s, t, (strict,))
         if joinable_calc(s, t, self.params.bound):
-            return Judgment("geq:calc-join", s, t, phi)
+            return Judgment("geq:calc-join", s, t)
         if (not s.is_theory_term and isinstance(s, App) and isinstance(t, App)
                 and s.head.type == t.head.type):
-            head = self._run("geq", s.head, t.head, phi, cvars)
+            head = self._run("geq", s.head, t.head)
             if head is not None:
-                arg = self._run("geq", s.arg, t.arg, phi, cvars)
+                arg = self._run("geq", s.arg, t.arg)
                 if arg is not None:
-                    return Judgment("geq:app", s, t, phi, (head, arg))
+                    return Judgment("geq:app", s, t, (head, arg))
         return None
 
-    def _gt(self, s: Term, t: Term, phi: Term,
-            cvars: frozenset) -> Optional[Judgment]:
-        verdict = self._entail_ordering(s, t, phi, cvars, strict=True)
+    def _gt(self, s: Term, t: Term) -> Optional[Judgment]:
+        verdict = self._entail_ordering(s, t, strict=True)
         if verdict is not None and verdict.is_yes:
-            return Judgment("gt:theory", s, t, phi)
+            return Judgment("gt:theory", s, t)
         if s.type == t.type:
-            descent = self._run("rpo", s, t, phi, cvars)
+            descent = self._run("rpo", s, t)
             if descent is not None:
-                return Judgment("gt:descent", s, t, phi, (descent,))
+                return Judgment("gt:descent", s, t, (descent,))
         if not s.is_theory_term:
             s_head, s_args = s.spine()
             t_head, t_args = t.spine()
@@ -434,19 +422,18 @@ class Horpo:
                         else "gt:args-var")
                 weak = []
                 for si, ti in zip(s_args, t_args):
-                    w = self._run("geq", si, ti, phi, cvars)
+                    w = self._run("geq", si, ti)
                     if w is None:
                         return None
                     weak.append(w)
                 for i, (si, ti) in enumerate(zip(s_args, t_args)):
-                    strict = self._run("gt", si, ti, phi, cvars)
+                    strict = self._run("gt", si, ti)
                     if strict is not None:
                         children = tuple(weak[:i]) + (strict,) + tuple(weak[i + 1:])
-                        return Judgment(case, s, t, phi, children, i)
+                        return Judgment(case, s, t, children, i)
         return None
 
-    def _rpo(self, s: Term, t: Term, phi: Term,
-             cvars: frozenset) -> Optional[Judgment]:
+    def _rpo(self, s: Term, t: Term) -> Optional[Judgment]:
         if s.is_theory_term:
             return None
         s_head, s_args = s.spine()
@@ -455,19 +442,19 @@ class Horpo:
         # (1) some argument already covers the whole of t
         for i, si in enumerate(s_args):
             if si.type == t.type:
-                j = self._run("geq", si, t, phi, cvars)
+                j = self._run("geq", si, t)
                 if j is not None:
-                    return Judgment("rpo:subterm", s, t, phi, (j,), i)
+                    return Judgment("rpo:subterm", s, t, (j,), i)
         t_head, t_args = t.spine()
         # (2) descend into both parts of an application, head included.
         # Peeling one argument at a time subsumes every way of splitting
         # the application into a head and argument segments.
         if isinstance(t, App):
-            left = self._run("rpo", s, t.head, phi, cvars)
+            left = self._run("rpo", s, t.head)
             if left is not None:
-                right = self._run("rpo", s, t.arg, phi, cvars)
+                right = self._run("rpo", s, t.arg)
                 if right is not None:
-                    return Judgment("rpo:parts", s, t, phi, (left, right))
+                    return Judgment("rpo:parts", s, t, (left, right))
         # (3) smaller head symbol by precedence
         if isinstance(t_head, FunctionSymbol):
             above = self.params.prec_gt(s_head, t_head)
@@ -477,37 +464,37 @@ class Horpo:
                 (self.prec_hits if above else self.prec_misses).add(
                     (s_head, t_head))
             if above:
-                children = self._below(s, t_args, phi, cvars)
+                children = self._below(s, t_args)
                 if children is not None:
-                    return Judgment("rpo:precedence", s, t, phi, children)
+                    return Judgment("rpo:precedence", s, t, children)
         # (4)/(5) same head: compare argument lists by the head's status
         if isinstance(t_head, FunctionSymbol) and t_head == s_head and t_args:
             status = self.params.status_of(s_head)
             self.status_reads.add(s_head)
             ext = None
             if isinstance(status, Lex):
-                ext = self.lex_ext(s_args, t_args, phi, cvars)
+                ext = self.lex_ext(s_args, t_args)
                 case = "rpo:lex"
             elif status.k <= len(t_args):
                 ext = self.mul_ext(s_args[:min(len(s_args), status.k)],
-                                   t_args[:status.k], phi, cvars)
+                                   t_args[:status.k])
                 case = "rpo:mul"
             if ext is not None:
-                children = self._below(s, t_args, phi, cvars)
+                children = self._below(s, t_args)
                 if children is not None:
-                    return Judgment(case, s, t, phi, (ext,) + children)
+                    return Judgment(case, s, t, (ext,) + children)
         # (6) values and constrained variables are minimal
-        if t.is_value or (isinstance(t, Variable) and t in cvars):
-            return Judgment("rpo:base", s, t, phi)
+        if t.is_value or (isinstance(t, Variable) and t in self.logical_vars):
+            return Judgment("rpo:base", s, t)
         return None
 
-    def _below(self, s: Term, t_args: Sequence[Term], phi: Term,
-               cvars: frozenset) -> Optional[tuple[Judgment, ...]]:
+    def _below(self, s: Term,
+               t_args: Sequence[Term]) -> Optional[tuple[Judgment, ...]]:
         """The descent of s onto each of t_args, in order, or None at the
         first that fails."""
         children = []
         for ti in t_args:
-            j = self._run("rpo", s, ti, phi, cvars)
+            j = self._run("rpo", s, ti)
             if j is None:
                 return None
             children.append(j)

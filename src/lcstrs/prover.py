@@ -77,7 +77,8 @@ class Witness:
     params: HorpoParams
     derivations: tuple[Judgment, ...]
 
-    def to_dict(self) -> dict:
+    def to_dict(self, system: System) -> dict:
+        """The document, each derivation under its rule's constraint."""
         memo: dict = {}     # one for the document: derivations share terms
         status = {f.name: repr(st) for f, st in sorted(
             self.params.status.items(), key=lambda it: it[0].name)}
@@ -92,10 +93,11 @@ class Witness:
                     "index": i + 1,
                     "lhs": print_term(j.lhs, memo),
                     "rhs": print_term(j.rhs, memo),
-                    "constraint": print_term(j.constraint, memo),
-                    "derivation": j.to_dict(memo),
+                    "constraint": print_term(rule.constraint, memo),
+                    "derivation": j.to_dict(rule.constraint, memo),
                 }
-                for i, j in enumerate(self.derivations)
+                for i, (rule, j) in enumerate(zip(system.rules,
+                                                  self.derivations))
             ],
         }
 
@@ -227,9 +229,9 @@ def _failure_report(system: System, budget: _Budget) -> FailureReport:
     if budget.failure is not None:
         index, engine = budget.failure
         deepest = engine.deepest_failure
-        unknowns = tuple(
-            f"{print_term(phi)} entails {print_term(goal)}: {reason}"
-            for phi, goal, reason in engine.unknowns)
+        unknowns = tuple(f"{print_term(engine.constraint)} entails "
+                         f"{print_term(goal)}: {reason}"
+                         for goal, reason in engine.unknowns)
         failures = (RuleFailure(index + 1, print_rule(system.rules[index]),
                                 deepest[1] if deepest else None, unknowns),)
         gave_up = gave_up or bool(unknowns)
@@ -366,7 +368,6 @@ def _certify(root: Judgment, rule: Rule, params: HorpoParams,
     node shared by several parents checked once; a node's children are
     matched against what its case requires before any of them is
     visited."""
-    phi, cvars = rule.constraint, rule.logical_vars
     if not (isinstance(root, Judgment) and root.relation == "gt"
             and root.lhs == rule.lhs and root.rhs == rule.rhs):
         return "its derivation is not a strict comparison of its sides"
@@ -377,9 +378,7 @@ def _certify(root: Judgment, rule: Rule, params: HorpoParams,
         if id(node) in checked:
             continue
         checked.add(id(node))
-        required = None
-        if node.constraint is phi or node.constraint == phi:
-            required = _required(node, cvars, params, solver)
+        required = _required(node, rule, params, solver)
         children = node.children
         matched = required is not None and len(children) == len(required)
         if matched:
@@ -396,16 +395,16 @@ def _certify(root: Judgment, rule: Rule, params: HorpoParams,
     return None
 
 
-def _required(node: Judgment, cvars: frozenset, params: HorpoParams,
+def _required(node: Judgment, rule: Rule, params: HorpoParams,
               solver: Solver) -> Optional[list]:
-    """The side condition of `node`'s case, for a node whose constraint is
-    its rule's and `cvars` the rule's logical variables: the (relation,
-    lhs, rhs) its children must have, in order, or None where the
-    condition fails or the case is unknown. Each arm mirrors the branch of
-    `Horpo` that builds the case, and none searches. The arms come in the
-    order of how often the search's derivations use their cases, since a
-    `match` tries them one after another."""
-    s, t, i = node.lhs, node.rhs, node.data
+    """The side condition of `node`'s case under the constraint and
+    logical variables of `rule`, its rule: the (relation, lhs, rhs) its
+    children must have, in order, or None where the condition fails or
+    the case is unknown. Each arm mirrors the branch of `Horpo` that
+    builds the case, and none searches. The arms come in the order of how
+    often the search's derivations use their cases, since a `match` tries
+    them one after another."""
+    s, t, i, cvars = node.lhs, node.rhs, node.data, rule.logical_vars
     match node.case:
         case "rpo:subterm":
             head, args = _symbol_spine(s)
@@ -436,7 +435,7 @@ def _required(node: Judgment, cvars: frozenset, params: HorpoParams,
                 return None
             strict = node.case == "gt:theory"
             goal = theory.sup_symbol(s.type, strict).apply(s, t)
-            verdict = solver.entails(node.constraint, goal, cvars)
+            verdict = solver.entails(rule.constraint, goal, cvars)
             return [] if verdict.is_yes else None
         case "rpo:lex" | "rpo:mul":
             s_head, s_args = _symbol_spine(s)

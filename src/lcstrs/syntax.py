@@ -401,11 +401,13 @@ def parse_system(text: str) -> System:
                                  lineno, tokens[1].col)
             value = line[tokens[2].col - 1:].strip()
             try:
-                bound = int(value)
+                bound = theory.parse_int(value)
             except ValueError:
                 raise ParseError(
                     f"option bound must be an integer, got {value!r}",
                     lineno, tokens[2].col) from None
+            except theory.TheoryError as e:
+                raise ParseError(str(e), lineno, tokens[2].col) from None
         else:
             raise ParseError(
                 f"expected 'fun', 'rule' or 'option', found {head.text!r}",

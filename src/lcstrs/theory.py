@@ -81,6 +81,7 @@ def sup_symbol(sort: BaseType, strict: bool) -> FunctionSymbol:
 
 
 _INT_LITERAL = re.compile(r"-?[0-9]+\Z")
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*\Z")     # what `int` reads
 
 
 @lru_cache(maxsize=None)
@@ -95,6 +96,16 @@ def int_value(n: int) -> FunctionSymbol:
 def _too_many_digits() -> TheoryError:
     return TheoryError(f"integer has more than {sys.get_int_max_str_digits()}"
                        f" digits, the interpreter's limit")
+
+
+def parse_int(text: str) -> int:
+    """`int(text)`, with a TheoryError past the interpreter's limit."""
+    try:
+        return int(text)
+    except ValueError:
+        if _INTEGER.match(text.strip()):
+            raise _too_many_digits() from None
+        raise
 
 
 def bool_value(b: bool) -> FunctionSymbol:
@@ -120,13 +131,7 @@ def semantic_value(symbol: FunctionSymbol) -> SemValue:
 
 
 def _literal_resolver(name: str) -> Optional[FunctionSymbol]:
-    if _INT_LITERAL.match(name):
-        try:
-            n = int(name)
-        except ValueError:  # past the interpreter's digit limit
-            raise _too_many_digits() from None
-        return int_value(n)
-    return None
+    return int_value(parse_int(name)) if _INT_LITERAL.match(name) else None
 
 
 #: the interpretation of each operator: a function of its argument values

@@ -19,7 +19,7 @@ from lcstrs.prover import Witness, check_witness, find_witness
 from lcstrs.rewrite import normalize, respects, step_at
 from lcstrs.solver import Solver
 from lcstrs.syntax import parse_term, print_term
-from lcstrs.theory import TRUE, bool_value, int_value, interpret
+from lcstrs.theory import bool_value, int_value, interpret
 
 RECORDS = {}  # shared between criteria 3/4 and 8
 
@@ -221,7 +221,7 @@ def test_criterion_5_multiset_oracle():
         cases = 0
         for ms, ns in itertools.product(multisets, repeat=2):
             got = engine.mul_ext(tuple(int_value(v) for v in ms),
-                                 tuple(int_value(v) for v in ns), TRUE)
+                                 tuple(int_value(v) for v in ns))
             expected = dershowitz_manna_gt(ms, ns, lambda a, b: a > b)
             assert (got is not None) == expected, (ms, ns)
             cases += 1
@@ -268,7 +268,7 @@ def test_criterion_7_ordering_coherence(fact_system):
             assert Horpo(params).orient_rule(rule) is not None
             for sigma in respecting_samples(fact_system, rng, rule, 260):
                 lhs, rhs = sigma.apply(rule.lhs), sigma.apply(rule.rhs)
-                assert engine.gt(lhs, rhs, TRUE) is not None, \
+                assert engine.gt(lhs, rhs) is not None, \
                     (print_term(lhs), print_term(rhs))
                 checked += 1
         assert checked >= 1000
@@ -285,9 +285,9 @@ def test_criterion_7_ordering_coherence(fact_system):
                 d = rng.randint(1, 3)
                 s0, s0p = comp_nest(sig, rng, d), comp_nest(sig, rng, d - 1)
                 t1 = int_value(rng.randint(-5, 5))
-            if s0.is_theory_term or engine.gt(s0, s0p, TRUE) is None:
+            if s0.is_theory_term or engine.gt(s0, s0p) is None:
                 continue
-            assert engine.gt(App(s0, t1), App(s0p, t1), TRUE) is not None, \
+            assert engine.gt(App(s0, t1), App(s0p, t1)) is not None, \
                 (print_term(s0), print_term(s0p), print_term(t1))
             checked += 1
 
@@ -301,9 +301,9 @@ def test_criterion_7_ordering_coherence(fact_system):
             t1p = fact.apply(int_value(b), k)
             t0 = rng.choice((exit_, App(theory.MUL, int_value(rng.randint(-3, 3))),
                              comp_nest(sig, rng, 1)))
-            if t1.is_theory_term or engine.gt(t1, t1p, TRUE) is None:
+            if t1.is_theory_term or engine.gt(t1, t1p) is None:
                 continue
-            assert engine.gt(App(t0, t1), App(t0, t1p), TRUE) is not None
+            assert engine.gt(App(t0, t1), App(t0, t1p)) is not None
             checked += 1
 
         # calculation compatibility: expanding a value into a redex that
@@ -312,14 +312,14 @@ def test_criterion_7_ordering_coherence(fact_system):
         while checked < 1000:
             pairs = gt_success_pairs(fact_system, rng, 1)
             s_prime, t = pairs[0]
-            if engine.gt(s_prime, t, TRUE) is None:
+            if engine.gt(s_prime, t) is None:
                 continue
             s = inject_calc_redex(s_prime, rng)
             if s is None:
                 continue
             steps = [res for _, res in calc_redexes(s)]
             assert s_prime in steps  # one calculation step leads back
-            assert engine.gt(s, t, TRUE) is not None, \
+            assert engine.gt(s, t) is not None, \
                 (print_term(s), print_term(t))
             checked += 1
 
@@ -337,15 +337,15 @@ def test_criterion_7_ordering_coherence(fact_system):
                 t = gen_theory_term(rng_terms, budget=9)
             else:
                 t, _ = gt_success_pairs(fact_system, rng_terms, 1)[0]
-            assert engine.gt(t, t, TRUE) is None, print_term(t)
+            assert engine.gt(t, t) is None, print_term(t)
             checked += 1
 
         # no two-element cycles
         checked = 0
         for s, t in gt_success_pairs(fact_system, random.Random(109), 1100):
-            if engine.gt(s, t, TRUE) is None:
+            if engine.gt(s, t) is None:
                 continue
-            assert engine.gt(t, s, TRUE) is None, (print_term(s),
+            assert engine.gt(t, s) is None, (print_term(s),
                                                    print_term(t))
             checked += 1
         assert checked >= 1000

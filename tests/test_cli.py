@@ -225,8 +225,8 @@ class TestProve:
         # printed as a proof
         to_dict = Witness.to_dict
 
-        def tampered(witness):
-            document = to_dict(witness)
+        def tampered(witness, system):
+            document = to_dict(witness, system)
             tamper(document)
             return document
 
@@ -411,11 +411,37 @@ class TestDigitLimit:
                         f"rule f x -> f (x - 1) [x > {'9' * 5000}]\n")
         code, payload, err = run_json(capsys, "check", str(path))
         limit = sys.get_int_max_str_digits()
-        message = (f"integer has more than {limit} digits, the "
+        message = (f"2:28: integer has more than {limit} digits, the "
                    f"interpreter's limit")
         assert code == 1 and payload["ok"] is False
         assert payload["error"] == message
         assert err == f"error: {message}\n"
+
+    def test_a_long_bound_option_names_the_limit(self, capsys, tmp_path):
+        path = tmp_path / "bound.lcstrs"
+        path.write_text(f"option bound {'9' * 5000}\nfun f : Int -> Int\n")
+        code, payload, _ = run_json(capsys, "check", str(path))
+        limit = sys.get_int_max_str_digits()
+        assert code == 1 and payload["ok"] is False
+        assert payload["error"] == (
+            f"1:14: integer has more than {limit} digits, the "
+            f"interpreter's limit")
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("run", "--fuel", "{}"), ("run", "--inputs", "1,{}"),
+        ("prove", "--bounds", "0,{}"),
+    ], ids=["fuel", "inputs", "bounds"])
+    def test_a_long_integer_flag_names_the_limit(self, capsys, command,
+                                                 option, value):
+        extra = ["--term", "fact 3 exit"] if command == "run" else []
+        code, payload, _ = run_json(
+            capsys, command, str(SYSTEMS / "fact.lcstrs"), *extra, option,
+            value.format("9" * 5000))
+        limit = sys.get_int_max_str_digits()
+        assert code == 1 and payload["ok"] is False
+        assert payload["error"] == (
+            f"{option}: integer has more than {limit} digits, the "
+            f"interpreter's limit")
 
     def test_a_long_result_is_an_error(self, capsys):
         # 2000! has 5736 digits

@@ -166,6 +166,14 @@ class TestTypecheck:
         with pytest.raises(TypingError):
             typecheck(pre("init", "1"), fact_system.signature)
 
+    def test_applying_a_closed_base_typed_application(self):
+        # `f a` is closed at type Int with an argument still to apply
+        with pytest.raises(TypingError) as raised:
+            parse_system("fun f : Int -> Int\nfun a : Int\n"
+                         "rule f x -> f a a [true]\n")
+        assert str(raised.value) == (
+            "3:13: cannot apply a term of base type Int to an argument")
+
     def test_unknown_variable_type(self, fact_system):
         with pytest.raises(TypingError):
             typecheck(leaf("mystery"), fact_system.signature)
@@ -252,6 +260,19 @@ class TestSubstitution:
             expect = frozenset().union(
                 *(sigma.get(v).free_vars for v in t.free_vars))
             assert sigma.apply(t).free_vars == expect
+
+
+class TestCheckedBuild:
+    def test_a_head_of_base_type_is_rejected(self):
+        with pytest.raises(TypingError) as raised:
+            App(int_value(1), int_value(2))
+        assert str(raised.value) == (
+            "cannot apply a term of base type Int to an argument")
+
+    def test_an_argument_of_another_type_is_rejected(self):
+        with pytest.raises(TypingError) as raised:
+            App(theory.ADD, theory.TRUE)
+        assert str(raised.value) == "argument has type Bool, expected Int"
 
 
 class TestTrustedBuild:

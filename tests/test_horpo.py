@@ -11,6 +11,7 @@ from lcstrs.core import BOOL_T, INT_T, LcstrsError, Rule, Variable, arrow
 from lcstrs.horpo import (
     LEX, Horpo, HorpoParams, Mul, multiset_extension_search,
 )
+from lcstrs.solver import Solver
 from lcstrs.syntax import parse_term, print_term
 from lcstrs.theory import int_value
 
@@ -38,6 +39,15 @@ def witness_params(fact_system):
 @pytest.fixture
 def engine(witness_params):
     return Horpo(witness_params)
+
+
+@pytest.fixture
+def under(witness_params):
+    """An engine comparing under `phi` and its variables, or `cvars`."""
+    def build(phi, cvars=None):
+        return Horpo(witness_params, None, phi,
+                     phi.free_vars if cvars is None else cvars)
+    return build
 
 
 @pytest.fixture
@@ -84,77 +94,85 @@ class TestParams:
         with pytest.raises(LcstrsError):
             Mul(1)
 
+    def test_a_solver_of_another_bound_is_rejected(self):
+        with pytest.raises(LcstrsError) as raised:
+            Horpo(HorpoParams(bound=0), Solver(bound=1))
+        assert str(raised.value) == (
+            "solver bound 1 differs from ordering bound 0")
+
 
 class TestGeq:
-    def test_theory_entailment(self, engine, T):
-        j = engine.geq(T("n"), T("n - 1"), T("n > 0"))
+    def test_theory_entailment(self, under, T):
+        j = under(T("n > 0")).geq(T("n"), T("n - 1"))
         assert j is not None and j.case == "geq:theory"
 
     def test_ground_reflexive(self, engine, T):
         t = T("exit 1")
-        j = engine.geq(t, t, T("true"))
+        j = engine.geq(t, t)
         assert j is not None and j.case == "geq:calc-join"
         one = int_value(1)
-        assert engine.geq(one, one, T("true")) is not None
+        assert engine.geq(one, one) is not None
 
     def test_higher_typed_variable_reflexive(self, engine, T):
         T("fact n k")
-        j = engine.geq(T("k"), T("k"), T("true"))
+        j = engine.geq(T("k"), T("k"))
         assert j is not None and j.case == "geq:calc-join"
 
     def test_type_mismatch_raises(self, engine, T):
         with pytest.raises(LcstrsError):
-            engine.geq(T("exit"), T("1"), T("true"))
+            engine.geq(T("exit"), T("1"))
 
     def test_unknown_entailment_falls_through_to_later_cases(self, T):
-        engine = Horpo(HorpoParams())
+        phi = T("n > 0")
+        engine = Horpo(HorpoParams(), None, phi, phi.free_vars)
         s = T("n * n + (1 - 1)")
         t = T("n * n + 0")
-        j = engine.geq(s, t, T("n > 0"))
+        j = engine.geq(s, t)
         assert j is not None and j.case == "geq:calc-join"
         assert engine.unknowns  # the semantic case was tried and gave up
 
 
 class TestGt:
-    def test_theory_strict(self, engine, T):
-        j = engine.gt(T("n"), T("n - 1"), T("n > 0"))
+    def test_theory_strict(self, under, T):
+        j = under(T("n > 0")).gt(T("n"), T("n - 1"))
         assert j is not None and j.case == "gt:theory"
 
-    def test_structural_descent(self, engine, T):
-        j = engine.gt(T("fact n k"), T("k 1"), T("n <= 0"))
+    def test_structural_descent(self, under, T):
+        j = under(T("n <= 0")).gt(T("fact n k"), T("k 1"))
         assert j is not None and j.case == "gt:descent"
 
     def test_ground_strict_fails_upward(self, engine, T):
-        assert engine.gt(T("1"), T("2"), T("true")) is None
+        assert engine.gt(T("1"), T("2")) is None
 
     def test_same_head_argument_comparison(self, engine, T):
-        j = engine.gt(T("fact (n + 1) k"), T("fact n k"), T("true"))
+        j = engine.gt(T("fact (n + 1) k"), T("fact n k"))
         assert j is None  # n + 1 above n is not entailed by `true`
-        j = engine.gt(T("fact 3 exit"), T("fact 2 exit"), T("true"))
+        j = engine.gt(T("fact 3 exit"), T("fact 2 exit"))
         assert j is not None
 
     def test_variable_head_argument_comparison(self, engine, T):
-        j = engine.gt(T("k (fact 3 exit)"), T("k (fact 2 exit)"), T("true"))
+        j = engine.gt(T("k (fact 3 exit)"), T("k (fact 2 exit)"))
         assert j is not None and j.case == "gt:args-var"
 
     def test_variable_head_over_theory_arguments_fails(self, engine, T):
         # k 3 is a theory term, so the structural cases do not apply, and
         # its head variable is outside the constraint's variables
-        assert engine.gt(T("k 3"), T("k 1"), T("true")) is None
+        assert engine.gt(T("k 3"), T("k 1")) is None
 
-    def test_gt_implies_geq(self, engine, T):
+    def test_gt_implies_geq(self, under, T):
         cases = [(T("n"), T("n - 1"), T("n > 0")),
                  (T("fact n k"), T("k 1"), T("n <= 0")),
                  (T("fact 3 exit"), T("fact 2 exit"), T("true"))]
         for s, t, phi in cases:
-            assert engine.gt(s, t, phi) is not None
-            assert engine.geq(s, t, phi) is not None
+            engine = under(phi)
+            assert engine.gt(s, t) is not None
+            assert engine.geq(s, t) is not None
 
 
 class TestRpo:
-    def test_recursive_rule_lex(self, engine, T):
-        j = engine.rpo(T("fact n k"), T("fact (n - 1) (comp k ([*] n))"),
-                       T("n > 0"))
+    def test_recursive_rule_lex(self, under, T):
+        j = under(T("n > 0")).rpo(T("fact n k"),
+                                  T("fact (n - 1) (comp k ([*] n))"))
         assert j is not None
 
         def lex_nodes(node):
@@ -174,43 +192,44 @@ class TestRpo:
                                    for n in ("init", "fact", "comp", "exit"))
         mul_params = HorpoParams(
             [(init, fact), (fact, comp), (init, exit_)], {fact: Mul(2)}, 0)
-        engine = Horpo(mul_params)
-        assert engine.rpo(T("fact n k"), T("fact (n - 1) (comp k ([*] n))"),
-                          T("n > 0")) is None
+        phi = T("n > 0")
+        engine = Horpo(mul_params, None, phi, phi.free_vars)
+        assert engine.rpo(T("fact n k"),
+                          T("fact (n - 1) (comp k ([*] n))")) is None
 
     def test_precedence_leaf(self, engine, T):
-        j = engine.rpo(T("init"), T("exit"), T("true"))
+        j = engine.rpo(T("init"), T("exit"))
         assert j is not None and j.case == "rpo:precedence"
 
-    def test_subterm_case(self, engine, T):
+    def test_subterm_case(self, under, T):
         T("fact n k")
-        j = engine.rpo(T("fact n k"), T("k"), T("n <= 0"))
+        j = under(T("n <= 0")).rpo(T("fact n k"), T("k"))
         assert j is not None and j.case == "rpo:subterm"
 
     def test_theory_lhs_fails_immediately(self, engine, T):
-        assert engine.rpo(T("n + 1"), T("n"), T("true")) is None
+        assert engine.rpo(T("n + 1"), T("n")) is None
 
     def test_variable_headed_lhs_fails(self, engine, T):
         T("fact n k")
-        assert engine.rpo(T("k 1"), T("k"), T("true")) is None
+        assert engine.rpo(T("k 1"), T("k")) is None
 
-    def test_value_and_constrained_variable_base(self, engine, T):
-        j = engine.rpo(T("init"), T("42"), T("true"))
+    def test_value_and_constrained_variable_base(self, engine, under, T):
+        j = engine.rpo(T("init"), T("42"))
         assert j is not None
         cvars = frozenset({T.ctx.setdefault("n", Variable("n", INT_T))})
-        j = engine.rpo(T("init"), T("n"), T("true"), cvars)
+        j = under(T("true"), cvars).rpo(T("init"), T("n"))
         assert j is not None and j.case == "rpo:base"
-        assert engine.rpo(T("init"), T("n"), T("true"), frozenset()) is None
+        assert engine.rpo(T("init"), T("n")) is None
 
 
 class TestLexExt:
-    def test_rule_four_argument_lists(self, engine, T):
-        j = engine.lex_ext([T("n"), T("k")],
-                           [T("n - 1"), T("comp k ([*] n)")], T("n > 0"))
+    def test_rule_four_argument_lists(self, under, T):
+        j = under(T("n > 0")).lex_ext([T("n"), T("k")],
+                                      [T("n - 1"), T("comp k ([*] n)")])
         assert j is not None and j.data == 0
 
     def test_no_strict_position(self, engine, T):
-        assert engine.lex_ext([T("n")], [T("n")], T("true")) is None
+        assert engine.lex_ext([T("n")], [T("n")]) is None
 
     def test_earlier_failure_blocks(self, engine, T):
         T("fact n k")
@@ -218,45 +237,44 @@ class TestLexExt:
         ts = [T("n"), T("comp k ([*] n)")]
         # position 1 admits neither a strict nor a weak comparison, so even
         # a later strict pair would not help; here there is none anyway
-        assert engine.lex_ext(ss, ts, T("true")) is None
+        assert engine.lex_ext(ss, ts) is None
 
     def test_blocking_even_with_later_strict_pair(self, engine, T):
         k2 = Variable("k2", arrow(INT_T, INT_T))
         ss = [T("k"), T("3")]
         ts = [k2, T("1")]
         # unrelated variables at position 0 block the strict pair behind them
-        assert engine.lex_ext(ss, ts, T("true")) is None
-        assert engine.gt(T("3"), T("1"), T("true")) is not None
+        assert engine.lex_ext(ss, ts) is None
+        assert engine.gt(T("3"), T("1")) is not None
 
 
 class TestMulExt:
     def test_double_cover(self, engine, T):
-        j = engine.mul_ext([T("3"), T("1")], [T("2"), T("2")], T("true"))
+        j = engine.mul_ext([T("3"), T("1")], [T("2"), T("2")])
         assert j is not None
         pi, strict = j.data
         assert pi == (0, 0) and strict == frozenset({0})
 
     def test_all_weak_is_not_strict_enough(self, engine, T):
-        assert engine.mul_ext([T("1"), T("2")], [T("1"), T("2")],
-                              T("true")) is None
+        assert engine.mul_ext([T("1"), T("2")], [T("1"), T("2")]) is None
 
     def test_source_surplus(self, engine, T):
-        j = engine.mul_ext([T("2"), T("1")], [T("1")], T("true"))
+        j = engine.mul_ext([T("2"), T("1")], [T("1")])
         assert j is not None
         pi, strict = j.data
         # verify the returned witness satisfies the cover conditions
         ss, ts = [T("2"), T("1")], [T("1")]
         for jdx, idx in enumerate(pi):
             if idx in strict:
-                assert engine.gt(ss[idx], ts[jdx], T("true")) is not None
+                assert engine.gt(ss[idx], ts[jdx]) is not None
             else:
-                assert engine.geq(ss[idx], ts[jdx], T("true")) is not None
+                assert engine.geq(ss[idx], ts[jdx]) is not None
         assert strict or len(ss) > len(ts)
 
     def test_empty_sources(self, engine, T):
-        assert engine.mul_ext([], [T("1")], T("true")) is None
-        assert engine.mul_ext([], [], T("true")) is None
-        assert engine.mul_ext([T("1")], [], T("true")) is not None
+        assert engine.mul_ext([], [T("1")]) is None
+        assert engine.mul_ext([], []) is None
+        assert engine.mul_ext([T("1")], []) is not None
 
     def test_search_matches_brute_force_oracle_quick(self):
         universe = (0, 1, 2, 3)
@@ -284,7 +302,7 @@ class TestOrientRule:
         j = Horpo(witness_params).orient_rule(rule)
         assert j is not None
         # n is covered as a constrained variable
-        assert "rpo:base" in derivation_cases(j.to_dict())
+        assert "rpo:base" in derivation_cases(j.to_dict(rule.constraint))
 
     def test_identity_rule_fails(self, fact_system, witness_params, T):
         t = T("fact n k")
@@ -295,18 +313,20 @@ class TestOrientRule:
 class TestJudgments:
     def test_replay(self, fact_system, witness_params):
         # every node of a derivation re-derives, by the same case, in a
-        # fresh engine asked the relation the node names
+        # fresh engine under the rule's context asked the relation the
+        # node names
         for rule in fact_system.rules:
-            engine = Horpo(witness_params)
+            engine = Horpo(witness_params, None, rule.constraint,
+                           rule.logical_vars)
             relations = {"geq": engine.geq, "gt": engine.gt,
                          "rpo": engine.rpo, "lex": engine.lex_ext,
                          "mul": engine.mul_ext}
             stack = [Horpo(witness_params).orient_rule(rule)]
             while stack:
                 j = stack.pop()
-                got = relations[j.relation](j.lhs, j.rhs, j.constraint,
-                                            rule.logical_vars)
-                assert got is not None and got.case == j.case, j.to_dict()
+                got = relations[j.relation](j.lhs, j.rhs)
+                assert got is not None and got.case == j.case, \
+                    j.to_dict(rule.constraint)
                 stack.extend(j.children)
 
     def test_same_type_discipline(self, fact_system, witness_params):
@@ -319,16 +339,16 @@ class TestJudgments:
             walk(Horpo(witness_params).orient_rule(rule))
 
     def test_serialization_shape(self, fact_system, witness_params):
-        j = Horpo(witness_params).orient_rule(fact_system.rules[3])
-        d = j.to_dict()
+        rule = fact_system.rules[3]
+        d = Horpo(witness_params).orient_rule(rule).to_dict(rule.constraint)
         assert d["relation"] == "gt"
         assert "children" in d and d["case"] == "gt:descent"
         assert {"rpo:lex", "gt:theory"} <= derivation_cases(d)
 
-    def test_memoization_stable(self, fact_system, witness_params, T):
-        engine = Horpo(witness_params)
-        first = engine.gt(T("fact n k"), T("k 1"), T("n <= 0"))
-        second = engine.gt(T("fact n k"), T("k 1"), T("n <= 0"))
+    def test_memoization_stable(self, under, T):
+        engine = under(T("n <= 0"))
+        first = engine.gt(T("fact n k"), T("k 1"))
+        second = engine.gt(T("fact n k"), T("k 1"))
         assert first is second
 
 
@@ -337,15 +357,14 @@ class TestOrderingSanity:
         from helpers import gen_ground_term
         rng = random.Random(79)
         engine = Horpo(witness_params)
-        true = theory.TRUE
         for _ in range(300):
             t = gen_ground_term(rng, fact_system.signature,
                                 rng.choice((INT_T, BOOL_T, arrow(INT_T, INT_T))),
                                 depth=3)
-            assert engine.gt(t, t, true) is None
+            assert engine.gt(t, t) is None
 
     def test_irreflexive_with_variables(self, fact_system, witness_params, T):
         engine = Horpo(witness_params)
         for text in ("fact n k", "k 1", "comp k k", "n + 1", "fact (n - 1) k"):
             t = T(text)
-            assert engine.gt(t, t, theory.TRUE) is None
+            assert engine.gt(t, t) is None

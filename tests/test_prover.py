@@ -16,6 +16,7 @@ from helpers import (
 )
 from lcstrs import horpo, prover
 from lcstrs.cli import _text
+from lcstrs.core import LcstrsError
 from lcstrs.horpo import LEX, Horpo, HorpoParams, Mul
 from lcstrs.prover import (
     FailureReport, ProverConfig, Witness, check_witness, find_witness,
@@ -112,6 +113,12 @@ def symbols(system, *names):
     return tuple(system.signature.lookup(n)[0] for n in names)
 
 
+def document(result, system):
+    """The printed document of a witness or a failure report."""
+    return (result.to_dict(system) if isinstance(result, Witness)
+            else result.to_dict())
+
+
 class Clock:
     """Stands in for `time.monotonic`: reads 0 for its first
     `expires_after` reads, then past every deadline."""
@@ -180,7 +187,8 @@ class TestFindWitness:
     def test_determinism(self, fact_system):
         a = find_witness(fact_system)
         b = find_witness(fact_system)
-        assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+        assert (json.dumps(a.to_dict(fact_system))
+                == json.dumps(b.to_dict(fact_system)))
 
     def test_higher_order_iteration_example(self):
         system = parse_system((SYSTEMS / "iter.lcstrs").read_text())
@@ -314,6 +322,13 @@ class TestCheckWitness:
         assert not result.ok
         assert any("rule 4" in d for d in result.diagnostics)
 
+    def test_a_solver_of_another_bound_is_rejected(self, fact_system):
+        witness = find_witness(fact_system)
+        with pytest.raises(LcstrsError) as raised:
+            check_witness(witness, fact_system, Solver(bound=2))
+        assert str(raised.value) == (
+            "solver bound 2 differs from ordering bound 0")
+
     def test_missing_edge_fails_on_rule_one(self, fact_system):
         init, fact, comp = symbols(fact_system, "init", "fact", "comp")
         params = HorpoParams([(init, fact), (fact, comp)], {fact: LEX}, 0)
@@ -326,18 +341,19 @@ class TestCheckWitness:
 class TestWitnessOutput:
     def test_json_shape(self, fact_system):
         witness = find_witness(fact_system)
-        data = witness.to_dict()
+        data = witness.to_dict(fact_system)
         assert data["version"] == 1
         assert data["bound"] == 0
         assert ["init", "fact"] in data["precedence"]
         assert data["status"]["fact"] == "lex"
         assert len(data["rules"]) == 4
         assert data["rules"][3]["derivation"]["relation"] == "gt"
-        json.loads(json.dumps(witness.to_dict()))  # serializable
+        json.loads(json.dumps(witness.to_dict(fact_system)))  # serializable
 
     def test_text_output(self, fact_system):
         witness = find_witness(fact_system)
-        text = _text({"command": "prove", "witness": witness.to_dict()})
+        text = _text({"command": "prove",
+                      "witness": witness.to_dict(fact_system)})
         assert "precedence:" in text
         assert "init > fact" in text
         assert "rule 4" in text
@@ -408,7 +424,7 @@ class TestPrunedStatusWalk:
         expected = exhaustive_find_witness(system, config)
         got = find_witness(system, config)
         assert type(got) is type(expected)
-        assert got.to_dict() == expected.to_dict()
+        assert document(got, system) == document(expected, system)
         if isinstance(got, Witness):
             assert check_witness(got, system,
                                  Solver(bound=got.params.bound)).ok
@@ -465,8 +481,8 @@ class TestPrunedStatusWalk:
                 rng.choice((0.0, 0.05, 0.2)))
             config = ProverConfig(bounds=rng.choice((None, (0, 1))))
             expected = exhaustive_find_witness(system, config)
-            assert find_witness(system, config).to_dict() == \
-                expected.to_dict()
+            assert document(find_witness(system, config), system) == \
+                document(expected, system)
             outcomes["reads nothing"] += not isinstance(tree, tuple)
             outcomes["witness" if isinstance(expected, Witness)
                      else "report"] += 1
@@ -521,7 +537,8 @@ class TestOrientationRecords:
 
 
 def derivation(engine):
-    return None if engine.judgment is None else engine.judgment.to_dict()
+    return (None if engine.judgment is None
+            else engine.judgment.to_dict(engine.constraint))
 
 
 class TestKeptEngines:

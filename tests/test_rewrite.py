@@ -242,6 +242,16 @@ class TestNormalize:
         assert not result.exhausted
         assert result.total_steps == 5
 
+    def test_an_unknown_strategy_is_rejected(self, fact_system, terms):
+        with pytest.raises(LcstrsError) as raised:
+            normalize(terms("exit 1"), fact_system, "leftmost")
+        assert str(raised.value) == "unknown strategy 'leftmost'"
+
+    def test_negative_fuel_is_rejected(self, fact_system, terms):
+        with pytest.raises(LcstrsError) as raised:
+            normalize(terms("exit 1"), fact_system, fuel=-1)
+        assert str(raised.value) == "fuel must be non-negative"
+
     def test_normal_form_is_fixed(self, fact_system, terms):
         result = normalize(terms("exit 1"), fact_system)
         assert result.total_steps == 0
@@ -497,6 +507,11 @@ class TestJoinable:
 
     def test_distinct_normal_forms(self, terms):
         assert not joinable_calc(terms("exit (1 + 1)"), terms("exit 3"))
+
+    def test_terms_of_different_types_are_rejected(self, terms):
+        with pytest.raises(LcstrsError) as raised:
+            joinable_calc(terms("1"), terms("true"))
+        assert str(raised.value) == "joinable_calc: types Int and Bool differ"
 
     def test_matches_bfs_oracle_on_small_terms(self, fact_system):
         rng = random.Random(61)

@@ -178,7 +178,7 @@ class TestStatusSearchScale:
 class TestWitnessDocument:
     def test_json_reconstructs_checkable_parameters(self, fact_system):
         witness = find_witness(fact_system)
-        data = json.loads(json.dumps(witness.to_dict()))
+        data = json.loads(json.dumps(witness.to_dict(fact_system)))
         rebuilt = params_from_dict(data, fact_system.signature)
         assert check_witness(Witness(rebuilt, witness.derivations),
                              fact_system).ok
@@ -189,7 +189,7 @@ class TestWitnessDocument:
 
     def test_tampered_document_fails_check(self, fact_system):
         witness = find_witness(fact_system)
-        data = json.loads(json.dumps(witness.to_dict()))
+        data = json.loads(json.dumps(witness.to_dict(fact_system)))
         data["precedence"] = [p for p in data["precedence"]
                               if p != ["init", "exit"]]
         rebuilt = params_from_dict(data, fact_system.signature)
@@ -203,7 +203,7 @@ class TestWitnessDocument:
 
     def test_unknown_symbol_rejected(self, fact_system):
         witness = find_witness(fact_system)
-        data = json.loads(json.dumps(witness.to_dict()))
+        data = json.loads(json.dumps(witness.to_dict(fact_system)))
         data["precedence"].append(["ghost", "fact"])
         with pytest.raises(ValueError):
             params_from_dict(data, fact_system.signature)
@@ -214,7 +214,7 @@ class TestWitnessDocument:
     ])
     def test_malformed_status_rejected(self, fact_system, status):
         witness = find_witness(fact_system)
-        data = json.loads(json.dumps(witness.to_dict()))
+        data = json.loads(json.dumps(witness.to_dict(fact_system)))
         data["status"]["fact"] = status
         with pytest.raises(ValueError) as raised:
             params_from_dict(data, fact_system.signature)
@@ -235,7 +235,8 @@ class TestWitnessDocument:
             "mul-wider-than-symbol", "mul-not-as-printed", "self-loop",
             "two-cycle"])
     def test_malformed_document_rejected(self, fact_system, key, value):
-        data = json.loads(json.dumps(find_witness(fact_system).to_dict()))
+        data = json.loads(json.dumps(
+            find_witness(fact_system).to_dict(fact_system)))
         if value is None:
             del data[key]
         else:

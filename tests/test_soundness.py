@@ -114,11 +114,11 @@ def accept_a_decided_no(monkeypatch):
     attribute `Horpo._gt` would change nothing."""
     gt = Horpo._RELATIONS["gt"]
 
-    def lenient(self, s, t, phi, cvars):
-        verdict = self._entail_ordering(s, t, phi, cvars, strict=True)
+    def lenient(self, s, t):
+        verdict = self._entail_ordering(s, t, strict=True)
         if verdict is not None and verdict.is_no:
-            return Judgment("gt:theory", s, t, phi)
-        return gt(self, s, t, phi, cvars)
+            return Judgment("gt:theory", s, t)
+        return gt(self, s, t)
 
     monkeypatch.setitem(Horpo._RELATIONS, "gt", lenient)
 

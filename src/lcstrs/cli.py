@@ -304,7 +304,7 @@ def cmd_prove(args) -> int:
         else:
             diagnostics = check_witness(
                 Witness(params, result.derivations), system,
-                Solver(smt_command=smt_command, bound=params.bound)
+                Solver(smt_command=smt_command)
             ).diagnostics
         if diagnostics:
             _emit(args.format, {
@@ -326,6 +326,9 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as e:
         raise LcstrsError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise LcstrsError(f"cannot read {path}: not UTF-8 text, {e.reason} "
+                          f"at byte {e.start}") from None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -254,14 +254,8 @@ class Horpo:
     def __init__(self, params: HorpoParams, solver: Optional[Solver] = None,
                  constraint: Term = theory.TRUE,
                  logical_vars: frozenset = frozenset()):
-        if solver is None:
-            solver = Solver(bound=params.bound)
-        elif solver.bound != params.bound:
-            raise LcstrsError(
-                f"solver bound {solver.bound} differs from ordering bound "
-                f"{params.bound}")
         self.params = params
-        self.solver = solver
+        self.solver = solver or Solver()
         self.constraint, self.logical_vars = constraint, logical_vars
         self._memo: dict = {}
         self._depth = 0
@@ -380,7 +374,8 @@ class Horpo:
         if not (s.free_vars | t.free_vars) <= self.logical_vars:
             return None
         goal = theory.sup_symbol(s.type, strict).apply(s, t)
-        verdict = self.solver.entails(self.constraint, goal, self.logical_vars)
+        verdict = self.solver.entails(self.constraint, goal,
+                                      self.logical_vars, self.params.bound)
         if verdict.is_unknown:
             self.unknowns.append((goal, verdict.reason))
         return verdict

@@ -35,8 +35,8 @@ engines that oriented it, one per distinct set of answers, each with its
 memo released: an engine is its orientation's record. An attempt reuses
 an engine whose questions its parameters answer alike, and only
 otherwise orients the rule with a fresh engine and keeps that one too.
-The bound's solver keeps every verdict, so a reused engine gives what a
-fresh one would: the same witness, failure report and attempt count.
+The search's one solver keeps every verdict, so a reused engine gives
+what a fresh one would: the same witness, failure report and attempt count.
 Only the reported failure is rendered.
 
 A witness is a certificate: `check_witness` checks each node of each
@@ -178,8 +178,8 @@ def find_witness(system: System, config: Optional[ProverConfig] = None
               for i in range(len(options) + 1)]
     budget = _Budget(cfg.timeout)
 
+    solver = Solver(smt_command=cfg.smt_command)
     for bound in dict.fromkeys(bounds):     # each distinct bound once
-        solver = Solver(smt_command=cfg.smt_command, bound=bound)
         records: list[list[Horpo]] = [[] for _ in system.rules]
         # the sorted read positions of a failed search -> {the statuses at
         # those positions: the attempts it made}
@@ -340,12 +340,7 @@ def check_witness(witness: Witness, system: System,
     searched, and no engine runs."""
     params = HorpoParams(witness.params.edges, witness.params.status,
                          witness.params.bound)
-    if solver is None:
-        solver = Solver(bound=params.bound)
-    elif solver.bound != params.bound:
-        raise LcstrsError(
-            f"solver bound {solver.bound} differs from ordering bound "
-            f"{params.bound}")
+    solver = solver or Solver()
     derivations = witness.derivations
     if len(derivations) != len(system.rules):
         return CheckResult(False, (
@@ -435,7 +430,8 @@ def _required(node: Judgment, rule: Rule, params: HorpoParams,
                 return None
             strict = node.case == "gt:theory"
             goal = theory.sup_symbol(s.type, strict).apply(s, t)
-            verdict = solver.entails(rule.constraint, goal, cvars)
+            verdict = solver.entails(rule.constraint, goal, cvars,
+                                     params.bound)
             return [] if verdict.is_yes else None
         case "rpo:lex" | "rpo:mul":
             s_head, s_args = _symbol_spine(s)

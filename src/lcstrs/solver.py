@@ -5,7 +5,7 @@ variables that satisfies phi also satisfies psi. Verdicts are three-valued:
 Yes, No (with a verified counterexample), or Unknown.
 
 The decision pipeline, where a session is the counterexample search of one
-antecedent phi over one variable set, kept for the solver's lifetime:
+antecedent phi over one variable set at one bound, for the solver's lifetime:
   1. the session's cached models, the points of its pool drawn so far
      where phi holds: the first one where psi is false is a counterexample
      (psi is compiled once per query; phi once per session);
@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, Optional, Union, ValuesView
 
 from . import theory
 from .core import (
-    BaseType, BOOL_T, FunctionSymbol, INT_T, LcstrsError, Term, Variable,
+    BOOL_T, FunctionSymbol, INT_T, LcstrsError, Term, Variable,
     is_theory_sort_type,
 )
 from .theory import (
@@ -105,6 +105,24 @@ def _check_logical_constraint(term: Term, what: str) -> None:
         if not is_theory_sort_type(v.type):
             raise SolverError(
                 f"{what} has a variable '{v.name}' of non-theory type {v.type}")
+
+
+def _check_query(phi: Term, psi: Term, varset: frozenset) -> None:
+    """Check the query `phi entails psi` over `varset`: two logical
+    constraints, and variables of theory sort that cover both."""
+    _check_logical_constraint(phi, "antecedent")
+    _check_logical_constraint(psi, "consequent")
+    wrong = [v for v in varset if not (
+        isinstance(v, Variable) and is_theory_sort_type(v.type))]
+    if wrong:
+        v = min(wrong, key=repr)
+        raise SolverError("entailment variables must be variables of theory "
+                          f"sort, not '{v!r} : {v.type}'")
+    covered = phi.free_vars | psi.free_vars
+    if not covered <= varset:
+        raise SolverError(
+            "entailment variables must cover both constraints' free "
+            f"variables: '{min(v.name for v in covered - varset)}' is missing")
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +379,7 @@ class QueryRecord:
     phi: Term
     psi: Term
     variables: frozenset
+    bound: int
     verdict: Verdict
 
 
@@ -395,23 +414,41 @@ def _drawn_models(phi: Term, variables: list[Variable], bound: int,
 
 
 class _Session:
-    """The counterexample search of one antecedent over one variable set:
-    the variables in name order; the models, the value tuples drawn so far
-    where the antecedent holds; and the one generator that draws the rest,
-    so that each search goes on where the last one stopped. A decision
-    holds the lock, so threads that share the solver keep the models in
-    the search's order."""
+    """The counterexample search of one antecedent phi over one variable
+    set at one bound: phi, the bound and the variables in name order; the
+    models, the value tuples drawn so far where phi holds; and the one
+    generator that draws the rest, so that each search goes on where the
+    last one stopped. A decision holds the lock, so threads that share the
+    solver keep the models in the search's order."""
 
     def __init__(self, phi: Term, varset: frozenset, bound: int):
+        self.phi, self.bound = phi, bound
         self.variables = sorted(varset, key=lambda v: v.name)
         self.models: list[tuple] = []
         self.undrawn = _drawn_models(phi, self.variables, bound, self.models)
         self.lock = threading.Lock()
 
+    def first_counterexample(self, psi: Term, goal: Compiled,
+                             points: Iterable[tuple]
+                             ) -> Optional[dict[Variable, SemValue]]:
+        """The first of `points`, value tuples where phi holds, that `goal`
+        (psi compiled) and then `interpret` show to be a counterexample."""
+        for values in points:
+            if goal(values) is False:
+                assignment = dict(zip(self.variables, values))
+                if self.is_counterexample(psi, assignment):
+                    return assignment
+        return None
+
+    def is_counterexample(self, psi: Term,
+                          assignment: dict[Variable, SemValue]) -> bool:
+        return (interpret(self.phi, self.bound, assignment) is True
+                and interpret(psi, self.bound, assignment) is False)
+
 
 class Solver:
-    """Entailment engine with memoization, one counterexample-search
-    session per antecedent and variable set, and an optional SMT backend.
+    """Entailment engine with memoization, one counterexample-search session
+    per antecedent, variable set and bound, and an optional SMT backend.
 
     `smt_command` is a full command line (e.g. "z3 -in") for a process
     that reads SMT-LIB 2 on stdin and reports sat/unsat plus a model on
@@ -419,9 +456,8 @@ class Solver:
     search run; inconclusive queries come back Unknown.
     """
 
-    def __init__(self, smt_command: Optional[str] = None, bound: int = 0):
+    def __init__(self, smt_command: Optional[str] = None):
         self.smt_command = smt_command
-        self.bound = bound
         self._cache: dict[tuple, QueryRecord] = {}
         self._sessions: dict[tuple, _Session] = {}
 
@@ -439,90 +475,71 @@ class Solver:
     # -- public entry points -------------------------------------------
 
     def entails(self, phi: Term, psi: Term,
-                variables: Optional[Iterable[Variable]] = None) -> Verdict:
-        """Decide whether phi entails psi over the given variable set.
+                variables: Optional[Iterable[Variable]] = None,
+                bound: int = 0) -> Verdict:
+        """Decide whether phi entails psi over the given variable set, the
+        ordering symbols read relative to `bound`.
 
-        `variables` defaults to the free variables of phi and must cover
-        the free variables of both constraints.
+        `variables` defaults to the free variables of phi; they must be
+        theory-sort variables that cover both constraints' free variables.
         """
-        _check_logical_constraint(phi, "antecedent")
-        _check_logical_constraint(psi, "consequent")
-        if variables is None:
-            variables = phi.free_vars
-        varset = frozenset(variables)
-        if not (phi.free_vars | psi.free_vars) <= varset:
-            raise SolverError(
-                "entailment variables must cover both constraints' free variables")
-        key = (phi, psi, varset, self.bound)
+        varset = frozenset(phi.free_vars if variables is None else variables)
+        key = (phi, psi, varset, bound)
         record = self._cache.get(key)
-        if record is None:
+        if record is None:     # a cached query passed the check
+            _check_query(phi, psi, varset)
             record = self._cache.setdefault(key, QueryRecord(
-                phi, psi, varset, self._decide(phi, psi, varset)))
+                phi, psi, varset, bound, self._decide(phi, psi, varset, bound)))
         return record.verdict
 
     def smt_script(self, phi: Term, psi: Term,
-                   variables: Optional[Iterable[Variable]] = None) -> str:
+                   variables: Optional[Iterable[Variable]] = None,
+                   bound: int = 0) -> str:
         """The SMT-LIB 2 script refuting `phi entails psi` (satisfiable
-        exactly when a counterexample exists)."""
+        exactly when a counterexample exists), over the variable set that
+        `entails` would take."""
         varset = frozenset(phi.free_vars if variables is None else variables)
+        _check_query(phi, psi, varset)
         lines = ["(set-option :produce-models true)", "(set-logic QF_LIA)"]
         for v in sorted(varset, key=lambda v: v.name):
-            assert isinstance(v.type, BaseType)
             lines.append(
                 f"(declare-const {_smt_name(v.name)} {_SMT_SORTS[v.type]})")
-        lines.append(f"(assert {to_smtlib(phi, self.bound)})")
-        lines.append(f"(assert (not {to_smtlib(psi, self.bound)}))")
+        lines.append(f"(assert {_to_sexp(phi, bound)})")
+        lines.append(f"(assert (not {_to_sexp(psi, bound)}))")
         lines.extend(["(check-sat)", "(get-model)", "(exit)"])
         return "\n".join(lines) + "\n"
 
     # -- pipeline stages -------------------------------------------------
 
-    def _decide(self, phi: Term, psi: Term, varset: frozenset) -> Verdict:
-        session = self._sessions.get((phi, varset))
+    def _decide(self, phi: Term, psi: Term, varset: frozenset,
+                bound: int) -> Verdict:
+        session = self._sessions.get((phi, varset, bound))
         if session is None:
             session = self._sessions.setdefault(
-                (phi, varset), _Session(phi, varset, self.bound))
+                (phi, varset, bound), _Session(phi, varset, bound))
         with session.lock:
             goal = None
             if session.models:
-                goal = compile_constraint(psi, session.variables, self.bound)
-                counterexample = self._first_counterexample(
-                    phi, psi, session.variables, goal, session.models)
+                goal = compile_constraint(psi, session.variables, bound)
+                counterexample = session.first_counterexample(
+                    psi, goal, session.models)
                 if counterexample is not None:
                     return No(counterexample)
-            if _refuted(phi, psi, self.bound):
+            if _refuted(phi, psi, bound):
                 return YES
             if goal is None:
-                goal = compile_constraint(psi, session.variables, self.bound)
-            counterexample = self._first_counterexample(
-                phi, psi, session.variables, goal, session.undrawn)
+                goal = compile_constraint(psi, session.variables, bound)
+            counterexample = session.first_counterexample(
+                psi, goal, session.undrawn)
         if counterexample is not None:
             return No(counterexample)
         if self.smt_command:
-            return self._ask_smt(phi, psi, varset)
+            return self._ask_smt(session, psi)
         return Unknown("fast paths inconclusive and no SMT solver configured")
 
-    def _first_counterexample(self, phi: Term, psi: Term,
-                              variables: list[Variable], goal: Compiled,
-                              points: Iterable[tuple]
-                              ) -> Optional[dict[Variable, SemValue]]:
-        """The first of `points`, value tuples for `variables` where phi
-        holds, that `goal` (psi compiled) and then `interpret` show to be a
-        counterexample."""
-        for values in points:
-            if goal(values) is False:
-                assignment = dict(zip(variables, values))
-                if self._is_counterexample(phi, psi, assignment):
-                    return assignment
-        return None
-
-    def _is_counterexample(self, phi: Term, psi: Term,
-                           assignment: dict[Variable, SemValue]) -> bool:
-        return (interpret(phi, self.bound, assignment) is True
-                and interpret(psi, self.bound, assignment) is False)
-
-    def _ask_smt(self, phi: Term, psi: Term, varset: frozenset) -> Verdict:
-        script = self.smt_script(phi, psi, varset)
+    def _ask_smt(self, session: _Session, psi: Term) -> Verdict:
+        script = self.smt_script(session.phi, psi, session.variables,
+                                 session.bound)
         try:
             proc = subprocess.run(
                 shlex.split(self.smt_command), input=script.encode(),
@@ -535,11 +552,11 @@ class Solver:
         if status == "unsat":
             return YES
         if status == "sat":
-            names = {v.name: v for v in varset}
+            names = {v.name: v for v in session.variables}
             model = _parse_model(output, names)
-            assignment = {
-                v: model.get(v, False if v.type == BOOL_T else 0) for v in varset}
-            if self._is_counterexample(phi, psi, assignment):
+            assignment = {v: model.get(v, False if v.type == BOOL_T else 0)
+                          for v in session.variables}
+            if session.is_counterexample(psi, assignment):
                 return No(assignment)
             return Unknown("SMT model did not verify")
         return Unknown(f"SMT solver answered {status or 'nothing'}")

@@ -7,6 +7,8 @@ Reads an SMT-LIB 2 script on stdin. Modes (first argument):
            report sat with a model, or unsat if the sweep finds nothing
            (only honest for queries whose models live in [-30, 30])
   unsat    always answer unsat
+  zero     answer sat with the model that sends every constant to 0 or
+           false, whether or not it satisfies the asserts
   unknown  always answer unknown
   garbage  emit something that is not an SMT answer
   hang     sleep, to exercise the caller's timeout
@@ -95,6 +97,10 @@ def main():
         elif isinstance(form, list) and form and form[0] == "assert":
             asserts.append(form[1])
 
+    if mode == "zero":
+        print_model(consts, [False if sort == "Bool" else 0
+                             for _, sort in consts])
+        return
     pools = [(False, True) if sort == "Bool" else tuple(range(-30, 31))
              for _, sort in consts]
     for combo in itertools.product(*pools):
@@ -102,20 +108,24 @@ def main():
         env.update({f"|{name}|": val for (name, _), val in zip(consts, combo)})
         try:
             if all(evaluate(a, env) for a in asserts):
-                print("sat")
-                print("(")
-                for (name, sort), val in zip(consts, combo):
-                    if sort == "Bool":
-                        rendered = "true" if val else "false"
-                    else:
-                        rendered = str(val) if val >= 0 else f"(- {-val})"
-                    print(f"  (define-fun {name} () {sort} {rendered})")
-                print(")")
+                print_model(consts, combo)
                 return
         except Exception:
             print("unknown")
             return
     print("unsat")
+
+
+def print_model(consts, values):
+    print("sat")
+    print("(")
+    for (name, sort), val in zip(consts, values):
+        if sort == "Bool":
+            rendered = "true" if val else "false"
+        else:
+            rendered = str(val) if val >= 0 else f"(- {-val})"
+        print(f"  (define-fun {name} () {sort} {rendered})")
+    print(")")
 
 
 if __name__ == "__main__":

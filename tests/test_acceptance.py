@@ -180,7 +180,7 @@ def test_criterion_2_trace_reproduction(fact_system):
 def test_criterion_3_witness_check(fact_system):
     with criterion(3, "documented witness parameters orient all four rules"):
         params = witness_params(fact_system)
-        solver = Solver(bound=params.bound)  # no external solver
+        solver = Solver()  # no external solver
         start = time.perf_counter()
         result = check_witness(derived_witness(params, fact_system, solver),
                                fact_system, solver=solver)
@@ -205,7 +205,7 @@ def test_criterion_4_witness_search(fact_system):
         assert witness.params.prec_gt(fact, comp)
         assert witness.params.prec_gt(init, exit_)
         assert witness.params.status_of(fact) == LEX
-        verification_solver = Solver(bound=witness.params.bound)
+        verification_solver = Solver()
         assert check_witness(witness, fact_system,
                              solver=verification_solver).ok
         RECORDS["criterion4_solver"] = verification_solver
@@ -355,14 +355,14 @@ def test_criterion_8_entailment_soundness(fact_system):
     with criterion(8, "no Yes verdict from criteria 3-4 is falsified by "
                       "1000 random substitutions"):
         if "criterion3_solver" not in RECORDS:  # isolated run
-            solver = Solver(bound=0)
+            solver = Solver()
             check_witness(derived_witness(witness_params(fact_system),
                                           fact_system, solver),
                           fact_system, solver=solver)
             RECORDS["criterion3_solver"] = solver
         if "criterion4_solver" not in RECORDS:
             witness = find_witness(fact_system)
-            solver = Solver(bound=witness.params.bound)
+            solver = Solver()
             check_witness(witness, fact_system, solver=solver)
             RECORDS["criterion4_solver"] = solver
         solvers = [RECORDS[k] for k in ("criterion3_solver",
@@ -390,8 +390,8 @@ def test_criterion_8_entailment_soundness(fact_system):
                         for v in variables})
                     phi = sigma.apply(record.phi)
                     psi = sigma.apply(record.psi)
-                    if interpret(phi, solver.bound) is True:
-                        assert interpret(psi, solver.bound) is True, key
+                    if interpret(phi, record.bound) is True:
+                        assert interpret(psi, record.bound) is True, key
         assert yes_queries > 0
 
 

@@ -118,7 +118,7 @@ def tampered(witness, index, path, **changes):
 
 
 def assert_rejected(witness, system, index):
-    result = check_witness(witness, system, Solver(bound=witness.params.bound))
+    result = check_witness(witness, system, Solver())
     assert not result.ok
     assert any(d.startswith(f"rule {index + 1} not oriented: ")
                for d in result.diagnostics), result.diagnostics
@@ -322,7 +322,7 @@ def path_to(root, case):
 
 
 def assert_fails_at(witness, system, index, failure):
-    result = check_witness(witness, system, Solver(bound=witness.params.bound))
+    result = check_witness(witness, system, Solver())
     assert result.diagnostics == (
         f"rule {index + 1} not oriented: {print_rule(system.rules[index])} "
         f"(node {failure})",)
@@ -498,8 +498,7 @@ class TestDifferential:
             found = find_witness(system, ProverConfig(bounds=bounds))
             if isinstance(found, Witness):
                 proved += 1
-                assert check_witness(found, system,
-                                     Solver(bound=found.params.bound)).ok
+                assert check_witness(found, system, Solver()).ok
         assert proved > 0
 
 
@@ -529,12 +528,12 @@ def test_what_the_check_accepts_the_engine_orients(system, witness):
     for system_, witness_ in found:
         for params in perturbations(system_, witness_.params):
             result = check_witness(Witness(params, witness_.derivations),
-                                   system_, Solver(bound=params.bound))
+                                   system_, Solver())
             refused = rejected_rules(result)
             rejected += len(refused)
             for index, rule in enumerate(system_.rules):
                 if index not in refused:
                     accepted += 1
-                    engine = Horpo(params, Solver(bound=params.bound))
+                    engine = Horpo(params, Solver())
                     assert engine.orient_rule(rule) is not None
     assert accepted > 0 and rejected > 0

@@ -60,6 +60,19 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "no-such-file.lcstrs")
         assert code == 1 and "cannot read" in err
 
+    def test_a_file_that_is_not_utf8_is_an_input_error(self, capsys,
+                                                         tmp_path):
+        path = tmp_path / "latin.lcstrs"
+        path.write_bytes(b"fun f : Int -> Int\n\xff\xfe\n")
+        message = (f"cannot read {path}: not UTF-8 text, invalid start byte "
+                   f"at byte 19")
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        code, payload, err = run_json(capsys, "check", str(path))
+        assert (code, err) == (1, f"error: {message}\n")
+        assert payload == {"command": "check", "file": str(path),
+                           "ok": False, "error": message}
+
     def test_json(self, capsys):
         code, payload, _ = run_json(capsys, "check",
                                     str(SYSTEMS / "fact.lcstrs"))

@@ -1,6 +1,6 @@
 """Golden entailment verdicts.
 
-`Solver(bound=b).entails(phi, psi, variables)` must give the same verdict,
+`Solver().entails(phi, psi, variables, b)` must give the same verdict,
 counterexample included, on a seeded corpus of queries over `x y z : Int`
 and `p q : Bool`, with b in {-2, 0, 3}. The corpus has two parts: random
 constraints from `gen_theory_term`, and targeted linear pairs, where phi is
@@ -94,8 +94,8 @@ def corpus() -> list[tuple]:
 def verdicts() -> list[list]:
     entries = []
     for phi, psi, bound in corpus():
-        verdict = Solver(bound=bound).entails(
-            phi, psi, phi.free_vars | psi.free_vars)
+        verdict = Solver().entails(
+            phi, psi, phi.free_vars | psi.free_vars, bound)
         entries.append([print_term(phi), print_term(psi), bound, repr(verdict)])
     return entries
 

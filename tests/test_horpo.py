@@ -94,11 +94,6 @@ class TestParams:
         with pytest.raises(LcstrsError):
             Mul(1)
 
-    def test_a_solver_of_another_bound_is_rejected(self):
-        with pytest.raises(LcstrsError) as raised:
-            Horpo(HorpoParams(bound=0), Solver(bound=1))
-        assert str(raised.value) == (
-            "solver bound 1 differs from ordering bound 0")
 
 
 class TestGeq:

@@ -322,13 +322,6 @@ class TestCheckWitness:
         assert not result.ok
         assert any("rule 4" in d for d in result.diagnostics)
 
-    def test_a_solver_of_another_bound_is_rejected(self, fact_system):
-        witness = find_witness(fact_system)
-        with pytest.raises(LcstrsError) as raised:
-            check_witness(witness, fact_system, Solver(bound=2))
-        assert str(raised.value) == (
-            "solver bound 2 differs from ordering bound 0")
-
     def test_missing_edge_fails_on_rule_one(self, fact_system):
         init, fact, comp = symbols(fact_system, "init", "fact", "comp")
         params = HorpoParams([(init, fact), (fact, comp)], {fact: LEX}, 0)
@@ -375,7 +368,7 @@ def exhaustive_find_witness(system, config):
     budget = prover._Budget(config.timeout)
     bounds = (system.bound,) if config.bounds is None else config.bounds
     for bound in dict.fromkeys(bounds):
-        solver = Solver(smt_command=config.smt_command, bound=bound)
+        solver = Solver(smt_command=config.smt_command)
         for combo in itertools.product(
                 *(prover._status_options(f) for f in defined)):
             outcome = prover._search_precedence(
@@ -426,8 +419,7 @@ class TestPrunedStatusWalk:
         assert type(got) is type(expected)
         assert document(got, system) == document(expected, system)
         if isinstance(got, Witness):
-            assert check_witness(got, system,
-                                 Solver(bound=got.params.bound)).ok
+            assert check_witness(got, system, Solver()).ok
 
     @staticmethod
     def scripted_tree(rng, sizes, unread, witness_share):
@@ -563,7 +555,7 @@ class TestKeptEngines:
                 return False
             index = next(i for i, engines in enumerate(kept[-1])
                          if any(e is record for e in engines))
-            fresh = Horpo(params, Solver(bound=params.bound))
+            fresh = Horpo(params, Solver())
             fresh.orient_rule(system.rules[index])
             assert derivation(record) == derivation(fresh)
             assert record.deepest_failure == fresh.deepest_failure

@@ -56,14 +56,15 @@ REMOVED_ATTRIBUTES = [
     (core.Substitution, "__len__"), (core.Signature, "__contains__"),
 ]
 
-# keywords that nothing set, or only tests; the last three limits are
-# module constants now
+# keywords that nothing set, or only tests; three limits are module
+# constants now, and each entailment query carries its bound
 REMOVED_PARAMETERS = [
     (syntax.System, "file"), (syntax.System, "options"),
     (prover.CheckResult, "derivations"), (prover.FailureReport, "message"),
     (prover.ProverConfig, "jobs"),
     (prover.ProverConfig, "max_queries"), (prover.check_witness, "jobs"),
     (solver.Solver, "search_limit"), (solver.Solver, "timeout"),
+    (solver.Solver, "bound"),
     (rewrite.normalize, "trace_cap"),
 ]
 
@@ -86,7 +87,7 @@ def test_removed_attributes_stay_removed():
             if hasattr(owner, name)] == []
     assert [f"{owner.__name__}({name}=)" for owner, name in REMOVED_PARAMETERS
             if name in inspect.signature(owner).parameters] == []
-    assert [name for name in ("search_limit", "timeout")
+    assert [name for name in ("search_limit", "timeout", "bound")
             if hasattr(solver.Solver(), name)] == []
 
 

@@ -11,10 +11,11 @@ from helpers import BOOL_VARS, INT_VARS, all_read_system, with_variables
 from lcstrs import prover, theory
 from lcstrs import solver as solver_module
 from lcstrs.core import (
-    App, BOOL_T, INT_T, Substitution, Variable,
+    App, BaseType, BOOL_T, INT_T, Substitution, Variable, arrow,
 )
 from lcstrs.solver import (
-    Solver, SolverError, _assignments, compile_constraint, to_smtlib,
+    Solver, SolverError, _assignments, _parse_model, compile_constraint,
+    to_smtlib,
 )
 from lcstrs.syntax import parse_system, parse_term
 from lcstrs.theory import TheoryError, int_value, interpret, value_symbol
@@ -304,7 +305,7 @@ class TestCompiledConstraints:
     ])
     def test_first_counterexample_is_pinned(self, P, phi, psi, bound,
                                             expected):
-        assert repr(Solver(bound=bound).entails(P(phi), P(psi))) == expected
+        assert repr(Solver().entails(P(phi), P(psi), bound=bound)) == expected
 
 
 class TestSmtTranslation:
@@ -369,6 +370,70 @@ class TestSmtTranslation:
     def test_non_constraint_rejected(self, P):
         with pytest.raises(SolverError):
             to_smtlib(P("1 + 1"))
+
+
+class TestQueryVariables:
+    """`entails` and `smt_script` take one variable set, checked alike:
+    variables of theory sort that cover both constraints."""
+
+    @pytest.mark.parametrize("method", ["entails", "smt_script"])
+    def test_a_variable_of_a_sort_outside_the_theory_is_rejected(
+            self, P, method):
+        n = Variable("n", BaseType("Nat"))
+        with pytest.raises(SolverError) as raised:
+            getattr(Solver(), method)(P("true"), P("true"), {n})
+        assert str(raised.value) == (
+            "entailment variables must be variables of theory sort, "
+            "not 'n : Nat'")
+
+    @pytest.mark.parametrize("method", ["entails", "smt_script"])
+    def test_a_variable_of_function_type_is_rejected(self, P, method):
+        f = Variable("f", arrow(INT_T, INT_T))
+        with pytest.raises(SolverError) as raised:
+            getattr(Solver(), method)(P("x > 0"), P("x > 1"), {P.ctx["x"], f})
+        assert str(raised.value) == (
+            "entailment variables must be variables of theory sort, "
+            "not 'f : Int -> Int'")
+
+    @pytest.mark.parametrize("method", ["entails", "smt_script"])
+    def test_the_variables_must_cover_both_constraints(self, P, method):
+        with pytest.raises(SolverError) as raised:
+            getattr(Solver(), method)(P("x > 0"), P("y > 0"))
+        assert str(raised.value) == (
+            "entailment variables must cover both constraints' free "
+            "variables: 'y' is missing")
+
+
+class TestModelReader:
+    def test_values_of_both_sorts_and_both_signs(self, P):
+        n, m, p = (Variable("n", INT_T), Variable("m", INT_T),
+                   Variable("p", BOOL_T))
+        text = ("sat\n(\n  (define-fun n () Int (- 5))\n"
+                "  (define-fun m () Int 12)\n"
+                "  (define-fun p () Bool true)\n)\n")
+        assert _parse_model(text, {"n": n, "m": m, "p": p}) == {
+            n: -5, m: 12, p: True}
+        assert _parse_model("(define-fun p () Bool false)", {"p": p}) == {
+            p: False}
+
+    def test_a_quoted_name_is_read_without_its_bars(self):
+        v = Variable("a b", INT_T)
+        assert _parse_model("((define-fun |a b| () Int (- 7)))",
+                            {"a b": v}) == {v: -7}
+
+    def test_a_name_outside_the_query_is_skipped(self):
+        n = Variable("n", INT_T)
+        text = ("((define-fun k () Int 3)\n"
+                " (define-fun n () Int 4))")
+        assert _parse_model(text, {"n": n}) == {n: 4}
+
+    def test_a_model_that_is_no_counterexample_is_unknown(self, P):
+        # the refutation cannot read n * n, the search finds nothing, and
+        # the scripted solver answers sat with n = 0, where psi holds
+        solver = Solver(smt_command=fake_smt("zero"))
+        psi = P("n * n >= 0")
+        verdict = solver.entails(P("true"), psi, psi.free_vars)
+        assert repr(verdict) == "Unknown(SMT model did not verify)"
 
 
 class TestExternalSolver:
@@ -507,23 +572,39 @@ class TestQueryLog:
 
 
 def assert_sessions_are_prefixes(solver):
-    """One session per distinct (phi, varset) decided, and each session's
-    models are the tuples of `_assignments` where phi holds, in their order,
-    up to where the search stopped: never longer, never out of order."""
-    assert set(solver._sessions) == {(r.phi, r.variables) for r in solver.log}
-    for (phi, varset), session in solver._sessions.items():
+    """One session per distinct (phi, varset, bound) decided, and each
+    session's models are the tuples of `_assignments` where phi holds, in
+    their order, up to where the search stopped: never longer, never out of
+    order."""
+    assert set(solver._sessions) == {(r.phi, r.variables, r.bound)
+                                     for r in solver.log}
+    for (phi, varset, bound), session in solver._sessions.items():
         assert session.variables == sorted(varset, key=lambda v: v.name)
-        holds = compile_constraint(phi, session.variables, solver.bound)
+        holds = compile_constraint(phi, session.variables, bound)
         satisfying = [values for values in _assignments(
-            session.variables, solver.bound) if holds(values) is True]
+            session.variables, bound) if holds(values) is True]
         assert session.models == satisfying[:len(session.models)]
 
 
 class TestSessions:
-    """One session per antecedent and variable set: the antecedent compiled
-    once, one iterator over the pool and its models cached, answering a
-    goal before the refutation runs. Every verdict must be the one a fresh
-    solver gives."""
+    """One session per antecedent, variable set and bound: the antecedent
+    compiled once, one iterator over the pool and its models cached,
+    answering a goal before the refutation runs. Every verdict must be the
+    one a fresh solver gives."""
+
+    def test_a_query_at_another_bound_is_decided_at_its_own(self, P):
+        # x !> y means x > b /\ x > y: at bound 0 the pool has no
+        # counterexample, at bound 5 it has x = 6, y = 0
+        x = P.ctx["x"] = Variable("x", INT_T)
+        y = P.ctx["y"] = Variable("y", INT_T)
+        phi, psi = P("x !> y"), P("x != 6")
+        solver = Solver()
+        assert solver.entails(phi, psi, {x, y}, 0).is_unknown
+        assert repr(solver.entails(phi, psi, {x, y}, 5)) == "No(x=6, y=0)"
+        assert repr(Solver().entails(phi, psi, {x, y}, 5)) == "No(x=6, y=0)"
+        assert [r.bound for r in solver.log] == [0, 5]
+        assert len(solver._sessions) == 2
+        assert_sessions_are_prefixes(solver)
 
     @pytest.mark.parametrize("bound", [-1, 0, 2])
     def test_a_shared_solver_answers_as_fresh_ones(self, bound):
@@ -535,11 +616,11 @@ class TestSessions:
         queries += [(phi, psi) for phi, _ in queries
                     for psi in rng.sample(goals, 3)]
         rng.shuffle(queries)
-        shared = Solver(bound=bound)
+        shared = Solver()
         for phi, psi in queries:
             variables = phi.free_vars | psi.free_vars
-            assert repr(shared.entails(phi, psi, variables)) == repr(
-                Solver(bound=bound).entails(phi, psi, variables)), (phi, psi)
+            assert repr(shared.entails(phi, psi, variables, bound)) == repr(
+                Solver().entails(phi, psi, variables, bound)), (phi, psi)
         assert shared.queries == len(set(queries))
         assert len(shared._sessions) < shared.queries
 
@@ -614,7 +695,7 @@ class TestSessions:
         solver = Solver()
         assert repr(solver.entails(phi, P("d > 1"))) == \
             repr(Solver().entails(phi, P("d > 1")))
-        assert solver._sessions[phi, phi.free_vars].models
+        assert solver._sessions[phi, phi.free_vars, 0].models
         # valid, and nonlinear: no cached model may answer it
         assert solver.entails(phi, P("a * b + d > c")).is_unknown
         assert solver.entails(phi, P("d > 0")).is_yes
@@ -628,7 +709,7 @@ class TestSessions:
             "No(a=10, b=100, c=1, d=-5, e=100)"
         assert repr(solver.entails(phi, P("b > -10"))) == \
             "No(a=-10, b=-10, c=10, d=2, e=100)"
-        session = solver._sessions[phi, phi.free_vars]
+        session = solver._sessions[phi, phi.free_vars, 0]
         drawn = len(session.models)
         assert repr(solver.entails(phi, P("a > 0 \\/ c > 0"))) == \
             "No(a=-10, b=-10, c=-10, d=-10, e=100)"
@@ -705,8 +786,8 @@ class TestSessions:
         decided, refuted, solvers = [], [], []
         decide, refute = Solver._decide, solver_module._refuted
 
-        def deciding(solver, phi, psi, varset):
-            decided.append(decide(solver, phi, psi, varset))
+        def deciding(solver, phi, psi, varset, bound):
+            decided.append(decide(solver, phi, psi, varset, bound))
             solvers.append(solver)
             return decided[-1]
 

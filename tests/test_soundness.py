@@ -79,7 +79,7 @@ def run_proved(proved, stop_at_repeat=False):
 
 def checked(witness, system):
     """The witness check with its derivations and a fresh solver."""
-    return check_witness(witness, system, Solver(bound=witness.params.bound))
+    return check_witness(witness, system, Solver())
 
 
 def test_no_proved_system_repeats_a_term():

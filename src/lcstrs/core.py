@@ -3,8 +3,10 @@
 Terms are immutable trees of function symbols, variables and applications.
 Every node stores its type and a few derived facts when it is built (free
 variables, size, whether the term is built from theory material only,
-whether it is a value). Construction rejects ill-typed applications, so any
-`Term` in circulation is well typed.
+whether it is a value), and later at most a mark, written by `rewrite`,
+that it is normal under some system; no field, equality or hash reads it.
+Construction rejects ill-typed applications, so any `Term` in circulation
+is well typed.
 """
 
 from __future__ import annotations
@@ -316,11 +318,6 @@ class Substitution:
             return rebuilt(t, instance(t.head), instance(t.arg))
 
         return instance(term)
-
-    def extended(self, mapping: Mapping[Variable, Term]) -> "Substitution":
-        merged = dict(self._map)
-        merged.update(mapping)
-        return Substitution(merged)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Substitution) and self._map == other._map

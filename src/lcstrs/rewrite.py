@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .core import (
-    App, BaseType, BOOL_T, INT_T, LcstrsError, Rule, Substitution, Term,
-    Variable,
+    App, BOOL_T, INT_T, LcstrsError, Rule, Substitution, Term, Variable,
 )
 from .syntax import System
 from .theory import (
@@ -84,9 +83,6 @@ class InputSource:
         self._queue = list(values)
 
     def value_for(self, var: Variable) -> Term:
-        if not isinstance(var.type, BaseType):
-            raise LcstrsError(
-                f"variable '{var.name}' of type {var.type} cannot take an input value")
         if self._queue:
             value = self._queue.pop(0)
             term = value_symbol(value)
@@ -99,7 +95,8 @@ class InputSource:
             return int_value(0)
         if var.type == BOOL_T:
             return bool_value(False)
-        raise LcstrsError(f"no default input value for sort {var.type}")
+        raise LcstrsError(
+            f"variable '{var.name}' of type {var.type} cannot take an input value")
 
 
 @dataclass(frozen=True)
@@ -149,7 +146,7 @@ def _probe(redex: Term, system: System,
         drawn = {v: inputs.value_for(v) for v in logical if v not in subst}
         if drawn:
             drew = True
-            subst = subst.extended(drawn)
+            subst = Substitution((*subst.items(), *drawn.items()))
         values = tuple(subst.get(v).value for v in logical)
         if None not in values and holds(values):
             found.append((index, subst, subst.apply(rule.rhs)))
@@ -180,16 +177,16 @@ Context = Optional[tuple["Context", int, App]]
 
 
 def _find_redex(term: Term, system: System, inputs: InputSource,
-                normal: set[Term], innermost: bool
-                ) -> Optional[tuple[Context, list[Contraction]]]:
+                innermost: bool) -> Optional[tuple[Context, Contraction]]:
     """The first position of `term` that admits a step, in leftmost-
     innermost (head subtree, argument subtree, node) or leftmost-outermost
-    (node, head subtree, argument subtree) order, with its steps.
+    (node, head subtree, argument subtree) order, with its first step.
 
-    Subterms in `normal` are skipped. A subterm joins `normal` once its
-    whole subtree was probed without finding a step and without drawing
-    an input, so skipping it changes neither the answer nor the draws.
+    A subterm whose whole subtree was probed without a step and without
+    an input drawn is marked normal for the system: its `_normal` entry is
+    set to the system's token. A subterm with that mark is skipped.
     """
+    mark = system.__dict__.setdefault("_normal_mark", object())
     draws = 0
     # (subterm, context, None on entry or the draw count when it was entered)
     stack: list[tuple[Term, Context, Optional[int]]] = [(term, None, None)]
@@ -197,9 +194,7 @@ def _find_redex(term: Term, system: System, inputs: InputSource,
         t, ctx, entered = stack.pop()
         leaving = entered is not None
         if not leaving:
-            # a node never hashed is scanned rather than looked up: hashing
-            # it would recurse through a subtree that may be deep
-            if t._hash is not None and t in normal:
+            if t.__dict__.get("_normal") is mark:
                 continue
             stack.append((t, ctx, draws))
             if isinstance(t, App):
@@ -209,10 +204,10 @@ def _find_redex(term: Term, system: System, inputs: InputSource,
         if leaving == innermost:
             found, drew = _probe(t, system, inputs)
             if found:
-                return ctx, found
+                return ctx, found[0]
             draws += drew
         if leaving and draws == entered:
-            normal.add(t)
+            t.__dict__["_normal"] = mark
     return None
 
 
@@ -247,8 +242,13 @@ def normalize(term: Term, system: System, strategy: str = "innermost",
     The strategy fixes the search order for redexes only; both strategies
     explore every position. Each step takes the first step `step_at` lists
     at the first position that has one. Every search starts at the root,
-    carries each subterm down with its context, and skips subterms already
-    found normal in this call. The trace keeps at most `TRACE_CAP` steps.
+    carries each subterm down with its context, and skips subterms marked
+    normal for `system` (see `_find_redex`), in this call or an earlier
+    one: no input was drawn below a mark, so it depends only on the rules
+    and the bound, which a frozen `System` fixes. The token is a bare
+    object the system holds, so a marked leaf that every system shares,
+    such as `int_value(0)`, keeps none alive, and another system's mark
+    costs a rescan. The trace keeps at most `TRACE_CAP` steps.
     """
     if strategy not in ("innermost", "outermost"):
         raise LcstrsError(f"unknown strategy {strategy!r}")
@@ -257,23 +257,19 @@ def normalize(term: Term, system: System, strategy: str = "innermost",
     if inputs is None:
         inputs = InputSource()
     innermost = strategy == "innermost"
-    normal: set[Term] = set()
     result = NormalizationResult(term)
-    current = term
     while True:
-        found = _find_redex(current, system, inputs, normal, innermost)
+        found = _find_redex(result.term, system, inputs, innermost)
         if found is None:
             break
         if result.total_steps == fuel:
             result.exhausted = True
             break
-        ctx, steps = found
-        index, subst, contractum = steps[0]
-        position, current = _plug(ctx, contractum)
+        ctx, (index, subst, contractum) = found
+        position, result.term = _plug(ctx, contractum)
         if len(result.steps) < TRACE_CAP:
-            result.steps.append(RewriteStep(position, index, subst, current))
+            result.steps.append(RewriteStep(position, index, subst, result.term))
         result.total_steps += 1
-    result.term = current
     return result
 
 

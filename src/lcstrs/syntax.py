@@ -26,8 +26,8 @@ from typing import NamedTuple, Optional
 
 from . import theory
 from .core import (
-    App, ArrowType, BaseType, FunctionSymbol, LcstrsError, PreApp,
-    PreLeaf, PreTerm, Rule, Signature, Term, Type, Variable, typecheck,
+    App, ArrowType, BaseType, FunctionSymbol, LcstrsError, PreApp, PreLeaf,
+    PreTerm, Rule, RuleError, Signature, Term, Type, Variable, typecheck,
 )
 
 
@@ -363,7 +363,7 @@ _RESERVED = {"fun", "rule", "option", "Int", "Bool"}
 def parse_system(text: str) -> System:
     """Parse and validate a whole system file."""
     stripped = _strip_comments(text)
-    declarations: list[tuple[str, Type]] = []
+    declarations: list[tuple[Token, FunctionSymbol]] = []
     bound: Optional[int] = None
     base_types = {"Int": theory.INT_T, "Bool": theory.BOOL_T}
     rule_lines: list[tuple[int, list[Token], list[Token], list[Token]]] = []
@@ -386,7 +386,7 @@ def parse_system(text: str) -> System:
                 t = parser.next()
                 raise ParseError(f"unexpected token {t.text!r} after type",
                                  t.line, t.col)
-            declarations.append((name, ty))
+            declarations.append((tokens[1], FunctionSymbol(name, ty)))
         elif head.text == "rule":
             lhs_toks, rhs_toks, con_toks = _split_rule_tokens(tokens[1:], lineno)
             rule_lines.append((lineno, lhs_toks, rhs_toks, con_toks))
@@ -414,11 +414,11 @@ def parse_system(text: str) -> System:
                 lineno, head.col)
 
     signature = theory.base_signature()
-    declared: list[FunctionSymbol] = []
-    for name, ty in declarations:
-        symbol = FunctionSymbol(name, ty)
-        signature.add(symbol)
-        declared.append(symbol)
+    for token, symbol in declarations:
+        try:
+            signature.add(symbol)
+        except LcstrsError as e:    # declared twice, or built in
+            raise ParseError(str(e), token.line, token.col) from None
 
     rules = []
     for lineno, lhs_toks, rhs_toks, con_toks in rule_lines:
@@ -428,10 +428,14 @@ def parse_system(text: str) -> System:
                         expected=lhs.type)
         constraint = typecheck(_parse_pre(con_toks, lineno), signature, ctx,
                                expected=theory.BOOL_T)
-        rules.append(Rule(lhs, rhs, constraint))
+        try:
+            rules.append(Rule(lhs, rhs, constraint))
+        except RuleError as e:      # placed at the rule's first token
+            e.args = (f"{lhs_toks[0].line}:{lhs_toks[0].col}: {e}",)
+            raise
 
     return System(signature=signature, rules=tuple(rules),
-                  declarations=tuple(declared),
+                  declarations=tuple(s for _, s in declarations),
                   bound=0 if bound is None else bound)
 
 

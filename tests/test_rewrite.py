@@ -1,7 +1,13 @@
 """Matching, respecting substitutions, steps, normalization, joinability."""
 
 import dataclasses
+import gc
+import os
 import random
+import subprocess
+import sys
+import threading
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -458,6 +464,140 @@ class TestProbeDifferential:
                 _assert_same_as_reference(
                     t, system, strategy,
                     [rng.randint(-3, 3) for _ in range(3)], fuel=40)
+
+
+MARKED_SYSTEM = """\
+fun g : Int -> Int
+fun k : Int -> Int
+fun pair : Int -> Int -> Int
+"""
+
+
+class TestNormalMarks:
+    """`normalize` marks a subterm normal for its system, and the mark
+    outlives the call. Later calls on the same nodes, with other inputs,
+    under another bound or under another system, must still give the
+    reference traces."""
+
+    @pytest.mark.parametrize("strategy", ["innermost", "outermost"])
+    def test_a_shared_term_under_other_inputs(self, strategy):
+        system = parse_system(MARKED_SYSTEM + "rule g x -> x + y [y > x]\n"
+                              "rule k x -> k (x - 1) [x > 0]\n")
+        # `pair (k 0) (k 2)` reaches a normal form without a draw, so its
+        # nodes are marked; `g 5` draws on every probe and never is
+        term = parse_term("pair (pair (k 0) (k 2)) (g 5)", system)
+        # a system without rules marks the whole term, for itself only
+        normalize(term, dataclasses.replace(system, rules=()))
+        lasts = [print_term(_assert_same_as_reference(
+                     term, system, strategy, values)[1])
+                 for values in ([7], [9], [1, 7], [])]
+        assert lasts == ["pair (pair (k 0) (k 0)) 12",
+                         "pair (pair (k 0) (k 0)) 14",
+                         "pair (pair (k 0) (k 0)) (g 5)",
+                         "pair (pair (k 0) (k 0)) (g 5)"]
+
+    @pytest.mark.parametrize("strategy", ["innermost", "outermost"])
+    def test_a_term_under_another_bound(self, strategy):
+        # `x !> 0` is `x > b /\ x > 0`: at bound 2, `g 2` is normal
+        system = parse_system("option bound 2\n" + MARKED_SYSTEM +
+                              "rule g x -> g (x - 1) [x !> 0]\n")
+        lower = dataclasses.replace(system, bound=0)
+        term = parse_term("pair (g 2) (g 3)", system)
+        lasts = [print_term(_assert_same_as_reference(
+                     term, bounded, strategy)[1])
+                 for bounded in (system, lower, system, lower)]
+        assert lasts == ["pair (g 2) (g 2)", "pair (g 0) (g 0)"] * 2
+
+    @pytest.mark.parametrize("strategy", ["innermost", "outermost"])
+    def test_a_subterm_shared_by_two_systems(self, strategy):
+        first = parse_system(MARKED_SYSTEM + "rule k x -> k (x - 1) [x > 0]\n")
+        second = parse_system(MARKED_SYSTEM + "rule g x -> x + 1 [true]\n")
+        # normal under `first`, whose symbols `second` matches by equality
+        shared = parse_term("pair (g 1) (k 0)", first)
+        pair, = second.signature.lookup("pair")
+        term = pair.apply(shared, parse_term("k 1", second))
+        results = [_assert_same_as_reference(t, system, strategy)[1]
+                   for system in (first, second, first, second)
+                   for t in (shared, term)]
+        assert [print_term(t) for t in results] == [
+            "pair (g 1) (k 0)", "pair (pair (g 1) (k 0)) (k 0)",
+            "pair 2 (k 0)", "pair (pair 2 (k 0)) (k 1)"] * 2
+
+    def test_threads_racing_on_shared_marks(self):
+        # two systems mark the same nodes from four threads, switching
+        # often: a mark another system overwrote costs a rescan, and no
+        # thread may skip a node that is not normal under its own system
+        first = parse_system(MARKED_SYSTEM + "rule k x -> k (x - 1) [x > 0]\n")
+        second = parse_system(MARKED_SYSTEM + "rule g x -> x + 1 [true]\n")
+        shared = parse_term("pair (pair (g 1) (k 3)) (pair (g 2) (k 0))",
+                            first)
+        expected = {system: reference_normalize(
+                        shared, system, "innermost", 100, InputSource())[1]
+                    for system in (first, second)}
+        wrong = []
+
+        def work(system):
+            for _ in range(200):
+                last = normalize(shared, system).term
+                if last != expected[system]:
+                    wrong.append(print_term(last))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(system,))
+                       for system in (first, second) * 2]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_a_mark_keeps_no_system_alive(self):
+        system = parse_system(MARKED_SYSTEM + "rule k x -> k (x - 1) [x > 0]\n")
+        # `k (1 + 2)` ends in `k 0`, whose `0` is the process-wide
+        # `int_value(0)`: marked normal, it must not hold the system
+        result = normalize(parse_term("pair 0 (k (1 + 2))", system), system)
+        assert result.term.arg.arg is int_value(0)
+        survivor = weakref.ref(system)
+        del system, result
+        gc.collect()
+        assert survivor() is None
+
+
+# `normalize` on `iter N ([+] 1) 0`, a term of constant size for 3N steps,
+# printing the process's peak resident set size (`ru_maxrss`)
+PEAK_RSS_SCRIPT = """\
+import resource, sys
+from lcstrs.rewrite import normalize
+from lcstrs.syntax import parse_system, parse_term
+with open(sys.argv[1]) as handle:
+    system = parse_system(handle.read())
+term = parse_term(f"iter {sys.argv[2]} ([+] 1) 0", system)
+assert not normalize(term, system, fuel=10 ** 9).exhausted
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+class TestBoundedMemory:
+    def test_peak_memory_does_not_grow_with_the_steps(self):
+        # the trace keeps at most TRACE_CAP steps, and neither the marks
+        # nor the bounded integer cache grow with the step count: ten
+        # times the steps (9001 and 90001) stay within 1.5 times the memory
+        env = dict(os.environ, PYTHONPATH=str(SYSTEMS.parent / "src"))
+
+        def peak(n: int) -> int:
+            done = subprocess.run(
+                [sys.executable, "-c", PEAK_RSS_SCRIPT,
+                 str(SYSTEMS / "iter.lcstrs"), str(n)],
+                env=env, capture_output=True, text=True, check=True)
+            return int(done.stdout)
+
+        small, large = peak(3000), peak(30000)
+        assert large <= 1.5 * small, (small, large)
 
 
 class TestCalcNormalForm:

@@ -7,7 +7,8 @@ import pytest
 from helpers import gen_ground_term, gen_theory_term
 from lcstrs import theory
 from lcstrs.core import (
-    App, BOOL_T, INT_T, RuleError, TypingError, Variable, arrow,
+    App, BOOL_T, INT_T, LcstrsError, Rule, RuleError, TypingError, Variable,
+    arrow,
 )
 from lcstrs.syntax import (
     ParseError, parse_system, parse_term, print_rule, print_term,
@@ -33,18 +34,45 @@ class TestParseSystem:
         with pytest.raises(RuleError) as err:
             parse_system("fun a : Int\nrule 0 -> 1 [true]\n")
         assert err.value.condition == 2
+        assert str(err.value) == (
+            "2:6: rule condition (2): left-hand side is a theory term")
 
     def test_missing_constraint_rejected(self):
         with pytest.raises(ParseError):
             parse_system("fun f : Int -> Int\nrule f x -> f x\n")
 
     def test_duplicate_declaration_rejected(self):
-        with pytest.raises(Exception):
-            parse_system("fun a : Int\nfun a : Int\n")
+        # placed at the second declaration's name
+        with pytest.raises(ParseError) as err:
+            parse_system("fun a : Int\nfun b : Int\n  fun  a : Int -> Int\n")
+        assert str(err.value) == "3:8: symbol 'a' is already declared"
 
     def test_builtin_name_collision_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ParseError) as err:
             parse_system("fun true : Int\n")
+        assert str(err.value) == "1:5: symbol 'true' is already declared"
+
+    def test_a_fresh_variable_error_is_placed_at_the_rule(self):
+        with pytest.raises(RuleError) as err:
+            parse_system("fun f : Int -> Int\nfun h : (Int -> Int) -> Int\n"
+                         "\n\n  rule  f x -> h n [true]\n")
+        assert err.value.condition == 4
+        assert str(err.value) == (
+            "5:9: rule condition (4): variable 'n' is fresh on the right "
+            "but has non-theory type Int -> Int")
+
+    def test_library_errors_carry_no_position(self):
+        # only the file's parser knows the tokens; `Rule` and `Signature`
+        # built by a library caller keep their messages
+        system = parse_system("fun f : Int -> Int\n")
+        with pytest.raises(RuleError) as err:
+            Rule(parse_term("1 + 2", system), parse_term("3", system),
+                 theory.TRUE)
+        assert str(err.value) == (
+            "rule condition (2): left-hand side is a theory term")
+        with pytest.raises(LcstrsError) as err:
+            system.signature.add(system.declarations[0])
+        assert str(err.value) == "symbol 'f' is already declared"
 
     def test_comments_and_blank_lines(self):
         text = """

@@ -8,6 +8,8 @@ constraint-only variables) are instantiated from a pluggable input source.
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -16,8 +18,8 @@ from .core import (
 )
 from .syntax import System
 from .theory import (
-    bool_value, int_value, interpret, semantic_value, try_calculate,
-    value_symbol,
+    OPERATORS, bool_value, int_value, interpret, semantic_value,
+    try_calculate, value_symbol,
 )
 
 Position = tuple[int, ...]
@@ -76,15 +78,18 @@ class InputSource:
     """Supplies value terms for rule variables left unbound by matching.
 
     Draws from a user-provided list first (in order of use), then falls
-    back to deterministic defaults: 0 for Int, false for Bool.
+    back to deterministic defaults: 0 for Int, false for Bool. `drawn`
+    counts the draws, which `normalize` reads.
     """
 
     def __init__(self, values: Sequence[Union[int, bool]] = ()):
-        self._queue = list(values)
+        self._queue = deque(values)
+        self.drawn = 0
 
     def value_for(self, var: Variable) -> Term:
+        self.drawn += 1
         if self._queue:
-            value = self._queue.pop(0)
+            value = self._queue.popleft()
             term = value_symbol(value)
             if term.type != var.type:
                 raise LcstrsError(
@@ -107,6 +112,15 @@ class RewriteStep:
     subst: Optional[Substitution]
     result: Term
 
+    @classmethod
+    def _trusted(cls, position: Position, rule_index: Optional[int],
+                 subst: Optional[Substitution], result: Term) -> "RewriteStep":
+        """The step, built without the frozen dataclass's `__setattr__`."""
+        step = object.__new__(cls)
+        step.__dict__.update(position=position, rule_index=rule_index,
+                             subst=subst, result=result)
+        return step
+
     @property
     def kind(self) -> str:
         return "calc" if self.rule_index is None else f"rule#{self.rule_index + 1}"
@@ -117,10 +131,11 @@ class RewriteStep:
 Contraction = tuple[Optional[int], Optional[Substitution], Term]
 
 
-def _probe(redex: Term, system: System,
-           inputs: InputSource) -> tuple[list[Contraction], bool]:
-    """Every step at the root of `redex`: rule steps in file order, then
-    the calculation step if one applies; and whether an input was drawn.
+def _probe(redex: Term, head: Term, nargs: int, system: System,
+           inputs: InputSource) -> list[Contraction]:
+    """Every step at the root of `redex`, with head leaf `head` and `nargs`
+    arguments: rule steps in file order, then the calculation step if one
+    applies.
 
     Every rule that matches draws values for its fresh variables, even
     after an earlier rule applied and even if its constraint then fails,
@@ -130,11 +145,7 @@ def _probe(redex: Term, system: System,
     goes to a value and the rule's constraint, compiled once per system
     at its bound, holds under those values: what `respects` decides.
     """
-    head, nargs = redex, 0
-    while isinstance(head, App):
-        head, nargs = head.head, nargs + 1
     found: list[Contraction] = []
-    drew = False
     for index, rule in system.rules_for(head, nargs):
         if rule.lhs.type != redex.type:
             continue
@@ -145,7 +156,6 @@ def _probe(redex: Term, system: System,
         # values for the variables matching left unbound, in name order
         drawn = {v: inputs.value_for(v) for v in logical if v not in subst}
         if drawn:
-            drew = True
             subst = Substitution((*subst.items(), *drawn.items()))
         values = tuple(subst.get(v).value for v in logical)
         if None not in values and holds(values):
@@ -155,7 +165,7 @@ def _probe(redex: Term, system: System,
                   else None)
     if calculated is not None:
         found.append((None, None, calculated))
-    return found, drew
+    return found
 
 
 def step_at(term: Term, position: Position, system: System,
@@ -165,65 +175,44 @@ def step_at(term: Term, position: Position, system: System,
     redex = term.subterm_at(position)
     if inputs is None:
         inputs = InputSource()
-    found, _ = _probe(redex, system, inputs)
+    head, args = redex.spine()
+    found = _probe(redex, head, len(args), system, inputs)
     return [RewriteStep(position, index, subst,
                         term.replace_at(position, contractum))
             for index, subst, contractum in found]
 
 
-# The context of a subterm during the walk: None at the root, else
-# (context of the parent, 0 for the head or 1 for the argument, parent).
-Context = Optional[tuple["Context", int, App]]
-
-
-def _find_redex(term: Term, system: System, inputs: InputSource,
-                innermost: bool) -> Optional[tuple[Context, Contraction]]:
-    """The first position of `term` that admits a step, in leftmost-
-    innermost (head subtree, argument subtree, node) or leftmost-outermost
-    (node, head subtree, argument subtree) order, with its first step.
-
-    A subterm whose whole subtree was probed without a step and without
-    an input drawn is marked normal for the system: its `_normal` entry is
-    set to the system's token. A subterm with that mark is skipped.
-    """
-    mark = system.__dict__.setdefault("_normal_mark", object())
-    draws = 0
-    # (subterm, context, None on entry or the draw count when it was entered)
-    stack: list[tuple[Term, Context, Optional[int]]] = [(term, None, None)]
-    while stack:
-        t, ctx, entered = stack.pop()
-        leaving = entered is not None
-        if not leaving:
-            if t.__dict__.get("_normal") is mark:
-                continue
-            stack.append((t, ctx, draws))
-            if isinstance(t, App):
-                stack.append((t.arg, (ctx, 1, t), None))
-                stack.append((t.head, (ctx, 0, t), None))
-        # innermost probes a node on leaving it, outermost on entering it
-        if leaving == innermost:
-            found, drew = _probe(t, system, inputs)
-            if found:
-                return ctx, found[0]
-            draws += drew
-        if leaving and draws == entered:
-            t.__dict__["_normal"] = mark
-    return None
-
-
-def _plug(ctx: Context, term: Term) -> tuple[Position, Term]:
-    """The position of a context's hole and the context filled with `term`,
-    a term of the hole's type: each ancestor is rebuilt with its own type,
-    without re-checking it."""
-    path = []
-    rebuilt = App._rebuilt
-    while ctx is not None:
-        ctx, side, parent = ctx
-        path.append(side)
-        term = (rebuilt(parent, term, parent.arg) if side == 0
-                else rebuilt(parent, parent.head, term))
-    path.reverse()
-    return tuple(path), term
+def _walk_facts(system: System) -> tuple:
+    """What `normalize` needs of a system, kept in it: the token marking a
+    subterm normal for it; the (head leaf, argument count) keys where a
+    symbol-headed left side or a theory operator applied to its arity can
+    match, and the constant left sides; the fewest arguments of a
+    variable-headed left side; and `D`, the deepest position of a left
+    side, at least 2, unbounded if a left side is non-linear."""
+    facts = system.__dict__.get("_walk_facts")
+    if facts is not None:
+        return facts
+    keys = {(op, op.type.arity) for op in OPERATORS}
+    var_args, depth = math.inf, 2
+    for rule in system.rules:
+        head, args = rule.lhs.spine()
+        if type(head) is Variable:
+            var_args = min(var_args, len(args))
+        else:
+            keys.add((head, len(args)))
+        occurrences, stack = 0, [(rule.lhs, 0)]
+        while stack:
+            t, below = stack.pop()
+            if type(t) is App:
+                stack += ((t.head, below + 1), (t.arg, below + 1))
+            else:
+                occurrences += type(t) is Variable
+                depth = max(depth, below)
+        if occurrences > len(rule.lhs.free_vars):
+            depth = math.inf
+    constants = frozenset(head for head, nargs in keys if nargs == 0)
+    return system.__dict__.setdefault(
+        "_walk_facts", (object(), frozenset(keys), constants, var_args, depth))
 
 
 @dataclass
@@ -239,16 +228,35 @@ def normalize(term: Term, system: System, strategy: str = "innermost",
               ) -> NormalizationResult:
     """Apply steps until no position admits one, or fuel runs out.
 
-    The strategy fixes the search order for redexes only; both strategies
-    explore every position. Each step takes the first step `step_at` lists
-    at the first position that has one. Every search starts at the root,
-    carries each subterm down with its context, and skips subterms marked
-    normal for `system` (see `_find_redex`), in this call or an earlier
-    one: no input was drawn below a mark, so it depends only on the rules
-    and the bound, which a frozen `System` fixes. The token is a bare
-    object the system holds, so a marked leaf that every system shares,
-    such as `int_value(0)`, keeps none alive, and another system's mark
-    costs a rescan. The trace keeps at most `TRACE_CAP` steps.
+    Each step takes the first step `step_at` lists at the first position
+    that has one, in leftmost-innermost (head subtree, argument subtree,
+    node) or leftmost-outermost (node, head subtree, argument subtree)
+    order. One walk on an explicit stack serves every step: a step rebuilds
+    the hole's open ancestors into their frames, so every pending entry
+    stays current, and the walk goes on at the contractum, where innermost
+    probes the ancestors as it leaves them. Outermost goes back to the
+    ancestor `D` above the hole (see `_walk_facts`) to probe again those
+    below it, past the subtrees left of the path, marked normal. One
+    farther up was probed without a step or a draw, and still gives none:
+    the hole lies strictly under a position where each left side has a
+    variable, bound to an application before and after the step, never to
+    a value, so neither a linear match nor a constraint changes, or a
+    symbol, which that application fails to match; a calculation reads two
+    levels down. A hole on its head chain gives it a new head, but a left
+    side for that head is at least as deep as the chain. After a step that
+    follows an input draw (`inputs` counts them), the walk starts again at
+    the root, so draws happen in the order a walk from the root makes them.
+    The walk carries each node's head leaf and argument count, and probes
+    a node only where a left side or a theory operator can match.
+
+    A subterm whose whole subtree was walked without a step and without
+    an input drawn is marked normal for `system` (its `_normal` entry is
+    the system's token), in this call or an earlier one, and skipped: no
+    input was drawn below a mark, so it depends only on the rules and the
+    bound, which a frozen `System` fixes. The token is a bare object the
+    system holds, so a marked leaf that every system shares, such as
+    `int_value(0)`, keeps none alive, and another system's mark costs a
+    rescan. The trace keeps at most `TRACE_CAP` steps.
     """
     if strategy not in ("innermost", "outermost"):
         raise LcstrsError(f"unknown strategy {strategy!r}")
@@ -257,20 +265,90 @@ def normalize(term: Term, system: System, strategy: str = "innermost",
     if inputs is None:
         inputs = InputSource()
     innermost = strategy == "innermost"
+    mark, keys, constants, var_args, depth = _walk_facts(system)
+    rebuilt = App._rebuilt
     result = NormalizationResult(term)
+    started = inputs.drawn      # the draws when the walk last started
+    # An entry to enter is (node, parent frame, side, head leaf, argument
+    # count), its head None where it starts a spine; a leaf is entered only
+    # at the root or as a constant left side. A node being walked is its
+    # frame, [parent frame, side, node, head, argument count, draws].
+    stack: list = [(term, None, 0, None, 0)]
+    pop, push = stack.pop, stack.append
     while True:
-        found = _find_redex(result.term, system, inputs, innermost)
-        if found is None:
-            break
+        while stack:
+            item = pop()
+            if type(item) is list:      # leaving a node
+                node, head, n = item[2], item[3], item[4]
+                if innermost and ((head, n) in keys or n >= var_args) and (
+                        steps := _probe(node, head, n, system, inputs)):
+                    parent, side = item[0], item[1]
+                    break
+                if inputs.drawn == item[5]:
+                    node.__dict__["_normal"] = mark
+                continue
+            node, parent, side, head, n = item
+            if node.__dict__.get("_normal") is mark:
+                continue
+            if head is None:
+                head = node
+                while type(head) is App:
+                    head, n = head.head, n + 1
+            frame = [parent, side, node, head, n, inputs.drawn]
+            if not innermost and ((head, n) in keys or n >= var_args) and (
+                    steps := _probe(node, head, n, system, inputs)):
+                break
+            push(frame)
+            if type(node) is App:
+                child = node.arg
+                if type(child) is App or constants and child in constants:
+                    push((child, frame, 1, None, 0))
+                child = node.head
+                if type(child) is App or constants and child in constants:
+                    push((child, frame, 0, head, n - 1))
+        else:
+            return result
         if result.total_steps == fuel:
             result.exhausted = True
-            break
-        ctx, (index, subst, contractum) = found
-        position, result.term = _plug(ctx, contractum)
+            return result
+        index, subst, contractum = steps[0]     # at `side` of `parent`
+        head, n = contractum, 0
+        while type(head) is App:
+            head, n = head.head, n + 1
+        # rebuild each ancestor into its frame, and give those whose head
+        # chain holds the hole the contractum's head
+        t, f, s, chain, path = contractum, parent, side, n, []
+        while f is not None:
+            node = f[2]
+            f[2] = t = (rebuilt(node, t, node.arg) if s == 0
+                        else rebuilt(node, node.head, t))
+            path.append(s)
+            if chain is not None and s == 0:
+                chain += 1
+                f[3], f[4] = head, chain
+            else:
+                chain = None
+            s, f = f[1], f[0]
+        result.term = t
         if len(result.steps) < TRACE_CAP:
-            result.steps.append(RewriteStep(position, index, subst, result.term))
+            path.reverse()
+            result.steps.append(
+                RewriteStep._trusted(tuple(path), index, subst, t))
         result.total_steps += 1
-    return result
+        if inputs.drawn != started:
+            stack[:] = [(t, None, 0, None, 0)]
+            started = inputs.drawn
+        elif not innermost and parent is not None:
+            # walk again from the ancestor `D` above the hole, or the root:
+            # the subtrees left of the path are marked normal
+            f, d = parent, 1
+            while d < depth and f[0] is not None:
+                f, d = f[0], d + 1
+            while pop() is not f:
+                pass
+            push((f[2], f[0], f[1], f[3], f[4]))
+        elif type(contractum) is App or contractum in constants:
+            push((contractum, parent, side, head, n))
 
 
 def calc_normal_form(term: Term, bound: int = 0) -> Term:

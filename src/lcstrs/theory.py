@@ -273,6 +273,8 @@ _BUILTINS = (
     TRUE, FALSE, ADD, SUB, MUL, LE, LT, GE, GT, EQ, NE, AND, OR, NOT,
 )
 _OVERLOADED = (SUP_INT, SUP_BOOL, SUPEQ_INT, SUPEQ_BOOL)
+#: the symbols a calculation step can rewrite, when applied to their arity
+OPERATORS = (*_OPERATIONS, *_OVERLOADED)
 
 #: names of infix operators with their parse precedence level
 INFIX_LEVELS = {

@@ -247,11 +247,11 @@ def reference_normalize(term: Term, system, strategy: str, fuel: int,
     trace = []
     current = term
     while True:
-        positions = [pos for pos, _ in subterms(current)]   # outermost order
+        pairs = list(subterms(current))     # outermost order
         if strategy == "innermost":
-            positions.sort(key=lambda pos: pos + (2,))
-        for pos in positions:
-            found = reference_probe(current.subterm_at(pos), system, inputs)
+            pairs.sort(key=lambda pair: pair[0] + (2,))
+        for pos, subterm in pairs:
+            found = reference_probe(subterm, system, inputs)
             if found:
                 break
         else:
@@ -352,10 +352,18 @@ def multisets_up_to(size: int, universe) -> list[tuple]:
 _ARG_TYPES = (INT_T, BOOL_T, ArrowType(INT_T, INT_T))
 
 
-def gen_system(rng: random.Random, n_symbols: int = 3, n_rules: int = 4):
+def gen_system(rng: random.Random, n_symbols: int = 3, n_rules: int = 4,
+               patterns: bool = False):
     """A random valid system: symbol-headed linear left sides over fresh
     variables, right sides built from the left side's variables and ground
-    material, constraints over the theory-sorted variables."""
+    material, constraints over the theory-sorted variables.
+
+    With `patterns`, the system also declares an Int constant `c`, which
+    may head a left side of its own, and a left side may stop short of its
+    head's arity, may hold values, symbols and applications of declared
+    symbols and repeated variables, or may have a variable head; a
+    constraint may read a fresh variable, for which a step draws an input.
+    """
     from lcstrs.syntax import System
 
     signature = theory.base_signature()
@@ -367,18 +375,71 @@ def gen_system(rng: random.Random, n_symbols: int = 3, n_rules: int = 4):
         symbol = FunctionSymbol(f"h{i}", ArrowType(args[0], _fold(args[1:], result)))
         signature.add(symbol)
         defined.append(symbol)
+    if patterns:
+        constant = FunctionSymbol("c", INT_T)
+        signature.add(constant)
+        defined.append(constant)
 
     rules = []
     for _ in range(n_rules):
         head = rng.choice(defined)
         arg_types = argument_types(head.type)
-        variables = [Variable(f"v{i}", ty) for i, ty in enumerate(arg_types)]
-        lhs = head.apply(*variables)
-        rhs = _gen_rhs(rng, signature, lhs.type, variables, depth=3)
+        if patterns:
+            lhs, variables = _gen_pattern(rng, head, arg_types, defined)
+        else:
+            variables = [Variable(f"v{i}", ty)
+                         for i, ty in enumerate(arg_types)]
+            lhs = head.apply(*variables)
+        fresh = (Variable("w", INT_T)
+                 if patterns and rng.random() < 0.3 else None)
+        rhs = _gen_rhs(rng, signature, lhs.type,
+                       variables + [fresh] if fresh else variables,
+                       depth=2 if patterns else 3)
         constraint = _gen_constraint(rng, variables)
+        if fresh:
+            constraint = AND.apply(constraint, GT.apply(
+                fresh, int_value(rng.randint(-2, 2))))
         rules.append(Rule(lhs, rhs, constraint))
     return System(signature=signature, rules=tuple(rules),
                   declarations=tuple(defined))
+
+
+def _gen_pattern(rng, head, arg_types, defined):
+    """A left side for `gen_system(patterns=True)` and its variables: `head`
+    applied to some of its arguments, or, one time in ten, a variable
+    applied to an Int application of a declared symbol."""
+    variables = []
+
+    def argument(ty, nest):
+        roll = rng.random()
+        same = [v for v in variables if v.type == ty]
+        if same and roll < 0.15:
+            return rng.choice(same)     # a non-linear left side
+        if roll < 0.3 and ty == INT_T:
+            return int_value(rng.randint(-1, 2))
+        if roll < 0.3 and ty == BOOL_T:
+            return bool_value(rng.random() < 0.5)
+        nested = [(s, k) for s in defined for k in range(s.type.arity + 1)
+                  if _result_after(s.type, k) == ty]
+        if nest and nested and roll < 0.6:
+            symbol, k = rng.choice(nested)
+            return symbol.apply(*(argument(t, False) for t in
+                                  argument_types(symbol.type)[:k]))
+        v = Variable(f"v{len(variables)}", ty)
+        variables.append(v)
+        return v
+
+    applied = [(s, k) for s in defined for k in range(1, s.type.arity + 1)
+               if _result_after(s.type, k) == INT_T]
+    if applied and rng.random() < 0.1:
+        symbol, k = rng.choice(applied)
+        head_var = Variable("F", ArrowType(INT_T, INT_T))
+        variables.append(head_var)
+        inner = symbol.apply(*(argument(t, False) for t in
+                               argument_types(symbol.type)[:k]))
+        return head_var.apply(inner), variables
+    k = rng.randint(min(1, len(arg_types)), len(arg_types))
+    return head.apply(*(argument(t, True) for t in arg_types[:k])), variables
 
 
 def system_text(system) -> str:

@@ -2,11 +2,13 @@
 
 import dataclasses
 import gc
+import math
 import os
 import random
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -25,8 +27,8 @@ from lcstrs.core import (
     Variable, arrow,
 )
 from lcstrs.rewrite import (
-    InputSource, calc_normal_form, joinable_calc, match, normalize, respects,
-    step_at,
+    InputSource, RewriteStep, calc_normal_form, joinable_calc, match,
+    normalize, respects, step_at,
 )
 from lcstrs.syntax import System, parse_system, parse_term, print_term
 from lcstrs.theory import bool_value, int_value
@@ -235,6 +237,39 @@ class TestStepAt:
                         assert respects(step.subst, rule, fact_system.bound)
 
 
+class TestInputSource:
+    def test_values_in_order_then_defaults(self):
+        source = InputSource([4, True])
+        x, p = Variable("x", INT_T), Variable("p", BOOL_T)
+        assert [source.value_for(v) for v in (x, p, x, p)] == [
+            int_value(4), bool_value(True), int_value(0), bool_value(False)]
+
+    def test_a_value_that_does_not_fit_is_an_error(self):
+        with pytest.raises(LcstrsError) as raised:
+            InputSource([True]).value_for(Variable("x", INT_T))
+        assert str(raised.value) == (
+            "input value True does not fit variable 'x' : Int")
+
+    def test_draws_take_linear_time(self):
+        # 10^5 draws within 6 times the time of 2.5 * 10^4: a linear cost
+        # gives about 4, one that moves the rest of the values on every
+        # draw about 8
+        x = Variable("x", INT_T)
+
+        def seconds(n: int) -> float:
+            best = float("inf")
+            for _ in range(3):
+                source = InputSource([1] * n)
+                start = time.perf_counter()
+                for _ in range(n):
+                    source.value_for(x)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        small, large = seconds(25000), seconds(100000)
+        assert large < 6 * small, (small, large)
+
+
 class TestNormalize:
     def test_paper_trace(self, fact_system, terms):
         result = normalize(terms("fact 1 exit"), fact_system)
@@ -266,6 +301,15 @@ class TestNormalize:
     def test_negative_argument_takes_base_rule(self, fact_system, terms):
         result = normalize(terms("fact (0 - 1) exit"), fact_system)
         assert result.term == terms("exit 1")
+
+    def test_trace_entries_are_dataclass_steps(self, fact_system, terms):
+        step, = normalize(terms("fact 0 exit"), fact_system).steps[:1]
+        plain = RewriteStep(step.position, step.rule_index, step.subst,
+                            step.result)
+        assert step == plain and step.kind == plain.kind == "rule#3"
+        assert vars(step) == vars(plain)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            step.position = (0,)
 
     def test_fuel_exhaustion_reports_partial_trace(self):
         from lcstrs.syntax import parse_system
@@ -390,6 +434,44 @@ def _assert_same_as_reference(term, system, strategy, values=(), fuel=100):
     return got
 
 
+def assert_same_as_reference(count: int, seed: int = 1) -> Counter:
+    """`normalize` agrees with `reference_normalize` on `count` seeded
+    `gen_system` systems with patterned left sides, each run on three
+    ground terms under both strategies, with a few input values and fuel
+    for 40 steps. The two strategies run on the same nodes, so the second
+    also meets the marks the first left. Returns how often the slice met
+    each case the resumed walk must get right."""
+    rng = random.Random(seed)
+    seen = Counter()
+    for _ in range(count):
+        system = gen_system(rng, patterns=True)
+        *_, var_args, depth = rewrite._walk_facts(system)
+        seen["non-linear left side"] += depth == math.inf
+        seen["left side deeper than 2"] += 2 < depth < math.inf
+        seen["variable head"] += var_args < math.inf
+        seen["constant left side"] += any(
+            type(rule.lhs) is FunctionSymbol for rule in system.rules)
+        for _ in range(3):
+            target = rng.choice(system.declarations).type
+            while hasattr(target, "result"):
+                target = target.result
+            t = gen_ground_term(rng, system.signature, target, 4)
+            values = [rng.randint(-3, 3) for _ in range(rng.randint(0, 4))]
+            for strategy in ("innermost", "outermost"):
+                trace, _, exhausted = _assert_same_as_reference(
+                    t, system, strategy, values, fuel=40)
+                seen["fuel ran out"] += exhausted
+                seen["input drawn"] += any(
+                    subst is not None and any(v.name == "w" for v, _ in
+                                              subst.items())
+                    for _, _, subst, _ in trace)
+                positions = [position for position, *_ in trace]
+                seen[f"{strategy} step above the last hole"] += any(
+                    len(here) < len(last) and last[:len(here)] == here
+                    for last, here in zip(positions, positions[1:]))
+    return seen
+
+
 ORDERING_SYSTEM = """\
 option bound {bound}
 fun g : Int -> Int
@@ -464,6 +546,88 @@ class TestProbeDifferential:
                 _assert_same_as_reference(
                     t, system, strategy,
                     [rng.randint(-3, 3) for _ in range(3)], fuel=40)
+
+
+# `p x` steps to `q`, and `q x y z`, at depth 3, the deepest left side, to
+# `s`: a step at `p 1` gives the ancestors on its head chain a new head
+# and argument count, and `q 2 3 4` lies 3 above the hole, `s 5` 4 above it
+HEAD_CHAIN_SYSTEM = """\
+fun p : Int -> Int -> Int -> Int -> Int -> Int
+fun q : Int -> Int -> Int -> Int -> Int
+fun s : Int -> Int
+fun pair : Int -> Int -> Int
+rule p x -> q [x > 0]
+rule q x y z -> s [true]
+rule s x -> x + 1 [true]
+"""
+
+
+class TestResumedWalk:
+    """After a step the walk goes on from the hole: innermost at the
+    contractum, outermost after probing the ancestors within the deepest
+    left side's depth of the hole, and from the root after an input was
+    drawn. Each case is compared with the reference, which walks from the
+    root every time."""
+
+    @pytest.mark.parametrize("strategy", ["innermost", "outermost"])
+    def test_a_new_head_on_the_head_chain(self, strategy):
+        system = parse_system(HEAD_CHAIN_SYSTEM)
+        results = [_assert_same_as_reference(parse_term(text, system),
+                                             system, strategy)
+                   for text in ("p 1 2 3 4 5", "p 0 2 3 4 5",
+                                "pair (p 1 2 3 4 5) (p (1 + 1) 2 3 4 0)")]
+        trace, last, _ = results[0]
+        # `q 2 3 4` at distance 3 of the hole, then `s 5` above it
+        assert [position for position, *_ in trace] == [
+            (0, 0, 0, 0), (0,), (), ()]
+        assert [print_term(last) for _, last, _ in results] == [
+            "6", "p 0 2 3 4 5", "pair 6 1"]
+
+    @pytest.mark.parametrize("strategy", ["innermost", "outermost"])
+    def test_a_nonlinear_ancestor_far_above_the_hole(self, strategy):
+        # the calculation at depth 4 makes both sides of `eq` equal
+        system = parse_system("fun eq : Int -> Int -> Bool\n"
+                              "fun h : Int -> Int\n"
+                              "rule eq x x -> true [true]\n")
+        trace, last, _ = _assert_same_as_reference(
+            parse_term("eq (h (h (1 + 2))) (h (h 3))", system), system,
+            strategy)
+        assert [position for position, *_ in trace] == [(0, 1, 1, 1), ()]
+        assert print_term(last) == "true"
+
+    @pytest.mark.parametrize("strategy", ["innermost", "outermost"])
+    @pytest.mark.parametrize("values", [[], [1, 2, 9], [7, 1, 1, 1, 1]])
+    def test_inputs_drawn_left_of_the_hole(self, strategy, values):
+        # every probe of `g 5` draws, so the walk after each step of `k`
+        # starts at the root and probes `g 5` again
+        system = parse_system(MARKED_SYSTEM + "rule g x -> x + y [y > x]\n"
+                              "rule k x -> k (x - 1) [x > 0]\n")
+        _assert_same_as_reference(
+            parse_term("pair (g 5) (pair (k 2) (g (1 + 1)))", system),
+            system, strategy, values)
+
+    @pytest.mark.parametrize("strategy", ["innermost", "outermost"])
+    def test_fuel_running_out_on_a_resumed_step(self, strategy):
+        system = parse_system(HEAD_CHAIN_SYSTEM)
+        term = parse_term("pair (p 1 2 3 4 5) (p 1 2 3 4 5)", system)
+        for fuel in range(10):
+            trace, _, exhausted = _assert_same_as_reference(
+                term, system, strategy, fuel=fuel)
+            assert len(trace) == min(fuel, 8) and exhausted == (fuel < 8)
+
+    def test_seeded_pattern_systems(self):
+        # the slice holds every case the walk must get right
+        seen = assert_same_as_reference(40)
+        assert min(seen.values()) > 0 and len(seen) == 8, seen
+
+    @pytest.mark.parametrize("strategy", ["innermost", "outermost"])
+    @pytest.mark.parametrize("values", [[], [3, 9], [True]])
+    def test_a_constant_left_side(self, strategy, values):
+        system = parse_system("fun c : Int\nfun f : Int -> Int -> Int\n"
+                              "rule c -> y [y > 2]\n"
+                              "rule f x y -> f y x [x > y]\n")
+        _assert_same_as_reference(parse_term("f c (f (c + 1) c)", system),
+                                  system, strategy, values)
 
 
 MARKED_SYSTEM = """\

@@ -17,7 +17,7 @@ values, which is exactly what the base case of the descent relation needs.
 
 from __future__ import annotations
 
-import itertools
+import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -31,17 +31,12 @@ from .solver import Solver, Verdict
 from .syntax import print_term
 
 
+@dataclass(frozen=True)
 class Lex:
     """Lexicographic argument comparison."""
 
     def __repr__(self):
         return "lex"
-
-    def __eq__(self, other):
-        return isinstance(other, Lex)
-
-    def __hash__(self):
-        return hash(Lex)
 
 
 @dataclass(frozen=True)
@@ -205,32 +200,57 @@ def multiset_extension_search(m: int, n: int,
     targets, non-strict sources cover exactly one target weakly, and either
     S is nonempty or there are more sources than targets. Returns (pi, S)
     or None.
+
+    A loop over an explicit stack gives targets 0..n-1 their sources in
+    turn, trying sources 0..m-1 in order: it meets complete maps in product
+    order, so it returns the product's first cover. A source is empty,
+    strict (its targets are all `gt`) or closed (one target, `geq` and not
+    `gt`). A target goes to an empty source, or if `gt` to a strict one, so
+    a prefix is cut only where some group is already invalid, as it stays
+    on every completion. Below target j the search depends only on j and
+    the sources' states, so a (j, states) that failed is not searched again.
     """
-    if m == 0:
-        return None
-    for pi in itertools.product(range(m), repeat=n):
-        groups: dict[int, list[int]] = {}
-        for j, i in enumerate(pi):
-            groups.setdefault(i, []).append(j)
-        strict = set()
-        ok = True
-        for i, js in groups.items():
-            if all(gt_ok(i, j) for j in js):
-                strict.add(i)
-            elif len(js) == 1 and geq_ok(i, js[0]):
-                continue
-            else:
-                ok = False
+    EMPTY, STRICT, CLOSED = "empty", "strict", "closed"
+    states = [(EMPTY,) * m]     # states[j]: each source's, before target j
+    pi: list[int] = []
+    failed: set = set()
+    i = 0                       # the next source to try for target j
+    while True:
+        j, state = len(pi), states[-1]
+        if j == n and (STRICT in state or m > n):
+            return tuple(pi), frozenset(
+                k for k, st in enumerate(state) if st is STRICT)
+        if j == n or i == 0 and (j, state) in failed:
+            i = m
+        for i in range(i, m):
+            st = state[i]
+            if st is not CLOSED and gt_ok(i, j):
+                placed = STRICT
                 break
-        if not ok:
+            if st is EMPTY and geq_ok(i, j):
+                placed = CLOSED
+                break
+        else:
+            failed.add((j, state))
+            if not pi:
+                return None
+            states.pop()
+            i = pi.pop() + 1
             continue
-        if strict or m > n:
-            return pi, frozenset(strict)
-    return None
+        pi.append(i)
+        states.append(state[:i] + (placed,) + state[i + 1:])
+        i = 0
 
 
 # ---------------------------------------------------------------------------
 # The ordering engine
+
+
+CLOCK_EVERY = 256       # comparisons asked between two reads of the clock
+
+
+class _Expired(Exception):
+    """The solver's deadline passed during an orientation."""
 
 
 class Horpo:
@@ -248,7 +268,9 @@ class Horpo:
     releases the memo, so the prover keeps each orienting engine as its
     rule's record, with the entailments that came back Unknown
     (`unknowns`) and the deepest failed comparison (`deepest_failure`),
-    and reuses it in place of a fresh engine.
+    and reuses it in place of a fresh engine. Every `CLOCK_EVERY`
+    comparisons asked, memo hits included, it reads the clock, and past its
+    solver's deadline raises `_Expired`: its memo is then partial.
     """
 
     def __init__(self, params: HorpoParams, solver: Optional[Solver] = None,
@@ -259,6 +281,7 @@ class Horpo:
         self.constraint, self.logical_vars = constraint, logical_vars
         self._memo: dict = {}
         self._depth = 0
+        self._asked = 0     # comparisons asked, memo hits included
         self.prec_hits: set[tuple[FunctionSymbol, FunctionSymbol]] = set()
         self.prec_misses: set[tuple[FunctionSymbol, FunctionSymbol]] = set()
         self.status_reads: set[FunctionSymbol] = set()
@@ -337,6 +360,10 @@ class Horpo:
         """The memoized comparison `rel` ("geq", "gt" or "rpo"), noting the
         deepest one that fails. A weak comparison of terms of different
         types fails at once and is neither memoized nor noted."""
+        self._asked += 1
+        if (not self._asked % CLOCK_EVERY
+                and time.monotonic() > self.solver.deadline):
+            raise _Expired
         if rel == "geq" and s.type != t.type:
             return None
         key = (rel, s, t)

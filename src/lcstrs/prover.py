@@ -26,7 +26,9 @@ of symbols, rules or edges.
 
 The state of the whole search lives in one `_Budget`: the deadline and
 whether it has passed, the attempts covered, and the furthest failure,
-which the report names. Each distinct bound is searched once.
+which the report names. The search's solver holds the deadline too, so
+one orientation stops there, and its engine is dropped. Each distinct
+bound is searched once.
 
 Under one bound, orienting a rule depends on the parameters only through
 the precedence pairs and statuses the engine asked about. So each rule
@@ -58,7 +60,7 @@ from .core import (
     App, FunctionSymbol, LcstrsError, Rule, Term, Variable,
     is_theory_sort_type,
 )
-from .horpo import LEX, Horpo, HorpoParams, Judgment, Mul, Status, _render
+from .horpo import LEX, Horpo, HorpoParams, Judgment, Mul, Status, _Expired, _render
 from .rewrite import joinable_calc
 from .solver import Solver
 from .syntax import System, print_rule, print_term
@@ -178,7 +180,7 @@ def find_witness(system: System, config: Optional[ProverConfig] = None
               for i in range(len(options) + 1)]
     budget = _Budget(cfg.timeout)
 
-    solver = Solver(smt_command=cfg.smt_command)
+    solver = Solver(smt_command=cfg.smt_command, deadline=budget.deadline)
     for bound in dict.fromkeys(bounds):     # each distinct bound once
         records: list[list[Horpo]] = [[] for _ in system.rules]
         # the sorted read positions of a failed search -> {the statuses at
@@ -246,9 +248,9 @@ def _search_precedence(system: System, status: dict, bound: int,
     choice. `records` holds the engines that oriented each rule under this
     bound and `solver` so far: a rule is oriented by a fresh engine, which
     is appended, only when the attempt's parameters answer none of them
-    alike. Each failed attempt is offered to `budget.failure`. Returns a
-    Witness, or else the symbols whose status any orientation of any
-    attempt read."""
+    alike. Each failed attempt is offered to `budget.failure`; one whose
+    orientation the deadline interrupts is not. Returns a Witness, or else
+    the symbols whose status any orientation of any attempt read."""
     visited: set[frozenset] = set()
     reads: set[FunctionSymbol] = set()
     stack: list[frozenset] = [frozenset()]
@@ -267,7 +269,11 @@ def _search_precedence(system: System, status: dict, bound: int,
                            if r.answers_alike(params)), None)
             if record is None:
                 record = Horpo(params, solver)
-                record.orient_rule(rule)
+                try:
+                    record.orient_rule(rule)
+                except _Expired:    # its memo is partial: keep nothing
+                    budget.expired = True
+                    return reads
                 records[index].append(record)
             reads.update(record.status_reads)
             if record.judgment is None:

@@ -38,6 +38,7 @@ import re
 import shlex
 import subprocess
 import threading
+import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union, ValuesView
 
@@ -453,11 +454,14 @@ class Solver:
     `smt_command` is a full command line (e.g. "z3 -in") for a process
     that reads SMT-LIB 2 on stdin and reports sat/unsat plus a model on
     stdout. Without it, only the built-in fast paths and counterexample
-    search run; inconclusive queries come back Unknown.
+    search run; inconclusive queries come back Unknown. The `deadline`
+    (`time.monotonic()`) bounds each SMT call and each engine asking it.
     """
 
-    def __init__(self, smt_command: Optional[str] = None):
+    def __init__(self, smt_command: Optional[str] = None,
+                 deadline: float = math.inf):
         self.smt_command = smt_command
+        self.deadline = deadline
         self._cache: dict[tuple, QueryRecord] = {}
         self._sessions: dict[tuple, _Session] = {}
 
@@ -538,12 +542,15 @@ class Solver:
         return Unknown("fast paths inconclusive and no SMT solver configured")
 
     def _ask_smt(self, session: _Session, psi: Term) -> Verdict:
+        timeout = min(SMT_TIMEOUT, self.deadline - time.monotonic())
+        if timeout <= 0:
+            return Unknown("SMT solver not called: the deadline has passed")
         script = self.smt_script(session.phi, psi, session.variables,
                                  session.bound)
         try:
             proc = subprocess.run(
                 shlex.split(self.smt_command), input=script.encode(),
-                capture_output=True, timeout=SMT_TIMEOUT)
+                capture_output=True, timeout=timeout)
         except (OSError, subprocess.TimeoutExpired, ValueError) as e:
             return Unknown(f"SMT solver failed: {e.__class__.__name__}")
         output = proc.stdout.decode(errors="replace")

@@ -338,6 +338,35 @@ def dershowitz_manna_gt(ms, ns, strict_gt) -> bool:
     return False
 
 
+def product_scan_cover(m: int, n: int, gt_ok, geq_ok):
+    """Reference for `horpo.multiset_extension_search`: the scan of every
+    map pi from n targets to m sources in `itertools.product` order that
+    the search replaced. A map is a cover when each source's group is all
+    `gt` (the source is strict) or one target `geq`, and some source is
+    strict or m > n. Returns the first (pi, S), or None."""
+    if m == 0:
+        return None
+    for pi in itertools.product(range(m), repeat=n):
+        groups: dict[int, list[int]] = {}
+        for j, i in enumerate(pi):
+            groups.setdefault(i, []).append(j)
+        strict = set()
+        ok = True
+        for i, js in groups.items():
+            if all(gt_ok(i, j) for j in js):
+                strict.add(i)
+            elif len(js) == 1 and geq_ok(i, js[0]):
+                continue
+            else:
+                ok = False
+                break
+        if not ok:
+            continue
+        if strict or m > n:
+            return pi, frozenset(strict)
+    return None
+
+
 def multisets_up_to(size: int, universe) -> list[tuple]:
     """All multisets (as sorted tuples) of size <= `size` over a universe."""
     out = []
@@ -533,6 +562,28 @@ def blowup_system(k: int) -> str:
     lines += [f"rule h{i} x y z -> h{i + 1} x y z [true]" for i in range(1, k)]
     lines.append(f"rule h{k} x y z -> g x y [true]")
     return "\n".join(lines) + "\n"
+
+
+def reversal_system(n: int, constrained: bool = False) -> str:
+    """The argument reversal `f x1 .. xn -> f xn .. x1`, a wide multiset
+    comparison: mul(n) covers each target by its own source weakly, and
+    no source strictly, so every status fails and the search space is
+    exhausted. `constrained` adds `x1 = x2 /\\ .. /\\ x(n-1) = xn`, under
+    which every source is `geq` every target and none is `gt`."""
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    guard = (" /\\ ".join(f"{a} = {b}" for a, b in zip(xs, xs[1:]))
+             if constrained else "true")
+    return (f"fun f : {' -> '.join(['Int'] * (n + 1))}\n"
+            f"rule f {' '.join(xs)} -> f {' '.join(reversed(xs))} "
+            f"[{guard}]\n")
+
+
+def repeated_system(n: int) -> str:
+    """`f x .. x -> f x .. x` with n arguments: every source covers every
+    target weakly and none strictly."""
+    xs = " ".join(["x"] * n)
+    return (f"fun f : {' -> '.join(['Int'] * (n + 1))}\n"
+            f"rule f {xs} -> f {xs} [true]\n")
 
 
 _SHIFTS = ("x", "y", "x - 1", "y - 1", "x + 1", "y + 1")

@@ -12,7 +12,9 @@ into one object, and pin the attempts summed over several bounds. The
 `chain` and `cube` outputs, the `iter` and `empty` text outputs and the
 `check` outputs were recorded before text output became a view of the JSON
 payload: `chain` pins a precedence edge that the JSON lists and the text
-leaves out as implied, and `cube` two undecided entailments. The last
+leaves out as implied, and `cube` two undecided entailments. The wide
+multiset cases (`MULTISET_CASES`) were recorded before the multiset search
+became a pruned depth-first search. The last
 test holds the text output of every golden call, and of calls on seeded
 random systems, to `_text` of the JSON output.
 """
@@ -24,7 +26,8 @@ from pathlib import Path
 import pytest
 
 from helpers import (
-    LIST_SYSTEM, blowup_system, gen_ground_term, gen_system, system_text,
+    LIST_SYSTEM, blowup_system, gen_ground_term, gen_system, repeated_system,
+    reversal_system, system_text,
 )
 from lcstrs.cli import _text, main
 from lcstrs.syntax import print_term
@@ -49,9 +52,48 @@ CASES = {
     "cube": ("fun f : Int -> Int\n"
              "rule f x -> f (x - 1) [x * x * x > 8]\n", 2),
 }
+# Wide multiset comparisons, recorded before the multiset search became a
+# pruned depth-first search: their `deepest_failure`, undecided entailments
+# and attempt counts depend on the order the search asks its comparisons
+MULTISET_CASES = {
+    **{f"reversal_n{n}": (reversal_system(n), 2) for n in range(3, 7)},
+    **{f"repeated_n{n}": (repeated_system(n), 2) for n in range(4, 7)},
+    **{f"reversal_eq_n{n}": (reversal_system(n, constrained=True), 2)
+       for n in range(4, 7)},
+    # the arity-4 systems of the first cycle of the benchmark's `entail`
+    # workload on seed 1, four terminating and four not
+    "entail_a4_t1": ("fun hkmm : Int -> Int -> Int -> Int -> Int\n"
+                     "rule hkmm g1 g2 g3 g4 -> hkmm (g1 - 1) g2 g3 g4 "
+                     "[g3 <= 7 /\\ g4 <= 4 /\\ g1 > 1]\n", 0),
+    "entail_a4_t2": ("fun hlll : Int -> Int -> Int -> Int -> Int\n"
+                     "rule hlll b1 b2 b3 b4 -> hlll b1 b2 (b3 - 2) b4 "
+                     "[b2 <= 9 /\\ b3 > 2]\n", 0),
+    "entail_a4_t3": ("fun hggg : Int -> Int -> Int -> Int -> Int\n"
+                     "rule hggg e1 e2 e3 e4 -> hggg e1 (e2 - 1) e3 e4 "
+                     "[e2 > 3 /\\ e4 <= 5]\n", 0),
+    "entail_a4_t4": ("fun hctc : Int -> Int -> Int -> Int -> Int\n"
+                     "rule hctc e1 e2 e3 e4 -> hctc e1 e2 (e3 - 2) e4 "
+                     "[e4 * e1 > 2 /\\ e3 > 3]\n", 0),
+    "entail_a4_n1": ("fun hjwc : Int -> Int -> Int -> Int -> Int\n"
+                     "rule hjwc e1 e2 e3 e4 -> hjwc e1 e2 (e3 + 1) e4 "
+                     "[e1 <= 4 /\\ e2 <= 6 /\\ e3 >= 2]\n", 2),
+    "entail_a4_n2": ("fun hlpd : Int -> Int -> Int -> Int -> Int\n"
+                     "rule hlpd e1 e2 e3 e4 -> hlpd e1 e2 (e3 + 1) e4 "
+                     "[e2 <= 9 /\\ e3 >= 2]\n", 2),
+    "entail_a4_n3": ("fun hnfl : Int -> Int -> Int -> Int -> Int\n"
+                     "rule hnfl a1 a2 a3 a4 -> hnfl a1 a2 a3 (a4 + 1) "
+                     "[a2 <= 5 /\\ a4 >= -3 /\\ a3 <= 9]\n", 2),
+    "entail_a4_n4": ("fun htmf : Int -> Int -> Int -> Int -> Int\n"
+                     "rule htmf a1 a2 a3 a4 -> htmf a1 (a2 + 1) a3 a4 "
+                     "[a2 >= 0 /\\ a3 * a1 > 3]\n", 2),
+    # a rotation only mul(3) orients: its witness has rpo:mul nodes
+    "rotate3": ("fun g : Int -> Int -> Int -> Int\n"
+                "rule g x y z -> g y z (x - 1) [x > 0]\n", 0),
+}
+CASES.update(MULTISET_CASES)
 # the cases whose text-mode `prove` output is pinned as well
 PROVE_TEXT_CASES = ("fact", "iter", "loop", "empty", "list", "blowup_k3",
-                    "chain", "cube")
+                    "chain", "cube", *MULTISET_CASES)
 # the cases whose `prove --bounds 0,1,-1 --format json` output is pinned
 PROVE_BOUNDS_CASES = ("loop", "list")
 

@@ -5,14 +5,17 @@ import random
 
 import pytest
 
-from helpers import dershowitz_manna_gt, multisets_up_to
-from lcstrs import theory
+from helpers import (
+    dershowitz_manna_gt, multisets_up_to, product_scan_cover,
+    repeated_system,
+)
+from lcstrs import horpo, theory
 from lcstrs.core import BOOL_T, INT_T, LcstrsError, Rule, Variable, arrow
 from lcstrs.horpo import (
     LEX, Horpo, HorpoParams, Mul, multiset_extension_search,
 )
 from lcstrs.solver import Solver
-from lcstrs.syntax import parse_term, print_term
+from lcstrs.syntax import parse_system, parse_term, print_term
 from lcstrs.theory import int_value
 
 
@@ -284,6 +287,30 @@ class TestMulExt:
             expected = dershowitz_manna_gt(ms, ns, gt_fn)
             assert (found is not None) == expected, (ms, ns)
 
+    def test_search_returns_the_product_scans_first_cover(self):
+        # seeded random oracles of every size m, n in 0..5, m = 0 and
+        # n = 0 included; `gt` and `geq` are drawn apart, so `gt` need not
+        # imply `geq`. The pruned search must return the very (pi, S) of
+        # the scan it replaced
+        rng = random.Random(33)
+        sizes, covers, gt_not_geq = set(), 0, 0
+        for _ in range(3000):
+            m, n = rng.randint(0, 5), rng.randint(0, 5)
+            p_gt, p_geq = rng.random(), rng.random()
+            pairs = list(itertools.product(range(m), range(n)))
+            gt = {pair: rng.random() < p_gt for pair in pairs}
+            geq = {pair: rng.random() < p_geq for pair in pairs}
+            found = multiset_extension_search(
+                m, n, lambda i, j: gt[i, j], lambda i, j: geq[i, j])
+            assert found == product_scan_cover(
+                m, n, lambda i, j: gt[i, j], lambda i, j: geq[i, j]), \
+                (m, n, gt, geq)
+            sizes.add((m, n))
+            covers += found is not None
+            gt_not_geq += any(gt[p] and not geq[p] for p in pairs)
+        assert sizes == set(itertools.product(range(6), repeat=2))
+        assert 1000 < covers < 2000 and gt_not_geq > 1000
+
 
 class TestOrientRule:
     def test_all_factorial_rules(self, fact_system, witness_params):
@@ -345,6 +372,41 @@ class TestJudgments:
         first = engine.gt(T("fact n k"), T("k 1"))
         second = engine.gt(T("fact n k"), T("k 1"))
         assert first is second
+
+
+class TestDeadline:
+    @staticmethod
+    def orientation(n: int):
+        """The rule of `f x .. x` at n arguments, and the parameters that
+        give f mul(n): its multiset search asks about n * 2^(n+1)
+        comparisons, all of them of a handful of distinct ones."""
+        system = parse_system(repeated_system(n))
+        f, = system.signature.lookup("f")
+        return system.rules[0], HorpoParams(status={f: Mul(n)})
+
+    def test_a_passed_deadline_stops_one_orientation(self, monkeypatch):
+        rule, params = self.orientation(12)
+        reads = []
+        monkeypatch.setattr(horpo.time, "monotonic",
+                            lambda: reads.append(None) or 1.0)
+        engine = Horpo(params, Solver(deadline=0.5))
+        with pytest.raises(horpo._Expired):
+            engine.orient_rule(rule)
+        # the first read of the clock, after CLOCK_EVERY comparisons, ends it
+        assert len(reads) == 1
+        assert engine._asked == horpo.CLOCK_EVERY
+        assert len(engine._memo) < horpo.CLOCK_EVERY
+
+    def test_clock_reads_are_clock_every_comparisons_apart(self,
+                                                           monkeypatch):
+        rule, params = self.orientation(12)
+        reads = []
+        monkeypatch.setattr(horpo.time, "monotonic",
+                            lambda: reads.append(None) or 0.0)
+        engine = Horpo(params, Solver(deadline=0.5))
+        assert engine.orient_rule(rule) is None
+        assert engine._asked > 100 * horpo.CLOCK_EVERY
+        assert len(reads) == engine._asked // horpo.CLOCK_EVERY
 
 
 class TestOrderingSanity:

@@ -13,6 +13,7 @@ import pytest
 
 from helpers import (
     LIST_SYSTEM, all_read_system, blowup_system, derived_witness, gen_system,
+    repeated_system,
 )
 from lcstrs import horpo, prover
 from lcstrs.cli import _text
@@ -248,6 +249,36 @@ class TestFindWitness:
         assert clock.reads == searched[-1] + 6
         assert report.searched == 2 + 5
         assert report.failures == expected.failures
+
+    def test_deadline_stops_inside_one_orientation(self, monkeypatch):
+        # the mul(10) orientation of `f x .. x` asks tens of thousands of
+        # comparisons. The clock is read when the budget starts, at each
+        # of the two attempts, and by the mul(10) engine after
+        # CLOCK_EVERY comparisons, where the deadline has passed
+        system = parse_system(repeated_system(10))
+        expected = find_witness(system)
+        assert not expected.gave_up and expected.searched == 10
+        clock = Clock(expires_after=3)
+        monkeypatch.setattr(prover.time, "monotonic", clock)
+        report = find_witness(system)
+        assert report.gave_up and report.searched == 2 and clock.reads == 4
+        # the failure named is the lex attempt's, not the interrupted one's
+        assert report.failures == expected.failures
+
+    def test_an_interrupted_engine_is_not_kept(self, monkeypatch):
+        system = parse_system(repeated_system(10))
+        f, = symbols(system, "f")
+        clock = Clock(expires_after=2)
+        monkeypatch.setattr(prover.time, "monotonic", clock)
+        budget = prover._Budget(60.0)
+        records = [[]]
+        outcome = prover._search_precedence(
+            system, {f: Mul(10)}, 0, Solver(deadline=budget.deadline),
+            budget, records)
+        assert clock.reads == 3 and budget.expired
+        assert not isinstance(outcome, Witness) and budget.attempts == 1
+        # neither a record nor the failure the report would name
+        assert records == [[]] and budget.failure is None
 
     def test_precedence_search_is_depth_first_in_miss_order(self,
                                                              monkeypatch):

@@ -8,10 +8,12 @@ import pytest
 
 from helpers import (
     blowup_system, derived_witness, gen_ground_term, gen_theory_term,
-    subterms,
+    repeated_system, reversal_system, subterms,
 )
 from lcstrs.core import INT_T, BOOL_T, LcstrsError, Variable, arrow
-from lcstrs.prover import Witness, check_witness, find_witness, params_from_dict
+from lcstrs.prover import (
+    FailureReport, Witness, check_witness, find_witness, params_from_dict,
+)
 from lcstrs.rewrite import InputSource, calc_normal_form, match, normalize, step_at
 from lcstrs.solver import Solver
 from lcstrs.syntax import parse_system, parse_term, print_term
@@ -173,6 +175,49 @@ class TestStatusSearchScale:
         for k in (8, 12):
             assert (counts[k]["orientations"]
                     <= (k / 4) ** 2 * counts[4]["orientations"])
+
+
+class TestMultisetSearchScale:
+    @staticmethod
+    def oracle_calls(monkeypatch, text: str, cap: int) -> int:
+        """Calls of the `gt_ok` and `geq_ok` oracles of every
+        `multiset_extension_search` of `find_witness` on `text`, which must
+        exhaust its search space. Past `cap` calls the test fails at once:
+        a scan of all m^n maps runs into it within the first search."""
+        import lcstrs.horpo as horpo
+        calls = [0]
+        search = horpo.multiset_extension_search
+
+        def counted(ok):
+            def asked(i, j):
+                calls[0] += 1
+                assert calls[0] <= cap, f"more than {cap} oracle calls"
+                return ok(i, j)
+            return asked
+
+        with monkeypatch.context() as patch:
+            patch.setattr(horpo, "multiset_extension_search",
+                          lambda m, n, gt_ok, geq_ok: search(
+                              m, n, counted(gt_ok), counted(geq_ok)))
+            result = find_witness(parse_system(text))
+        assert isinstance(result, FailureReport) and not result.gave_up
+        return calls[0]
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_reversal_is_polynomial(self, monkeypatch, n):
+        # each target of `f x1 .. xn -> f xn .. x1` has one source `geq`
+        # to it and none `gt`, so each mul(k) search asks each of its k
+        # targets about k sources at most twice: 2k^2 <= n^3 over k <= n
+        assert self.oracle_calls(monkeypatch, reversal_system(n), n ** 3)
+
+    def test_repeated_arguments_stay_within_the_states(self, monkeypatch):
+        # `f x .. x`: every source is `geq` every target and none is `gt`.
+        # A mul(k) search meets each of the 2^k sets of closed sources
+        # once and asks at most 2k questions there: under n * 2^(n+2) in
+        # all for n = 10, where the scan's maps number 10^10
+        n = 10
+        assert self.oracle_calls(monkeypatch, repeated_system(n),
+                                 n * 2 ** (n + 2))
 
 
 class TestWitnessDocument:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence, Union
 
 from .core import (
@@ -18,8 +19,8 @@ from .core import (
 )
 from .syntax import System
 from .theory import (
-    OPERATORS, bool_value, int_value, interpret, semantic_value,
-    try_calculate, value_symbol,
+    OPERATORS, bool_value, compile_constraint, int_value, interpret,
+    semantic_value, try_calculate, value_symbol,
 )
 
 Position = tuple[int, ...]
@@ -131,11 +132,11 @@ class RewriteStep:
 Contraction = tuple[Optional[int], Optional[Substitution], Term]
 
 
-def _probe(redex: Term, head: Term, nargs: int, system: System,
-           inputs: InputSource) -> list[Contraction]:
-    """Every step at the root of `redex`, with head leaf `head` and `nargs`
-    arguments: rule steps in file order, then the calculation step if one
-    applies.
+def _probe(redex: Term, head: Term, rules: Sequence[tuple],
+           system: System, inputs: InputSource) -> list[Contraction]:
+    """Every step at the root of `redex`, with head leaf `head`: rule steps
+    in file order, then the calculation step if one applies. `rules` are
+    the entries `_rules_at` gives for the redex.
 
     Every rule that matches draws values for its fresh variables, even
     after an earlier rule applied and even if its constraint then fails,
@@ -146,13 +147,10 @@ def _probe(redex: Term, head: Term, nargs: int, system: System,
     at its bound, holds under those values: what `respects` decides.
     """
     found: list[Contraction] = []
-    for index, rule in system.rules_for(head, nargs):
-        if rule.lhs.type != redex.type:
-            continue
+    for index, rule, logical, holds in rules:
         subst = match(rule.lhs, redex)
         if subst is None:
             continue
-        logical, holds = system.constraint_checks[index]
         # values for the variables matching left unbound, in name order
         drawn = {v: inputs.value_for(v) for v in logical if v not in subst}
         if drawn:
@@ -176,30 +174,37 @@ def step_at(term: Term, position: Position, system: System,
     if inputs is None:
         inputs = InputSource()
     head, args = redex.spine()
-    found = _probe(redex, head, len(args), system, inputs)
+    rules = _rules_at(_compiled(system), (head, len(args))) or ()
+    found = _probe(redex, head, rules, system, inputs)
     return [RewriteStep(position, index, subst,
                         term.replace_at(position, contractum))
             for index, subst, contractum in found]
 
 
-def _walk_facts(system: System) -> tuple:
-    """What `normalize` needs of a system, kept in it: the token marking a
-    subterm normal for it; the (head leaf, argument count) keys where a
-    symbol-headed left side or a theory operator applied to its arity can
-    match, and the constant left sides; the fewest arguments of a
-    variable-headed left side; and `D`, the deepest position of a left
-    side, at least 2, unbounded if a left side is non-linear."""
-    facts = system.__dict__.get("_walk_facts")
-    if facts is not None:
-        return facts
-    keys = {(op, op.type.arity) for op in OPERATORS}
-    var_args, depth = math.inf, 2
-    for rule in system.rules:
+def _compiled(system: System) -> tuple:
+    """What rewriting reads of a system, built once and kept in it: the
+    token marking a subterm normal for it; a table from (head symbol,
+    argument count) to the rules whose left side has them, in file order,
+    each as (index, rule, logical variables in name order, constraint
+    compiled over them at the system's bound), with an empty entry for
+    every theory operator at its arity; (argument count, entry) for each
+    variable-headed left side; the constant left sides; and `D`, the
+    deepest position of a left side, at least 2, unbounded if a left side
+    is non-linear. It depends on the rules alone, not on the terms."""
+    compiled = system.__dict__.get("_compiled")
+    if compiled is not None:
+        return compiled
+    table = {(op, op.type.arity): [] for op in OPERATORS}
+    variable_headed, depth = [], 2
+    for index, rule in enumerate(system.rules):
+        logical = tuple(sorted(rule.logical_vars, key=lambda v: v.name))
+        entry = (index, rule, logical, compile_constraint(
+            rule.constraint, logical, system.bound))
         head, args = rule.lhs.spine()
         if type(head) is Variable:
-            var_args = min(var_args, len(args))
+            variable_headed.append((len(args), entry))
         else:
-            keys.add((head, len(args)))
+            table.setdefault((head, len(args)), []).append(entry)
         occurrences, stack = 0, [(rule.lhs, 0)]
         while stack:
             t, below = stack.pop()
@@ -210,9 +215,25 @@ def _walk_facts(system: System) -> tuple:
                 depth = max(depth, below)
         if occurrences > len(rule.lhs.free_vars):
             depth = math.inf
-    constants = frozenset(head for head, nargs in keys if nargs == 0)
-    return system.__dict__.setdefault(
-        "_walk_facts", (object(), frozenset(keys), constants, var_args, depth))
+    constants = frozenset(head for head, nargs in table if nargs == 0)
+    return system.__dict__.setdefault("_compiled", (
+        object(), table, tuple(variable_headed), constants, depth))
+
+
+def _rules_at(compiled: tuple, key: tuple) -> Optional[list]:
+    """The entries of the rules that can match a term with this (head leaf,
+    argument count) key, in file order, or None where neither a rule nor a
+    calculation can. A left side with a variable head and k arguments may
+    match any term of its type with at least k arguments."""
+    _, table, variable_headed, _, _ = compiled
+    ty, nargs = key[0].type, key[1]
+    for _ in range(nargs):
+        ty = ty.result
+    merged = [entry for k, entry in variable_headed
+              if k <= nargs and entry[1].lhs.type == ty]
+    rules = table.get(key)
+    return (sorted((*(rules or ()), *merged), key=lambda e: e[0]) if merged
+            else rules)
 
 
 @dataclass
@@ -235,7 +256,7 @@ def normalize(term: Term, system: System, strategy: str = "innermost",
     the hole's open ancestors into their frames, so every pending entry
     stays current, and the walk goes on at the contractum, where innermost
     probes the ancestors as it leaves them. Outermost goes back to the
-    ancestor `D` above the hole (see `_walk_facts`) to probe again those
+    ancestor `D` above the hole (see `_compiled`) to probe again those
     below it, past the subtrees left of the path, marked normal. One
     farther up was probed without a step or a draw, and still gives none:
     the hole lies strictly under a position where each left side has a
@@ -265,7 +286,9 @@ def normalize(term: Term, system: System, strategy: str = "innermost",
     if inputs is None:
         inputs = InputSource()
     innermost = strategy == "innermost"
-    mark, keys, constants, var_args, depth = _walk_facts(system)
+    compiled = _compiled(system)
+    mark, table, variable_headed, constants, depth = compiled
+    get = partial(_rules_at, compiled) if variable_headed else table.get
     rebuilt = App._rebuilt
     result = NormalizationResult(term)
     started = inputs.drawn      # the draws when the walk last started
@@ -280,8 +303,8 @@ def normalize(term: Term, system: System, strategy: str = "innermost",
             item = pop()
             if type(item) is list:      # leaving a node
                 node, head, n = item[2], item[3], item[4]
-                if innermost and ((head, n) in keys or n >= var_args) and (
-                        steps := _probe(node, head, n, system, inputs)):
+                if innermost and (rules := get((head, n))) is not None and (
+                        steps := _probe(node, head, rules, system, inputs)):
                     parent, side = item[0], item[1]
                     break
                 if inputs.drawn == item[5]:
@@ -295,8 +318,8 @@ def normalize(term: Term, system: System, strategy: str = "innermost",
                 while type(head) is App:
                     head, n = head.head, n + 1
             frame = [parent, side, node, head, n, inputs.drawn]
-            if not innermost and ((head, n) in keys or n >= var_args) and (
-                    steps := _probe(node, head, n, system, inputs)):
+            if not innermost and (rules := get((head, n))) is not None and (
+                    steps := _probe(node, head, rules, system, inputs)):
                 break
             push(frame)
             if type(node) is App:

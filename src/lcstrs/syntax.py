@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 from . import theory
@@ -300,53 +299,11 @@ def _infix(op: Token, left: PreTerm, right: PreTerm) -> PreApp:
 @dataclass(frozen=True)
 class System:
     """A validated rewrite system: signature, rules, and the bound. Frozen,
-    since the rule index and the compiled constraints are cached."""
+    since rewriting keeps what it compiles of it (`rewrite._compiled`)."""
     signature: Signature
     rules: tuple[Rule, ...]
     declarations: tuple[FunctionSymbol, ...]
     bound: int = 0      # lower bound of the integer ordering symbol
-
-    def rules_for(self, head: Term, nargs: int) -> tuple[tuple[int, Rule], ...]:
-        """(file index, rule) for every rule whose left side can match a
-        term with this head leaf and number of arguments, in file order.
-
-        A left side `f l1 .. ln` with a symbol head matches only terms
-        `f s1 .. sn`; one with a variable head and k arguments may match
-        any term with at least k arguments.
-        """
-        by_head, variable_headed = self._rule_index
-        found = by_head.get((head, nargs), ())
-        if variable_headed:
-            found = tuple(sorted(
-                found + tuple((i, rule) for i, k, rule in variable_headed
-                              if k <= nargs),
-                key=lambda pair: pair[0]))
-        return found
-
-    @cached_property
-    def _rule_index(self) -> tuple[dict, tuple]:
-        by_head: dict[tuple[FunctionSymbol, int], tuple[tuple[int, Rule], ...]] = {}
-        variable_headed = []
-        for i, rule in enumerate(self.rules):
-            head, args = rule.lhs.spine()
-            if isinstance(head, FunctionSymbol):
-                key = (head, len(args))
-                by_head[key] = by_head.get(key, ()) + ((i, rule),)
-            else:
-                variable_headed.append((i, len(args), rule))
-        return by_head, tuple(variable_headed)
-
-    @cached_property
-    def constraint_checks(self) -> tuple[tuple, ...]:
-        """For each rule in file order, its logical variables in name
-        order and its constraint compiled over them at the system's bound
-        (a `theory.Compiled`); built once."""
-        checks = []
-        for rule in self.rules:
-            logical = tuple(sorted(rule.logical_vars, key=lambda v: v.name))
-            checks.append((logical, theory.compile_constraint(
-                rule.constraint, logical, self.bound)))
-        return tuple(checks)
 
     def defined_symbols(self) -> tuple[FunctionSymbol, ...]:
         seen: dict[FunctionSymbol, None] = {}
@@ -361,9 +318,16 @@ _RESERVED = {"fun", "rule", "option", "Int", "Bool"}
 
 
 def parse_system(text: str) -> System:
-    """Parse and validate a whole system file."""
+    """Parse and validate a whole system file.
+
+    Lines are read in file order, each declaration entering the signature
+    as it is read, so the first bad line or repeated name is the error
+    reported. The rules are typechecked after the last line, so a rule may
+    use a symbol declared below it.
+    """
     stripped = _strip_comments(text)
-    declarations: list[tuple[Token, FunctionSymbol]] = []
+    signature = theory.base_signature()
+    declarations: list[FunctionSymbol] = []
     bound: Optional[int] = None
     base_types = {"Int": theory.INT_T, "Bool": theory.BOOL_T}
     rule_lines: list[tuple[int, list[Token], list[Token], list[Token]]] = []
@@ -386,7 +350,12 @@ def parse_system(text: str) -> System:
                 t = parser.next()
                 raise ParseError(f"unexpected token {t.text!r} after type",
                                  t.line, t.col)
-            declarations.append((tokens[1], FunctionSymbol(name, ty)))
+            symbol = FunctionSymbol(name, ty)
+            try:
+                signature.add(symbol)
+            except LcstrsError as e:    # declared twice, or built in
+                raise ParseError(str(e), lineno, tokens[1].col) from None
+            declarations.append(symbol)
         elif head.text == "rule":
             lhs_toks, rhs_toks, con_toks = _split_rule_tokens(tokens[1:], lineno)
             rule_lines.append((lineno, lhs_toks, rhs_toks, con_toks))
@@ -413,13 +382,6 @@ def parse_system(text: str) -> System:
                 f"expected 'fun', 'rule' or 'option', found {head.text!r}",
                 lineno, head.col)
 
-    signature = theory.base_signature()
-    for token, symbol in declarations:
-        try:
-            signature.add(symbol)
-        except LcstrsError as e:    # declared twice, or built in
-            raise ParseError(str(e), token.line, token.col) from None
-
     rules = []
     for lineno, lhs_toks, rhs_toks, con_toks in rule_lines:
         ctx: dict[str, Variable] = {}
@@ -435,7 +397,7 @@ def parse_system(text: str) -> System:
             raise
 
     return System(signature=signature, rules=tuple(rules),
-                  declarations=tuple(s for _, s in declarations),
+                  declarations=tuple(declarations),
                   bound=0 if bound is None else bound)
 
 

@@ -54,6 +54,8 @@ REMOVED_ATTRIBUTES = [
     # protocol methods that nothing called; `get` is the lookup
     (core.Substitution, "__getitem__"), (core.Substitution, "__iter__"),
     (core.Substitution, "__len__"), (core.Signature, "__contains__"),
+    # what rewriting compiles of a system is `rewrite._compiled`'s table
+    (syntax.System, "rules_for"), (syntax.System, "constraint_checks"),
 ]
 
 # keywords that nothing set, or only tests; three limits are module

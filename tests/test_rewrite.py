@@ -131,12 +131,18 @@ class TestRespects:
         for bound in (-2, 0, 3):
             system = System(theory.base_signature(), tuple(rules), (),
                             bound=bound)
-            checks = system.constraint_checks
-            assert system.constraint_checks is checks
+            compiled = rewrite._compiled(system)
+            assert rewrite._compiled(system) is compiled    # built once
             # the checks are compiled at the bound, which is fixed
             with pytest.raises(dataclasses.FrozenInstanceError):
                 system.bound = bound + 1
-            for rule, (logical, holds) in zip(rules, checks):
+            _, table, variable_headed, _, _ = compiled
+            entries = sorted([*(e for es in table.values() for e in es),
+                              *(e for _, e in variable_headed)],
+                             key=lambda e: e[0])
+            assert [e[0] for e in entries] == list(range(len(rules)))
+            for rule, (_, same, logical, holds) in zip(rules, entries):
+                assert same is rule
                 assert logical == tuple(sorted(rule.logical_vars,
                                                key=lambda v: v.name))
                 for _ in range(10):
@@ -357,15 +363,27 @@ class TestNormalize:
         assert inputs.value_for(Variable("w", INT_T)) == int_value(99)
 
     def test_variable_headed_rule_keeps_file_order(self):
-        # `x a` has a variable head, so it may match any term with at
-        # least one argument; the rule index must still list it between
-        # the two `c y` rules for the same redex
+        # `x a` has a variable head, so it may match any term of type Int
+        # with at least one argument; the rule table must still list it
+        # between the two `c y` rules for the same redex
         system = variable_headed_system()
         c, = system.signature.lookup("c")
         d, = system.signature.lookup("d")
-        assert [i for i, _ in system.rules_for(c, 1)] == [0, 1, 2]
-        assert [i for i, _ in system.rules_for(d, 2)] == [1]
-        assert [i for i, _ in system.rules_for(d, 0)] == []
+        compiled = rewrite._compiled(system)
+
+        def indices(head, nargs):
+            rules = rewrite._rules_at(compiled, (head, nargs))
+            return None if rules is None else [e[0] for e in rules]
+
+        assert indices(c, 1) == [0, 1, 2]
+        assert indices(d, 2) == [1]
+        # `d a` has type Int -> Int, and `d` no argument
+        assert indices(d, 1) is None and indices(d, 0) is None
+        # a free variable head, and operators at their arity with no rule:
+        # `x a` has type Int, so it may match `1 + 2` but not `1 <= 2`
+        assert indices(Variable("f", arrow(INT_T, INT_T)), 1) == [1]
+        assert indices(theory.ADD, 2) == [1]
+        assert indices(theory.LE, 2) == []
         t = parse_term("d (c a) a", system)
         assert [s.kind for s in step_at(t, (0, 1), system)] == [
             "rule#1", "rule#2", "rule#3"]
@@ -445,10 +463,10 @@ def assert_same_as_reference(count: int, seed: int = 1) -> Counter:
     seen = Counter()
     for _ in range(count):
         system = gen_system(rng, patterns=True)
-        *_, var_args, depth = rewrite._walk_facts(system)
+        *_, variable_headed, _, depth = rewrite._compiled(system)
         seen["non-linear left side"] += depth == math.inf
         seen["left side deeper than 2"] += 2 < depth < math.inf
-        seen["variable head"] += var_args < math.inf
+        seen["variable head"] += bool(variable_headed)
         seen["constant left side"] += any(
             type(rule.lhs) is FunctionSymbol for rule in system.rules)
         for _ in range(3):
@@ -508,6 +526,26 @@ class TestProbeDifferential:
         for text in ("d (c a) a", "c (c a)", "d a (c (c a))"):
             _assert_same_as_reference(parse_term(text, system), system,
                                       strategy)
+
+    @pytest.mark.parametrize("strategy", ["innermost", "outermost"])
+    def test_variable_headed_rule_of_another_type(self, strategy):
+        # `x a` has type Int, and `h a`, under the key (h, 1), which has a
+        # rule of its own, type Bool: `x a` must not be tried there
+        base = parse_system("fun a : Int\nfun c : Int -> Int\n"
+                            "fun h : Int -> Bool\n"
+                            "fun pair : Bool -> Int -> Int\n"
+                            "rule h y -> y > 0 [true]\n")
+        a, = base.signature.lookup("a")
+        x = Variable("x", arrow(INT_T, INT_T))
+        system = System(base.signature,
+                        (Rule(x.apply(a), int_value(0), theory.TRUE),
+                         *base.rules), base.declarations)
+        results = [_assert_same_as_reference(parse_term(text, system), system,
+                                             strategy)
+                   for text in ("pair (h a) (c a)", "h (c a)",
+                                "pair (h (c a)) (c (c a))")]
+        assert [print_term(last) for _, last, _ in results] == [
+            "pair (a > 0) 0", "false", "pair false (c 0)"]
 
     @pytest.mark.parametrize("strategy", ["innermost", "outermost"])
     @pytest.mark.parametrize("values", [[], [3], [5, 2, 7], [True]])
@@ -762,6 +800,32 @@ class TestBoundedMemory:
 
         small, large = peak(3000), peak(30000)
         assert large <= 1.5 * small, (small, large)
+
+    def test_the_rule_table_does_not_grow_with_the_terms(self):
+        # the table is built from the rules and the theory operators: 3000
+        # distinct integer literals and free-variable heads leave it as
+        # it was, under both strategies
+        system = variable_headed_system()
+        compiled = rewrite._compiled(system)
+        _, table, variable_headed, constants, _ = compiled
+
+        def size():
+            return (len(system.__dict__), len(table),
+                    sum(map(len, table.values())), len(variable_headed),
+                    len(constants))
+
+        before = size()
+        c, = system.signature.lookup("c")
+        d, = system.signature.lookup("d")
+        steps = 0
+        for n in range(3000):
+            f = Variable(f"f{n}", arrow(INT_T, INT_T, INT_T))
+            term = d.apply(c.apply(int_value(n)), f.apply(
+                int_value(-n), theory.ADD.apply(int_value(n), int_value(1))))
+            for strategy in ("innermost", "outermost"):
+                steps += normalize(term, system, strategy).total_steps
+        assert steps == 2 * 3000 * 2
+        assert rewrite._compiled(system) is compiled and size() == before
 
 
 class TestCalcNormalForm:

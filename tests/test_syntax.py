@@ -47,6 +47,24 @@ class TestParseSystem:
             parse_system("fun a : Int\nfun b : Int\n  fun  a : Int -> Int\n")
         assert str(err.value) == "3:8: symbol 'a' is already declared"
 
+    @pytest.mark.parametrize("text, error", [
+        # a repeated name is an error at its own line, before a bad line
+        # below it
+        ("fun f : Int\nfun f : Int\nwat\n",
+         "2:5: symbol 'f' is already declared"),
+        ("fun f : Int\nfun f : Int -> Int\nrule f x -> x\n",
+         "2:5: symbol 'f' is already declared"),
+        ("fun f : Int\nwat\nfun f : Int\n",
+         "2:1: expected 'fun', 'rule' or 'option', found 'wat'"),
+        # a rule may use a symbol declared below it
+        ("rule g x -> x [true]\nfun g : Int -> Int\nwat\n",
+         "3:1: expected 'fun', 'rule' or 'option', found 'wat'"),
+    ])
+    def test_the_first_bad_line_in_file_order(self, text, error):
+        with pytest.raises(ParseError) as err:
+            parse_system(text)
+        assert str(err.value) == error
+
     def test_builtin_name_collision_rejected(self):
         with pytest.raises(ParseError) as err:
             parse_system("fun true : Int\n")

@@ -255,6 +255,21 @@ class App(Term):
         fields["is_theory_term"] = head.is_theory_term and arg.is_theory_term
         return new
 
+    @classmethod
+    def _typed(cls, head: Term, arg: Term) -> "App":
+        """`head` applied to `arg`, which has the type `head` takes, built
+        without the type check."""
+        new = object.__new__(cls)
+        fields = new.__dict__
+        fields["head"] = head
+        fields["arg"] = arg
+        fields["type"] = head.type.result
+        hv, av = head.free_vars, arg.free_vars
+        fields["free_vars"] = hv | av if hv and av else hv or av
+        fields["size"] = head.size + arg.size + 1
+        fields["is_theory_term"] = head.is_theory_term and arg.is_theory_term
+        return new
+
     def __hash__(self) -> int:
         h = self._hash
         return h if h is not None else _store_hash(self, (self.head, self.arg))
@@ -338,16 +353,17 @@ class Signature:
     """Maps names to declared function symbols.
 
     A resolver hook turns literal spellings (integer tokens) into value
-    symbols on demand; each spelling is resolved once and remembered, so
-    the cache grows only with the literals looked up. Only built-in
-    symbols may be overloaded.
+    symbols on demand. Each undeclared name looked up is resolved once and
+    remembered, with its value symbol or, for a name that is no literal
+    (a variable), with none; so the cache grows only with the names looked
+    up. Only built-in symbols may be overloaded.
     """
 
     def __init__(self, symbols: Iterable[FunctionSymbol] = (),
                  literal: Optional[LiteralResolver] = None):
         self._by_name: dict[str, tuple[FunctionSymbol, ...]] = {}
         self._literal = literal
-        self._literals: dict[str, tuple[FunctionSymbol]] = {}
+        self._resolved: dict[str, tuple[FunctionSymbol, ...]] = {}
         for s in symbols:
             self.add(s)
 
@@ -358,15 +374,11 @@ class Signature:
         self._by_name[symbol.name] = (have or ()) + (symbol,)
 
     def lookup(self, name: str) -> tuple[FunctionSymbol, ...]:
-        found = self._by_name.get(name) or self._literals.get(name)
-        if found:
-            return found
-        if self._literal is not None:
-            lit = self._literal(name)
-            if lit is not None:
-                found = self._literals[name] = (lit,)
-                return found
-        return ()
+        found = self._by_name.get(name) or self._resolved.get(name)
+        if found is None:
+            lit = None if self._literal is None else self._literal(name)
+            found = self._resolved[name] = () if lit is None else (lit,)
+        return found
 
     def symbols(self) -> Iterator[FunctionSymbol]:
         for group in self._by_name.values():
@@ -380,9 +392,9 @@ class PreLeaf(NamedTuple):
 
 
 class PreApp(NamedTuple):
-    head: Union["PreApp", PreLeaf]
-    arg: Union["PreApp", PreLeaf]
-    pos: Optional[tuple[int, int]] = None
+    """A name applied to its arguments, first to last."""
+    head: PreLeaf
+    args: list["PreTerm"]
 
 
 PreTerm = Union[PreLeaf, PreApp]
@@ -396,7 +408,9 @@ def typecheck(pre: PreTerm, signature: Signature,
     Names found in the signature become symbols; everything else is a
     variable. Variable types come from `context` or are inferred from the
     position in which the variable first appears; conflicting uses are
-    errors. `context` is updated in place with inferred variables.
+    errors. `context` is updated in place with inferred variables. Each
+    application is built once its argument has the type its head takes,
+    so without the check that `App` makes.
 
     An overloaded name tries its symbols in signature order on its whole
     application; the first that types it wins, and if none does, the
@@ -408,37 +422,49 @@ def typecheck(pre: PreTerm, signature: Signature,
     choices, so nesting depth is not bounded by Python's recursion limit.
     """
     ctx = {} if context is None else context
-    lookup = signature.lookup
-    # open applications: [head applied so far, arguments left (last
-    # first), expected type, position of the head]
+    # a name is read from the signature's dicts, and from `ctx` when the
+    # signature has no symbol for it; `lookup` only resolves a new name
+    declared, known, lookup = (signature._by_name, signature._resolved,
+                               signature.lookup)
+    typed = App._typed
+    # open applications: [head applied so far, arguments, index of the
+    # argument being typed, expected type, position of the head]
     frames: list[list] = []
     choices: list[_Choice] = []
     while True:
         try:
             while True:
                 if pre is not None:     # resolve the head of `pre`
-                    args = []
-                    while type(pre) is PreApp:
-                        args.append(pre.arg)
-                        pre = pre.head
-                    pos = pre.pos
-                    try:
-                        symbols = lookup(pre.name)
-                    except LcstrsError as e:    # a literal past a limit
-                        raise TypingError(str(e), pos) from None
-                    if len(symbols) > 1:
-                        choices.append(_Choice(len(frames), symbols, args,
-                                               expected, pos, ctx))
-                    head = (symbols[0] if symbols else
-                            _variable(pre, bool(args), expected, ctx))
+                    if type(pre) is PreApp:
+                        leaf, args = pre
+                    else:
+                        leaf, args = pre, ()
+                    name, pos = leaf
+                    symbols = declared.get(name) or known.get(name)
+                    if symbols is None:
+                        try:
+                            symbols = lookup(name)
+                        except LcstrsError as e:    # a literal past a limit
+                            raise TypingError(str(e), pos) from None
+                    if symbols:
+                        head = symbols[0]
+                        if len(symbols) > 1:
+                            choices.append(_Choice(len(frames), symbols, args,
+                                                   expected, pos, ctx))
+                    else:
+                        head = ctx.get(name)
+                        if head is None or (not args and expected is not None
+                                            and head.type is not expected
+                                            and head.type != expected):
+                            head = _variable(leaf, bool(args), expected, ctx)
                     pre = None
                 if args:                # type the first argument next
                     ty = head.type
                     if type(ty) is not ArrowType:
                         raise TypingError(f"cannot apply a term of base type "
                                           f"{ty} to an argument", pos)
-                    frames.append([head, args, expected, pos])
-                    pre, expected = args.pop(), ty.arg
+                    frames.append([head, args, 0, expected, pos])
+                    pre, expected = args[0], ty.arg
                     continue
                 # `head` is typed: close it and the applications it ends
                 t = head
@@ -453,17 +479,18 @@ def typecheck(pre: PreTerm, signature: Signature,
                     if not frames:
                         return t
                     frame = frames[-1]
-                    t = App(frame[0], t)
-                    if frame[1]:
+                    t = typed(frame[0], t)
+                    k = frame[2] + 1
+                    if k < len(frame[1]):
                         break
                     frames.pop()
-                    expected, pos = frame[2], frame[3]
+                    expected, pos = frame[3], frame[4]
                 ty = t.type
                 if type(ty) is not ArrowType:
                     raise TypingError(f"cannot apply a term of base type "
-                                      f"{ty} to an argument", frame[3])
-                frame[0] = t
-                pre, expected = frame[1].pop(), ty.arg
+                                      f"{ty} to an argument", frame[4])
+                frame[0], frame[2] = t, k
+                pre, expected = frame[1][k], ty.arg
         except TypingError as e:
             error = e
         # go back to the innermost open choice with a symbol left
@@ -485,7 +512,7 @@ def typecheck(pre: PreTerm, signature: Signature,
             choices.pop()
             error = choice.first_error
         del frames[choice.depth:]
-        head, args = choice.symbols[choice.tried], choice.args[:]
+        head, args = choice.symbols[choice.tried], choice.args
         expected, pos, pre = choice.expected, choice.pos, None
 
 
@@ -502,7 +529,7 @@ class _Choice:
         self.depth = depth          # open applications outside it
         self.symbols = symbols
         self.tried = 0
-        self.args = args[:]         # last first
+        self.args = args
         self.expected = expected
         self.pos = pos
         self.ctx = dict(ctx)

@@ -145,22 +145,25 @@ def _probe(redex: Term, head: Term, rules: Sequence[tuple],
     A matching substitution respects its rule when every logical variable
     goes to a value and the rule's constraint, compiled once per system
     at its bound, holds under those values: what `respects` decides.
+    Consecutive entries with one left side share its match.
     """
     found: list[Contraction] = []
-    for index, rule, logical, holds in rules:
-        subst = match(rule.lhs, redex)
-        if subst is None:
+    last = matched = None
+    for index, rule, lhs, logical, fresh, holds in rules:
+        if lhs is not last:
+            last, matched = lhs, match(lhs, redex)
+        if matched is None:
             continue
-        # values for the variables matching left unbound, in name order
-        drawn = {v: inputs.value_for(v) for v in logical if v not in subst}
-        if drawn:
-            subst = Substitution((*subst.items(), *drawn.items()))
+        subst = matched
+        if fresh:   # values for the variables matching left unbound
+            subst = Substitution((*subst.items(), *(
+                (v, inputs.value_for(v)) for v in fresh)))
         values = tuple(subst.get(v).value for v in logical)
         if None not in values and holds(values):
             found.append((index, subst, subst.apply(rule.rhs)))
     # only a theory symbol or a variable heads a calculation redex
-    calculated = (try_calculate(redex, system.bound) if head.is_theory_term
-                  else None)
+    calculated = (try_calculate(redex, system.bound, head)
+                  if head.is_theory_term else None)
     if calculated is not None:
         found.append((None, None, calculated))
     return found
@@ -185,27 +188,34 @@ def _compiled(system: System) -> tuple:
     """What rewriting reads of a system, built once and kept in it: the
     token marking a subterm normal for it; a table from (head symbol,
     argument count) to the rules whose left side has them, in file order,
-    each as (index, rule, logical variables in name order, constraint
-    compiled over them at the system's bound), with an empty entry for
-    every theory operator at its arity; (argument count, entry) for each
+    each as (index, rule, left side, logical variables in name order, those
+    of them not on the left side, constraint compiled over the logical
+    variables at the system's bound), with an empty entry for every theory
+    operator at its arity; (argument count, entry) for each
     variable-headed left side; the constant left sides; and `D`, the
     deepest position of a left side, at least 2, unbounded if a left side
-    is non-linear. It depends on the rules alone, not on the terms."""
+    is non-linear. Rules with equal left sides, one after the other in the
+    file, share one left side object. It depends on the rules alone, not
+    on the terms."""
     compiled = system.__dict__.get("_compiled")
     if compiled is not None:
         return compiled
     table = {(op, op.type.arity): [] for op in OPERATORS}
     variable_headed, depth = [], 2
+    lhs = None
     for index, rule in enumerate(system.rules):
+        if lhs is None or not _same(lhs, rule.lhs):
+            lhs = rule.lhs
         logical = tuple(sorted(rule.logical_vars, key=lambda v: v.name))
-        entry = (index, rule, logical, compile_constraint(
-            rule.constraint, logical, system.bound))
-        head, args = rule.lhs.spine()
+        entry = (index, rule, lhs, logical,
+                 tuple(v for v in logical if v not in lhs.free_vars),
+                 compile_constraint(rule.constraint, logical, system.bound))
+        head, args = lhs.spine()
         if type(head) is Variable:
             variable_headed.append((len(args), entry))
         else:
             table.setdefault((head, len(args)), []).append(entry)
-        occurrences, stack = 0, [(rule.lhs, 0)]
+        occurrences, stack = 0, [(lhs, 0)]
         while stack:
             t, below = stack.pop()
             if type(t) is App:
@@ -213,11 +223,23 @@ def _compiled(system: System) -> tuple:
             else:
                 occurrences += type(t) is Variable
                 depth = max(depth, below)
-        if occurrences > len(rule.lhs.free_vars):
+        if occurrences > len(lhs.free_vars):
             depth = math.inf
     constants = frozenset(head for head, nargs in table if nargs == 0)
     return system.__dict__.setdefault("_compiled", (
         object(), table, tuple(variable_headed), constants, depth))
+
+
+def _same(s: Term, t: Term) -> bool:
+    """Whether two terms are equal, compared without recursion."""
+    stack = [(s, t)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is App and type(b) is App:
+            stack += ((a.head, b.head), (a.arg, b.arg))
+        elif type(a) is App or type(b) is App or a != b:
+            return False
+    return True
 
 
 def _rules_at(compiled: tuple, key: tuple) -> Optional[list]:
@@ -230,7 +252,7 @@ def _rules_at(compiled: tuple, key: tuple) -> Optional[list]:
     for _ in range(nargs):
         ty = ty.result
     merged = [entry for k, entry in variable_headed
-              if k <= nargs and entry[1].lhs.type == ty]
+              if k <= nargs and entry[2].type == ty]
     rules = table.get(key)
     return (sorted((*(rules or ()), *merged), key=lambda e: e[0]) if merged
             else rules)

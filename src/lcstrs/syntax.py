@@ -40,13 +40,17 @@ class ParseError(LcstrsError):
 # ---------------------------------------------------------------------------
 # Lexer
 #
-# One regex with a named group per token kind. In a str pattern `\s` is
-# exactly `str.isspace` (an ASCII class would miss \x1c-\x1f), `\w` is
-# `str.isalnum` plus `_`, and `\d` is `str.isdecimal`. An integer is a run
-# of `str.isdigit` characters and an identifier starts with a
-# `str.isalpha` character or `_`. Outside ASCII those differ from `\d` and
-# `[^\W\d]` on a few hundred numeric characters (`²`, `½`, `Ⅷ`), so a text
-# that has any gets a pattern naming the ones it has.
+# One regex, matched with `findall` once per line: each match is the
+# whitespace before a token and one group per token kind, of which only the
+# token's own is not empty, or the whitespace before the end of the line
+# (without that alternative a blank line would be scanned again from every
+# one of its characters). Columns are a running sum of the lengths. In a str
+# pattern `\s` is exactly `str.isspace` (an ASCII class would miss
+# \x1c-\x1f), `\w` is `str.isalnum` plus `_`, and `\d` is `str.isdecimal`.
+# An integer is a run of `str.isdigit` characters and an identifier starts
+# with a `str.isalpha` character or `_`. Outside ASCII those differ from
+# `\d` and `[^\W\d]` on a few hundred numeric characters (`²`, `½`, `Ⅷ`), so
+# a text that has any gets a pattern naming the ones it has.
 
 
 # builds a NamedTuple (a token or a pre-term) from a tuple of its fields,
@@ -65,13 +69,16 @@ class Token(NamedTuple):
         return (self.line, self.col)
 
 
+# groups: whitespace, int, ident, arrow, op, punct, bad
 _TOKEN_PATTERN = r"""
-    (?P<int>[\d{digits}]+)
-  | (?P<ident>{not_alpha}[^\W\d][\w']*)
-  | (?P<arrow>->)
-  | (?P<op>!>=|!>|!=|<=|>=|/\\|\\/|[<>=+\-*])
-  | (?P<punct>[()\[\]:])
-  | (?P<bad>\S)
+    (\s*)
+    (?: ([\d{digits}]+)
+      | ({not_alpha}[^\W\d][\w']*)
+      | (->)
+      | (!>=|!>|!=|<=|>=|/\\|\\/|[<>=+\-*])
+      | ([()\[\]:])
+      | (\S)
+      | $ )
 """
 
 
@@ -89,30 +96,45 @@ _TOKENS = _token_regex("")
 
 def _token_finder(text: str):
     if text.isascii():
-        return _TOKENS.finditer
+        return _TOKENS.findall
     numeric = "".join(sorted(c for c in set(text) if c.isalnum()
                              and not c.isalpha() and not c.isdecimal()))
-    return _token_regex(numeric).finditer if numeric else _TOKENS.finditer
+    return _token_regex(numeric).findall if numeric else _TOKENS.findall
 
 
 def tokenize(text: str, first_line: int = 1) -> list[Token]:
     """The tokens of `text`, its lines numbered from `first_line`."""
-    finditer = _token_finder(text)
+    findall = _token_finder(text)
     tokens: list[Token] = []
     append = tokens.append
-    for line, chunk in enumerate(text.split("\n"), first_line):
-        for m in finditer(chunk):
-            kind = m.lastgroup
-            start = m.start()
-            if kind == "int" and start and chunk[start - 1] == "-" and (
-                    len(tokens) < 2 or not _is_operand(tokens[-2])):
-                # `-` right before digits, not after an operand: a literal
-                tokens[-1] = Token("int", "-" + m.group(), line, start)
-            elif kind == "bad":
-                raise ParseError(f"unexpected character {m.group()!r}",
-                                 line, start + 1)
-            else:
-                append(_new(Token, (kind, m.group(), line, start + 1)))
+    line = first_line
+    for chunk in text.split("\n"):
+        col = 1     # the column where the next match starts
+        for space, num, ident, arrow, op, punct, bad in findall(chunk):
+            col += len(space)
+            if ident:
+                append(_new(Token, ("ident", ident, line, col)))
+                col += len(ident)
+            elif punct:
+                append(_new(Token, ("punct", punct, line, col)))
+                col += 1
+            elif op:
+                append(_new(Token, ("op", op, line, col)))
+                col += len(op)
+            elif num:
+                if not space and col > 1 and chunk[col - 2] == "-" and (
+                        len(tokens) < 2 or not _is_operand(tokens[-2])):
+                    # `-` right before digits, not after an operand: a literal
+                    tokens[-1] = _new(Token, ("int", "-" + num, line, col - 1))
+                else:
+                    append(_new(Token, ("int", num, line, col)))
+                col += len(num)
+            elif arrow:
+                append(_new(Token, ("arrow", arrow, line, col)))
+                col += 2
+            elif bad:
+                raise ParseError(f"unexpected character {bad!r}", line, col)
+        line += 1
     return tokens
 
 
@@ -155,7 +177,10 @@ def _strip_comments(text: str) -> str:
 # Both parsers keep explicit stacks. Terms use precedence climbing over the
 # levels of `theory.INFIX_LEVELS`, with juxtaposition as level `_L_APP`; an
 # open parenthesis is a level-0 entry on the operator stack, so nesting
-# depth is not bounded by Python's recursion limit.
+# depth is not bounded by Python's recursion limit. An application is one
+# `PreApp` of a name and all its arguments: an argument given to an
+# application, parenthesised or infix, joins its argument list, which is
+# the application spine `typecheck` types.
 
 _L_OR, _L_AND, _L_CMP, _L_ADD, _L_MUL, _L_APP, _L_ATOM = 1, 2, 3, 4, 5, 6, 7
 _NON_ASSOC_LEVELS = (_L_CMP,)
@@ -163,24 +188,15 @@ _LEVEL = theory.INFIX_LEVELS
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], end_line: int = 0):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
-        self.end_line = end_line or (tokens[-1].line if tokens else 1)
 
-    def next(self) -> Token:
-        """The next token, consumed; the end of input is an error."""
-        i = self.i
-        if i >= len(self.tokens):
-            raise ParseError("unexpected end of input", self.end_line, 9999)
-        self.i = i + 1
-        return self.tokens[i]
-
-    def expect(self, text: str) -> None:
-        t = self.next()
-        if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text!r}",
-                             t.line, t.col)
+    def end_error(self) -> ParseError:
+        """The error of reading past the last token, placed just after it."""
+        last = self.tokens[-1]
+        return ParseError("unexpected end of input", last.line,
+                          last.col + len(last.text))
 
     def at_end(self) -> bool:
         return self.i >= len(self.tokens)
@@ -192,66 +208,92 @@ class _Parser:
         which includes a second comparison operator at the same level."""
         tokens = self.tokens
         n = len(tokens)
+        i = self.i
         operands: list[PreTerm] = []    # left operands of `operators`
-        # (level, infix operator token); an open parenthesis is level 0
-        # and a pending application `_L_APP`, both without a token
-        operators: list[tuple] = []
+        # levels: an infix operator's, 0 for an open parenthesis, `_L_APP`
+        # for a pending application; `infixes` has each infix operator's leaf
+        operators: list[int] = []
+        infixes: list[PreLeaf] = []
         while True:
             # an operand
-            t = self.next()
-            kind = t.kind
+            if i == n:
+                raise self.end_error()
+            kind, text, line, col = tokens[i]
+            i += 1
             if kind == "ident" or kind == "int":
-                operand = _new(PreLeaf, (t.text, (t.line, t.col)))
-            elif t.text == "(":
-                operators.append((0, None))
+                operand = _new(PreLeaf, (text, (line, col)))
+            elif text == "(":
+                operators.append(0)
                 continue
-            elif t.text == "[":
-                op = self.next()
-                if op.kind != "op":
+            elif text == "[":
+                if i == n:
+                    raise self.end_error()
+                kind, text, line, col = tokens[i]
+                if kind != "op":
                     raise ParseError(
                         "expected an infix operator inside brackets, "
-                        f"found {op.text!r}", op.line, op.col)
-                self.expect("]")
-                operand = _new(PreLeaf, (op.text, (op.line, op.col)))
+                        f"found {text!r}", line, col)
+                i += 1
+                if i == n:
+                    raise self.end_error()
+                t = tokens[i]
+                if t.text != "]":
+                    raise ParseError(f"expected ']', found {t.text!r}",
+                                     t.line, t.col)
+                i += 1
+                operand = _new(PreLeaf, (text, (line, col)))
             else:
-                raise ParseError(f"unexpected token {t.text!r}", t.line, t.col)
+                raise ParseError(f"unexpected token {text!r}", line, col)
             # what follows an operand
             while True:
-                if operators and operators[-1][0] == _L_APP:
+                if operators and operators[-1] == _L_APP:
                     operators.pop()
                     head = operands.pop()
-                    operand = _new(PreApp, (head, operand, head.pos))
-                i = self.i
+                    if type(head) is PreApp:
+                        head.args.append(operand)
+                        operand = head
+                    else:
+                        operand = _new(PreApp, (head, [operand]))
                 if i < n:
-                    t = tokens[i]
-                    kind = t.kind
+                    kind, text, line, col = tokens[i]
                     if kind == "op":
-                        level = _LEVEL[t.text]
-                        while operators and operators[-1][0] > level:
-                            operand = _infix(operators.pop()[1],
-                                             operands.pop(), operand)
-                        top = operators[-1][0] if operators else 0
+                        level = _LEVEL[text]
+                        while operators and operators[-1] > level:
+                            operators.pop()
+                            operand = _new(PreApp, (infixes.pop(), [
+                                operands.pop(), operand]))
+                        top = operators[-1] if operators else 0
                         if top < level or level not in _NON_ASSOC_LEVELS:
                             if top == level:
-                                operand = _infix(operators.pop()[1],
-                                                 operands.pop(), operand)
+                                operators.pop()
+                                operand = _new(PreApp, (infixes.pop(), [
+                                    operands.pop(), operand]))
                             operands.append(operand)
-                            operators.append((level, t))
-                            self.i = i + 1
+                            operators.append(level)
+                            infixes.append(_new(PreLeaf, (text, (line, col))))
+                            i += 1
                             break
                     elif (kind == "ident" or kind == "int"
-                          or t.text == "(" or t.text == "["):
+                          or text == "(" or text == "["):
                         operands.append(operand)
-                        operators.append((_L_APP, None))
+                        operators.append(_L_APP)
                         break
                 # the term, or the innermost parenthesised group, ends here
-                while operators and operators[-1][0]:
-                    operand = _infix(operators.pop()[1], operands.pop(),
-                                     operand)
+                while operators and operators[-1]:
+                    operators.pop()
+                    operand = _new(PreApp, (infixes.pop(), [operands.pop(),
+                                                            operand]))
                 if not operators:
+                    self.i = i
                     return operand
                 operators.pop()
-                self.expect(")")
+                if i == n:
+                    raise self.end_error()
+                t = tokens[i]
+                if t.text != ")":
+                    raise ParseError(f"expected ')', found {t.text!r}",
+                                     t.line, t.col)
+                i += 1
 
     # types ----------------------------------------------------------------
 
@@ -259,37 +301,42 @@ class _Parser:
         """A type; `->` associates to the right. One chain of arrow
         operands per open parenthesis. A new sort name gets its base type
         in `base_types`."""
+        tokens = self.tokens
+        n = len(tokens)
+        i = self.i
         chains: list[list[Type]] = [[]]
         while True:
-            t = self.next()
-            if t.text == "(":
+            if i == n:
+                raise self.end_error()
+            kind, text, line, col = tokens[i]
+            i += 1
+            if text == "(":
                 chains.append([])
                 continue
-            if t.kind != "ident":
-                raise ParseError(f"expected a type, found {t.text!r}",
-                                 t.line, t.col)
-            ty = base_types.get(t.text)
+            if kind != "ident":
+                raise ParseError(f"expected a type, found {text!r}", line, col)
+            ty = base_types.get(text)
             if ty is None:
-                ty = base_types[t.text] = BaseType(t.text)
+                ty = base_types[text] = BaseType(text)
             while True:
                 chains[-1].append(ty)
-                i = self.i
-                if i < len(self.tokens) and self.tokens[i].kind == "arrow":
-                    self.i = i + 1
+                if i < n and tokens[i].kind == "arrow":
+                    i += 1
                     break
                 chain = chains.pop()
                 ty = chain.pop()
                 while chain:
                     ty = ArrowType(chain.pop(), ty)
                 if not chains:
+                    self.i = i
                     return ty
-                self.expect(")")
-
-
-def _infix(op: Token, left: PreTerm, right: PreTerm) -> PreApp:
-    pos = (op.line, op.col)
-    return _new(PreApp, (_new(PreApp, (_new(PreLeaf, (op.text, pos)), left,
-                                        pos)), right, pos))
+                if i == n:
+                    raise self.end_error()
+                t = tokens[i]
+                if t.text != ")":
+                    raise ParseError(f"expected ')', found {t.text!r}",
+                                     t.line, t.col)
+                i += 1
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +377,7 @@ def parse_system(text: str) -> System:
     declarations: list[FunctionSymbol] = []
     bound: Optional[int] = None
     base_types = {"Int": theory.INT_T, "Bool": theory.BOOL_T}
-    rule_lines: list[tuple[int, list[Token], list[Token], list[Token]]] = []
+    rule_lines: list[tuple[list[Token], list[Token], list[Token]]] = []
 
     for lineno, line in enumerate(stripped.split("\n"), start=1):
         tokens = tokenize(line, first_line=lineno)
@@ -344,10 +391,10 @@ def parse_system(text: str) -> System:
             if name in _RESERVED:
                 raise ParseError(f"'{name}' is a reserved name", lineno,
                                  tokens[1].col)
-            parser = _Parser(tokens[3:], end_line=lineno)
+            parser = _Parser(tokens[3:])
             ty = parser.parse_type(base_types)
             if not parser.at_end():
-                t = parser.next()
+                t = parser.tokens[parser.i]
                 raise ParseError(f"unexpected token {t.text!r} after type",
                                  t.line, t.col)
             symbol = FunctionSymbol(name, ty)
@@ -358,7 +405,7 @@ def parse_system(text: str) -> System:
             declarations.append(symbol)
         elif head.text == "rule":
             lhs_toks, rhs_toks, con_toks = _split_rule_tokens(tokens[1:], lineno)
-            rule_lines.append((lineno, lhs_toks, rhs_toks, con_toks))
+            rule_lines.append((lhs_toks, rhs_toks, con_toks))
         elif head.text == "option":
             if len(tokens) < 3 or tokens[1].kind != "ident":
                 raise ParseError("expected 'option KEY VALUE'", lineno, head.col)
@@ -383,12 +430,12 @@ def parse_system(text: str) -> System:
                 lineno, head.col)
 
     rules = []
-    for lineno, lhs_toks, rhs_toks, con_toks in rule_lines:
+    for lhs_toks, rhs_toks, con_toks in rule_lines:
         ctx: dict[str, Variable] = {}
-        lhs = typecheck(_parse_pre(lhs_toks, lineno), signature, ctx)
-        rhs = typecheck(_parse_pre(rhs_toks, lineno), signature, ctx,
+        lhs = typecheck(_parse_pre(lhs_toks), signature, ctx)
+        rhs = typecheck(_parse_pre(rhs_toks), signature, ctx,
                         expected=lhs.type)
-        constraint = typecheck(_parse_pre(con_toks, lineno), signature, ctx,
+        constraint = typecheck(_parse_pre(con_toks), signature, ctx,
                                expected=theory.BOOL_T)
         try:
             rules.append(Rule(lhs, rhs, constraint))
@@ -428,11 +475,11 @@ def _split_rule_tokens(tokens: list[Token], lineno: int
     return lhs, rhs, constraint
 
 
-def _parse_pre(tokens: list[Token], lineno: int) -> PreTerm:
-    parser = _Parser(tokens, end_line=lineno)
+def _parse_pre(tokens: list[Token]) -> PreTerm:
+    parser = _Parser(tokens)
     pre = parser.parse_term()
     if not parser.at_end():
-        t = parser.next()
+        t = parser.tokens[parser.i]
         raise ParseError(f"unexpected token {t.text!r}", t.line, t.col)
     return pre
 
@@ -445,7 +492,7 @@ def parse_term(text: str, system_or_signature,
     tokens = tokenize(text)
     if not tokens:
         raise ParseError("empty term", 1, 1)
-    pre = _parse_pre(tokens, tokens[-1].line)
+    pre = _parse_pre(tokens)
     return typecheck(pre, sig, context, expected)
 
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .core import (
-    BaseType, BOOL_T, FunctionSymbol, INT_T, LcstrsError, Signature, Term,
+    App, BaseType, BOOL_T, FunctionSymbol, INT_T, LcstrsError, Signature, Term,
     Variable, arrow, is_theory_sort_type,
 )
 
@@ -250,22 +250,34 @@ def _compile(term: Term, index: dict[Variable, int], bound: int) -> Compiled:
     return make(*compiled, bound)
 
 
-def try_calculate(term: Term, bound: int = 0) -> Optional[Term]:
+def try_calculate(term: Term, bound: int = 0,
+                  head: Optional[Term] = None) -> Optional[Term]:
     """The unique root-level calculation step, if the term admits one.
 
     Applies when the term is an interpreted theory symbol fully applied to
     values and its type is a theory sort; the result is the value symbol
-    with the same interpretation. Otherwise returns None.
+    with the same interpretation. Otherwise returns None. `head` is the
+    term's head leaf, where the caller has it.
     """
-    head, args = term.spine()
+    if head is None:
+        head = term
+        while type(head) is App:
+            head = head.head
     operation = _OPERATIONS.get(head)
     if operation is None and not head.is_theory_term:   # the common miss
         return None
-    if not all(a.is_value for a in args) or not is_theory_sort_type(term.type):
+    if not is_theory_sort_type(term.type):
         return None
+    args = []
+    while type(term) is App:
+        if not term.arg.is_value:
+            return None
+        args.append(term.arg)
+        term = term.head
+    args.reverse()
     if operation is not None:
         return value_symbol(operation(*map(semantic_value, args)))
-    expanded = expansion(head, args, bound)
+    expanded = expansion(head, tuple(args), bound)
     return None if expanded is None else value_symbol(_eval(expanded, bound, None))
 
 

@@ -29,10 +29,7 @@ def leaf(name):
 
 
 def pre(*names):
-    out = leaf(names[0])
-    for n in names[1:]:
-        out = PreApp(out, leaf(n))
-    return out
+    return PreApp(leaf(names[0]), [leaf(n) for n in names[1:]])
 
 
 class TestTypes:

@@ -20,10 +20,12 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from helpers import reference_strip_comments, reference_tokenize
+from helpers import (
+    gen_system, reference_strip_comments, reference_tokenize, system_text,
+)
 from lcstrs import syntax, theory
 from lcstrs.cli import main
-from lcstrs.core import FunctionSymbol, INT_T, LcstrsError, TypingError
+from lcstrs.core import App, FunctionSymbol, INT_T, LcstrsError, TypingError
 from lcstrs.syntax import (
     ParseError, _strip_comments, parse_system, parse_term, print_term,
     tokenize,
@@ -107,15 +109,45 @@ def random_lexer_inputs(count: int, seed: int) -> list[str]:
             for _ in range(count)]
 
 
+def assert_lexes_as_reference(count: int, seed: int = 7) -> None:
+    """`tokenize` against `helpers.reference_tokenize` on `count` random
+    strings, each also with its comments blanked where it has any."""
+    for text in random_lexer_inputs(count, seed):
+        assert lexed(text) == reference_lexed(text), repr(text)
+        try:
+            blanked = _strip_comments(text)
+        except ParseError:
+            continue
+        assert lexed(blanked) == reference_lexed(blanked), repr(blanked)
+
+
 class TestLexerDifferential:
     def test_every_line_of_the_shipped_systems(self):
         for path in sorted(SYSTEMS.glob("*.lcstrs")):
-            for lineno, line in enumerate(path.read_text().split("\n"), 1):
-                assert lexed(line) == reference_lexed(line), (path, lineno)
+            text = path.read_text()
+            for lines in (text.split("\n"), _strip_comments(text).split("\n")):
+                for lineno, line in enumerate(lines, 1):
+                    assert lexed(line) == reference_lexed(line), (path, lineno)
 
     def test_random_strings(self):
-        for text in random_lexer_inputs(2000, seed=7):
-            assert lexed(text) == reference_lexed(text), repr(text)
+        assert_lexes_as_reference(2000)
+
+    # blank texts end a match at the end of a line rather than at a token,
+    # and texts with numeric characters outside ASCII get their own pattern
+    BLANK_AND_NUMERIC = [
+        "", " ", "\t", "   ", "\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0 ",
+        "\n", "\n\n", " \n \n", "\r\n", "x \n   \n y", "x ", "  x  ",
+        "(* a comment *)", "(* (* nested *) *) x", "x (* trailing *)",
+        "fun f : Int (* type *)\n(*\n  spans lines\n*)\nrule f x -> x [true]",
+        "²", "x² ½", "٣٤ + x", "Ⅷ", "-²", "-٣", "1²-²", " ²\n½", "x½y ٣",
+        "f (-٣) ²", "λ²'", "²x", "½x", "x\u2460", "\u2460", "٣\n-1",
+    ]
+
+    @pytest.mark.parametrize("text", BLANK_AND_NUMERIC)
+    def test_blank_and_numeric_texts(self, text):
+        assert lexed(text) == reference_lexed(text)
+        blanked = _strip_comments(text)
+        assert lexed(blanked) == reference_lexed(blanked)
 
     def test_first_line_offset(self):
         for text in random_lexer_inputs(200, seed=8):
@@ -140,6 +172,85 @@ class TestLexerDifferential:
             except ParseError as e:
                 want = str(e)
             assert got == want, repr(text)
+
+
+class TestLexerScale:
+    """One match per token and one at the end of each line: a blank line
+    is not scanned again from each of its characters."""
+
+    SCRIPT = """
+import sys
+from time import perf_counter
+from lcstrs.syntax import tokenize
+
+def seconds(text):
+    best = float("inf")
+    for _ in range(3):
+        start = perf_counter()
+        tokenize(text)
+        best = min(best, perf_counter() - start)
+    return best
+
+# each blank text against one of the same shape that ends in a token
+for blank, ended in ((" " * 100000, " " * 99999 + "x"),
+                     ("\\n".join([" " * 60] * 20000),
+                      "\\n".join([" " * 59 + "x"] * 20000))):
+    print(seconds(blank), seconds(ended))
+"""
+
+    def test_blank_input_is_linear(self):
+        env = dict(os.environ, PYTHONPATH=str(TESTS.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.stderr == ""
+        for line in proc.stdout.splitlines():
+            blank, ended = map(float, line.split())
+            assert blank <= 3 * ended + 0.02, line
+
+
+# ---------------------------------------------------------------------------
+# Typed construction: what `typecheck` builds without the check
+
+
+def assert_typed_as_checked(count: int, seed: int = 11) -> None:
+    """Every application node of the rules of `count` seeded systems, read
+    from their text, against the node rebuilt bottom-up by the checked
+    `App(head, arg)`."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        system = parse_system(system_text(gen_system(rng)))
+        for rule in system.rules:
+            for term in (rule.lhs, rule.rhs, rule.constraint):
+                checked = {}    # id of a node -> its checked rebuild
+                stack = [(term, False)]
+                while stack:
+                    node, children_done = stack.pop()
+                    if type(node) is not App:
+                        continue
+                    if not children_done:
+                        stack += ((node, True), (node.arg, False),
+                                  (node.head, False))
+                        continue
+                    head = checked.get(id(node.head), node.head)
+                    arg = checked.get(id(node.arg), node.arg)
+                    again = checked[id(node)] = App(head, arg)
+                    assert again == node and hash(again) == hash(node)
+                    assert (again.type, again.free_vars, again.size,
+                            again.is_theory_term) == (
+                        node.type, node.free_vars, node.size,
+                        node.is_theory_term), print_term(node)
+
+
+class TestTypedConstruction:
+    def test_nodes_equal_their_checked_rebuild(self):
+        assert_typed_as_checked(150)
+
+    def test_library_construction_still_checks(self):
+        with pytest.raises(TypingError):
+            App(theory.int_value(1), theory.int_value(2))
+        with pytest.raises(TypingError):
+            App(theory.ADD, theory.TRUE)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +379,8 @@ class TestDeepInputs:
     def test_deep_term_errors_are_clean(self, fact_system):
         with pytest.raises(ParseError) as err:
             parse_term("(" * 4000 + "1" + ")" * 3999, fact_system)
-        assert str(err.value) == "1:9999: unexpected end of input"
+        # just past the last token, the 3999th `)`
+        assert str(err.value) == "1:8001: unexpected end of input"
         with pytest.raises(ParseError) as err:
             parse_term("1" + " < 1" * 3000, fact_system)
         assert str(err.value) == "1:7: unexpected token '<'"

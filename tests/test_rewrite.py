@@ -141,8 +141,11 @@ class TestRespects:
                               *(e for _, e in variable_headed)],
                              key=lambda e: e[0])
             assert [e[0] for e in entries] == list(range(len(rules)))
-            for rule, (_, same, logical, holds) in zip(rules, entries):
-                assert same is rule
+            for rule, (_, same, lhs, logical, fresh, holds) in zip(rules,
+                                                                  entries):
+                assert same is rule and lhs == rule.lhs
+                assert fresh == tuple(v for v in logical
+                                      if v not in rule.lhs.free_vars)
                 assert logical == tuple(sorted(rule.logical_vars,
                                                key=lambda v: v.name))
                 for _ in range(10):

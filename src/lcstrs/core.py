@@ -1,7 +1,9 @@
 """Applicative simply-typed terms over a signature with built-in theory sorts.
 
 Terms are immutable trees of function symbols, variables and applications.
-Every node stores its type and a few derived facts when it is built (free
+An application is flat, `App(head, args)`: a symbol or a variable applied
+to all its arguments, so `f a b` is one node however it was built. Every
+node stores its type and a few derived facts when it is built (free
 variables, size, whether the term is built from theory material only,
 whether it is a value), and later at most a mark, written by `rewrite`,
 that it is normal under some system; no field, equality or hash reads it.
@@ -132,36 +134,28 @@ def is_theory_sort_type(t: Type) -> bool:
 
 
 class Term:
-    """Base class for terms. Symbols and variables are themselves terms."""
+    """Base class for terms. Symbols and variables are themselves terms:
+    a leaf is its own head, with no arguments. Positions are curried: in
+    `f s1 .. sn`, 0 is the prefix `f s1 .. s(n-1)` and 1 is `sn`."""
 
     type: Type
     free_vars: frozenset
     size: int
     is_theory_term: bool
+    args: tuple = ()
     is_value = False    # each function symbol stores its own
     value = None        # a value symbol's semantic value, set by the theory
     _hash = None
 
-    def spine(self) -> tuple["Term", tuple["Term", ...]]:
-        """Decompose into the head leaf and the argument list."""
-        t, args = self, []
-        while isinstance(t, App):
-            args.append(t.arg)
-            t = t.head
-        return t, tuple(reversed(args))
-
     def apply(self, *args: "Term") -> "Term":
-        t = self
-        for a in args:
-            t = App(t, a)
-        return t
+        return App(self, args) if args else self
 
     def subterm_at(self, position: tuple[int, ...]) -> "Term":
         t = self
         for step in position:
-            if not isinstance(t, App) or step not in (0, 1):
+            if not t.args or step not in (0, 1):
                 raise LcstrsError(f"invalid position {list(position)}")
-            t = t.head if step == 0 else t.arg
+            t = t.curried()[step]
         return t
 
     def replace_at(self, position: tuple[int, ...], replacement: "Term") -> "Term":
@@ -170,11 +164,21 @@ class Term:
                 raise TypingError(
                     f"replacement has type {replacement.type}, expected {self.type}")
             return replacement
-        if not isinstance(self, App) or position[0] not in (0, 1):
+        if not self.args or position[0] not in (0, 1):
             raise LcstrsError(f"invalid position {list(position)}")
-        if position[0] == 0:
-            return App(self.head.replace_at(position[1:], replacement), self.arg)
-        return App(self.head, self.arg.replace_at(position[1:], replacement))
+        parts = list(self.curried())
+        parts[position[0]] = parts[position[0]].replace_at(position[1:],
+                                                           replacement)
+        return App(parts[0], (parts[1],))
+
+    def prefix(self, n: int) -> "Term":
+        """The head applied to the first `n` arguments."""
+        if n == len(self.args):
+            return self
+        ty = self.head.type
+        for _ in range(n):
+            ty = ty.result
+        return App._typed(self.head, self.args[:n], ty) if n else self.head
 
 
 @dataclass(frozen=True)
@@ -192,6 +196,8 @@ class FunctionSymbol(Term):
         object.__setattr__(self, "is_theory_term", self.is_theory)
         object.__setattr__(self, "is_value",
                            self.is_theory and isinstance(self.type, BaseType))
+
+    head = property(lambda self: self)
 
     def __hash__(self) -> int:
         h = self._hash
@@ -212,6 +218,8 @@ class Variable(Term):
         object.__setattr__(self, "size", 1)
         object.__setattr__(self, "is_theory_term", True)
 
+    head = property(lambda self: self)
+
     def __hash__(self) -> int:
         h = self._hash
         return h if h is not None else _store_hash(self, (self.name, self.type))
@@ -222,60 +230,64 @@ class Variable(Term):
 
 @dataclass(frozen=True)
 class App(Term):
+    """A symbol or a variable applied to one or more arguments, a head
+    application flattened in; `size` and `repr` are the curried term's."""
     head: Term
-    arg: Term
+    args: tuple[Term, ...]
 
     def __post_init__(self):
-        head, arg = self.head, self.arg
-        ht = head.type
-        if not isinstance(ht, ArrowType):
-            raise TypingError(
-                f"cannot apply a term of base type {ht} to an argument")
-        if ht.arg is not arg.type and ht.arg != arg.type:
-            raise TypingError(
-                f"argument has type {arg.type}, expected {ht.arg}")
-        # the derived fields, written past the frozen `__setattr__`
-        fields = self.__dict__
-        fields["type"] = ht.result
-        fields["free_vars"] = head.free_vars | arg.free_vars
-        fields["size"] = head.size + arg.size + 1
-        fields["is_theory_term"] = head.is_theory_term and arg.is_theory_term
+        head, args = self.head, tuple(self.args)
+        if type(head) is App:
+            head, args = head.head, head.args + args
+        if not args:
+            raise TypingError("an application needs an argument")
+        ty = head.type
+        for a in args:
+            if not isinstance(ty, ArrowType):
+                raise TypingError(
+                    f"cannot apply a term of base type {ty} to an argument")
+            if ty.arg is not a.type and ty.arg != a.type:
+                raise TypingError(
+                    f"argument has type {a.type}, expected {ty.arg}")
+            ty = ty.result
+        _fill(self, head, args, ty)
 
     @classmethod
-    def _rebuilt(cls, node: "App", head: Term, arg: Term) -> "App":
-        """`node` with its children replaced by terms of the same types,
-        built without the type check: the new node has `node`'s type."""
-        new = object.__new__(cls)
-        fields = new.__dict__
-        fields["head"] = head
-        fields["arg"] = arg
-        fields["type"] = node.type
-        fields["free_vars"] = head.free_vars | arg.free_vars
-        fields["size"] = head.size + arg.size + 1
-        fields["is_theory_term"] = head.is_theory_term and arg.is_theory_term
-        return new
+    def _typed(cls, head: Term, args: tuple, ty: Type) -> "App":
+        """`head`, a leaf, applied to `args` of the types it takes, giving
+        `ty`: built without the check."""
+        return _fill(object.__new__(cls), head, args, ty)
 
-    @classmethod
-    def _typed(cls, head: Term, arg: Term) -> "App":
-        """`head` applied to `arg`, which has the type `head` takes, built
-        without the type check."""
-        new = object.__new__(cls)
-        fields = new.__dict__
-        fields["head"] = head
-        fields["arg"] = arg
-        fields["type"] = head.type.result
-        hv, av = head.free_vars, arg.free_vars
-        fields["free_vars"] = hv | av if hv and av else hv or av
-        fields["size"] = head.size + arg.size + 1
-        fields["is_theory_term"] = head.is_theory_term and arg.is_theory_term
-        return new
+    def curried(self) -> tuple[Term, Term]:
+        """The prefix without the last argument, and that argument: the
+        two children of the curried application."""
+        return self.prefix(len(self.args) - 1), self.args[-1]
 
     def __hash__(self) -> int:
         h = self._hash
-        return h if h is not None else _store_hash(self, (self.head, self.arg))
+        return h if h is not None else _store_hash(self, (self.head, self.args))
 
     def __repr__(self) -> str:
-        return f"({self.head!r} {self.arg!r})"
+        return "(" * len(self.args) + repr(self.head) + "".join(
+            f" {a!r})" for a in self.args)
+
+
+def _fill(node: App, head: Term, args: tuple, ty: Type) -> App:
+    """Write `node`'s fields, past the frozen `__setattr__`."""
+    free, size, theory = head.free_vars, head.size + len(args), head.is_theory_term
+    for a in args:
+        fv = a.free_vars
+        free = free | fv if free and fv else free or fv
+        size += a.size
+        theory = theory and a.is_theory_term
+    fields = node.__dict__
+    fields["head"] = head
+    fields["args"] = args
+    fields["type"] = ty
+    fields["free_vars"] = free
+    fields["size"] = size
+    fields["is_theory_term"] = theory
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +333,23 @@ class Substitution:
     def apply(self, term: Term) -> Term:
         """The instance of `term`. Each variable keeps its type, so every
         rebuilt application keeps the type it had and is not re-checked;
-        a ground subterm is shared, not copied."""
+        a ground subterm is shared, not copied. A variable head bound to
+        an application is flattened into it: `(x a)σ` with `σ(x) = f b`
+        is `f b a`."""
         mapping = self._map
-        rebuilt = App._rebuilt
+        typed = App._typed
 
         def instance(t: Term) -> Term:
             if not t.free_vars:
                 return t
-            if isinstance(t, Variable):
+            if type(t) is Variable:
                 return mapping.get(t, t)
-            return rebuilt(t, instance(t.head), instance(t.arg))
+            head, args = t.head, tuple(map(instance, t.args))
+            if type(head) is Variable:
+                head = mapping.get(head, head)
+                if type(head) is App:
+                    return typed(head.head, head.args + args, t.type)
+            return typed(head, args, t.type)
 
         return instance(term)
 
@@ -409,8 +428,8 @@ def typecheck(pre: PreTerm, signature: Signature,
     variable. Variable types come from `context` or are inferred from the
     position in which the variable first appears; conflicting uses are
     errors. `context` is updated in place with inferred variables. Each
-    application is built once its argument has the type its head takes,
-    so without the check that `App` makes.
+    application is one node, built once all its arguments have the types
+    its head takes, so without the check that `App` makes.
 
     An overloaded name tries its symbols in signature order on its whole
     application; the first that types it wins, and if none does, the
@@ -427,8 +446,8 @@ def typecheck(pre: PreTerm, signature: Signature,
     declared, known, lookup = (signature._by_name, signature._resolved,
                                signature.lookup)
     typed = App._typed
-    # open applications: [head applied so far, arguments, index of the
-    # argument being typed, expected type, position of the head]
+    # open applications: [head, arguments, those typed so far, type after
+    # them, expected type, position of the head]
     frames: list[list] = []
     choices: list[_Choice] = []
     while True:
@@ -463,7 +482,7 @@ def typecheck(pre: PreTerm, signature: Signature,
                     if type(ty) is not ArrowType:
                         raise TypingError(f"cannot apply a term of base type "
                                           f"{ty} to an argument", pos)
-                    frames.append([head, args, 0, expected, pos])
+                    frames.append([head, args, [], ty, expected, pos])
                     pre, expected = args[0], ty.arg
                     continue
                 # `head` is typed: close it and the applications it ends
@@ -479,18 +498,19 @@ def typecheck(pre: PreTerm, signature: Signature,
                     if not frames:
                         return t
                     frame = frames[-1]
-                    t = typed(frame[0], t)
-                    k = frame[2] + 1
-                    if k < len(frame[1]):
+                    done = frame[2]
+                    done.append(t)
+                    ty = frame[3].result
+                    if len(done) < len(frame[1]):
                         break
                     frames.pop()
-                    expected, pos = frame[3], frame[4]
-                ty = t.type
+                    t = typed(frame[0], tuple(done), ty)
+                    expected, pos = frame[4], frame[5]
                 if type(ty) is not ArrowType:
                     raise TypingError(f"cannot apply a term of base type "
-                                      f"{ty} to an argument", frame[4])
-                frame[0], frame[2] = t, k
-                pre, expected = frame[1][k], ty.arg
+                                      f"{ty} to an argument", frame[5])
+                frame[3] = ty
+                pre, expected = frame[1][len(done)], ty.arg
         except TypingError as e:
             error = e
         # go back to the innermost open choice with a symbol left

@@ -418,13 +418,15 @@ class Horpo:
             return Judgment("geq:strict", s, t, (strict,))
         if joinable_calc(s, t, self.params.bound):
             return Judgment("geq:calc-join", s, t)
-        if (not s.is_theory_term and isinstance(s, App) and isinstance(t, App)
-                and s.head.type == t.head.type):
-            head = self._run("geq", s.head, t.head)
-            if head is not None:
-                arg = self._run("geq", s.arg, t.arg)
-                if arg is not None:
-                    return Judgment("geq:app", s, t, (head, arg))
+        # the sides have one type: the prefixes do where the last arguments do
+        if (not s.is_theory_term and type(s) is App and type(t) is App
+                and s.args[-1].type == t.args[-1].type):
+            (s_prefix, s_last), (t_prefix, t_last) = s.curried(), t.curried()
+            prefix = self._run("geq", s_prefix, t_prefix)
+            if prefix is not None:
+                last = self._run("geq", s_last, t_last)
+                if last is not None:
+                    return Judgment("geq:app", s, t, (prefix, last))
         return None
 
     def _gt(self, s: Term, t: Term) -> Optional[Judgment]:
@@ -436,11 +438,10 @@ class Horpo:
             if descent is not None:
                 return Judgment("gt:descent", s, t, (descent,))
         if not s.is_theory_term:
-            s_head, s_args = s.spine()
-            t_head, t_args = t.spine()
-            if (s_head == t_head and s_args
+            s_args, t_args = s.args, t.args
+            if (s.head == t.head and s_args
                     and len(s_args) == len(t_args)):
-                case = ("gt:args-fun" if isinstance(s_head, FunctionSymbol)
+                case = ("gt:args-fun" if isinstance(s.head, FunctionSymbol)
                         else "gt:args-var")
                 weak = []
                 for si, ti in zip(s_args, t_args):
@@ -458,7 +459,7 @@ class Horpo:
     def _rpo(self, s: Term, t: Term) -> Optional[Judgment]:
         if s.is_theory_term:
             return None
-        s_head, s_args = s.spine()
+        s_head, s_args = s.head, s.args
         if not isinstance(s_head, FunctionSymbol):
             return None
         # (1) some argument already covers the whole of t
@@ -467,14 +468,15 @@ class Horpo:
                 j = self._run("geq", si, t)
                 if j is not None:
                     return Judgment("rpo:subterm", s, t, (j,), i)
-        t_head, t_args = t.spine()
-        # (2) descend into both parts of an application, head included.
-        # Peeling one argument at a time subsumes every way of splitting
-        # the application into a head and argument segments.
-        if isinstance(t, App):
-            left = self._run("rpo", s, t.head)
+        t_head, t_args = t.head, t.args
+        # (2) descend into the prefix and the last argument. Peeling one
+        # argument at a time subsumes every way of splitting the
+        # application into a head and argument segments.
+        if t_args:
+            prefix, last = t.curried()
+            left = self._run("rpo", s, prefix)
             if left is not None:
-                right = self._run("rpo", s, t.arg)
+                right = self._run("rpo", s, last)
                 if right is not None:
                     return Judgment("rpo:parts", s, t, (left, right))
         # (3) smaller head symbol by precedence

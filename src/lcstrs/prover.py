@@ -408,27 +408,25 @@ def _required(node: Judgment, rule: Rule, params: HorpoParams,
     s, t, i, cvars = node.lhs, node.rhs, node.data, rule.logical_vars
     match node.case:
         case "rpo:subterm":
-            head, args = _symbol_spine(s)
-            if (head is None or not _index(i, len(args))
-                    or args[i].type != t.type):
+            if (not _peelable(s) or not _index(i, len(s.args))
+                    or s.args[i].type != t.type):
                 return None
-            return [("geq", args[i], t)]
+            return [("geq", s.args[i], t)]
         case "geq:calc-join":
             joined = s.type == t.type and joinable_calc(s, t, params.bound)
             return [] if joined else None
         case "rpo:parts":
-            if _symbol_spine(s)[0] is None or not isinstance(t, App):
+            if not _peelable(s) or type(t) is not App:
                 return None
-            return [("rpo", s, t.head), ("rpo", s, t.arg)]
+            prefix, last = t.curried()
+            return [("rpo", s, prefix), ("rpo", s, last)]
         case "gt:descent":
             return [("rpo", s, t)] if s.type == t.type else None
         case "rpo:precedence":
-            s_head, _ = _symbol_spine(s)
-            t_head, t_args = t.spine()
-            if (s_head is None or not isinstance(t_head, FunctionSymbol)
-                    or not params.prec_gt(s_head, t_head)):
+            if (not _peelable(s) or not isinstance(t.head, FunctionSymbol)
+                    or not params.prec_gt(s.head, t.head)):
                 return None
-            return [("rpo", s, ti) for ti in t_args]
+            return [("rpo", s, ti) for ti in t.args]
         case "geq:theory" | "gt:theory":
             if not (s.is_theory_term and t.is_theory_term
                     and is_theory_sort_type(s.type) and s.type == t.type
@@ -440,9 +438,8 @@ def _required(node: Judgment, rule: Rule, params: HorpoParams,
                                      params.bound)
             return [] if verdict.is_yes else None
         case "rpo:lex" | "rpo:mul":
-            s_head, s_args = _symbol_spine(s)
-            t_head, t_args = t.spine()
-            if s_head is None or t_head != s_head or not t_args:
+            s_head, s_args, t_args = s.head, s.args, t.args
+            if not _peelable(s) or t.head != s_head or not t_args:
                 return None
             status = params.status_of(s_head)
             if node.case == "rpo:lex" and status == LEX:
@@ -476,23 +473,24 @@ def _required(node: Judgment, rule: Rule, params: HorpoParams,
             return ([("geq", si, ti) for si, ti in zip(s[:i], t[:i])]
                     + [("gt", s[i], t[i])])
         case "rpo:base":
-            if _symbol_spine(s)[0] is None or not (
+            if not _peelable(s) or not (
                     t.is_value or (isinstance(t, Variable) and t in cvars)):
                 return None
             return []
         case "geq:app":
-            if (s.is_theory_term or not isinstance(s, App)
-                    or not isinstance(t, App) or s.head.type != t.head.type):
+            # the prefixes have one type: the sides' and the last arguments'
+            if (s.is_theory_term or type(s) is not App or type(t) is not App
+                    or s.type != t.type or s.args[-1].type != t.args[-1].type):
                 return None
-            return [("geq", s.head, t.head), ("geq", s.arg, t.arg)]
+            (s_prefix, s_last), (t_prefix, t_last) = s.curried(), t.curried()
+            return [("geq", s_prefix, t_prefix), ("geq", s_last, t_last)]
         case "geq:strict":
             return [("gt", s, t)]
         case "gt:args-fun" | "gt:args-var":
             if s.is_theory_term:
                 return None
-            s_head, s_args = s.spine()
-            t_head, t_args = t.spine()
-            if (s_head != t_head or len(s_args) != len(t_args)
+            s_head, s_args, t_args = s.head, s.args, t.args
+            if (s_head != t.head or len(s_args) != len(t_args)
                     or isinstance(s_head, FunctionSymbol)
                     != (node.case == "gt:args-fun")
                     or not _index(i, len(s_args))):
@@ -506,10 +504,6 @@ def _index(value, size: int) -> bool:
     return type(value) is int and 0 <= value < size
 
 
-def _symbol_spine(s: Term):
-    """The head symbol and arguments of a term the descent relation can
-    peel, or (None, ()) for a theory term or a variable-headed one."""
-    if s.is_theory_term:
-        return None, ()
-    head, args = s.spine()
-    return (head, args) if isinstance(head, FunctionSymbol) else (None, ())
+def _peelable(s: Term) -> bool:
+    """Whether `s` is no theory term and a function symbol heads it."""
+    return not s.is_theory_term and isinstance(s.head, FunctionSymbol)

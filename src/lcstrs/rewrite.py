@@ -12,6 +12,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
+from operator import is_not
 from typing import Optional, Sequence, Union
 
 from .core import (
@@ -45,10 +46,12 @@ def match(pattern: Term, subject: Term) -> Optional[Substitution]:
     while stack:
         p, s = pop()
         if type(p) is App:
-            if type(s) is not App:
+            # a variable head binds the rest: `x a` matches `f b a`, x := f b
+            extra = len(s.args) - len(p.args)
+            if extra < 0 or extra and type(p.head) is not Variable:
                 return None
-            push((p.head, s.head))
-            push((p.arg, s.arg))
+            push((p.head, s.prefix(extra) if extra else s.head))
+            stack += zip(p.args, s.args[extra:])
         elif type(p) is Variable:
             if p.type is not s.type and p.type != s.type:
                 return None
@@ -132,11 +135,11 @@ class RewriteStep:
 Contraction = tuple[Optional[int], Optional[Substitution], Term]
 
 
-def _probe(redex: Term, head: Term, rules: Sequence[tuple],
-           system: System, inputs: InputSource) -> list[Contraction]:
-    """Every step at the root of `redex`, with head leaf `head`: rule steps
-    in file order, then the calculation step if one applies. `rules` are
-    the entries `_rules_at` gives for the redex.
+def _probe(redex: Term, rules: Sequence[tuple], system: System,
+           inputs: InputSource) -> list[Contraction]:
+    """Every step at the root of `redex`: rule steps in file order, then
+    the calculation step if one applies. `rules` are the entries
+    `_rules_at` gives for the redex.
 
     Every rule that matches draws values for its fresh variables, even
     after an earlier rule applied and even if its constraint then fails,
@@ -162,8 +165,8 @@ def _probe(redex: Term, head: Term, rules: Sequence[tuple],
         if None not in values and holds(values):
             found.append((index, subst, subst.apply(rule.rhs)))
     # only a theory symbol or a variable heads a calculation redex
-    calculated = (try_calculate(redex, system.bound, head)
-                  if head.is_theory_term else None)
+    calculated = (try_calculate(redex, system.bound)
+                  if redex.head.is_theory_term else None)
     if calculated is not None:
         found.append((None, None, calculated))
     return found
@@ -176,12 +179,11 @@ def step_at(term: Term, position: Position, system: System,
     redex = term.subterm_at(position)
     if inputs is None:
         inputs = InputSource()
-    head, args = redex.spine()
-    rules = _rules_at(_compiled(system), (head, len(args))) or ()
-    found = _probe(redex, head, rules, system, inputs)
+    rules = _rules_at(_compiled(system), (redex.head, len(redex.args))) or ()
     return [RewriteStep(position, index, subst,
                         term.replace_at(position, contractum))
-            for index, subst, contractum in found]
+            for index, subst, contractum in _probe(redex, rules, system,
+                                                   inputs)]
 
 
 def _compiled(system: System) -> tuple:
@@ -193,15 +195,15 @@ def _compiled(system: System) -> tuple:
     variables at the system's bound), with an empty entry for every theory
     operator at its arity; (argument count, entry) for each
     variable-headed left side; the constant left sides; and `D`, the
-    deepest position of a left side, at least 2, unbounded if a left side
-    is non-linear. Rules with equal left sides, one after the other in the
-    file, share one left side object. It depends on the rules alone, not
-    on the terms."""
+    deepest level of a left side, its root's arguments at level 1, at
+    least 1, unbounded if a left side is non-linear. Rules with equal left
+    sides, one after the other in the file, share one left side object.
+    It depends on the rules alone, not on the terms."""
     compiled = system.__dict__.get("_compiled")
     if compiled is not None:
         return compiled
     table = {(op, op.type.arity): [] for op in OPERATORS}
-    variable_headed, depth = [], 2
+    variable_headed, depth = [], 1
     lhs = None
     for index, rule in enumerate(system.rules):
         if lhs is None or not _same(lhs, rule.lhs):
@@ -210,19 +212,16 @@ def _compiled(system: System) -> tuple:
         entry = (index, rule, lhs, logical,
                  tuple(v for v in logical if v not in lhs.free_vars),
                  compile_constraint(rule.constraint, logical, system.bound))
-        head, args = lhs.spine()
-        if type(head) is Variable:
-            variable_headed.append((len(args), entry))
+        if type(lhs.head) is Variable:
+            variable_headed.append((len(lhs.args), entry))
         else:
-            table.setdefault((head, len(args)), []).append(entry)
+            table.setdefault((lhs.head, len(lhs.args)), []).append(entry)
         occurrences, stack = 0, [(lhs, 0)]
         while stack:
             t, below = stack.pop()
-            if type(t) is App:
-                stack += ((t.head, below + 1), (t.arg, below + 1))
-            else:
-                occurrences += type(t) is Variable
-                depth = max(depth, below)
+            occurrences += type(t.head) is Variable
+            depth = max(depth, below)
+            stack += ((a, below + 1) for a in t.args)
         if occurrences > len(lhs.free_vars):
             depth = math.inf
     constants = frozenset(head for head, nargs in table if nargs == 0)
@@ -235,10 +234,9 @@ def _same(s: Term, t: Term) -> bool:
     stack = [(s, t)]
     while stack:
         a, b = stack.pop()
-        if type(a) is App and type(b) is App:
-            stack += ((a.head, b.head), (a.arg, b.arg))
-        elif type(a) is App or type(b) is App or a != b:
+        if a.head != b.head or len(a.args) != len(b.args):
             return False
+        stack += zip(a.args, b.args)
     return True
 
 
@@ -274,32 +272,32 @@ def normalize(term: Term, system: System, strategy: str = "innermost",
     Each step takes the first step `step_at` lists at the first position
     that has one, in leftmost-innermost (head subtree, argument subtree,
     node) or leftmost-outermost (node, head subtree, argument subtree)
-    order. One walk on an explicit stack serves every step: a step rebuilds
-    the hole's open ancestors into their frames, so every pending entry
-    stays current, and the walk goes on at the contractum, where innermost
-    probes the ancestors as it leaves them. Outermost goes back to the
-    ancestor `D` above the hole (see `_compiled`) to probe again those
-    below it, past the subtrees left of the path, marked normal. One
-    farther up was probed without a step or a draw, and still gives none:
-    the hole lies strictly under a position where each left side has a
-    variable, bound to an application before and after the step, never to
-    a value, so neither a linear match nor a constraint changes, or a
-    symbol, which that application fails to match; a calculation reads two
-    levels down. A hole on its head chain gives it a new head, but a left
-    side for that head is at least as deep as the chain. After a step that
+    order of the curried term, whose positions in a node `f s1 .. sn` are
+    its prefixes `f s1 .. sk` with a key (f, k) in the rule table. One walk
+    on an explicit stack serves every step: a step rebuilds the hole's
+    open ancestors into their frames, so every pending entry stays
+    current. Innermost goes on at the contractum, or walks the node again
+    after a step at one of its prefixes, and probes the ancestors as it
+    leaves them. Outermost goes back to the ancestor `D` levels above the
+    hole's node (see `_compiled`) to probe again those below it, past the
+    arguments left of the path, marked normal. One farther up was probed
+    without a step or a draw, and still gives none: the hole lies under a
+    position where each left side has a variable, bound to an application
+    before and after the step, never to a value, so neither a linear match
+    nor a constraint changes, or a symbol, which that application fails
+    to match; it may lie among the arguments a variable head takes, still
+    an application. A calculation reads one level down. After a step that
     follows an input draw (`inputs` counts them), the walk starts again at
     the root, so draws happen in the order a walk from the root makes them.
-    The walk carries each node's head leaf and argument count, and probes
-    a node only where a left side or a theory operator can match.
 
-    A subterm whose whole subtree was walked without a step and without
-    an input drawn is marked normal for `system` (its `_normal` entry is
-    the system's token), in this call or an earlier one, and skipped: no
-    input was drawn below a mark, so it depends only on the rules and the
-    bound, which a frozen `System` fixes. The token is a bare object the
-    system holds, so a marked leaf that every system shares, such as
-    `int_value(0)`, keeps none alive, and another system's mark costs a
-    rescan. The trace keeps at most `TRACE_CAP` steps.
+    A node whose whole subtree, every prefix included, was walked without
+    a step and without an input drawn is marked normal for `system` (its
+    `_normal` entry is the system's token), in this call or an earlier
+    one, and skipped: no input was drawn below a mark, so it depends only
+    on the rules and the bound, which a frozen `System` fixes. The token is
+    a bare object the system holds, so a marked leaf that every system
+    shares, such as `int_value(0)`, keeps none alive, and another system's
+    mark costs a rescan. The trace keeps at most `TRACE_CAP` steps.
     """
     if strategy not in ("innermost", "outermost"):
         raise LcstrsError(f"unknown strategy {strategy!r}")
@@ -311,69 +309,68 @@ def normalize(term: Term, system: System, strategy: str = "innermost",
     compiled = _compiled(system)
     mark, table, variable_headed, constants, depth = compiled
     get = partial(_rules_at, compiled) if variable_headed else table.get
-    rebuilt = App._rebuilt
+    typed = App._typed
     result = NormalizationResult(term)
     started = inputs.drawn      # the draws when the walk last started
-    # An entry to enter is (node, parent frame, side, head leaf, argument
-    # count), its head None where it starts a spine; a leaf is entered only
-    # at the root or as a constant left side. A node being walked is its
-    # frame, [parent frame, side, node, head, argument count, draws].
-    stack: list = [(term, None, 0, None, 0)]
+    # An entry to enter is (node, parent frame, index), the index counting
+    # its place among the parent's arguments from the last; a leaf is
+    # entered only at the root or as a constant left side. A node being
+    # walked is its frame, [parent frame, index, node, draws on entry],
+    # and (frame, k, rules) probes the prefix of its node with k arguments.
+    stack: list = [(term, None, 0)]
     pop, push = stack.pop, stack.append
+
+    def expand(frame: list) -> None:
+        """Push `frame`, left once its node is walked, and above it its
+        arguments and the prefixes with rules, in walk order."""
+        push(frame)
+        node = frame[2]
+        head, args = node.head, node.args
+        n = len(args)
+        probes = [(frame, k, rules) for k in range(n + 1)
+                  if (rules := get((head, k))) is not None]
+        for i in range(n, 0, -1):
+            if innermost and probes and probes[-1][1] == i:
+                push(probes.pop())
+            child = args[i - 1]
+            if type(child) is App or constants and child in constants:
+                push((child, frame, n - i))
+        stack.extend(probes)
+
     while True:
         while stack:
             item = pop()
             if type(item) is list:      # leaving a node
-                node, head, n = item[2], item[3], item[4]
-                if innermost and (rules := get((head, n))) is not None and (
-                        steps := _probe(node, head, rules, system, inputs)):
-                    parent, side = item[0], item[1]
+                if inputs.drawn == item[3]:
+                    item[2].__dict__["_normal"] = mark
+            elif type(item[0]) is list:
+                frame, k, rules = item
+                node = frame[2]
+                if steps := _probe(node.prefix(k), rules, system, inputs):
                     break
-                if inputs.drawn == item[5]:
-                    node.__dict__["_normal"] = mark
-                continue
-            node, parent, side, head, n = item
-            if node.__dict__.get("_normal") is mark:
-                continue
-            if head is None:
-                head = node
-                while type(head) is App:
-                    head, n = head.head, n + 1
-            frame = [parent, side, node, head, n, inputs.drawn]
-            if not innermost and (rules := get((head, n))) is not None and (
-                    steps := _probe(node, head, rules, system, inputs)):
-                break
-            push(frame)
-            if type(node) is App:
-                child = node.arg
-                if type(child) is App or constants and child in constants:
-                    push((child, frame, 1, None, 0))
-                child = node.head
-                if type(child) is App or constants and child in constants:
-                    push((child, frame, 0, head, n - 1))
+            elif item[0].__dict__.get("_normal") is not mark:
+                node, parent, index = item
+                expand([parent, index, node, inputs.drawn])
         else:
             return result
         if result.total_steps == fuel:
             result.exhausted = True
             return result
-        index, subst, contractum = steps[0]     # at `side` of `parent`
-        head, n = contractum, 0
-        while type(head) is App:
-            head, n = head.head, n + 1
-        # rebuild each ancestor into its frame, and give those whose head
-        # chain holds the hole the contractum's head
-        t, f, s, chain, path = contractum, parent, side, n, []
+        index, subst, contractum = steps[0]     # at the prefix k of `node`
+        n = len(node.args)
+        path = [0] * (n - k)
+        t = frame[2] = (typed(contractum.head, contractum.args + node.args[k:],
+                              node.type) if k < n else contractum)
+        # rebuild each ancestor into its frame
+        i, f = frame[1], frame[0]
         while f is not None:
             node = f[2]
-            f[2] = t = (rebuilt(node, t, node.arg) if s == 0
-                        else rebuilt(node, node.head, t))
-            path.append(s)
-            if chain is not None and s == 0:
-                chain += 1
-                f[3], f[4] = head, chain
-            else:
-                chain = None
-            s, f = f[1], f[0]
+            args = node.args
+            j = len(args) - 1 - i
+            f[2] = t = typed(node.head, (*args[:j], t, *args[j + 1:]),
+                             node.type)
+            path += [1] + [0] * i
+            i, f = f[1], f[0]
         result.term = t
         if len(result.steps) < TRACE_CAP:
             path.reverse()
@@ -381,19 +378,22 @@ def normalize(term: Term, system: System, strategy: str = "innermost",
                 RewriteStep._trusted(tuple(path), index, subst, t))
         result.total_steps += 1
         if inputs.drawn != started:
-            stack[:] = [(t, None, 0, None, 0)]
+            stack[:] = [(t, None, 0)]
             started = inputs.drawn
-        elif not innermost and parent is not None:
-            # walk again from the ancestor `D` above the hole, or the root:
-            # the subtrees left of the path are marked normal
-            f, d = parent, 1
+        elif innermost:
+            while pop() is not frame:
+                pass
+            if k < n:
+                expand(frame)
+            elif type(contractum) is App or contractum in constants:
+                push((contractum, frame[0], frame[1]))
+        else:   # walk again from the node `D` above the hole's, or the root
+            f, d = frame, 0
             while d < depth and f[0] is not None:
                 f, d = f[0], d + 1
             while pop() is not f:
                 pass
-            push((f[2], f[0], f[1], f[3], f[4]))
-        elif type(contractum) is App or contractum in constants:
-            push((contractum, parent, side, head, n))
+            push((f[2], f[0], f[1]))
 
 
 def calc_normal_form(term: Term, bound: int = 0) -> Term:
@@ -403,14 +403,13 @@ def calc_normal_form(term: Term, bound: int = 0) -> Term:
     so reducing subterms first leaves at most a root step. A node that
     nothing changes is returned itself, keeping its cached hash.
     """
-    if isinstance(term, App):
-        head = calc_normal_form(term.head, bound)
-        arg = calc_normal_form(term.arg, bound)
-        reduced = (term if head is term.head and arg is term.arg
-                   else App(head, arg))
-        calculated = try_calculate(reduced, bound)
-        return calculated if calculated is not None else reduced
-    return term
+    if type(term) is not App:
+        return term
+    args = tuple([calc_normal_form(a, bound) for a in term.args])
+    if any(map(is_not, args, term.args)):
+        term = App._typed(term.head, args, term.type)
+    calculated = try_calculate(term, bound)
+    return calculated if calculated is not None else term
 
 
 def joinable_calc(s: Term, t: Term, bound: int = 0) -> bool:

@@ -149,7 +149,7 @@ def _linearize(term: Term) -> Optional[Poly]:
         if term.is_value and term.type == INT_T:
             return ({}, theory.semantic_value(term))
         return None
-    head, args = term.spine()
+    head, args = term.head, term.args
     if len(args) != 2 or not (head is ADD or head is SUB or head is MUL):
         return None
     left, right = _linearize(args[0]), _linearize(args[1])
@@ -207,7 +207,7 @@ def _refuted(phi: Term, psi: Term, bound: int) -> bool:
         todo, literals, facts, later = stack.pop()
         while todo:
             term, positive = todo.pop()
-            head, args = term.spine()
+            head, args = term.head, term.args
             if head is NOT:
                 todo.append((args[0], not positive))
             elif head is AND or head is OR:
@@ -325,7 +325,7 @@ def _to_sexp(term: Term, bound: int) -> str:
             n = theory.semantic_value(term)
             out.append(str(n) if n >= 0 else f"(- {-n})")
         else:
-            head, args = term.spine()
+            head, args = term.head, term.args
             expanded = theory.expansion(head, args, bound)
             if expanded is not None:
                 stack.append(expanded)

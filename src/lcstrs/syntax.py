@@ -179,8 +179,8 @@ def _strip_comments(text: str) -> str:
 # open parenthesis is a level-0 entry on the operator stack, so nesting
 # depth is not bounded by Python's recursion limit. An application is one
 # `PreApp` of a name and all its arguments: an argument given to an
-# application, parenthesised or infix, joins its argument list, which is
-# the application spine `typecheck` types.
+# application, parenthesised or infix, joins its argument list, and
+# `typecheck` makes it one `App` node.
 
 _L_OR, _L_AND, _L_CMP, _L_ADD, _L_MUL, _L_APP, _L_ATOM = 1, 2, 3, 4, 5, 6, 7
 _NON_ASSOC_LEVELS = (_L_CMP,)
@@ -353,12 +353,8 @@ class System:
     bound: int = 0      # lower bound of the integer ordering symbol
 
     def defined_symbols(self) -> tuple[FunctionSymbol, ...]:
-        seen: dict[FunctionSymbol, None] = {}
-        for rule in self.rules:
-            head, _ = rule.lhs.spine()
-            if isinstance(head, FunctionSymbol):
-                seen.setdefault(head, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(rule.lhs.head for rule in self.rules
+                                   if type(rule.lhs.head) is FunctionSymbol))
 
 
 _RESERVED = {"fun", "rule", "option", "Int", "Bool"}
@@ -564,19 +560,15 @@ def _render(term: App, memo: Optional[dict]) -> str:
 def _layout(node: App) -> tuple[int, list]:
     """The level of an application node and its pieces, last first: texts
     and (application argument, required level) pairs."""
-    args = []
-    head = node
-    while type(head) is App:
-        args.append(head.arg)   # last first
-        head = head.head
+    head, args = node.head, node.args
     name = head.name
     if len(args) == 2 and isinstance(head, FunctionSymbol) and name in _LEVEL:
         lvl = _LEVEL[name]
         left = lvl + 1 if lvl in _NON_ASSOC_LEVELS else lvl
-        return lvl, [_piece(args[0], lvl + 1), f" {name} ",
-                     _piece(args[1], left)]
+        return lvl, [_piece(args[1], lvl + 1), f" {name} ",
+                     _piece(args[0], left)]
     parts: list = []
-    for a in args:
+    for a in reversed(args):
         parts += (_piece(a, _L_ATOM), " ")
     parts.append(_leaf(head, _L_APP))
     return _L_APP, parts

@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .core import (
-    App, BaseType, BOOL_T, FunctionSymbol, INT_T, LcstrsError, Signature, Term,
+    BaseType, BOOL_T, FunctionSymbol, INT_T, LcstrsError, Signature, Term,
     Variable, arrow, is_theory_sort_type,
 )
 
@@ -188,7 +188,7 @@ def _eval(term: Term, bound: int, values):
         return values[term]
     if term.is_value:
         return semantic_value(term)
-    head, args = term.spine()
+    head, args = term.head, term.args
     operation = _OPERATIONS.get(head)
     if operation is not None:
         return operation(*[_eval(a, bound, values) for a in args])
@@ -239,7 +239,7 @@ def _compile(term: Term, index: dict[Variable, int], bound: int) -> Compiled:
     if isinstance(term, FunctionSymbol):
         value = semantic_value(term)
         return lambda env: value
-    head, args = term.spine()
+    head, args = term.head, term.args
     compiled = [_compile(a, index, bound) for a in args]
     if head is NOT and len(args) == 1:
         x, = compiled
@@ -250,34 +250,24 @@ def _compile(term: Term, index: dict[Variable, int], bound: int) -> Compiled:
     return make(*compiled, bound)
 
 
-def try_calculate(term: Term, bound: int = 0,
-                  head: Optional[Term] = None) -> Optional[Term]:
+def try_calculate(term: Term, bound: int = 0) -> Optional[Term]:
     """The unique root-level calculation step, if the term admits one.
 
     Applies when the term is an interpreted theory symbol fully applied to
     values and its type is a theory sort; the result is the value symbol
-    with the same interpretation. Otherwise returns None. `head` is the
-    term's head leaf, where the caller has it.
+    with the same interpretation. Otherwise returns None.
     """
-    if head is None:
-        head = term
-        while type(head) is App:
-            head = head.head
+    head, args = term.head, term.args
     operation = _OPERATIONS.get(head)
-    if operation is None and not head.is_theory_term:   # the common miss
+    if (operation is None and not head.is_theory_term   # the common miss
+            or not is_theory_sort_type(term.type)):
         return None
-    if not is_theory_sort_type(term.type):
-        return None
-    args = []
-    while type(term) is App:
-        if not term.arg.is_value:
+    for a in args:
+        if not a.is_value:
             return None
-        args.append(term.arg)
-        term = term.head
-    args.reverse()
     if operation is not None:
         return value_symbol(operation(*map(semantic_value, args)))
-    expanded = expansion(head, tuple(args), bound)
+    expanded = expansion(head, args, bound)
     return None if expanded is None else value_symbol(_eval(expanded, bound, None))
 
 

@@ -74,7 +74,7 @@ def with_variables(rng: random.Random, term: Term) -> Term:
         if term.is_value and rng.random() < 0.5:
             return rng.choice(INT_VARS if term.type == INT_T else BOOL_VARS)
         return term
-    return App(with_variables(rng, term.head), with_variables(rng, term.arg))
+    return App(term.head, tuple(with_variables(rng, a) for a in term.args))
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +124,8 @@ def gen_ground_term(rng: random.Random, signature: Signature, target,
         return int_value(rng.randint(int_lo, int_hi))
     term: Term = symbol
     for arg_type in argument_types(symbol.type)[:k]:
-        term = App(term, gen_ground_term(rng, signature, arg_type, depth - 1,
-                                         int_lo, int_hi))
+        term = term.apply(gen_ground_term(rng, signature, arg_type,
+                                          depth - 1, int_lo, int_hi))
     return term
 
 
@@ -139,7 +139,8 @@ def recursive_is_theory_term(t: Term) -> bool:
         return True
     if isinstance(t, FunctionSymbol):
         return t.is_theory
-    return recursive_is_theory_term(t.head) and recursive_is_theory_term(t.arg)
+    return recursive_is_theory_term(t.head) and all(
+        map(recursive_is_theory_term, t.args))
 
 
 def recursive_free_vars(t: Term) -> frozenset:
@@ -147,7 +148,7 @@ def recursive_free_vars(t: Term) -> frozenset:
         return frozenset((t,))
     if isinstance(t, FunctionSymbol):
         return frozenset()
-    return recursive_free_vars(t.head) | recursive_free_vars(t.arg)
+    return recursive_free_vars(t.head).union(*map(recursive_free_vars, t.args))
 
 
 def respects_by_instantiation(subst, rule: Rule, bound: int = 0) -> bool:
@@ -206,7 +207,7 @@ def checked_instance(term: Term, mapping: dict) -> Term:
         return mapping.get(term, term)
     if isinstance(term, App):
         return App(checked_instance(term.head, mapping),
-                   checked_instance(term.arg, mapping))
+                   tuple(checked_instance(a, mapping) for a in term.args))
     return term
 
 
@@ -270,8 +271,9 @@ def subterms(term: Term) -> Iterator[tuple[Position, Term]]:
         pos, t = stack.pop()
         yield pos, t
         if isinstance(t, App):
-            stack.append((pos + (1,), t.arg))
-            stack.append((pos + (0,), t.head))
+            prefix, last = t.curried()
+            stack.append((pos + (1,), last))
+            stack.append((pos + (0,), prefix))
 
 
 def calc_redexes(t: Term, bound: int = 0) -> list[tuple[Position, Term]]:

@@ -163,7 +163,7 @@ class TestTampering:
                                                beyond):
         index, path, node = first(witness, case)
         width = len(node.lhs if isinstance(node.lhs, tuple)
-                    else node.lhs.spine()[1])
+                    else node.lhs.args)
         assert_rejected(tampered(witness, index, path,
                                  data=width if beyond else -1),
                         system, index)
@@ -232,7 +232,7 @@ class TestTampering:
         path, node = next((path, node) for path, node
                           in nodes(witness.derivations[index])
                           if node.relation == "rpo"
-                          and node.rhs == system.rules[index].lhs.arg)
+                          and node.rhs == system.rules[index].lhs.args[-1])
         assert node.case == "rpo:subterm"
         assert_rejected(tampered(witness, index, path, case="rpo:base",
                                  children=(), data=None),
@@ -251,7 +251,8 @@ class TestTampering:
         index = 8
         rule = system.rules[index]
         below = Horpo(witness.params, Solver(), rule.constraint,
-                      rule.logical_vars).gt(rule.lhs.arg, rule.rhs.arg)
+                      rule.logical_vars).gt(rule.lhs.args[-1],
+                                               rule.rhs.args[-1])
         assert below is not None
         assert_rejected(tampered(witness, index, (), case="gt:args-fun",
                                  children=(below,), data=0),
@@ -375,7 +376,7 @@ class TestEveryRejection:
         root = witness.derivations[index]
         parts = root.children[0]
         _, below = parts.children       # c x above x - 1
-        x, smaller = below.lhs.arg, below.rhs
+        x, smaller = below.lhs.args[-1], below.rhs
         lex = Judgment("lex:strict-prefix", (x,), (smaller,),
                        (Judgment("gt:theory", x, smaller),), 0)
         assert_fails_at(
@@ -388,10 +389,10 @@ class TestEveryRejection:
         # comparing their arguments: an empty list is below no other
         system, node = forged("c x -> c (x - 1) [x > 0]")
         s, t = system.rules[0].lhs, system.rules[0].rhs
-        below = node("rpo:subterm", s, t.arg,
-                     (node("geq:theory", s.arg, t.arg),), 0)
+        below = node("rpo:subterm", s, t.args[-1],
+                     (node("geq:theory", s.args[-1], t.args[-1]),), 0)
         lex = node("rpo:lex", s, t.head,
-                   (node("lex:strict-prefix", (s.arg,), (), (), 0),))
+                   (node("lex:strict-prefix", s.args, (), (), 0),))
         root = node("gt:descent", s, t,
                     (node("rpo:parts", s, t, (lex, below)),))
         assert_fails_at(Witness(HorpoParams(), (root,)), system, 0,
@@ -402,8 +403,8 @@ class TestEveryRejection:
         # argument, but a theory term is compared by its value
         system, node = forged("k (x - (y + 1)) -> k (x - y) [y > 0]")
         s, t = system.rules[0].lhs, system.rules[0].rhs
-        (x, y1), (_, y) = s.arg.spine()[1], t.arg.spine()[1]
-        inner = node("gt:args-fun", s.arg, t.arg,
+        (x, y1), (_, y) = s.args[-1].args, t.args[-1].args
+        inner = node("gt:args-fun", s.args[-1], t.args[-1],
                      (node("geq:calc-join", x, x),
                       node("gt:theory", y1, y)), 1)
         root = node("gt:args-fun", s, t, (inner,), 0)
@@ -415,8 +416,8 @@ class TestEveryRejection:
         # to descend from
         system, node = forged("k (x + y) -> k y [y > 0]")
         s, t = system.rules[0].lhs, system.rules[0].rhs
-        descent = node("gt:descent", s.arg, t.arg,
-                       (node("rpo:base", s.arg, t.arg),))
+        descent = node("gt:descent", s.args[-1], t.args[-1],
+                       (node("rpo:base", s.args[-1], t.args[-1]),))
         root = node("gt:args-fun", s, t, (descent,), 0)
         assert_fails_at(Witness(HorpoParams(), (root,)), system, 0,
                         "rpo:base fails on rpo: x + y vs y")
@@ -440,19 +441,19 @@ def test_a_multiset_comparison_narrower_than_the_status_is_rejected():
     rule, = system.rules
     f = symbol(system, "f")
     s, t = rule.lhs, rule.rhs
-    x, y, _ = s.spine()[1]
-    partial = t.head
+    x, y, z = s.args
+    partial = t.curried()[0]
 
     def node(case, lhs, rhs, children=(), data=None):
         return Judgment(case, lhs, rhs, children, data)
 
     joins = [node("geq:calc-join", v, v) for v in (x, y)]
-    cover = node("mul:cover", (x, y, s.arg), (x, y),
+    cover = node("mul:cover", (x, y, z), (x, y),
                  tuple(joins), ((0, 1), frozenset()))
     subterms = [node("rpo:subterm", s, v, (join,), i)
                  for i, (v, join) in enumerate(zip((x, y), joins))]
     narrow = node("rpo:mul", s, partial, (cover, *subterms))
-    parts = node("rpo:parts", s, t, (narrow, node("rpo:base", s, t.arg)))
+    parts = node("rpo:parts", s, t, (narrow, node("rpo:base", s, t.args[-1])))
     root = node("gt:descent", s, t, (parts,))
     result = check_witness(
         Witness(HorpoParams((), {f: Mul(3)}, 0), (root,)), system)

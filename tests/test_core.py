@@ -64,7 +64,7 @@ def one_of_each() -> list:
     """A fresh, never hashed instance of each type and term class."""
     f = FunctionSymbol("f", arrow(INT_T, BaseType("List")))
     x = Variable("x", INT_T)
-    return [BaseType("List"), ArrowType(INT_T, BOOL_T), f, x, App(f, x)]
+    return [BaseType("List"), ArrowType(INT_T, BOOL_T), f, x, App(f, (x,))]
 
 
 class TestHashContract:
@@ -107,7 +107,7 @@ class TestHashContract:
         succ = FunctionSymbol("succ", arrow(INT_T, INT_T))
         term = Variable("x", INT_T)
         for _ in range(200):
-            term = App(succ, term)
+            term = App(succ, (term,))
         visited = []
         original = App.__hash__
 
@@ -132,14 +132,14 @@ class TestStoredFacts:
                               (FunctionSymbol("f", arrow(INT_T, INT_T)), False)]:
             assert symbol.__dict__["is_value"] is value, symbol.name
         x = Variable("x", INT_T)
-        for term in (x, App(theory.NOT, Variable("b", BOOL_T))):
+        for term in (x, App(theory.NOT, (Variable("b", BOOL_T),))):
             assert "is_value" not in term.__dict__
             assert term.is_value is False
 
     def test_rule_stores_logical_vars(self):
         g = FunctionSymbol("g", arrow(INT_T, INT_T))
         x, y = Variable("x", INT_T), Variable("y", INT_T)
-        rule = Rule(App(g, x), App(g, y), theory.GT.apply(x, int_value(0)))
+        rule = Rule(g.apply(x), g.apply(y), theory.GT.apply(x, int_value(0)))
         assert rule.__dict__["logical_vars"] == {x, y} == (
             rule.constraint.free_vars
             | (rule.rhs.free_vars - rule.lhs.free_vars))
@@ -235,7 +235,7 @@ class TestSubstitution:
         for _ in range(200):
             x = Variable("x", INT_T)
             k = Variable("k", arrow(INT_T, INT_T))
-            body = App(App(sig.lookup("fact")[0], x), k)
+            body = sig.lookup("fact")[0].apply(x, k)
             sigma = Substitution({
                 x: gen_ground_term(rng, sig, INT_T, 3),
                 k: gen_ground_term(rng, sig, arrow(INT_T, INT_T), 3),
@@ -250,7 +250,7 @@ class TestSubstitution:
         n = Variable("n", INT_T)
         k = Variable("k", arrow(INT_T, INT_T))
         m = Variable("m", INT_T)
-        t = App(App(sig.lookup("fact")[0], n), k)
+        t = sig.lookup("fact")[0].apply(n, k)
         for _ in range(100):
             image_n = theory.ADD.apply(m, gen_ground_term(rng, sig, INT_T, 3))
             sigma = Substitution({n: image_n})
@@ -262,13 +262,18 @@ class TestSubstitution:
 class TestCheckedBuild:
     def test_a_head_of_base_type_is_rejected(self):
         with pytest.raises(TypingError) as raised:
-            App(int_value(1), int_value(2))
+            App(int_value(1), (int_value(2),))
         assert str(raised.value) == (
             "cannot apply a term of base type Int to an argument")
 
+    def test_an_application_needs_an_argument(self):
+        with pytest.raises(TypingError) as raised:
+            App(theory.ADD, ())
+        assert str(raised.value) == "an application needs an argument"
+
     def test_an_argument_of_another_type_is_rejected(self):
         with pytest.raises(TypingError) as raised:
-            App(theory.ADD, theory.TRUE)
+            App(theory.ADD, (theory.TRUE,))
         assert str(raised.value) == "argument has type Bool, expected Int"
 
 
@@ -278,19 +283,19 @@ class TestTrustedBuild:
         # build without the type check, on the shipped systems and on
         # random ones, against the checking constructor on the same
         # children
-        rebuilt = App._rebuilt
+        typed = App._typed
         built = []
 
-        def compared(node, head, arg):
-            new = rebuilt(node, head, arg)
-            checked = App(head, arg)
+        def compared(head, args, ty):
+            new = typed(head, args, ty)
+            checked = App(head, args)
             for field in ("type", "free_vars", "size", "is_theory_term"):
                 assert getattr(new, field) == getattr(checked, field), field
             assert new == checked and hash(new) == hash(checked)
             built.append(new)
             return new
 
-        monkeypatch.setattr(App, "_rebuilt", compared)
+        monkeypatch.setattr(App, "_typed", compared)
         runs = [(SYSTEMS / "fact.lcstrs", "fact 6 exit"),
                 (SYSTEMS / "fact.lcstrs", "init"),
                 (SYSTEMS / "iter.lcstrs", "iter 4 ([-] 3) 10"),
@@ -312,6 +317,80 @@ class TestTrustedBuild:
                 for strategy in ("innermost", "outermost"):
                     normalize(t, system, strategy, fuel=40)
         assert len(built) > 1000
+
+
+def nodes(term):
+    """Every node of `term`, each application with its arguments below it."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        yield t
+        stack.extend(t.args)
+
+
+class TestFlatShape:
+    """An application is one node, `App(head, args)`, with a leaf for its
+    head, however it was built; positions and sizes stay those of the
+    curried term."""
+
+    def test_built_from_a_prefix_equals_parsed_whole(self, terms):
+        whole = terms("fact 1 exit")
+        for built in (terms("fact 1").apply(terms("exit")),
+                      App(terms("fact 1"), (terms("exit"),)),
+                      terms("fact").apply(int_value(1), terms("exit"))):
+            assert built == whole and hash(built) == hash(whole)
+            assert built.head is whole.head and built.args == whole.args
+        assert repr(whole) == "((fact 1) exit)" and whole.size == 5
+
+    def test_no_application_has_an_application_head(self, fact_system):
+        rng = random.Random(41)
+        sig = fact_system.signature
+        k = Variable("k", arrow(INT_T, INT_T))
+        seen = 0
+        for _ in range(200):
+            t = gen_ground_term(rng, sig, INT_T, 4)
+            image = gen_ground_term(rng, sig, arrow(INT_T, INT_T), 3)
+            instance = Substitution({k: image}).apply(
+                sig.lookup("comp")[0].apply(k, k, t))
+            last = normalize(instance, fact_system, fuel=30).term
+            for term in (t, instance, last):
+                for node in nodes(term):
+                    assert type(node.head) is not App
+                    seen += type(node) is App
+        assert seen > 1000
+
+    def test_a_variable_head_flattens_under_substitution(self, terms):
+        comp, exit_ = terms("comp"), terms("exit")
+        x = Variable("x", arrow(arrow(INT_T, INT_T), INT_T, INT_T))
+        sigma = Substitution({x: comp.apply(exit_)})
+        instance = sigma.apply(x.apply(exit_))
+        assert instance == terms("comp exit exit")
+        assert instance.head is comp and instance.args == (exit_, exit_)
+
+    def test_an_instance_calculates(self):
+        x = Variable("x", arrow(INT_T, INT_T))
+        sigma = Substitution({x: theory.MUL.apply(int_value(2))})
+        instance = sigma.apply(x.apply(int_value(3)))
+        assert theory.try_calculate(instance) == int_value(6)
+
+    def test_positions_round_trip(self, fact_system):
+        # every curried position of seeded terms, from the walker in
+        # tests/helpers.py: the subterm there, and a replacement there
+        # read back and undone
+        rng = random.Random(43)
+        checked = 0
+        for _ in range(100):
+            t = gen_ground_term(rng, fact_system.signature, INT_T, 4)
+            positions = list(subterms(t))
+            assert len(positions) == t.size
+            for position, sub in positions:
+                assert t.subterm_at(position) == sub
+                hole = Variable("hole", sub.type)
+                replaced = t.replace_at(position, hole)
+                assert replaced.subterm_at(position) == hole
+                assert replaced.replace_at(position, sub) == t
+                checked += 1
+        assert checked > 1000
 
 
 class TestTheoryTermFlag:
@@ -385,7 +464,7 @@ class TestValidateRule:
         lhs = parse_term("fact n k", fact_system, ctx)
         rhs = parse_term("k 1", fact_system, ctx)
         k = ctx["k"]
-        phi = theory.SUPEQ_INT.apply(App(k, int_value(0)), int_value(0))
+        phi = theory.SUPEQ_INT.apply(k.apply(int_value(0)), int_value(0))
         assert phi.free_vars == frozenset((k,))
         with pytest.raises(RuleError) as err:
             Rule(lhs, rhs, phi)

@@ -63,7 +63,8 @@ def _linear_pair(rng: random.Random):
     atoms = [rng.choice(COMPARISONS).apply(_linear(rng), _linear(rng))
              for _ in range(rng.randint(1, 3))]
     phi = reduce(AND.apply, atoms)
-    head, (left, right) = rng.choice(atoms).spine()
+    atom = rng.choice(atoms)
+    head, (left, right) = atom.head, atom.args
     kind = rng.randrange(3)
     if kind == 0:  # shifted by -1, 0 or +1, under the same or another operator
         op = head if rng.random() < 0.5 else \
@@ -73,7 +74,7 @@ def _linear_pair(rng: random.Random):
         op = MIRROR[head] if rng.random() < 0.7 else head
         psi = op.apply(right, left)
     else:  # summed with another atom of phi
-        _, (left2, right2) = rng.choice(atoms).spine()
+        left2, right2 = rng.choice(atoms).args
         psi = head.apply(ADD.apply(left, left2), ADD.apply(right, right2))
     return phi, psi
 
@@ -116,8 +117,8 @@ def test_corpus_covers_every_verdict_and_comparison():
     for (phi, psi, _), (*_, verdict) in zip(corpus(), entries):
         if verdict != "Yes":
             continue
-        premise_ops.update(atom.spine()[0] for atom in _conjuncts(phi))
-        goal_ops.add(psi.spine()[0])
+        premise_ops.update(atom.head for atom in _conjuncts(phi))
+        goal_ops.add(psi.head)
     assert premise_ops >= set(COMPARISONS)
     assert goal_ops >= set(COMPARISONS)
 
@@ -157,7 +158,7 @@ def test_random_yes_verdicts_hold_on_a_grid():
 
 
 def _conjuncts(term):
-    head, args = term.spine()
+    head, args = term.head, term.args
     if head is AND and len(args) == 2:
         return _conjuncts(args[0]) + _conjuncts(args[1])
     return [term]

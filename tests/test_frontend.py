@@ -216,7 +216,7 @@ for blank, ended in ((" " * 100000, " " * 99999 + "x"),
 def assert_typed_as_checked(count: int, seed: int = 11) -> None:
     """Every application node of the rules of `count` seeded systems, read
     from their text, against the node rebuilt bottom-up by the checked
-    `App(head, arg)`."""
+    `App(head, args)`."""
     rng = random.Random(seed)
     for _ in range(count):
         system = parse_system(system_text(gen_system(rng)))
@@ -229,12 +229,11 @@ def assert_typed_as_checked(count: int, seed: int = 11) -> None:
                     if type(node) is not App:
                         continue
                     if not children_done:
-                        stack += ((node, True), (node.arg, False),
-                                  (node.head, False))
+                        stack.append((node, True))
+                        stack += ((a, False) for a in node.args)
                         continue
-                    head = checked.get(id(node.head), node.head)
-                    arg = checked.get(id(node.arg), node.arg)
-                    again = checked[id(node)] = App(head, arg)
+                    args = tuple(checked.get(id(a), a) for a in node.args)
+                    again = checked[id(node)] = App(node.head, args)
                     assert again == node and hash(again) == hash(node)
                     assert (again.type, again.free_vars, again.size,
                             again.is_theory_term) == (
@@ -248,9 +247,12 @@ class TestTypedConstruction:
 
     def test_library_construction_still_checks(self):
         with pytest.raises(TypingError):
-            App(theory.int_value(1), theory.int_value(2))
+            App(theory.int_value(1), (theory.int_value(2),))
         with pytest.raises(TypingError):
-            App(theory.ADD, theory.TRUE)
+            App(theory.ADD, (theory.TRUE,))
+        with pytest.raises(TypingError):
+            theory.ADD.apply(theory.int_value(1), theory.int_value(2),
+                             theory.int_value(3))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ into one object, and pin the attempts summed over several bounds. The
 payload: `chain` pins a precedence edge that the JSON lists and the text
 leaves out as implied, and `cube` two undecided entailments. The wide
 multiset cases (`MULTISET_CASES`) were recorded before the multiset search
-became a pruned depth-first search. The last
+became a pruned depth-first search. The `curried` outputs, a proof with
+`geq:app` nodes on partial applications and runs whose first step is at a
+proper prefix of an application, were recorded before applications became
+flat, `App(head, args)`. The last
 test holds the text output of every golden call, and of calls on seeded
 random systems, to `_text` of the JSON output.
 """
@@ -51,6 +54,17 @@ CASES = {
     # nonlinear: undecided without an SMT solver
     "cube": ("fun f : Int -> Int\n"
              "rule f x -> f (x - 1) [x * x * x > 8]\n", 2),
+    # rules of arrow type and partial applications: the witness compares
+    # `k x >= k (x + 0)` by `geq:app`, and `twice g` is a redex that is a
+    # proper prefix of the application it heads
+    "curried": ("fun twice : (Int -> Int) -> Int -> Int\n"
+                "fun comp2 : (Int -> Int) -> (Int -> Int) -> Int -> Int\n"
+                "fun f : Int -> Int -> Int\n"
+                "fun k : Int -> Int -> Int\n"
+                "rule twice g -> comp2 g g [true]\n"
+                "rule comp2 g h x -> g (h x) [true]\n"
+                "rule f (k x z) y -> f (k (x + 0) z) (y - 1) "
+                "[y > 0 /\\ x = x]\n", 0),
 }
 # Wide multiset comparisons, recorded before the multiset search became a
 # pruned depth-first search: their `deepest_failure`, undecided entailments
@@ -152,6 +166,11 @@ for _strategy in ("innermost", "outermost"):
     for _name, _term in LIST_TERMS.items():
         RUN_CASES[f"list_{_name}_{_strategy}"] = (
             "list", _term, ["--strategy", _strategy], 0)
+    # the first step is at the prefix `twice ([+] 1)`, position
+    # [0, 1, 0, 1, 0, 1, 0], inside a partial application `k ..`
+    RUN_CASES[f"curried_{_strategy}"] = (
+        "curried", "f (k (twice ([+] 1) 0 + 0) 5) 2",
+        ["--strategy", _strategy], 0)
 
 
 def run_output(case: str, fmt: str, directory: Path, monkeypatch,

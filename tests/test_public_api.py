@@ -37,6 +37,8 @@ REMOVED = [
     "print_type", "SystemFile", "ThreadPoolExecutor", "_creates_cycle",
     "_status_walk", "expand_orderings", "Sort", "INT", "BOOL",
     "eval_ground_constraint",
+    # an application is flat: its head and arguments are read off the node
+    "_symbol_spine",
 ]
 
 # attributes that nothing read
@@ -56,6 +58,8 @@ REMOVED_ATTRIBUTES = [
     (core.Substitution, "__len__"), (core.Signature, "__contains__"),
     # what rewriting compiles of a system is `rewrite._compiled`'s table
     (syntax.System, "rules_for"), (syntax.System, "constraint_checks"),
+    # an application is flat, `App(head, args)`, with one trusted constructor
+    (core.Term, "spine"), (core.App, "arg"), (core.App, "_rebuilt"),
 ]
 
 # keywords that nothing set, or only tests; three limits are module

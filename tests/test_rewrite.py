@@ -468,7 +468,7 @@ def assert_same_as_reference(count: int, seed: int = 1) -> Counter:
         system = gen_system(rng, patterns=True)
         *_, variable_headed, _, depth = rewrite._compiled(system)
         seen["non-linear left side"] += depth == math.inf
-        seen["left side deeper than 2"] += 2 < depth < math.inf
+        seen["left side deeper than 1"] += 1 < depth < math.inf
         seen["variable head"] += bool(variable_headed)
         seen["constant left side"] += any(
             type(rule.lhs) is FunctionSymbol for rule in system.rules)
@@ -565,7 +565,7 @@ class TestProbeDifferential:
         # `g` counts down to the bound
         _, last, _ = _assert_same_as_reference(
             parse_term("g 5", system), system, strategy)
-        assert last.arg == int_value(bound)
+        assert last.args[-1] == int_value(bound)
         for text, values in [("g (0 - 5)", ()), ("h 3 1", ()),
                              ("h 3 (0 - 2)", ()), ("h 4 4", ()),
                              ("k 2", (1, 5, -7, 4)), ("k (1 + 1)", (9,)),
@@ -590,8 +590,8 @@ class TestProbeDifferential:
 
 
 # `p x` steps to `q`, and `q x y z`, at depth 3, the deepest left side, to
-# `s`: a step at `p 1` gives the ancestors on its head chain a new head
-# and argument count, and `q 2 3 4` lies 3 above the hole, `s 5` 4 above it
+# `s`: a step at the prefix `p 1` gives the node it heads a new head and
+# argument count, and `q 2 3 4` lies 3 above the hole, `s 5` 4 above it
 HEAD_CHAIN_SYSTEM = """\
 fun p : Int -> Int -> Int -> Int -> Int -> Int
 fun q : Int -> Int -> Int -> Int -> Int
@@ -766,7 +766,7 @@ class TestNormalMarks:
         # `k (1 + 2)` ends in `k 0`, whose `0` is the process-wide
         # `int_value(0)`: marked normal, it must not hold the system
         result = normalize(parse_term("pair 0 (k (1 + 2))", system), system)
-        assert result.term.arg.arg is int_value(0)
+        assert result.term.args[-1].args[-1] is int_value(0)
         survivor = weakref.ref(system)
         del system, result
         gc.collect()
@@ -848,9 +848,9 @@ class TestCalcNormalForm:
         t = terms("fact (n + 1) (comp exit ([*] (2 * 3)))")
         reduced = calc_normal_form(t)
         assert calc_normal_form(reduced) is reduced
-        assert reduced.head is t.head                # fact (n + 1)
-        assert reduced.arg is not t.arg
-        assert reduced.arg.head is t.arg.head        # comp exit
+        assert reduced.args[0] is t.args[0]                  # n + 1
+        assert reduced.args[1] is not t.args[1]
+        assert reduced.args[1].args[0] is t.args[1].args[0]  # exit
 
     def test_size_strictly_decreases(self):
         rng = random.Random(53)

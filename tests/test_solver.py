@@ -238,9 +238,8 @@ ALL_OPERATORS = {
 
 def _heads(term, out):
     if isinstance(term, App):
-        head, args = term.spine()
-        out.add(head)
-        for a in args:
+        out.add(term.head)
+        for a in term.args:
             _heads(a, out)
     return out
 

@@ -145,7 +145,7 @@ class TestParseTerm:
         n, k = terms.var("n"), terms.var("k")
         expected = fact.apply(
             theory.SUB.apply(n, int_value(1)),
-            comp.apply(k, App(theory.MUL, n)))
+            comp.apply(k, theory.MUL.apply(n)))
         assert t == expected
 
     def test_parenthesized_literal(self, terms):
@@ -157,8 +157,8 @@ class TestParseTerm:
 
     def test_juxtaposition_left_associative(self, terms):
         assert terms("fact 1 exit") == App(
-            App(terms.system.signature.lookup("fact")[0], int_value(1)),
-            terms("exit"))
+            App(terms.system.signature.lookup("fact")[0], (int_value(1),)),
+            (terms("exit"),))
 
     def test_precedence(self, terms):
         assert terms("1 + 2 * 3") == theory.ADD.apply(
@@ -170,8 +170,7 @@ class TestParseTerm:
 
     def test_logical_precedence(self, terms):
         t = terms("n > 0 /\\ n < 9 \\/ false")
-        head, _ = t.spine()
-        assert head is theory.OR
+        assert t.head is theory.OR
 
     def test_negative_literals(self, terms):
         assert terms("-5") == int_value(-5)
@@ -182,16 +181,13 @@ class TestParseTerm:
     def test_ordering_operator_overload(self, fact_system):
         ctx = {"a": Variable("a", BOOL_T), "b": Variable("b", BOOL_T)}
         t = parse_term("a !> b", fact_system, ctx)
-        head, _ = t.spine()
-        assert head is theory.SUP_BOOL
+        assert t.head is theory.SUP_BOOL
         t2 = parse_term("1 !> 0", fact_system)
-        head2, _ = t2.spine()
-        assert head2 is theory.SUP_INT
+        assert t2.head is theory.SUP_INT
 
     def test_not_is_plain_application(self, terms):
         t = terms("not (n > 0)")
-        head, args = t.spine()
-        assert head is theory.NOT and len(args) == 1
+        assert t.head is theory.NOT and len(t.args) == 1
 
     def test_trailing_tokens_rejected(self, fact_system):
         with pytest.raises(ParseError):
@@ -258,7 +254,7 @@ class TestRoundTripProperty:
         fact = fact_system.signature.lookup("fact")[0]
         pool = [
             fact.apply(n, k),
-            App(k, theory.ADD.apply(n, int_value(1))),
+            k.apply(theory.ADD.apply(n, int_value(1))),
             theory.SUPEQ_INT.apply(n, int_value(0)),
             theory.AND.apply(theory.SUP_BOOL.apply(theory.TRUE, theory.FALSE),
                              theory.GT.apply(n, int_value(-3))),

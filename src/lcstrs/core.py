@@ -50,9 +50,9 @@ class RuleError(LcstrsError):
 # are hashed as memo and cache keys all through proof search. The value is
 # the same as the generated one, so sets and dicts of terms iterate in the
 # same order. It is not computed at construction: the `check` benchmark
-# workload builds about 23k applications per seed-1 cycle and hashes none of
-# them, and hashing every term at construction cost it 3.4% of work_per_s
-# (median of 6 paired runs, slower in 5; 2 vCPU, Python 3.11).
+# workload builds 11,531 applications in its first seed-1 cycle and hashes
+# none of them, and hashing each in `_fill` took that cycle from 121 to
+# 130 ms (7% slower; best of 7 in process, 2 vCPU, Python 3.11).
 
 
 def _store_hash(node, fields: tuple) -> int:

@@ -47,10 +47,9 @@ class ParseError(LcstrsError):
 # one of its characters). Columns are a running sum of the lengths. In a str
 # pattern `\s` is exactly `str.isspace` (an ASCII class would miss
 # \x1c-\x1f), `\w` is `str.isalnum` plus `_`, and `\d` is `str.isdecimal`.
-# An integer is a run of `str.isdigit` characters and an identifier starts
-# with a `str.isalpha` character or `_`. Outside ASCII those differ from
-# `\d` and `[^\W\d]` on a few hundred numeric characters (`²`, `½`, `Ⅷ`), so
-# a text that has any gets a pattern naming the ones it has.
+# An integer is a run of ASCII digits, the theory's literals, and an
+# identifier starts with a `\w` character that is not a decimal digit, so a
+# decimal digit outside ASCII (`٣`) is an unexpected character.
 
 
 # builds a NamedTuple (a token or a pre-term) from a tuple of its fields,
@@ -70,47 +69,26 @@ class Token(NamedTuple):
 
 
 # groups: whitespace, int, ident, arrow, op, punct, bad
-_TOKEN_PATTERN = r"""
+_TOKENS = re.compile(r"""
     (\s*)
-    (?: ([\d{digits}]+)
-      | ({not_alpha}[^\W\d][\w']*)
+    (?: ([0-9]+)
+      | ([^\W\d][\w']*)
       | (->)
       | (!>=|!>|!=|<=|>=|/\\|\\/|[<>=+\-*])
       | ([()\[\]:])
       | (\S)
       | $ )
-"""
-
-
-def _token_regex(numeric: str) -> re.Pattern:
-    """The token pattern for texts whose non-decimal numeric characters
-    (digits like `²` and non-digits like `½`) are those of `numeric`."""
-    digits = "".join(re.escape(c) for c in numeric if c.isdigit())
-    not_alpha = f"(?![{re.escape(numeric)}])" if numeric else ""
-    return re.compile(_TOKEN_PATTERN.format(digits=digits, not_alpha=not_alpha),
-                      re.VERBOSE)
-
-
-_TOKENS = _token_regex("")
-
-
-def _token_finder(text: str):
-    if text.isascii():
-        return _TOKENS.findall
-    numeric = "".join(sorted(c for c in set(text) if c.isalnum()
-                             and not c.isalpha() and not c.isdecimal()))
-    return _token_regex(numeric).findall if numeric else _TOKENS.findall
+""", re.VERBOSE)
 
 
 def tokenize(text: str, first_line: int = 1) -> list[Token]:
     """The tokens of `text`, its lines numbered from `first_line`."""
-    findall = _token_finder(text)
     tokens: list[Token] = []
     append = tokens.append
     line = first_line
     for chunk in text.split("\n"):
         col = 1     # the column where the next match starts
-        for space, num, ident, arrow, op, punct, bad in findall(chunk):
+        for space, num, ident, arrow, op, punct, bad in _TOKENS.findall(chunk):
             col += len(space)
             if ident:
                 append(_new(Token, ("ident", ident, line, col)))

@@ -632,7 +632,11 @@ def all_read_system(k: int) -> str:
 # ---------------------------------------------------------------------------
 # Reference lexer: the character-by-character scanner and comment stripper
 # the regex lexer replaced, kept as the oracle of the differential tests.
+# An integer is a run of ASCII digits, the theory's literals; an identifier
+# starts with a letter, `_` or a numeric character that is not a decimal
+# digit (`²`, `½`), so a decimal digit outside ASCII (`٣`) is an error.
 
+_ASCII_DIGITS = "0123456789"
 _REFERENCE_OPERATORS = ("!>=", "!>", "!=", "<=", ">=", "->", "/\\", "\\/",
                         "<", ">", "=", "+", "-", "*")
 
@@ -659,16 +663,17 @@ def reference_tokenize(text: str, first_line: int = 1) -> list[tuple]:
             i, col = i + 1, col + 1
             continue
         start_col = col
-        if c.isdigit() or (c == "-" and i + 1 < len(text)
-                           and text[i + 1].isdigit() and not prev_is_operand()):
+        if c in _ASCII_DIGITS or (c == "-" and i + 1 < len(text)
+                                  and text[i + 1] in _ASCII_DIGITS
+                                  and not prev_is_operand()):
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _ASCII_DIGITS:
                 j += 1
             tokens.append(("int", text[i:j], line, start_col))
             col += j - i
             i = j
             continue
-        if c.isalpha() or c == "_":
+        if (c.isalnum() or c == "_") and not c.isdecimal():
             j = i + 1
             while j < len(text) and (text[j].isalnum() or text[j] in "_'"):
                 j += 1

@@ -127,6 +127,16 @@ class TestRun:
                                "--term", "fact fact")
         assert code == 1 and "error" in err
 
+    def test_a_digit_outside_ascii_is_an_input_error(self, capsys):
+        # an integer is a run of ASCII digits: a full-width 3 is no literal,
+        # and no variable either
+        code, payload, err = run_json(capsys, "run",
+                                      str(SYSTEMS / "fact.lcstrs"),
+                                      "--term", "fact \uff13 exit")
+        assert code == 1 and payload["ok"] is False
+        assert payload["error"] == "1:6: unexpected character '\uff13'"
+        assert err == "error: 1:6: unexpected character '\uff13'\n"
+
 
 class TestProve:
     def test_factorial(self, capsys):

@@ -54,23 +54,27 @@ def reference_lexed(text: str):
 
 
 class TestLexerPins:
-    # recorded with the character scanner
+    # recorded with the character scanner; the numeric ones follow the rule
+    # that an integer is a run of ASCII digits and that any other numeric
+    # character starts an identifier unless it is a decimal digit
     PINS = {
         "xé": [("ident", "xé", 1, 1)],
         "λx": [("ident", "λx", 1, 1)],
-        "²": [("int", "²", 1, 1)],
-        "٣": [("int", "٣", 1, 1)],
+        "²": [("ident", "²", 1, 1)],
+        "٣": "1:1: unexpected character '٣'",
         "a\x1cb": [("ident", "a", 1, 1), ("ident", "b", 1, 3)],
         "x\xa0y": [("ident", "x", 1, 1), ("ident", "y", 1, 3)],
         "a\x1fb\x1e\x1dc": [("ident", "a", 1, 1), ("ident", "b", 1, 3),
                             ("ident", "c", 1, 6)],
         "a b": [("ident", "a", 1, 1), ("ident", "b", 1, 3)],
         "x²": [("ident", "x²", 1, 1)],
-        "2²3": [("int", "2²3", 1, 1)],
-        "-²": [("int", "-²", 1, 1)],
+        "2²3": [("int", "2", 1, 1), ("ident", "²3", 1, 2)],
+        "-²": [("op", "-", 1, 1), ("ident", "²", 1, 2)],
         "x½": [("ident", "x½", 1, 1)],
-        "½": "1:1: unexpected character '½'",
-        "Ⅷ": "1:1: unexpected character 'Ⅷ'",
+        "½": [("ident", "½", 1, 1)],
+        "Ⅷ": [("ident", "Ⅷ", 1, 1)],
+        "x٣": [("ident", "x٣", 1, 1)],
+        "３": "1:1: unexpected character '３'",
         "x'y'": [("ident", "x'y'", 1, 1)],
         "_'": [("ident", "_'", 1, 1)],
         "n-1": [("ident", "n", 1, 1), ("op", "-", 1, 2), ("int", "1", 1, 3)],
@@ -132,15 +136,16 @@ class TestLexerDifferential:
     def test_random_strings(self):
         assert_lexes_as_reference(2000)
 
-    # blank texts end a match at the end of a line rather than at a token,
-    # and texts with numeric characters outside ASCII get their own pattern
+    # blank texts end a match at the end of a line rather than at a token;
+    # numeric characters outside ASCII are identifiers or errors, not integers
     BLANK_AND_NUMERIC = [
         "", " ", "\t", "   ", "\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0 ",
         "\n", "\n\n", " \n \n", "\r\n", "x \n   \n y", "x ", "  x  ",
         "(* a comment *)", "(* (* nested *) *) x", "x (* trailing *)",
         "fun f : Int (* type *)\n(*\n  spans lines\n*)\nrule f x -> x [true]",
         "²", "x² ½", "٣٤ + x", "Ⅷ", "-²", "-٣", "1²-²", " ²\n½", "x½y ٣",
-        "f (-٣) ²", "λ²'", "²x", "½x", "x\u2460", "\u2460", "٣\n-1",
+        "f (-٣) ²", "λ²'", "²x", "½x", "x\u2460", "\u2460", "٣\n-1", "x٣",
+        "３",
     ]
 
     @pytest.mark.parametrize("text", BLANK_AND_NUMERIC)
@@ -282,6 +287,7 @@ CHECK_ERRORS = {
     "invalid_1": _DECLS + "rule x + 1 -> x [true]\n",
     "invalid_2": _DECLS + "rule f1 x -> x\n",
     "invalid_3": _DECLS + "fun f2 : Int\n",
+    "non_ascii_digit": "fun f : Int -> Int\nrule f x -> f (x - ١) [x > ٠]\n",
 }
 
 TERM_ERRORS = {
@@ -301,6 +307,7 @@ TERM_ERRORS = {
     "typing_error": "fact exit 1",
     "overload_first_error": "true !> 1",
     "untyped_variable": "y 1",
+    "full_width_digit": "fact ３ exit",
 }
 
 

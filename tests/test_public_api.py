@@ -39,6 +39,8 @@ REMOVED = [
     "eval_ground_constraint",
     # an application is flat: its head and arguments are read off the node
     "_symbol_spine",
+    # one token pattern: an integer is a run of ASCII digits
+    "_token_regex", "_token_finder",
 ]
 
 # attributes that nothing read

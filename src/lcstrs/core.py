@@ -431,141 +431,109 @@ def typecheck(pre: PreTerm, signature: Signature,
     application is one node, built once all its arguments have the types
     its head takes, so without the check that `App` makes.
 
-    An overloaded name tries its symbols in signature order on its whole
-    application; the first that types it wins, and if none does, the
-    error of the first is raised. A later symbol that takes fewer
-    arguments than the application has, or whose type after them is not
-    the expected one, would fail too, so it is skipped: nested overloads
-    are typed without retrying every combination of their symbols. The
-    walk keeps explicit stacks of open applications and open overload
-    choices, so nesting depth is not bounded by Python's recursion limit.
+    An overloaded name, `!>` or `!>=`, has one symbol per theory sort, and
+    `_variant` picks the one its application is typed with before any
+    argument is typed; each application is typed once. The walk keeps an
+    explicit stack of open applications, so nesting depth is not bounded
+    by Python's recursion limit.
     """
     ctx = {} if context is None else context
     # a name is read from the signature's dicts, and from `ctx` when the
-    # signature has no symbol for it; `lookup` only resolves a new name
-    declared, known, lookup = (signature._by_name, signature._resolved,
-                               signature.lookup)
+    # signature has no symbol for it; `_lookup` only resolves a new name
+    declared, known = signature._by_name, signature._resolved
     typed = App._typed
     # open applications: [head, arguments, those typed so far, type after
     # them, expected type, position of the head]
     frames: list[list] = []
-    choices: list[_Choice] = []
     while True:
-        try:
-            while True:
-                if pre is not None:     # resolve the head of `pre`
-                    if type(pre) is PreApp:
-                        leaf, args = pre
-                    else:
-                        leaf, args = pre, ()
-                    name, pos = leaf
-                    symbols = declared.get(name) or known.get(name)
-                    if symbols is None:
-                        try:
-                            symbols = lookup(name)
-                        except LcstrsError as e:    # a literal past a limit
-                            raise TypingError(str(e), pos) from None
-                    if symbols:
-                        head = symbols[0]
-                        if len(symbols) > 1:
-                            choices.append(_Choice(len(frames), symbols, args,
-                                                   expected, pos, ctx))
-                    else:
-                        head = ctx.get(name)
-                        if head is None or (not args and expected is not None
-                                            and head.type is not expected
-                                            and head.type != expected):
-                            head = _variable(leaf, bool(args), expected, ctx)
-                    pre = None
-                if args:                # type the first argument next
-                    ty = head.type
-                    if type(ty) is not ArrowType:
-                        raise TypingError(f"cannot apply a term of base type "
-                                          f"{ty} to an argument", pos)
-                    frames.append([head, args, [], ty, expected, pos])
-                    pre, expected = args[0], ty.arg
-                    continue
-                # `head` is typed: close it and the applications it ends
-                t = head
-                while True:
-                    ty = t.type
-                    if (expected is not None and ty is not expected
-                            and ty != expected):
-                        raise TypingError(
-                            f"term has type {ty}, expected {expected}", pos)
-                    if choices and choices[-1].depth == len(frames):
-                        choices.pop()   # typed with the symbol it tried
-                    if not frames:
-                        return t
-                    frame = frames[-1]
-                    done = frame[2]
-                    done.append(t)
-                    ty = frame[3].result
-                    if len(done) < len(frame[1]):
-                        break
-                    frames.pop()
-                    t = typed(frame[0], tuple(done), ty)
-                    expected, pos = frame[4], frame[5]
-                if type(ty) is not ArrowType:
-                    raise TypingError(f"cannot apply a term of base type "
-                                      f"{ty} to an argument", frame[5])
-                frame[3] = ty
-                pre, expected = frame[1][len(done)], ty.arg
-        except TypingError as e:
-            error = e
-        # go back to the innermost open choice with a symbol left
+        # resolve the head of `pre`
+        if type(pre) is PreApp:
+            leaf, args = pre
+        else:
+            leaf, args = pre, ()
+        name, pos = leaf
+        symbols = declared.get(name) or known.get(name)
+        if symbols is None:
+            symbols = _lookup(signature, leaf)
+        if symbols:
+            head = (symbols[0] if len(symbols) == 1 else
+                    _variant(symbols, args, expected, ctx, signature))
+        else:
+            head = ctx.get(name)
+            if head is None or (not args and expected is not None
+                                and head.type is not expected
+                                and head.type != expected):
+                head = _variable(leaf, bool(args), expected, ctx)
+        if args:                # type the first argument next
+            ty = head.type
+            if type(ty) is not ArrowType:
+                raise TypingError(f"cannot apply a term of base type "
+                                  f"{ty} to an argument", pos)
+            frames.append([head, args, [], ty, expected, pos])
+            pre, expected = args[0], ty.arg
+            continue
+        # `head` is typed: close it and the applications it ends
+        t = head
         while True:
-            if not choices:
-                raise error
-            choice = choices[-1]
-            ctx.clear()
-            ctx.update(choice.ctx)
-            if choice.first_error is None:
-                choice.first_error = error
-            choice.tried += 1
-            while (choice.tried < len(choice.symbols)
-                   and not _fits(choice.symbols[choice.tried],
-                                 len(choice.args), choice.expected)):
-                choice.tried += 1
-            if choice.tried < len(choice.symbols):
+            ty = t.type
+            if expected is not None and ty is not expected and ty != expected:
+                raise TypingError(f"term has type {ty}, expected {expected}",
+                                  pos)
+            if not frames:
+                return t
+            frame = frames[-1]
+            done = frame[2]
+            done.append(t)
+            ty = frame[3].result
+            if len(done) < len(frame[1]):
                 break
-            choices.pop()
-            error = choice.first_error
-        del frames[choice.depth:]
-        head, args = choice.symbols[choice.tried], choice.args
-        expected, pos, pre = choice.expected, choice.pos, None
-
-
-class _Choice:
-    """An overloaded name whose application is being typed with one of
-    its symbols, and what trying the next one starts from."""
-
-    __slots__ = ("depth", "symbols", "tried", "args", "expected", "pos",
-                 "ctx", "first_error")
-
-    def __init__(self, depth: int, symbols: tuple[FunctionSymbol, ...],
-                 args: list[PreTerm], expected: Optional[Type],
-                 pos: Optional[tuple[int, int]], ctx: dict[str, Variable]):
-        self.depth = depth          # open applications outside it
-        self.symbols = symbols
-        self.tried = 0
-        self.args = args
-        self.expected = expected
-        self.pos = pos
-        self.ctx = dict(ctx)
-        self.first_error: Optional[TypingError] = None
-
-
-def _fits(symbol: FunctionSymbol, arguments: int,
-          expected: Optional[Type]) -> bool:
-    """Whether `symbol` applied to that many arguments has the expected
-    type, where one is expected."""
-    ty = symbol.type
-    for _ in range(arguments):
+            frames.pop()
+            t = typed(frame[0], tuple(done), ty)
+            expected, pos = frame[4], frame[5]
         if type(ty) is not ArrowType:
-            return False
+            raise TypingError(f"cannot apply a term of base type "
+                              f"{ty} to an argument", frame[5])
+        frame[3] = ty
+        pre, expected = frame[1][len(done)], ty.arg
+
+
+def _lookup(signature: Signature, leaf: PreLeaf) -> tuple[FunctionSymbol, ...]:
+    """The symbols `leaf` names; a literal past a limit is a TypingError
+    at its position."""
+    try:
+        return signature.lookup(leaf.name)
+    except LcstrsError as e:
+        raise TypingError(str(e), leaf.pos) from None
+
+
+def _variant(symbols: tuple[FunctionSymbol, ...], args, expected: Optional[Type],
+             ctx: dict[str, Variable], signature: Signature) -> FunctionSymbol:
+    """The symbol of an overloaded name that its application is typed with:
+    the one that takes the type of the first argument whose head fixes it
+    (a symbol, a literal, or a variable in `ctx`; an ordering symbol applied
+    to two arguments gives Bool); if none does, the one whose type after
+    the arguments is the expected type; else the first. Any other symbol
+    fails on that argument or on the expected type."""
+    for arg in args:
+        leaf, n = (arg.head, len(arg.args)) if type(arg) is PreApp else (arg, 0)
+        found = _lookup(signature, leaf)
+        head = found[0] if found else ctx.get(leaf.name)
+        if head is None:
+            continue            # a fresh variable takes any sort
+        ty = _after(head.type, n)
+        return next((s for s in symbols if type(s.type) is ArrowType
+                     and s.type.arg == ty), symbols[0])
+    return next((s for s in symbols if expected is not None
+                 and _after(s.type, len(args)) == expected), symbols[0])
+
+
+def _after(ty: Type, n: int) -> Optional[Type]:
+    """`ty` after `n` arguments, or None if it takes fewer."""
+    for _ in range(n):
+        if type(ty) is not ArrowType:
+            return None
         ty = ty.result
-    return expected is None or ty == expected
+    return ty
 
 
 def _variable(leaf: PreLeaf, applied: bool, expected: Optional[Type],

@@ -142,9 +142,10 @@ def _strip_comments(text: str) -> str:
                 out.append("\n".join(" " * len(part) for part in
                                       text[kept:m.end()].split("\n")))
                 kept = m.end()
-    if depth:
-        raise ParseError("unterminated comment",
-                         text.count("\n", 0, kept) + 1, 1)
+    if depth:       # an error at the outermost open comment's `(*`
+        line = text.count("\n", 0, kept) + 1
+        raise ParseError("unterminated comment", line,
+                         kept - text.rfind("\n", 0, kept))
     out.append(text[kept:])
     return "".join(out)
 
@@ -378,8 +379,7 @@ def parse_system(text: str) -> System:
                 raise ParseError(str(e), lineno, tokens[1].col) from None
             declarations.append(symbol)
         elif head.text == "rule":
-            lhs_toks, rhs_toks, con_toks = _split_rule_tokens(tokens[1:], lineno)
-            rule_lines.append((lhs_toks, rhs_toks, con_toks))
+            rule_lines.append(_split_rule_tokens(tokens))
         elif head.text == "option":
             if len(tokens) < 3 or tokens[1].kind != "ident":
                 raise ParseError("expected 'option KEY VALUE'", lineno, head.col)
@@ -422,13 +422,16 @@ def parse_system(text: str) -> System:
                   bound=0 if bound is None else bound)
 
 
-def _split_rule_tokens(tokens: list[Token], lineno: int
+def _split_rule_tokens(tokens: list[Token]
                        ) -> tuple[list[Token], list[Token], list[Token]]:
+    """The sides and the constraint of a rule line, whose first token is
+    its `rule` keyword; a malformed line is an error at that keyword."""
+    keyword, tokens = tokens[0], tokens[1:]
     arrow_at = next((i for i, t in enumerate(tokens) if t.kind == "arrow"), None)
     if arrow_at is None:
-        raise ParseError("rule is missing '->'", lineno, 1)
+        raise ParseError("rule is missing '->'", *keyword.pos)
     if not tokens or tokens[-1].text != "]":
-        raise ParseError("rule is missing its [CONSTRAINT] part", lineno, 1)
+        raise ParseError("rule is missing its [CONSTRAINT] part", *keyword.pos)
     depth = 0
     open_at = None
     for i in range(len(tokens) - 1, -1, -1):
@@ -440,12 +443,13 @@ def _split_rule_tokens(tokens: list[Token], lineno: int
                 open_at = i
                 break
     if open_at is None or open_at <= arrow_at:
-        raise ParseError("rule is missing its [CONSTRAINT] part", lineno, 1)
+        raise ParseError("rule is missing its [CONSTRAINT] part", *keyword.pos)
     lhs = tokens[:arrow_at]
     rhs = tokens[arrow_at + 1:open_at]
     constraint = tokens[open_at + 1:-1]
     if not lhs or not rhs or not constraint:
-        raise ParseError("expected 'rule LHS -> RHS [CONSTRAINT]'", lineno, 1)
+        raise ParseError("expected 'rule LHS -> RHS [CONSTRAINT]'",
+                         *keyword.pos)
     return lhs, rhs, constraint
 
 

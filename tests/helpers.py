@@ -8,8 +8,8 @@ from collections import Counter
 from typing import Iterator
 
 from lcstrs.core import (
-    App, ArrowType, BOOL_T, FunctionSymbol, INT_T, LcstrsError, Rule,
-    Signature, Substitution, Term, Type, Variable,
+    App, ArrowType, BOOL_T, FunctionSymbol, INT_T, LcstrsError, PreApp, Rule,
+    Signature, Substitution, Term, Type, TypingError, Variable,
 )
 from lcstrs import theory
 from lcstrs.horpo import Horpo
@@ -630,6 +630,50 @@ def all_read_system(k: int) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Reference typechecker: the rule for overloaded names that `typecheck`
+# replaced, kept as the oracle of its differential test
+
+
+def reference_typecheck(pre, signature: Signature, ctx: dict,
+                        expected=None) -> Term:
+    """The term `pre` denotes, typed by direct recursion: an overloaded
+    name takes the first of its symbols, in signature order, that types its
+    whole application, each tried on a copy of `ctx`. `ctx` gains the
+    variables inferred; an ill-typed term raises TypingError."""
+    leaf, args = (pre.head, pre.args) if isinstance(pre, PreApp) else (pre, [])
+    symbols = signature.lookup(leaf.name)
+    if not symbols:
+        head = ctx.get(leaf.name)
+        if head is None:
+            if args or expected is None:
+                raise TypingError(f"cannot infer the type of '{leaf.name}'")
+            head = ctx[leaf.name] = Variable(leaf.name, expected)
+        return _reference_apply(head, args, signature, ctx, expected)
+    for symbol in symbols:
+        trial = dict(ctx)
+        try:
+            term = _reference_apply(symbol, args, signature, trial, expected)
+        except TypingError:
+            continue
+        ctx.update(trial)
+        return term
+    raise TypingError(f"no symbol '{leaf.name}' types the application")
+
+
+def _reference_apply(head: Term, args, signature, ctx, expected) -> Term:
+    ty = head.type
+    typed = []
+    for a in args:
+        if not isinstance(ty, ArrowType):
+            raise TypingError(f"cannot apply a term of type {ty}")
+        typed.append(reference_typecheck(a, signature, ctx, ty.arg))
+        ty = ty.result
+    if expected is not None and ty != expected:
+        raise TypingError(f"term has type {ty}, expected {expected}")
+    return App(head, tuple(typed)) if typed else head
+
+
+# ---------------------------------------------------------------------------
 # Reference lexer: the character-by-character scanner and comment stripper
 # the regex lexer replaced, kept as the oracle of the differential tests.
 # An integer is a run of ASCII digits, the theory's literals; an identifier
@@ -703,28 +747,29 @@ def reference_strip_comments(text: str) -> str:
 
     out = []
     depth = 0
-    open_line = 0
+    opened = (0, 0)     # line and column of the outermost open `(*`
     i = 0
-    line = 1
+    line, col = 1, 1
     while i < len(text):
         if text.startswith("(*", i):
             if depth == 0:
-                open_line = line
+                opened = (line, col)
             depth += 1
             out.append("  ")
-            i += 2
+            i, col = i + 2, col + 2
         elif depth and text.startswith("*)", i):
             depth -= 1
             out.append("  ")
-            i += 2
+            i, col = i + 2, col + 2
         else:
             c = text[i]
             if c == "\n":
-                line += 1
+                line, col = line + 1, 1
                 out.append("\n")
             else:
                 out.append(c if depth == 0 else " ")
+                col += 1
             i += 1
     if depth:
-        raise ParseError("unterminated comment", open_line, 1)
+        raise ParseError("unterminated comment", *opened)
     return "".join(out)

@@ -1,5 +1,5 @@
-"""The front end: lexing, comment stripping, parse and type errors, deep
-inputs, and the cost of printing a trace.
+"""The front end: lexing, comment stripping, overloaded names, parse and
+type errors, deep inputs, and the cost of printing a trace.
 
 The character rules of the lexer, the error messages of the corpus below
 and the CLI output for it were recorded with the character-by-character
@@ -21,11 +21,15 @@ import jsonschema
 import pytest
 
 from helpers import (
-    gen_system, reference_strip_comments, reference_tokenize, system_text,
+    gen_system, reference_strip_comments, reference_tokenize,
+    reference_typecheck, system_text,
 )
 from lcstrs import syntax, theory
 from lcstrs.cli import main
-from lcstrs.core import App, FunctionSymbol, INT_T, LcstrsError, TypingError
+from lcstrs.core import (
+    App, BOOL_T, FunctionSymbol, INT_T, LcstrsError, PreApp, PreLeaf,
+    TypingError, Variable, arrow, typecheck,
+)
 from lcstrs.syntax import (
     ParseError, _strip_comments, parse_system, parse_term, print_term,
     tokenize,
@@ -261,6 +265,110 @@ class TestTypedConstruction:
 
 
 # ---------------------------------------------------------------------------
+# Overloaded names: `typecheck` picks the symbol before typing the
+# arguments, where the reference tries each symbol on the whole application
+
+OVERLOAD_SYSTEM = ("fun f : Bool -> Int\nfun g : Int -> Bool\n"
+                   "fun h : (Int -> Bool) -> Int\n"
+                   "fun k : (Bool -> Bool -> Bool) -> Bool\n"
+                   "fun m : (Bool -> Bool) -> Bool\n")
+# what a random pre-term of each type may be: a head and the types of its
+# arguments, where "sort" is Int or Bool at random, the same for both
+# arguments; a leaf has none. `!>` and `!>=` as leaves are the bracketed
+# `[!>]` and `[!>=]`, and `F` is a variable some starting contexts bind
+_I, _B = INT_T, BOOL_T
+_IB, _BB, _BBB = arrow(_I, _B), arrow(_B, _B), arrow(_B, _B, _B)
+_SHAPES = {
+    _I: [("0", ()), ("-2", ()), ("x", ()), ("y", ()), ("+", (_I, _I)),
+         ("f", (_B,)), ("h", (_IB,))],
+    _B: [("true", ()), ("p", ()), ("q", ()), ("x", ()), ("!>", ("sort",) * 2),
+         ("!>=", ("sort",) * 2), ("!>", ("sort",) * 2), ("/\\", (_B, _B)),
+         ("\\/", (_B, _B)), ("not", (_B,)), ("=", (_I, _I)), ("g", (_I,)),
+         ("k", (_BBB,)), ("m", (_BB,)), ("F", (_I,))],
+    _IB: [("!>", (_I,)), ("!>=", (_I,)), ("g", ()), ("F", ()), ("=", (_I,))],
+    _BB: [("!>", (_B,)), ("!>=", (_B,)), ("not", ()), ("/\\", (_B,))],
+    _BBB: [("!>", ()), ("!>=", ()), ("\\/", ())],
+}
+_CONTEXT = (Variable("x", INT_T), Variable("p", BOOL_T),
+            Variable("F", arrow(INT_T, BOOL_T)))
+_EXPECTED = (None, _I, _B, _IB, _BB, _BBB)
+
+
+def random_pre_term(rng: random.Random, ty, depth: int):
+    """A random pre-term meant to have type `ty`; one choice in ten is
+    made for another type, and one in twenty drops or adds an argument."""
+    if rng.random() < 0.1:
+        ty = rng.choice(list(_SHAPES))
+    shapes = _SHAPES[ty]
+    if depth <= 0:
+        shapes = [shape for shape in shapes if not shape[1]] or shapes
+    name, arg_types = rng.choice(shapes)
+    sort = rng.choice((_I, _B))
+    args = [random_pre_term(rng, sort if t == "sort" else t, depth - 1)
+            for t in arg_types]
+    roll = rng.random()
+    if roll < 0.025 and args:
+        args.pop()
+    elif roll < 0.05:
+        args.append(random_pre_term(rng, sort, depth - 1))
+    leaf = PreLeaf(name, (1, 1))
+    return PreApp(leaf, args) if args else leaf
+
+
+def assert_overloads_as_reference(count: int, seed: int = 13) -> tuple:
+    """`typecheck` against `helpers.reference_typecheck` on `count` random
+    pre-terms, each with a random expected type and starting context: a
+    term the reference types gets the same term and context, and a term it
+    rejects is rejected. Returns how many were typed and rejected."""
+    signature = parse_system(OVERLOAD_SYSTEM).signature
+    rng = random.Random(seed)
+    typed = 0
+    for _ in range(count):
+        expected = rng.choice(_EXPECTED)
+        pre = random_pre_term(rng, expected or rng.choice(list(_SHAPES)),
+                              rng.randint(1, 4))
+        start = {v.name: v for v in _CONTEXT if rng.random() < 0.4}
+        want_ctx, got_ctx = dict(start), dict(start)
+        try:
+            want = reference_typecheck(pre, signature, want_ctx, expected)
+        except TypingError:
+            want = None
+        try:
+            got = typecheck(pre, signature, got_ctx, expected)
+        except TypingError:
+            got = None
+        if want is None:
+            assert got is None, (pre, expected, start)
+            continue
+        assert got == want and got_ctx == want_ctx, (pre, expected, start)
+        typed += 1
+    return typed, count - typed
+
+
+class TestOverloads:
+    def test_typed_as_the_reference_types(self):
+        typed, rejected = assert_overloads_as_reference(2000)
+        assert typed > 1000 and rejected > 300
+
+    # one pin per branch of `core._variant`
+    @pytest.mark.parametrize("text, types", [
+        ("p !> false", {"p": BOOL_T}),              # a symbol fixes the sort
+        ("x !> y", {"x": INT_T, "y": INT_T}),       # nothing does: the first
+        ("p2 !> (p1 !> p0)",                        # an ordering gives Bool
+         {"p2": BOOL_T, "p1": INT_T, "p0": INT_T}),
+        ("m ([!>=] p)", {"p": BOOL_T}),             # the expected type
+    ])
+    def test_sort_of_the_variables(self, text, types):
+        ctx = {}
+        parse_term(text, parse_system(OVERLOAD_SYSTEM), ctx)
+        assert {name: v.type for name, v in ctx.items()} == types
+
+    def test_a_bare_symbol_takes_the_expected_type(self):
+        term = parse_term("k [!>]", parse_system(OVERLOAD_SYSTEM))
+        assert term.args == (theory.SUP_BOOL,)
+
+
+# ---------------------------------------------------------------------------
 # Golden error corpus: `check --format json` and `parse_term` messages
 
 _DECLS = "fun f1 : Int -> Int\nfun f2 : Int -> Int\nrule f1 x -> f2 x [x > 0]\n"
@@ -336,6 +444,18 @@ def term_errors(system) -> dict:
 
 
 class TestErrorCorpus:
+    # each error at its token, although not at column 1
+    @pytest.mark.parametrize("text, message", [
+        ("fun f : Int -> Int\nrule f x -> f (x - 1) [x > 0] (* unterminated",
+         "2:31: unterminated comment"),
+        ("fun f : Int -> Int\n   rule f x -> f x",
+         "2:4: rule is missing its [CONSTRAINT] part"),
+    ])
+    def test_error_at_its_token(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_system(text)
+        assert str(err.value) == message
+
     def test_check_json_is_golden(self, tmp_path, monkeypatch, capsys):
         golden = json.loads((GOLDEN / "check_errors.json").read_text())
         assert check_outputs(tmp_path, monkeypatch, capsys) == golden
@@ -395,13 +515,13 @@ class TestDeepInputs:
         assert str(err.value) == "1:7: unexpected token '<'"
 
     def test_deep_overloads_backtrack(self, fact_system):
-        # each `!>` tries the Int symbol first, which fails on its first
-        # argument, then the Bool one, which checks the nested right side
+        # each `!>` takes the Bool symbol, since its first argument is
+        # `true`, and types its nested right side once
         depth = 2000
         text = "true" + " !> (true" * depth + " !> true" + ")" * depth
         assert reprinted(text, fact_system).count("!>") == depth + 1
-        # on Int operands both fail at every level, and the first error
-        # reported is the Int attempt's at the innermost operator
+        # on Int operands each `!>` takes the Int symbol, so the nested
+        # right side, a Bool, is an error at the innermost operator
         text = "1" + " !> (1" * depth + " !> 1" + ")" * depth
         with pytest.raises(TypingError) as err:
             parse_term(text, fact_system)
@@ -410,10 +530,11 @@ class TestDeepInputs:
 
     def test_nested_overloads_over_fresh_variables(self):
         # p60 !> (p59 !> (... (p1 !> p0))): every level but the innermost
-        # is typed by the Bool symbol, after the Int one fails on the
-        # level below. Retrying a symbol whose result type is not the one
-        # expected there would double the work at every level, so the
-        # parse runs in a subprocess with a timeout
+        # takes the Bool symbol, since its right argument is an ordering,
+        # and the innermost, over two fresh variables, the Int one. Each
+        # level is typed once; typing a level once per symbol tried above
+        # it would double the work at every level, so the parse runs in a
+        # subprocess with a timeout
         chain = "p1 !> p0"
         for i in range(2, 61):
             chain = f"p{i} !> ({chain})"

@@ -41,6 +41,8 @@ REMOVED = [
     "_symbol_spine",
     # one token pattern: an integer is a run of ASCII digits
     "_token_regex", "_token_finder",
+    # an overloaded name's symbol is picked once, before its arguments
+    "_Choice", "_fits",
 ]
 
 # attributes that nothing read

@@ -21,12 +21,7 @@ import sys
 from typing import Optional, Sequence
 
 from .core import LcstrsError
-from .horpo import _transitive_closure
-from .prover import (
-    ProverConfig, Witness, check_witness, find_witness, params_from_dict,
-)
 from .rewrite import InputSource, normalize
-from .solver import Solver
 from .syntax import parse_system, parse_term, print_term
 from .theory import TheoryError, parse_int
 
@@ -211,6 +206,7 @@ def _witness_lines(witness: dict) -> list[str]:
     """The witness document: its parameters, with the precedence cut down
     to the edges that transitivity does not imply, then each rule and its
     derivation tree, one node a line, children indented below."""
+    from .horpo import _transitive_closure
     edges = frozenset(map(tuple, witness["precedence"]))
     above = _transitive_closure(edges)
     direct = [f"{f} > {g}" for f, g in sorted(edges)
@@ -280,7 +276,22 @@ def cmd_run(args) -> int:
     return 2 if result.exhausted else 0
 
 
+# `check` and `run` never load the prover's modules: `prove` imports them
+# when it runs. The two calls stay names of this module, for callers that
+# rebind them.
+def find_witness(system, config=None):
+    from .prover import find_witness
+    return find_witness(system, config)
+
+
+def check_witness(witness, system, solver=None):
+    from .prover import check_witness
+    return check_witness(witness, system, solver)
+
+
 def cmd_prove(args) -> int:
+    from .prover import ProverConfig, Witness, params_from_dict
+    from .solver import Solver
     system = parse_system(_read(args.file))
     pieces = (args.bounds or "").split(",")
     bounds = tuple(_integer(b, "--bounds") for b in pieces
@@ -321,9 +332,12 @@ def cmd_prove(args) -> int:
 
 
 def _read(path: str) -> str:
+    """The file's text, without the byte-order mark some editors write
+    first. Decoded as plain UTF-8, so a decode error's byte offset counts
+    from the start of the file."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return handle.read()
+            return handle.read().removeprefix("\ufeff")
     except OSError as e:
         raise LcstrsError(f"cannot read {path}: {e.strerror}") from None
     except UnicodeDecodeError as e:

@@ -19,6 +19,10 @@ SCHEMA = json.loads(
     (REPO / "src" / "lcstrs" / "schemas" / "cli_output.schema.json").read_text())
 
 
+BOM = b"\xef\xbb\xbf"
+COUNTDOWN = "fun f : Int -> Int\nrule f x -> f (x - 1) [x > 0]\n"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -73,6 +77,37 @@ class TestCheck:
         assert payload == {"command": "check", "file": str(path),
                            "ok": False, "error": message}
 
+    def test_a_leading_byte_order_mark_is_dropped(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # an editor may save UTF-8 text with a byte-order mark first
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bom.lcstrs").write_bytes(BOM + COUNTDOWN.encode())
+        (tmp_path / "plain.lcstrs").write_text(COUNTDOWN)
+        code = main(["check", "bom.lcstrs", "--format", "json"])
+        got = (code, *capsys.readouterr())
+        main(["check", "plain.lcstrs", "--format", "json"])
+        out = capsys.readouterr().out.replace("plain.", "bom.")
+        assert got == (0, out, "")
+
+    @pytest.mark.parametrize("data, error", [
+        (COUNTDOWN.replace("rule", "\ufeffrule").encode(),
+         "2:1: unexpected character '\\ufeff'"),
+        (BOM + BOM + COUNTDOWN.encode(), "1:1: unexpected character '\\ufeff'"),
+        (BOM + b"ab\xff",
+         "cannot read bom.lcstrs: not UTF-8 text, invalid start byte at byte 5"),
+    ], ids=["inside", "twice", "not_utf8"])
+    def test_any_other_byte_order_mark_is_an_error(
+            self, capsys, tmp_path, monkeypatch, data, error):
+        # only one mark, first, is dropped; and a decode error's offset
+        # counts the mark's three bytes
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bom.lcstrs").write_bytes(data)
+        code = main(["check", "bom.lcstrs", "--format", "json"])
+        payload = {"command": "check", "file": "bom.lcstrs", "ok": False,
+                   "error": error}
+        assert (code, *capsys.readouterr()) == (
+            1, json.dumps(payload, indent=2) + "\n", f"error: {error}\n")
+
     def test_json(self, capsys):
         code, payload, _ = run_json(capsys, "check",
                                     str(SYSTEMS / "fact.lcstrs"))
@@ -126,6 +161,20 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(SYSTEMS / "fact.lcstrs"),
                                "--term", "fact fact")
         assert code == 1 and "error" in err
+
+    def test_a_byte_order_mark_opens_a_file_not_a_term(self, capsys,
+                                                        tmp_path):
+        path = tmp_path / "bom.lcstrs"
+        path.write_bytes(BOM + COUNTDOWN.encode())
+        code, out, err = run_cli(capsys, "run", str(path), "--term", "f 2")
+        assert (code, out, err) == (0, "start: f 2\n"
+                                       "step 1: rule#1 at [] -> f (2 - 1)\n"
+                                       "step 2: calc at [1] -> f 1\n"
+                                       "step 3: rule#1 at [] -> f (1 - 1)\n"
+                                       "step 4: calc at [1] -> f 0\n"
+                                       "normal form after 4 steps: f 0\n", "")
+        assert run_cli(capsys, "run", str(path), "--term", "\ufefff 2") == (
+            1, "", "error: 1:1: unexpected character '\\ufeff'\n")
 
     def test_a_digit_outside_ascii_is_an_input_error(self, capsys):
         # an integer is a run of ASCII digits: a full-width 3 is no literal,

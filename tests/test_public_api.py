@@ -4,6 +4,7 @@ Adding a name to `lcstrs`, or bringing back a removed wrapper or alias,
 must be a deliberate change to this file.
 """
 
+import ast
 import importlib.util
 import inspect
 import types
@@ -79,11 +80,33 @@ REMOVED_PARAMETERS = [
 ]
 
 
+def _defined_names(module) -> set:
+    """The names a module's own top-level statements bind, read from its
+    source: a class, a function or an assignment, not an import."""
+    names = set()
+    for node in ast.parse(Path(module.__file__).read_text()).body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
 def test_package_exports_are_pinned():
-    names = sorted(name for name, value in vars(lcstrs).items()
-                   if not name.startswith("_")
-                   and not isinstance(value, types.ModuleType))
+    # the package resolves a name on first use, so `vars(lcstrs)` holds
+    # only the names read so far; `dir` and `__all__` list every one
+    names = sorted(name for name in dir(lcstrs) if not name.startswith("_")
+                   and not isinstance(getattr(lcstrs, name), types.ModuleType))
     assert names == sorted(PUBLIC)
+    assert sorted(lcstrs.__all__) == sorted(PUBLIC)
+    modules = (core, horpo, prover, rewrite, solver, syntax, theory)
+    defined = {module: _defined_names(module) for module in modules}
+    for name in PUBLIC:
+        homes = [module for module in modules if name in defined[module]]
+        assert len(homes) == 1, name
+        assert getattr(lcstrs, name) is getattr(homes[0], name), name
 
 
 @pytest.mark.parametrize("module", [lcstrs, core, horpo, solver, syntax,

@@ -2,7 +2,9 @@
 
 Each command builds one payload, the document `--format json` prints; the
 text format is a view of that payload, `_text`, which reads every line from
-it. So text-mode `prove` prints the witness document it re-checked.
+it. So text-mode `prove` prints the witness document it re-checked. `_json`
+writes every document, except the steps of a `run` trace, which
+`_run_json` writes in one pass.
 
 Exit codes: 0 success (file valid / normal form reached / witness found),
 1 input error (parse, typing, rule validity, too deep nesting) or a stdout
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -26,6 +29,7 @@ from .syntax import parse_system, parse_term, print_term
 from .theory import TheoryError, parse_int
 
 SMT_ENV_VAR = "LCSTRS_SMT_CMD"
+YOUNG_THRESHOLD = 10000     # the collector's generation-0 threshold
 
 
 @functools.cache
@@ -173,7 +177,8 @@ def _text(payload: dict) -> str:
                      f"{len(payload['rules'])} rules")
     elif command == "run":
         lines = [f"start: {payload['start']}"]
-        lines += [f"step {i}: {s['kind']} at {s['position']} -> {s['term']}"
+        lines += [f"step {i}: {s['kind']} at {list(s['position'])} -> "
+                  f"{s['term']}"
                   for i, s in enumerate(payload["steps"], 1)]
         total = payload["total_steps"]
         lines.append(f"normal form after {total} steps: {payload['result']}"
@@ -263,17 +268,48 @@ def cmd_run(args) -> int:
                        inputs=inputs)
 
     memo: dict = {}  # one for the call: steps share most subterms
-    _emit(args.format, {
+    payload = {
         "command": "run", "file": args.file, "ok": not result.exhausted,
         "start": print_term(term, memo), "strategy": args.strategy,
         "fuel": fuel, "result": print_term(result.term, memo),
         "normal_form": not result.exhausted,
         "total_steps": result.total_steps,
-        "steps": [{"position": list(s.position), "kind": s.kind,
+        "steps": [{"position": s.position, "kind": s.kind,
                    "term": print_term(s.result, memo)}
                   for s in result.steps],
-    })
+    }
+    print(_run_json(payload) if args.format == "json" else _text(payload))
     return 2 if result.exhausted else 0
+
+
+def _run_json(payload: dict) -> str:
+    """`_json(payload)` of a `run` payload, whose `steps` come last. The
+    rest of the document goes through `_json`; the steps are written here
+    in one pass: the text of each distinct position and of each kind is
+    built once, and each step is one concatenation around its term."""
+    steps = payload["steps"]
+    head = _json({**payload, "steps": []})
+    if not steps:
+        return head
+    positions: dict = {}    # position -> the step's text up to its kind
+    kinds: dict = {}        # kind -> its text up to the step's term
+    pieces = []
+    for step in steps:
+        position, kind = step["position"], step["kind"]
+        before = positions.get(position)
+        if before is None:
+            numbers = ",\n        ".join(map(str, position))
+            before = positions[position] = (
+                '{\n      "position": '
+                + (f"[\n        {numbers}\n      ]" if position else "[]")
+                + ',\n      "kind": ')
+        between = kinds.get(kind)
+        if between is None:
+            between = kinds[kind] = _encode(kind) + ',\n      "term": '
+        pieces.append(before + between + _encode(step["term"]) + "\n    }")
+    # `head` ends in `"steps": []` and the payload's closing brace
+    return (head[:-len("[]\n}")] + "[\n    " + ",\n    ".join(pieces)
+            + "\n  ]\n}")
 
 
 # `check` and `run` never load the prover's modules: `prove` imports them
@@ -352,6 +388,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     handlers = {"check": cmd_check, "run": cmd_run, "prove": cmd_prove}
+    # terms are acyclic, so the young objects a command makes seldom die
+    # in cycles: collecting them after YOUNG_THRESHOLD net allocations, not
+    # Python's 700, frees as much and walks the live terms less often
+    found = gc.get_threshold()
+    ours = (YOUNG_THRESHOLD, *found[1:])
+    gc.set_threshold(*ours)
     try:
         try:
             return handlers[args.command](args)
@@ -364,6 +406,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BrokenPipeError:
         _stdout_to_devnull()
         return 1
+    finally:
+        # unless an overlapping call has set its own since
+        if gc.get_threshold() == ours:
+            gc.set_threshold(*found)
 
 
 def _stdout_to_devnull() -> None:

@@ -14,6 +14,7 @@ is well typed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import (
     Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union,
 )
@@ -336,22 +337,7 @@ class Substitution:
         a ground subterm is shared, not copied. A variable head bound to
         an application is flattened into it: `(x a)σ` with `σ(x) = f b`
         is `f b a`."""
-        mapping = self._map
-        typed = App._typed
-
-        def instance(t: Term) -> Term:
-            if not t.free_vars:
-                return t
-            if type(t) is Variable:
-                return mapping.get(t, t)
-            head, args = t.head, tuple(map(instance, t.args))
-            if type(head) is Variable:
-                head = mapping.get(head, head)
-                if type(head) is App:
-                    return typed(head.head, head.args + args, t.type)
-            return typed(head, args, t.type)
-
-        return instance(term)
+        return _instance(term, self._map)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Substitution) and self._map == other._map
@@ -360,6 +346,23 @@ class Substitution:
         inner = ", ".join(f"{v.name} := {t!r}" for v, t in sorted(
             self._map.items(), key=lambda it: it[0].name))
         return "{" + inner + "}"
+
+
+def _instance(t: Term, mapping: dict) -> Term:
+    """`Substitution.apply`'s walk: a module function, not a closure, so
+    an instance leaves no function-cell cycle for the cyclic collector.
+    It recurses once per nesting level, through `map`, which adds no
+    frame of its own where a comprehension would on Python 3.10-3.11."""
+    if not t.free_vars:
+        return t
+    if type(t) is Variable:
+        return mapping.get(t, t)
+    head, args = t.head, tuple(map(_instance, t.args, repeat(mapping)))
+    if type(head) is Variable:
+        head = mapping.get(head, head)
+        if type(head) is App:
+            return App._typed(head.head, head.args + args, t.type)
+    return App._typed(head, args, t.type)
 
 
 # ---------------------------------------------------------------------------

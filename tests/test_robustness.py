@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -10,14 +11,16 @@ from helpers import (
     blowup_system, derived_witness, gen_ground_term, gen_theory_term,
     repeated_system, reversal_system, subterms,
 )
-from lcstrs.core import INT_T, BOOL_T, LcstrsError, Variable, arrow
+from lcstrs.core import (
+    App, INT_T, BOOL_T, LcstrsError, Substitution, Variable, arrow,
+)
 from lcstrs.prover import (
     FailureReport, Witness, check_witness, find_witness, params_from_dict,
 )
 from lcstrs.rewrite import InputSource, calc_normal_form, match, normalize, step_at
 from lcstrs.solver import Solver
 from lcstrs.syntax import parse_system, parse_term, print_term
-from lcstrs.theory import TRUE, int_value
+from lcstrs.theory import ADD, TRUE, int_value
 
 
 class TestParserFuzz:
@@ -141,6 +144,56 @@ class TestNormalizerScale:
         exit_symbol, = fact_system.signature.lookup("exit")
         assert result.term == exit_symbol.apply(
             int_value(math.factorial(1500)))
+
+
+def closure_apply(subst: Substitution, term):
+    """`Substitution.apply` as a recursive closure, the walk the module
+    function `core._instance` replaced: the depth to match."""
+    mapping, typed = dict(subst.items()), App._typed
+
+    def instance(t):
+        if not t.free_vars:
+            return t
+        if type(t) is Variable:
+            return mapping.get(t, t)
+        head, args = t.head, tuple(map(instance, t.args))
+        if type(head) is Variable:
+            head = mapping.get(head, head)
+            if type(head) is App:
+                return typed(head.head, head.args + args, t.type)
+        return typed(head, args, t.type)
+
+    return instance(term)
+
+
+def deepest(apply, nested: list) -> int:
+    """The largest index of `nested` that `apply` instantiates without a
+    RecursionError, by bisection."""
+    lo, hi = 0, len(nested) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            apply(nested[mid])
+        except RecursionError:
+            hi = mid - 1
+        else:
+            lo = mid
+    return lo
+
+
+class TestInstanceDepth:
+    def test_apply_nests_as_deep_as_the_closure(self):
+        # `x + 1 + ... + 1` with n operators, under the default limit
+        x = Variable("x", INT_T)
+        subst = Substitution({x: int_value(3)})
+        nested = [x]
+        for _ in range(2 * sys.getrecursionlimit()):
+            nested.append(ADD.apply(nested[-1], int_value(1)))
+        # each called through one frame of its own
+        reached = deepest(lambda t: closure_apply(subst, t), nested)
+        assert 0 < reached < len(nested) - 1
+        assert deepest(lambda t: subst.apply(t), nested) >= reached
+        assert subst.apply(nested[50]) == closure_apply(subst, nested[50])
 
 
 class TestStatusSearchScale:
